@@ -68,3 +68,30 @@ def monotone_chain(points):
         upper.append(p)
     hull = set(lower[:-1] + upper[:-1])
     return np.asarray(sorted(hull))
+
+
+def write_state_csv_reference(trace, path):
+    """The per-cell f-string writer that defined the states.csv bytes."""
+    states = trace.states
+    T, n, d = states.shape
+    xs = trace.xs if trace.xs is not None else states
+    with open(path, "w", newline="") as fh:
+        fh.write("k,node,coord,x,y,r\n")
+        for k in range(T):
+            for i in range(n):
+                y = trace.ys[k, i] if trace.ys is not None else 1.0
+                for c in range(d):
+                    fh.write(f"{k},{i},{c},{xs[k, i, c]:.17g},{y:.17g},{states[k, i, c]:.17g}\n")
+
+
+def write_termination_csv_reference(trace, path):
+    """The per-cell f-string writer that defined the termination.csv bytes."""
+    T, n = trace.Rs.shape
+    D = trace.Dbound
+    with open(path, "w", newline="") as fh:
+        fh.write("k,node,R,b,window_l,halt_flag\n")
+        for k in range(T):
+            wl = 0 if k == 0 else (k - 1) // D + 1
+            hf = 1 if (trace.halted and k == trace.halt_t) else 0
+            for i in range(n):
+                fh.write(f"{k},{i},{trace.Rs[k, i]:.17g},{int(trace.bs[k, i])},{wl},{hf}\n")

@@ -1,0 +1,100 @@
+"""Pins the artifact bytes.
+
+The library writers must match the per-cell reference writers in
+oracles.py byte for byte, and every CLI subcommand must reproduce the
+recorded sha256 digests of its artifact directory.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+import hullstop.cli as cli
+from hullstop import (ConsensusTrace, generate_digraph, make_weights,
+                      run_radius_stopping, write_state_csv,
+                      write_termination_csv)
+from oracles import write_state_csv_reference, write_termination_csv_reference
+
+
+def _radius_trace(kind, n, x0, rho, k_max=100_000, seed=3):
+    g = generate_digraph(n, "erdos_renyi", seed, 0.4)
+    return run_radius_stopping(g, make_weights(g, kind), x0, rho, k_max=k_max)
+
+
+@pytest.fixture(scope="module")
+def traces():
+    rng = np.random.default_rng(11)
+    x0 = rng.normal(size=(6, 3))
+    x0[1, 0] = -0.0
+    x0[4, 2] = -0.0
+    signed_zero = np.array([[-0.0, 1.0], [-0.0, -2.5], [-0.0, 1e-300]])
+    return {
+        "ratio_halted": _radius_trace("column", 6, x0, 1e-3),
+        "row_halted": _radius_trace("row", 6, x0, 1e-3),
+        "ratio_no_halt": _radius_trace("column", 6, x0, 1e-15, k_max=9),
+        "row_no_halt": _radius_trace("row", 6, x0, 1e-15, k_max=9),
+        "one_node": _radius_trace("column", 1, x0[:1], 1e-2),
+        "signed_zero": _radius_trace("row", 3, signed_zero, 1e-2),
+    }
+
+
+@pytest.mark.parametrize("name", ["ratio_halted", "row_halted", "ratio_no_halt",
+                                  "row_no_halt", "one_node", "signed_zero"])
+def test_writers_match_reference_bytes(tmp_path, traces, name):
+    trace = traces[name]
+    states = ConsensusTrace(trace.engine, trace.rs, trace.xs, trace.ys)
+    write_state_csv(states, tmp_path / "s.csv")
+    write_state_csv_reference(states, tmp_path / "s_ref.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
+    write_termination_csv(trace, tmp_path / "t.csv")
+    write_termination_csv_reference(trace, tmp_path / "t_ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+
+def test_signed_zero_trace_writes_negative_zero(tmp_path, traces):
+    trace = traces["signed_zero"]
+    write_state_csv(ConsensusTrace("row", trace.rs), tmp_path / "s.csv")
+    assert "\n0,0,0,-0,1,-0\n" in (tmp_path / "s.csv").read_text()
+
+
+def _dir_digest(path):
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\0")
+        with open(os.path.join(path, name), "rb") as fh:
+            h.update(hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
+# digests of the artifact directories these commands wrote when the format
+# was first pinned; --out-dir is relative because config.json records it
+GOLDEN = {
+    "run_radius": (["run", "--nodes", "6", "--dim", "3", "--seed", "3",
+                    "--rho", "0.001", "--stopping", "radius"],
+        "abc22f6a122eb14b72f109f68c52f658fc2a86837267a89680b1ce81074b897e"),
+    "run_box": (["run", "--nodes", "6", "--dim", "2", "--seed", "4", "--rho", "0.001",
+                 "--stopping", "box", "--engine", "row", "--norm", "inf"],
+        "667519b55f25945cec34250e3e69a67982462218bdce235674cd469b7e31a2b3"),
+    "run_none": (["run", "--nodes", "5", "--dim", "2", "--seed", "5",
+                  "--stopping", "none", "--k-max", "12", "--norm", "1"],
+        "96c8be9e3119b3ef1504f64a72642f622ad2143f8f3ae8805dab66e3226dc996"),
+    "compare": (["compare", "--nodes", "6", "--dim", "2", "--seed", "2",
+                 "--rho", "0.001"],
+        "97b49b230793d16f921d6ea9049463d22a07b35cbc4cc3e8ce859cc094b68e66"),
+    "hull": (["hull", "--nodes", "5", "--dim", "2", "--seed", "4", "--points", "3"],
+        "c6641b560fafcb5c10a70a9a797822c72475a81c7ec62a2ebb5ea38de533c160"),
+    "lse": (["lse", "--nodes", "6", "--degree", "2", "--seed", "1", "--k-max", "40"],
+        "ae5980529170048ca7f6304a512fb9d560bc5e694208140ec1e6623626d27258"),
+    "funccalc": (["funccalc", "--nodes", "5", "--function", "max", "--seed", "6"],
+        "9505f1fbd9971c2210025b0fabf25887abeb59156882a77ee19faf2d2ed28410"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_directory_digest(tmp_path, monkeypatch, name):
+    argv, digest = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out-dir", name]) == 0
+    assert _dir_digest(name) == digest, sorted(os.listdir(name))
