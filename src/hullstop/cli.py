@@ -19,18 +19,17 @@ import sys
 
 import numpy as np
 
-from .applications import (funccalc_error, funccalc_init, lse_batch,
-                           lse_error_bound, lse_gram, lse_payload_states,
-                           polynomial_basis, registered_function,
-                           unflatten_payload)
-from .consensus import consensus_limit, run_consensus, write_state_csv, ConsensusTrace
+from .applications import (_design_row, funccalc_error, funccalc_init,
+                           lse_batch, lse_error_bound, lse_gram,
+                           lse_payload_states, polynomial_basis,
+                           registered_function, unflatten_payload)
+from .consensus import ConsensusTrace, _csv_table, consensus_limit, run_consensus, write_state_csv
 from .errors import InvariantViolation
-from .geometry import vector_norm
-from .graph import generate_digraph, graph_to_json, make_weights
-from .harness import ExperimentConfig, compare_criteria, run_experiment
+from .geometry import extreme_points, vector_norm
+from .graph import generate_digraph, make_weights
+from .harness import ExperimentConfig, artifact_dir, compare_criteria, run_experiment, write_json
 from .hull import encode_extreme_set, run_hull_consensus
 from .termination import run_radius_stopping
-from .geometry import extreme_points, PointSet
 
 
 class _CliError(Exception):
@@ -43,22 +42,24 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _add_common(sp):
+def _add_common(sp, dim=True, stopping=True):
     sp.add_argument("--nodes", type=int, default=10)
-    sp.add_argument("--dim", type=int, default=2)
+    if dim:
+        sp.add_argument("--dim", type=int, default=2)
+    else:  # the subcommand fixes its own dimension; callers may still read args.dim
+        sp.set_defaults(dim=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--rho-relative", action="store_true",
-                    help="treat rho as a fraction of the consensus vector norm")
-    sp.add_argument("--norm", choices=["1", "2", "inf"], default="2")
     sp.add_argument("--topology", choices=["erdos_renyi", "ring", "complete"],
                     default="erdos_renyi")
     sp.add_argument("--edge-prob", type=float, default=0.3)
-    sp.add_argument("--d-bound", type=int, default=None)
-    sp.add_argument("--k-max", type=int, default=100_000)
     sp.add_argument("--out-dir", default="out")
-    sp.add_argument("--stopping", choices=["radius", "box", "hull", "none"],
-                    default="radius")
+    if stopping:
+        sp.add_argument("--rho", type=float, default=None)
+        sp.add_argument("--rho-relative", action="store_true",
+                        help="treat rho as a fraction of the consensus vector norm")
+        sp.add_argument("--norm", choices=["1", "2", "inf"], default="2")
+        sp.add_argument("--d-bound", type=int, default=None)
+        sp.add_argument("--k-max", type=int, default=100_000)
 
 
 def build_parser() -> _Parser:
@@ -66,9 +67,11 @@ def build_parser() -> _Parser:
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", parents=[], help="one experiment")
+    run_p = sub.add_parser("run", help="one experiment")
     _add_common(run_p)
     run_p.set_defaults(rho=0.01)
+    run_p.add_argument("--stopping", choices=["radius", "box", "hull", "none"],
+                       default="radius")
     run_p.add_argument("--engine", choices=["ratio", "row"], default="ratio")
 
     cmp_p = sub.add_parser("compare", help="radius vs box vs hull stopping")
@@ -76,20 +79,20 @@ def build_parser() -> _Parser:
     cmp_p.add_argument("--engine", choices=["ratio", "row"], default="ratio")
 
     hull_p = sub.add_parser("hull", help="exact hull agreement protocol")
-    _add_common(hull_p)
+    _add_common(hull_p, stopping=False)
     hull_p.add_argument("--points", type=int, default=4,
                         help="points per node in the initial clouds")
 
     lse_p = sub.add_parser("lse", help="distributed least squares")
-    _add_common(lse_p)
-    lse_p.set_defaults(k_max=300)
+    _add_common(lse_p, dim=False, stopping=False)
+    lse_p.add_argument("--k-max", type=int, default=300)
     lse_p.add_argument("--degree", type=int, default=2,
                        help="polynomial basis degree")
     lse_p.add_argument("--data", default=None,
                        help="csv of x,y rows; node count follows the file")
 
     fc_p = sub.add_parser("funccalc", help="distributed function evaluation")
-    _add_common(fc_p)
+    _add_common(fc_p, dim=False)
     fc_p.set_defaults(rho=0.001)
     fc_p.add_argument("--function", choices=["max", "mean", "sum"], default="max")
     return top
@@ -125,8 +128,7 @@ def _cmd_compare(args) -> int:
     cfg = _config_from(args, stopping="radius")
     rows = compare_criteria(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "compare.json"), "w") as fh:
-        fh.write(json.dumps(rows, indent=2) + "\n")
+    write_json(os.path.join(args.out_dir, "compare.json"), rows)
     print(f"{'method':<8}{'halt_k':>8}{'extra_bits':>12}{'spread_at_halt':>18}")
     for row in rows:
         spread = "-" if row["spread_at_halt"] is None else f"{row['spread_at_halt']:.3e}"
@@ -147,23 +149,20 @@ def _cmd_hull(args) -> int:
     central = extreme_points(np.vstack(sets))
     if any(e != central for e in final):
         raise InvariantViolation("hull protocol did not reach the centralized extreme set")
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "graph.json"), "w") as fh:
-        fh.write(graph_to_json(g) + "\n")
-    with open(os.path.join(args.out_dir, "hull_rounds.csv"), "w") as fh:
-        fh.write("round,node,message\n")
-        for t, snapshot in enumerate(history):
-            for i, ext in enumerate(snapshot):
-                msg = ";".join(f"{v:.17g}" for v in encode_extreme_set(ext))
-                fh.write(f"{t},{i},{msg}\n")
-    summary = {
-        "rounds": g.diameter,
-        "extreme_count": len(central),
-        "agreement": True,
-        "hull_points": [list(map(float, q)) for q in central.points],
-    }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+    with artifact_dir(args.out_dir, g) as summary:
+        # messages have different lengths, so this table is not a numeric block
+        with open(os.path.join(args.out_dir, "hull_rounds.csv"), "w") as fh:
+            fh.write("round,node,message\n")
+            for t, snapshot in enumerate(history):
+                for i, ext in enumerate(snapshot):
+                    msg = ";".join(f"{v:.17g}" for v in encode_extreme_set(ext))
+                    fh.write(f"{t},{i},{msg}\n")
+        summary.update({
+            "rounds": g.diameter,
+            "extreme_count": len(central),
+            "agreement": True,
+            "hull_points": [list(map(float, q)) for q in central.points],
+        })
     print(json.dumps({k: summary[k] for k in ("rounds", "extreme_count", "agreement")}))
     return 0
 
@@ -199,7 +198,7 @@ def _cmd_lse(args) -> int:
         rng = np.random.default_rng([args.seed, 3])
         xs = rng.uniform(-1.0, 1.0, n)
         theta_true = rng.normal(size=M)
-        design = np.stack([_poly_row(x, basis) for x in xs])
+        design = np.stack([_design_row(x, basis) for x in xs])
         ys = design @ theta_true + 0.01 * rng.normal(size=n)
     if n < 1:
         raise _CliError("dataset is empty")
@@ -211,51 +210,42 @@ def _cmd_lse(args) -> int:
     steps = args.k_max
     trace = run_consensus(W, state0.x, steps)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "graph.json"), "w") as fh:
-        fh.write(graph_to_json(g) + "\n")
-    with open(os.path.join(args.out_dir, "dataset.csv"), "w") as fh:
-        fh.write("x,y\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.17g},{y:.17g}\n")
-    final_err = 0.0
-    with open(os.path.join(args.out_dir, "bound.csv"), "w") as fh:
-        fh.write("n,node,lhs,bound,holds\n")
-        for k in range(trace.states.shape[0]):
-            for i in range(g.n):
-                Mi, zi = unflatten_payload(trace.states[k, i], M)
-                try:
-                    eb = lse_error_bound(Mi, zi, G_true, z_true)
-                except np.linalg.LinAlgError:
-                    fh.write(f"{k},{i},nan,nan,na\n")
-                    continue
-                if not eb.applicable:
-                    fh.write(f"{k},{i},nan,inf,na\n")
-                    continue
-                theta_i = np.linalg.solve(Mi, zi)
-                lhs = float(vector_norm(theta_i - theta_hat, 2.0))
-                fh.write(f"{k},{i},{lhs:.17g},{eb.bound:.17g},{int(eb.holds)}\n")
-                if k == trace.states.shape[0] - 1:
-                    final_err = max(final_err, lhs)
-    summary = {
-        "theta_hat": [float(v) for v in theta_hat],
-        "n": int(n),
-        "k_steps": steps,
-        "final_max_error": final_err,
-        "basis_size": M,
-    }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+    with artifact_dir(args.out_dir, g) as summary:
+        with _csv_table(os.path.join(args.out_dir, "dataset.csv"), "x,y") as write:
+            write(xs, ys)
+        final_err = 0.0
+        # some cells are the text "na", so this table is not a numeric block
+        with open(os.path.join(args.out_dir, "bound.csv"), "w") as fh:
+            fh.write("n,node,lhs,bound,holds\n")
+            for k in range(trace.states.shape[0]):
+                for i in range(g.n):
+                    Mi, zi = unflatten_payload(trace.states[k, i], M)
+                    try:
+                        eb = lse_error_bound(Mi, zi, G_true, z_true)
+                    except np.linalg.LinAlgError:
+                        fh.write(f"{k},{i},nan,nan,na\n")
+                        continue
+                    if not eb.applicable:
+                        fh.write(f"{k},{i},nan,inf,na\n")
+                        continue
+                    theta_i = np.linalg.solve(Mi, zi)
+                    lhs = float(vector_norm(theta_i - theta_hat, 2.0))
+                    fh.write(f"{k},{i},{lhs:.17g},{eb.bound:.17g},{int(eb.holds)}\n")
+                    if k == trace.states.shape[0] - 1:
+                        final_err = max(final_err, lhs)
+        summary.update({
+            "theta_hat": [float(v) for v in theta_hat],
+            "n": int(n),
+            "k_steps": steps,
+            "final_max_error": final_err,
+            "basis_size": M,
+        })
     print(json.dumps(summary))
     return 0
 
 
-def _poly_row(x, basis):
-    return np.array([gfun(x) for gfun in basis], dtype=float)
-
-
 def _cmd_funccalc(args) -> int:
-    if args.rho is None or args.rho <= 0:
+    if not args.rho > 0:
         raise _CliError(f"funccalc needs --rho > 0, got {args.rho}")
     n = args.nodes
     f, C, alpha = registered_function(args.function, n)
@@ -271,34 +261,30 @@ def _cmd_funccalc(args) -> int:
                                 p=_norm_value(args), k_max=args.k_max)
     r_bar = consensus_limit(state0.x, W)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "graph.json"), "w") as fh:
-        fh.write(graph_to_json(g) + "\n")
-    write_state_csv(ConsensusTrace("ratio", trace.rs, trace.xs, trace.ys),
-                    os.path.join(args.out_dir, "states.csv"))
-    holder_ok = True
-    with open(os.path.join(args.out_dir, "holder.csv"), "w") as fh:
-        fh.write("k,node,lhs,rhs,holds\n")
-        for k in range(trace.rs.shape[0]):
-            for i in range(n):
-                lhs, rhs, ok = funccalc_error(f, C, alpha, trace.rs[k, i], r_bar)
-                holder_ok = holder_ok and ok
-                fh.write(f"{k},{i},{lhs:.17g},{rhs:.17g},{int(ok)}\n")
     worst = max(abs(float(f(trace.rs[-1, i])) - float(f(r_bar))) for i in range(n))
     cert = C * (2.0 * rho) ** alpha
-    summary = {
-        "function": args.function,
-        "halted": trace.halted,
-        "halt_k": trace.halt_t,
-        "rho": rho,
-        "worst_error_at_end": worst,
-        "certificate": cert,
-        "certificate_ok": bool(worst <= cert + 1e-12) if trace.halted else None,
-        "holder_ok_every_step": holder_ok,
-        "f_limit": float(f(r_bar)),
-    }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+    holder_ok = True
+    with artifact_dir(args.out_dir, g) as summary:
+        write_state_csv(ConsensusTrace("ratio", trace.rs, trace.xs, trace.ys),
+                        os.path.join(args.out_dir, "states.csv"))
+        with _csv_table(os.path.join(args.out_dir, "holder.csv"), "k,node,lhs,rhs,holds",
+                        ("k", "node", "holds")) as write:
+            for k in range(trace.rs.shape[0]):
+                lhs, rhs, ok = np.array(
+                    [funccalc_error(f, C, alpha, r, r_bar) for r in trace.rs[k]]).T
+                holder_ok = holder_ok and bool(ok.all())
+                write(k, np.arange(n), lhs, rhs, ok)
+        summary.update({
+            "function": args.function,
+            "halted": trace.halted,
+            "halt_k": trace.halt_t,
+            "rho": rho,
+            "worst_error_at_end": worst,
+            "certificate": cert,
+            "certificate_ok": bool(worst <= cert + 1e-12) if trace.halted else None,
+            "holder_ok_every_step": holder_ok,
+            "f_limit": float(f(r_bar)),
+        })
     print(json.dumps(summary))
     if not trace.halted:
         return 2
@@ -315,18 +301,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _CliError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

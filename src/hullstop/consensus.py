@@ -8,6 +8,7 @@ coordinate for coordinate, exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
     "write_state_csv",
     "read_state_csv",
 ]
+
+_STATE_HEADER = "k,node,coord,x,y,r"
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,18 @@ def pairwise_spread(states, p: float = 2.0) -> float:
     return float(vector_norm(diffs, p, axis=-1).max())
 
 
+@contextmanager
+def _csv_table(path, header: str, ints=()):
+    """Write a CSV artifact: the header, then one np.savetxt block per call of
+    the yielded writer, whose arguments are columns (equal-length arrays or
+    scalars). Columns named in ints print as %d, the rest as %.17g, which
+    round-trips float64. Pass one step per call, never a whole history."""
+    fmt = ",".join("%d" if name in ints else "%.17g" for name in header.split(","))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        yield lambda *cols: np.savetxt(fh, np.column_stack(np.broadcast_arrays(*cols)), fmt=fmt)
+
+
 def write_state_csv(trace: ConsensusTrace, path):
     """Rows (k, node, coord, x, y, r) at 17 significant digits, which is
     enough to round-trip float64 exactly. The row engine stores z in both
@@ -218,38 +233,27 @@ def write_state_csv(trace: ConsensusTrace, path):
     states = trace.states
     T, n, d = states.shape
     xs = trace.xs if trace.xs is not None else states
-    with open(path, "w", newline="") as fh:
-        fh.write("k,node,coord,x,y,r\n")
+    node, coord = np.divmod(np.arange(n * d), d)
+    with _csv_table(path, _STATE_HEADER, ("k", "node", "coord")) as write:
         for k in range(T):
-            for i in range(n):
-                y = trace.ys[k, i] if trace.ys is not None else 1.0
-                for c in range(d):
-                    fh.write(f"{k},{i},{c},{xs[k, i, c]:.17g},{y:.17g},{states[k, i, c]:.17g}\n")
+            y = np.repeat(trace.ys[k], d) if trace.ys is not None else 1.0
+            write(k, node, coord, xs[k].ravel(), y, states[k].ravel())
 
 
 def read_state_csv(path) -> ConsensusTrace:
-    """Exact inverse of write_state_csv (engine label is not stored)."""
-    ks, nodes, coords, xv, yv, rv = [], [], [], [], [], []
+    """Exact inverse of write_state_csv (engine label is not stored). Raises
+    ValueError unless every (k, node, coord) cell appears exactly once."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
-        if header != "k,node,coord,x,y,r":
+        if header != _STATE_HEADER:
             raise ValueError(f"unexpected state csv header {header!r}")
-        for line in fh:
-            k, i, c, x, y, r = line.rstrip("\n").split(",")
-            ks.append(int(k))
-            nodes.append(int(i))
-            coords.append(int(c))
-            xv.append(float(x))
-            yv.append(float(y))
-            rv.append(float(r))
-    T = max(ks) + 1
-    n = max(nodes) + 1
-    d = max(coords) + 1
-    xs = np.empty((T, n, d))
-    ys = np.empty((T, n))
-    rs = np.empty((T, n, d))
-    for k, i, c, x, y, r in zip(ks, nodes, coords, xv, yv, rv):
-        xs[k, i, c] = x
-        ys[k, i] = y
-        rs[k, i, c] = r
-    return ConsensusTrace("unknown", rs, xs, ys)
+        rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
+            ("k", int), ("node", int), ("coord", int), ("x", float), ("y", float), ("r", float)])
+    k, node, coord = rows["k"], rows["node"], rows["coord"]
+    T, n, d = int(k.max()) + 1, int(node.max()) + 1, int(coord.max()) + 1
+    cell = (k * n + node) * d + coord
+    order = np.argsort(cell)
+    if min(node.min(), coord.min()) < 0 or not np.array_equal(cell[order], np.arange(T * n * d)):
+        raise ValueError(f"state csv {path} does not hold each (k, node, coord) exactly once")
+    xs, rs = (rows[name][order].reshape(T, n, d) for name in ("x", "r"))
+    return ConsensusTrace("unknown", rs, xs, rows["y"][order[::d]].reshape(T, n))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -61,7 +62,7 @@ class ExperimentConfig:
         if self.stopping not in _STOPPINGS:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.stopping != "none":
-            if self.rho is None or self.rho <= 0:
+            if self.rho is None or not self.rho > 0:
                 raise ValueError(f"stopping {self.stopping!r} needs rho > 0, got {self.rho}")
         if float(self.norm) not in (1.0, 2.0) and not np.isinf(float(self.norm)):
             raise ValueError(f"norm must be 1, 2 or inf, got {self.norm}")
@@ -74,7 +75,7 @@ class ExperimentConfig:
     def to_json(self) -> str:
         obj = asdict(self)
         obj["norm"] = "inf" if np.isinf(float(self.norm)) else float(self.norm)
-        return json.dumps(obj, indent=2) + "\n"
+        return _json_text(obj)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -82,6 +83,28 @@ class ExperimentConfig:
         if obj.get("norm") == "inf":
             obj["norm"] = float("inf")
         return cls(**obj)
+
+
+def _json_text(obj) -> str:
+    """The JSON artifact format: two-space indent and a closing newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(_json_text(obj))
+
+
+@contextmanager
+def artifact_dir(out_dir, graph: DiGraph):
+    """Create out_dir with graph.json and yield a dict for the caller to fill
+    while it writes its files; the dict becomes summary.json unless they raise."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "graph.json"), "w") as fh:
+        fh.write(graph_to_json(graph) + "\n")
+    summary: dict = {}
+    yield summary
+    write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
 @dataclass
@@ -153,33 +176,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     rho_abs = _resolve_rho(cfg, x0, W)
     trace = _stopping_trace(cfg, g, W, x0, rho_abs)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = {name: os.path.join(cfg.out_dir, name) for name in
-             ("graph.json", "config.json", "states.csv", "termination.csv",
-              "summary.json")}
-    with open(paths["graph.json"], "w") as fh:
-        fh.write(graph_to_json(g) + "\n")
-    with open(paths["config.json"], "w") as fh:
-        fh.write(cfg.to_json())
-    write_state_csv(_as_consensus_trace(cfg, trace), paths["states.csv"])
-    if cfg.stopping == "radius":
-        write_termination_csv(trace, paths["termination.csv"])
-    else:
-        paths.pop("termination.csv")
-
-    # verification pass: guarantee fields come from the files, not the run
-    checked = verify_states_file(paths["states.csv"], cfg.norm)
     halted = bool(getattr(trace, "halted", False))
     halt_t = getattr(trace, "halt_t", None)
-    in_memory_steps = trace.states.shape[0] - 1 if isinstance(trace, ConsensusTrace) \
-        else trace.rs.shape[0] - 1
-    if checked["k_steps"] != in_memory_steps:
-        raise InvariantViolation(
-            f"trace length mismatch: file {checked['k_steps']}, run {in_memory_steps}")
-    if halted and halt_t != checked["k_steps"]:
-        raise InvariantViolation(
-            f"halt iteration {halt_t} does not close the written trace")
-
+    states = _as_consensus_trace(cfg, trace)
     if cfg.stopping == "hull":
         bits = bandwidth_accounting("hull", 32, cfg.dim, trace.max_points)
     elif cfg.stopping == "none":
@@ -187,26 +186,45 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     else:
         bits = bandwidth_accounting(cfg.stopping, 32, cfg.dim)
 
-    summary = {
-        "halt_k": halt_t,
-        "windows": len(getattr(trace, "windows", [])),
-        "final_spread": checked["final_spread"],
-        "rho": rho_abs,
-        "guarantee_2rho_ok": (checked["final_spread"] <= 2.0 * rho_abs
-                              if (halted and rho_abs is not None) else None),
-        "halted": halted,
-        "k_steps": checked["k_steps"],
-        "stopping": cfg.stopping,
-        "engine": cfg.engine,
-        "n": cfg.n,
-        "dim": cfg.dim,
-        "seed": cfg.seed,
-        "norm": "inf" if np.isinf(float(cfg.norm)) else float(cfg.norm),
-        "dbound": trace.Dbound if hasattr(trace, "Dbound") else None,
-        "bandwidth_bits": bits,
-    }
-    with open(paths["summary.json"], "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+    paths = {name: os.path.join(cfg.out_dir, name) for name in
+             ("graph.json", "config.json", "states.csv", "termination.csv",
+              "summary.json")}
+    with artifact_dir(cfg.out_dir, g) as summary:
+        with open(paths["config.json"], "w") as fh:
+            fh.write(cfg.to_json())
+        write_state_csv(states, paths["states.csv"])
+        if cfg.stopping == "radius":
+            write_termination_csv(trace, paths["termination.csv"])
+        else:
+            paths.pop("termination.csv")
+
+        # verification pass: guarantee fields come from the files, not the run
+        checked = verify_states_file(paths["states.csv"], cfg.norm)
+        if checked["k_steps"] != states.steps:
+            raise InvariantViolation(
+                f"trace length mismatch: file {checked['k_steps']}, run {states.steps}")
+        if halted and halt_t != checked["k_steps"]:
+            raise InvariantViolation(
+                f"halt iteration {halt_t} does not close the written trace")
+
+        summary.update({
+            "halt_k": halt_t,
+            "windows": len(getattr(trace, "windows", [])),
+            "final_spread": checked["final_spread"],
+            "rho": rho_abs,
+            "guarantee_2rho_ok": (checked["final_spread"] <= 2.0 * rho_abs
+                                  if (halted and rho_abs is not None) else None),
+            "halted": halted,
+            "k_steps": checked["k_steps"],
+            "stopping": cfg.stopping,
+            "engine": cfg.engine,
+            "n": cfg.n,
+            "dim": cfg.dim,
+            "seed": cfg.seed,
+            "norm": "inf" if np.isinf(float(cfg.norm)) else float(cfg.norm),
+            "dbound": trace.Dbound if hasattr(trace, "Dbound") else None,
+            "bandwidth_bits": bits,
+        })
     return RunResult(cfg, g, trace, rho_abs, summary, paths)
 
 

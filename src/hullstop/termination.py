@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import RatioState, RowState, make_ratio_state, ratio_step, row_step
+from .consensus import RatioState, RowState, _csv_table, make_ratio_state, ratio_step, row_step
 from .errors import InvariantViolation
 from .geometry import PointSet, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix
@@ -90,7 +90,7 @@ def minmax_envelope(states, k: int = 0) -> MinMaxEnvelope:
 
 def box_criterion(states, rho: float, p: float = 2.0) -> bool:
     """True when the envelope spread ||M - m||_p drops below rho."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     env = minmax_envelope(states)
     return bool(vector_norm(env.M - env.m, p, axis=-1) < rho)
@@ -212,7 +212,7 @@ def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     Stored Rs and bs reflect the values carried into the next step, i.e.
     after any boundary bookkeeping.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
@@ -314,7 +314,7 @@ def run_box_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     envelope, so the halt decision is identical everywhere and takes
     effect at the boundary itself.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
@@ -357,7 +357,7 @@ def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     largest message size seen (in points) is tracked for bandwidth
     accounting.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
@@ -413,10 +413,9 @@ def write_termination_csv(trace: RadiusTrace, path):
     window each iteration belongs to, halt_flag marks the halt iteration."""
     T, n = trace.Rs.shape
     D = trace.Dbound
-    with open(path, "w", newline="") as fh:
-        fh.write("k,node,R,b,window_l,halt_flag\n")
+    with _csv_table(path, "k,node,R,b,window_l,halt_flag",
+                    ("k", "node", "b", "window_l", "halt_flag")) as write:
         for k in range(T):
             wl = 0 if k == 0 else (k - 1) // D + 1
             hf = 1 if (trace.halted and k == trace.halt_t) else 0
-            for i in range(n):
-                fh.write(f"{k},{i},{trace.Rs[k, i]:.17g},{int(trace.bs[k, i])},{wl},{hf}\n")
+            write(k, np.arange(n), trace.Rs[k], trace.bs[k], wl, hf)

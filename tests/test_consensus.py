@@ -177,6 +177,29 @@ def test_state_csv_row_engine(tmp_path):
     assert np.all(back.ys == 1.0)
 
 
+def _state_csv_lines(tmp_path):
+    g = generate_digraph(5, "erdos_renyi", seed=6, edge_prob=0.45)
+    tr = run_consensus(make_weights(g, "column"), np.random.default_rng(4).random((5, 3)), 6)
+    write_state_csv(tr, tmp_path / "s.csv")
+    return (tmp_path / "s.csv").read_text().splitlines(keepends=True)
+
+
+def test_read_state_csv_rejects_missing_rows(tmp_path):
+    lines = _state_csv_lines(tmp_path)
+    del lines[40:43]
+    (tmp_path / "cut.csv").write_text("".join(lines))
+    with pytest.raises(ValueError):
+        read_state_csv(tmp_path / "cut.csv")
+
+
+def test_read_state_csv_rejects_duplicated_row(tmp_path):
+    lines = _state_csv_lines(tmp_path)
+    lines[41] = lines[40]
+    (tmp_path / "dup.csv").write_text("".join(lines))
+    with pytest.raises(ValueError):
+        read_state_csv(tmp_path / "dup.csv")
+
+
 def test_read_state_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")

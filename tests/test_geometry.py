@@ -256,3 +256,16 @@ def test_nesting_cross_checked_by_support_functions():
     for _ in range(25):
         d = rng.normal(size=3)
         assert support_function(inner, d) <= support_function(outer, d) + 1e-9
+
+
+def test_membership_of_convex_combinations_in_flat_clouds():
+    # clouds whose axes span eight orders of magnitude: Wolfe's method
+    # alone calls about half of these interior points outside, so the
+    # membership decision needs the tableau as well
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 11))
+        m = int(rng.integers(10, 40))
+        pts = rng.normal(size=(m, d)) * np.logspace(0, -8, d)
+        w = rng.dirichlet(np.ones(m))
+        assert hull_membership(w @ pts, pts), (seed, m, d)

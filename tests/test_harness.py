@@ -44,6 +44,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(stopping="radius", rho=None).validate()
     with pytest.raises(ValueError):
+        ExperimentConfig(stopping="radius", rho=float("nan")).validate()
+    with pytest.raises(ValueError):
         ExperimentConfig(norm=3).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(k_max=0).validate()
@@ -141,6 +143,34 @@ def test_cli_exit_code_config_error(tmp_path):
     assert cli.main(["run", "--nodes", "0", "--out-dir", str(tmp_path)]) == 1
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["run", "--norm", "7"]) == 1
+
+
+def test_cli_funccalc_nan_rho_is_config_error(tmp_path):
+    rc = cli.main(["funccalc", "--nodes", "5", "--rho", "nan", "--k-max", "30",
+                   "--out-dir", str(tmp_path / "f")])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--rho", "0.01", "--stopping", "box"],
+    ["hull", "--rho", "0.1"],
+    ["hull", "--rho-relative"],
+    ["hull", "--norm", "1"],
+    ["hull", "--d-bound", "5"],
+    ["hull", "--k-max", "10"],
+    ["hull", "--stopping", "box"],
+    ["lse", "--dim", "3"],
+    ["lse", "--rho", "0.1"],
+    ["lse", "--rho-relative"],
+    ["lse", "--norm", "1"],
+    ["lse", "--d-bound", "5"],
+    ["lse", "--stopping", "box"],
+    ["funccalc", "--dim", "3"],
+    ["funccalc", "--stopping", "box"],
+], ids=" ".join)
+def test_cli_rejects_flags_the_subcommand_ignores(tmp_path, argv):
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_exit_code_non_halt(tmp_path):

@@ -188,6 +188,19 @@ def test_radius_parameter_validation():
     assert tr.Dbound == 5
 
 
+@pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping, run_hull_stopping])
+def test_stopping_rejects_nan_rho(run):
+    g = ring(4)
+    W = make_weights(g, "column")
+    with pytest.raises(ValueError):
+        run(g, W, np.zeros((4, 1)), rho=float("nan"), k_max=50)
+
+
+def test_box_criterion_rejects_nan_rho():
+    with pytest.raises(ValueError):
+        box_criterion(np.zeros((3, 2)), rho=float("nan"))
+
+
 def test_radius_row_engine_halts():
     g = er(7, seed=21)
     A = make_weights(g, "row")
