@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -51,10 +51,19 @@ class RowState:
     k: int = 0
 
 
-def make_ratio_state(x0) -> RatioState:
+def _finite_states(x0) -> np.ndarray:
+    """x0 as a fresh float (n, d) array. A non-finite entry is rejected here:
+    it never settles, so a stopping run would spend its whole step budget."""
     x = np.array(x0, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"initial states must be (n, d), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("initial states must be finite")
+    return x
+
+
+def make_ratio_state(x0) -> RatioState:
+    x = _finite_states(x0)
     y = np.ones(x.shape[0])
     return RatioState(x, y, x / y[:, None], 0)
 
@@ -131,7 +140,7 @@ def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
             ys.append(st.y)
             rs.append(st.r)
         return ConsensusTrace("ratio", np.stack(rs), np.stack(xs), np.stack(ys))
-    st = RowState(np.array(x0, dtype=float))
+    st = RowState(_finite_states(x0))
     zs = [st.z]
     for _ in range(steps):
         st = row_step(st, W)

@@ -5,12 +5,17 @@ to node i. in_adj[i] therefore lists the senders feeding node i and
 out_adj[j] lists the receivers fed by node j. Self-loops are mandatory at
 every node and every graph must be strongly connected; both properties are
 checked at construction time.
+
+Every traversal (strong connectivity, the diameter, m-hop in-neighborhoods)
+is one packed-bit flood, _flood: each node holds a row of np.packbits bits
+and each round ORs into it the rows of its senders, with one
+np.bitwise_or.reduceat over the receiver-sorted edge arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,29 +34,63 @@ __all__ = [
 MODELS = ("erdos_renyi", "ring", "complete")
 
 
-def _bfs_dists(adj, start, n):
-    """Hop distances from start along adjacency lists; -1 where unreachable."""
-    dist = [-1] * n
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u]
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _reversed(dst, src):
+    """The receiver-sorted (dst, src) arrays of the graph with every edge
+    turned around, i.e. the edges sorted by (sender, receiver)."""
+    back = np.argsort(src, kind="stable")
+    return src[back], dst[back]
+
+
+def _flood(recv, send, seeds, limit=None):
+    """OR-flood seed bits along the edges until every node holds every bit.
+
+    recv and send are the edge arrays sorted by receiver. Every receiver has
+    its self-loop, so no reduceat segment is empty and a node never loses a
+    bit. seeds is an (n, k) bool matrix; it is packed into reach, an
+    (n, ceil(k/8)) np.packbits matrix whose row v holds the seed columns
+    heard by v so far, and each round ORs the rows of v's senders into it.
+    The bits stay packed: an unpacked per-edge gather would cost n bytes per
+    edge. Returns (rounds, reach): rounds is the number of rounds until every
+    bit is set, or -1 when a round changes nothing first or `limit` rounds
+    have run.
+    """
+    starts = np.searchsorted(recv, np.arange(len(seeds)))
+    reach = np.packbits(seeds, axis=1)
+    full = np.packbits(np.ones(seeds.shape[1], dtype=bool))
+    rounds = 0
+    while not (reach == full).all():
+        if rounds == limit:
+            return -1, reach
+        nxt = np.bitwise_or.reduceat(reach[send], starts, axis=0)
+        if np.array_equal(nxt, reach):
+            return -1, reach
+        reach = nxt
+        rounds += 1
+    return rounds, reach
+
+
+def _strongly_connected(n, dst, src):
+    """Whether node 0 reaches every node and every node reaches node 0,
+    for receiver-sorted edge arrays that include every self-loop."""
+    seed = np.arange(n)[:, None] == 0
+    return (_flood(dst, src, seed)[0] >= 0
+            and _flood(*_reversed(dst, src), seed)[0] >= 0)
+
+
+def _adjacency(recv, send, n):
+    """Per-node tuples of Python ints: send split at recv's offsets."""
+    values = send.tolist()
+    bounds = np.searchsorted(recv, np.arange(n + 1)).tolist()
+    return tuple(tuple(values[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
 class DiGraph:
     """Immutable directed graph with mandatory self-loops.
 
-    edges are stored as a lexicographically sorted tuple of (receiver,
-    sender) pairs. seed and model are provenance metadata kept so a graph
+    edges may be given as any sequence of (receiver, sender) pairs or an
+    (E, 2) integer array, in any order and with repeats; they are stored as
+    a lexicographically sorted tuple of Python int pairs. seed and model are provenance metadata kept so a graph
     can be serialized reproducibly; they are optional for hand-built graphs.
     """
 
@@ -59,58 +98,49 @@ class DiGraph:
     edges: tuple
     seed: int | None = None
     model: str | None = None
+    # (dst, src) read-only int arrays over edges sorted by (receiver,
+    # sender). This fixed ordering is what makes every per-node reduction in
+    # the engines run over ascending sender index, the determinism contract.
+    edge_arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one node, got n={self.n}")
-        pairs = sorted({(int(i), int(j)) for i, j in self.edges})
-        for i, j in pairs:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-        present = set(pairs)
-        for i in range(self.n):
-            if (i, i) not in present:
-                raise ValueError(f"node {i} is missing its self-loop")
-        object.__setattr__(self, "edges", tuple(pairs))
-        # strong connectivity: node 0 reaches everyone and everyone reaches it
-        if -1 in _bfs_dists(self.out_adj, 0, self.n):
-            raise ValueError("graph is not strongly connected")
-        if -1 in _bfs_dists(self.in_adj, 0, self.n):
+        n = self.n
+        if n < 1:
+            raise ValueError(f"need at least one node, got n={n}")
+        pairs = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if bad.any():
+            i, j = min(map(tuple, pairs[bad].tolist()))
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        missing = np.setdiff1d(np.arange(n) * (n + 1), codes, assume_unique=True)
+        if missing.size:
+            raise ValueError(f"node {missing[0] // (n + 1)} is missing its self-loop")
+        dst, src = np.divmod(codes, n)
+        dst.setflags(write=False)
+        src.setflags(write=False)
+        object.__setattr__(self, "edges", tuple(zip(dst.tolist(), src.tolist())))
+        object.__setattr__(self, "edge_arrays", (dst, src))
+        if not _strongly_connected(n, dst, src):
             raise ValueError("graph is not strongly connected")
 
     @cached_property
     def in_adj(self) -> tuple:
         """in_adj[i] = ascending senders j with an edge j -> i."""
-        lists = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            lists[i].append(j)
-        return tuple(tuple(l) for l in lists)
+        dst, src = self.edge_arrays
+        return _adjacency(dst, src, self.n)
 
     @cached_property
     def out_adj(self) -> tuple:
         """out_adj[j] = ascending receivers i with an edge j -> i."""
-        lists = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            lists[j].append(i)
-        return tuple(tuple(sorted(l)) for l in lists)
-
-    @cached_property
-    def edge_arrays(self):
-        """(dst, src) int arrays over edges sorted by (receiver, sender).
-
-        This fixed ordering is what makes every per-node reduction in the
-        engines run over ascending sender index, the determinism contract.
-        """
-        arr = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        return arr[:, 0], arr[:, 1]
+        return _adjacency(*_reversed(*self.edge_arrays), self.n)
 
     @cached_property
     def diameter(self) -> int:
-        """Longest shortest directed path over all ordered node pairs."""
-        best = 0
-        for s in range(self.n):
-            best = max(best, max(_bfs_dists(self.out_adj, s, self.n)))
-        return best
+        """Longest shortest directed path over all ordered node pairs: the
+        rounds until every node has heard every other, flooding from the
+        identity."""
+        return _flood(*self.edge_arrays, np.eye(self.n, dtype=bool))[0]
 
 
 def diameter(g: DiGraph) -> int:
@@ -123,19 +153,9 @@ def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:
         raise ValueError(f"node {i} out of range for n={g.n}")
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    dist = {i: 0}
-    frontier = [i]
-    for _ in range(m):
-        nxt = []
-        for u in frontier:
-            for v in g.in_adj[u]:
-                if v not in dist:
-                    dist[v] = 0
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(dist)
+    seed = np.arange(g.n)[:, None] == i
+    reach = _flood(*_reversed(*g.edge_arrays), seed, limit=m)[1]
+    return frozenset(np.flatnonzero(np.unpackbits(reach, axis=1, count=1)).tolist())
 
 
 def _er_attempt(rng, n, p):
@@ -143,12 +163,6 @@ def _er_attempt(rng, n, p):
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, True)
     return mask
-
-
-def _mask_strongly_connected(mask, n):
-    out_adj = [np.nonzero(mask[a])[0] for a in range(n)]
-    in_adj = [np.nonzero(mask[:, b])[0] for b in range(n)]
-    return -1 not in _bfs_dists(out_adj, 0, n) and -1 not in _bfs_dists(in_adj, 0, n)
 
 
 def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
@@ -167,20 +181,18 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if model == "ring":
-        edges = [(i, i) for i in range(n)] + [((j + 1) % n, j) for j in range(n)]
-        return DiGraph(n, tuple(edges), seed=seed, model=model)
+        j = np.arange(n)
+        edges = np.column_stack((np.r_[j, (j + 1) % n], np.r_[j, j]))
+        return DiGraph(n, edges, seed=seed, model=model)
     if model == "complete":
-        edges = [(i, j) for i in range(n) for j in range(n)]
-        return DiGraph(n, tuple(edges), seed=seed, model=model)
+        return DiGraph(n, np.argwhere(np.ones((n, n), dtype=bool)), seed=seed, model=model)
     if not (0.0 < edge_prob <= 1.0):
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
-        mask = _er_attempt(rng, n, edge_prob)
-        if _mask_strongly_connected(mask, n):
-            senders, receivers = np.nonzero(mask)
-            edges = tuple(zip(receivers.tolist(), senders.tolist()))
-            return DiGraph(n, edges, seed=seed, model=model)
+        dst, src = np.nonzero(_er_attempt(rng, n, edge_prob).T)
+        if _strongly_connected(n, dst, src):
+            return DiGraph(n, np.column_stack((dst, src)), seed=seed, model=model)
     raise RuntimeError(
         f"no strongly connected draw in 1000 attempts (n={n}, edge_prob={edge_prob}); "
         "raise edge_prob")
@@ -233,17 +245,15 @@ def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:
     """Equal-splitting weights: column kind gives each sender's out-edges
     weight 1/out_degree, row kind gives each receiver's in-edges weight
     1/in_degree. Self-loops keep every diagonal entry positive."""
-    w = np.zeros((g.n, g.n))
+    dst, src = g.edge_arrays
     if kind == "column":
-        for s in range(g.n):
-            recv = np.asarray(g.out_adj[s], dtype=np.intp)
-            w[recv, s] = 1.0 / len(recv)
+        split = src
     elif kind == "row":
-        for r in range(g.n):
-            snd = np.asarray(g.in_adj[r], dtype=np.intp)
-            w[r, snd] = 1.0 / len(snd)
+        split = dst
     else:
         raise ValueError(f"kind must be 'column' or 'row', got {kind!r}")
+    w = np.zeros((g.n, g.n))
+    w[dst, src] = 1.0 / np.bincount(split, minlength=g.n)[split]
     return StochasticMatrix(kind, w, g)
 
 

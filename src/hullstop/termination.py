@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import RatioState, RowState, _csv_table, make_ratio_state, ratio_step, row_step
+from .consensus import (RatioState, RowState, _csv_table, _finite_states, make_ratio_state,
+                        ratio_step, row_step)
 from .errors import InvariantViolation
 from .geometry import PointSet, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix
@@ -164,8 +165,8 @@ class _Engine:
 
     def __init__(self, W: StochasticMatrix, x0):
         self.W = W
-        x0 = np.array(x0, dtype=float)
-        if x0.ndim != 2 or x0.shape[0] != W.graph.n:
+        x0 = _finite_states(x0)
+        if x0.shape[0] != W.graph.n:
             raise ValueError(f"initial states must be ({W.graph.n}, d), got {x0.shape}")
         if W.kind == "column":
             self.name = "ratio"

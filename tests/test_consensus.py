@@ -217,6 +217,21 @@ def test_engine_kind_mismatch_rejected():
         row_step(RowState(np.zeros((3, 1))), Wc)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_ratio_state_rejects_non_finite(bad):
+    x0 = np.zeros((3, 2))
+    x0[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_ratio_state(x0)
+
+
+def test_row_consensus_rejects_non_finite():
+    x0 = np.zeros((3, 2))
+    x0[2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        run_consensus(make_weights(ring(3), "row"), x0, 5)
+
+
 def test_shape_validation():
     g = ring(3)
     W = make_weights(g, "column")

@@ -44,6 +44,46 @@ def test_edge_endpoints_validated():
         DiGraph(n=2, edges=((0, 0), (1, 1), (2, 0)))
 
 
+def test_out_of_range_message_names_the_edge():
+    loops = ((0, 0), (1, 1))
+    with pytest.raises(ValueError, match=r"edge \(2, 0\) out of range for n=2"):
+        DiGraph(n=2, edges=loops + ((2, 0), (1, 0)))
+    with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range for n=2"):
+        DiGraph(n=2, edges=loops + ((1, 5), (0, -1)))
+
+
+def test_self_loop_message_names_the_node():
+    with pytest.raises(ValueError, match="node 2 is missing its self-loop"):
+        DiGraph(n=4, edges=((0, 0), (1, 1), (3, 3), (3, 2)))
+
+
+# 0 -> 1 and 0 -> 2 reach everyone from node 0, but only 1 -> 0 leads back
+_ONE_WAY = ((0, 0), (1, 1), (2, 2), (1, 0), (2, 0), (0, 1))
+
+
+@pytest.mark.parametrize("edges", [
+    _ONE_WAY,
+    tuple((j, i) for i, j in _ONE_WAY),
+], ids=["node 2 cannot reach 0", "0 cannot reach node 2"])
+def test_strong_connectivity_needs_both_directions(edges):
+    with pytest.raises(ValueError, match="not strongly connected"):
+        DiGraph(n=3, edges=edges)
+
+
+def test_unsorted_duplicated_input_matches_generated_graph():
+    g = generate_digraph(40, "erdos_renyi", seed=6, edge_prob=0.15)
+    rng = np.random.default_rng(0)
+    shuffled = [g.edges[k] for k in rng.permutation(len(g.edges))]
+    messy = DiGraph(n=g.n, edges=tuple(shuffled + shuffled[::3]))
+    assert messy.edges == g.edges
+    assert [type(v) for e in messy.edges[:3] for v in e] == [int] * 6
+    dst, src = messy.edge_arrays
+    assert list(zip(dst.tolist(), src.tolist())) == list(g.edges)
+    for v in range(g.n):
+        assert messy.in_adj[v] == tuple(j for i, j in g.edges if i == v)
+        assert messy.out_adj[v] == tuple(i for i, j in g.edges if j == v)
+
+
 def test_in_out_adjacency():
     g = ring(4)
     # edge (i, j) carries information j -> i
@@ -60,6 +100,32 @@ def test_ring_diameter():
 @pytest.mark.parametrize("seed", range(8))
 def test_diameter_against_floyd_warshall(seed):
     g = generate_digraph(9, "erdos_renyi", seed=seed, edge_prob=0.3)
+    assert diameter(g) == floyd_warshall_diameter(g.n, g.edges)
+
+
+def _path_with_back_edge(n):
+    """0 -> 1 -> ... -> n-1 plus the single back edge n-1 -> 0."""
+    edges = [(i, i) for i in range(n)] + [(i + 1, i) for i in range(n - 1)]
+    return DiGraph(n=n, edges=tuple(edges + [(0, n - 1)]))
+
+
+def _bidirected_path(n):
+    edges = [(i, i) for i in range(n)] + [(i + 1, i) for i in range(n - 1)]
+    return DiGraph(n=n, edges=tuple(edges + [(i, i + 1) for i in range(n - 1)]))
+
+
+# sizes on both sides of the 8-bit byte boundaries of the packed rows
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 17, 25])
+@pytest.mark.parametrize("build", [ring, _path_with_back_edge, _bidirected_path])
+def test_long_diameters_against_floyd_warshall(build, n):
+    g = build(n)
+    assert diameter(g) == floyd_warshall_diameter(g.n, g.edges) == n - 1
+
+
+@pytest.mark.parametrize("n", [5, 12, 20, 30])
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_diameter_against_floyd_warshall(n, seed):
+    g = generate_digraph(n, "erdos_renyi", seed=seed, edge_prob=2.5 / n)
     assert diameter(g) == floyd_warshall_diameter(g.n, g.edges)
 
 

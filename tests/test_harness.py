@@ -145,6 +145,21 @@ def test_cli_exit_code_config_error(tmp_path):
     assert cli.main(["run", "--norm", "7"]) == 1
 
 
+def test_cli_missing_data_file_is_config_error(tmp_path, capsys):
+    rc = cli.main(["lse", "--data", str(tmp_path / "missing.csv"),
+                   "--out-dir", str(tmp_path / "l")])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_out_dir_on_a_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = cli.main(["hull", "--nodes", "4", "--out-dir", str(blocker)])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_funccalc_nan_rho_is_config_error(tmp_path):
     rc = cli.main(["funccalc", "--nodes", "5", "--rho", "nan", "--k-max", "30",
                    "--out-dir", str(tmp_path / "f")])

@@ -196,6 +196,16 @@ def test_stopping_rejects_nan_rho(run):
         run(g, W, np.zeros((4, 1)), rho=float("nan"), k_max=50)
 
 
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping, run_hull_stopping])
+def test_stopping_rejects_non_finite_x0(run, kind):
+    g = ring(4)
+    x0 = np.zeros((4, 2))
+    x0[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        run(g, make_weights(g, kind), x0, rho=0.1, k_max=50)
+
+
 def test_box_criterion_rejects_nan_rho():
     with pytest.raises(ValueError):
         box_criterion(np.zeros((3, 2)), rho=float("nan"))
