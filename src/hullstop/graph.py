@@ -261,7 +261,7 @@ def graph_to_json(g: DiGraph) -> str:
     """Serialize as {n, edges, seed, model}; edges in lexicographic order."""
     return json.dumps({
         "n": g.n,
-        "edges": [list(e) for e in g.edges],
+        "edges": np.column_stack(g.edge_arrays).tolist(),
         "seed": g.seed,
         "model": g.model,
     })
@@ -269,5 +269,5 @@ def graph_to_json(g: DiGraph) -> str:
 
 def graph_from_json(text: str) -> DiGraph:
     obj = json.loads(text)
-    return DiGraph(obj["n"], tuple((i, j) for i, j in obj["edges"]),
+    return DiGraph(obj["n"], obj["edges"],
                    seed=obj.get("seed"), model=obj.get("model"))
