@@ -90,8 +90,9 @@ class DiGraph:
 
     edges may be given as any sequence of (receiver, sender) pairs or an
     (E, 2) integer array, in any order and with repeats; they are stored as
-    a lexicographically sorted tuple of Python int pairs. seed and model are provenance metadata kept so a graph
-    can be serialized reproducibly; they are optional for hand-built graphs.
+    a lexicographically sorted tuple of Python int pairs. seed and model are
+    provenance metadata kept so a graph can be serialized reproducibly; they
+    are optional for hand-built graphs.
     """
 
     n: int
