@@ -24,11 +24,11 @@ from .consensus import (ConsensusTrace, RatioState, RowState, consensus_limit,
 from .hull import (HullNodeState, decode_extreme_set,
                    distance_from_convergence_bound, encode_extreme_set,
                    hull_round, run_hull_consensus)
-from .termination import (BoxTrace, HullStopTrace, MinMaxEnvelope, RadiusTrace,
-                          bandwidth_accounting, bit_step, box_criterion,
-                          minmax_envelope, radius_step, run_box_stopping,
-                          run_hull_stopping, run_radius_stopping,
-                          windowed_radius_trace, write_termination_csv)
+from .termination import (MinMaxEnvelope, StopTrace, bandwidth_accounting,
+                          bit_step, box_criterion, minmax_envelope,
+                          radius_step, run_box_stopping, run_hull_stopping,
+                          run_radius_stopping, windowed_radius_trace,
+                          write_termination_csv)
 from .applications import (ErrorBound, flatten_payload, funccalc_error,
                            funccalc_init, lse_batch, lse_consensus_estimate,
                            lse_error_bound, lse_gram, lse_local_payload,

@@ -1,9 +1,10 @@
 """Push-sum (ratio) and row-averaging consensus engines over R^d states.
 
-Every per-node reduction runs over the graph's fixed edge list, sorted by
-(receiver, sender), via unbuffered scatter-adds. Repeated runs are therefore
-bit-identical, and a d-dimensional run matches d independent scalar runs
-coordinate for coordinate, exactly.
+Every per-node sum runs over the graph's fixed edge list, sorted by
+(receiver, sender), with one np.bincount per coordinate (graph._in_sum),
+which adds each receiver's terms in ascending sender order. Repeated runs
+are therefore bit-identical, and a d-dimensional run matches d independent
+scalar runs coordinate for coordinate, exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import StochasticMatrix
+from .geometry import pairwise_spread
+from .graph import StochasticMatrix, _in_sum
 
 __all__ = [
     "RatioState",
@@ -85,12 +87,8 @@ def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     x, y = state.x, state.y
     if x.ndim != 2 or x.shape[0] != n or y.shape != (n,):
         raise ValueError(f"state shapes {x.shape}, {y.shape} do not match n={n}")
-    dst, src = W.graph.edge_arrays
-    we = W.edge_weights
-    xn = np.zeros_like(x)
-    np.add.at(xn, dst, we[:, None] * x[src])
-    yn = np.zeros_like(y)
-    np.add.at(yn, dst, we * y[src])
+    xn = _in_sum(*W.graph.edge_arrays, W.edge_weights, x)
+    yn = _in_sum(*W.graph.edge_arrays, W.edge_weights, y)
     if yn.min() <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={state.k + 1}")
     return RatioState(xn, yn, xn / yn[:, None], state.k + 1)
@@ -104,11 +102,7 @@ def row_step(state: RowState, A: StochasticMatrix) -> RowState:
     z = state.z
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"state shape {z.shape} does not match n={n}")
-    dst, src = A.graph.edge_arrays
-    we = A.edge_weights
-    zn = np.zeros_like(z)
-    np.add.at(zn, dst, we[:, None] * z[src])
-    return RowState(zn, state.k + 1)
+    return RowState(_in_sum(*A.graph.edge_arrays, A.edge_weights, z), state.k + 1)
 
 
 @dataclass
@@ -177,50 +171,19 @@ def consensus_limit(initial, W: StochasticMatrix) -> np.ndarray:
 
 
 def scalar_vector_equivalence_check(initial, W: StochasticMatrix, steps: int) -> bool:
-    """Re-run each coordinate as an independent scalar consensus and compare
-    against the vector run bit for bit."""
+    """Re-run each coordinate as an independent scalar consensus, an (n, 1)
+    state through the same step, and compare against the vector run bit
+    for bit."""
     initial = np.asarray(initial, dtype=float)
     trace = run_consensus(W, initial, steps)
-    dst, src = W.graph.edge_arrays
-    we = W.edge_weights
-    n, d = initial.shape
-    for c in range(d):
-        if W.kind == "column":
-            xc = initial[:, c].copy()
-            y = np.ones(n)
-            for t in range(1, steps + 1):
-                xn = np.zeros(n)
-                np.add.at(xn, dst, we * xc[src])
-                yn = np.zeros(n)
-                np.add.at(yn, dst, we * y[src])
-                rc = xn / yn
-                if not (np.array_equal(xn, trace.xs[t, :, c])
-                        and np.array_equal(yn, trace.ys[t])
-                        and np.array_equal(rc, trace.states[t, :, c])):
-                    return False
-                xc, y = xn, yn
-        else:
-            zc = initial[:, c].copy()
-            for t in range(1, steps + 1):
-                zn = np.zeros(n)
-                np.add.at(zn, dst, we * zc[src])
-                if not np.array_equal(zn, trace.states[t, :, c]):
-                    return False
-                zc = zn
+    for c in range(initial.shape[1]):
+        col = run_consensus(W, initial[:, c:c + 1], steps)
+        if not np.array_equal(col.states[..., 0], trace.states[..., c]):
+            return False
+        if col.xs is not None and not (np.array_equal(col.xs[..., 0], trace.xs[..., c])
+                                       and np.array_equal(col.ys, trace.ys)):
+            return False
     return True
-
-
-def pairwise_spread(states, p: float = 2.0) -> float:
-    """Largest pairwise p-norm distance among the rows of an (n, d) array."""
-    from .geometry import vector_norm
-
-    arr = np.asarray(states, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected (n, d) states, got shape {arr.shape}")
-    if arr.shape[0] == 1:
-        return 0.0
-    diffs = arr[:, None, :] - arr[None, :, :]
-    return float(vector_norm(diffs, p, axis=-1).max())
 
 
 @contextmanager

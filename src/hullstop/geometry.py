@@ -20,6 +20,7 @@ __all__ = [
     "support_function",
     "hull_membership",
     "extreme_points",
+    "pairwise_spread",
     "hull_diameter",
     "is_convex_decreasing",
 ]
@@ -324,14 +325,21 @@ def extreme_points(S, tol: float = 1e-9) -> PointSet:
     return PointSet(pts[keep])
 
 
+def pairwise_spread(states, p: float = 2.0) -> float:
+    """Largest pairwise p-norm distance among the rows of an (n, d) array."""
+    arr = np.asarray(states, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"expected (n, d) states, got shape {arr.shape}")
+    if arr.shape[0] == 1:
+        return 0.0
+    diffs = arr[:, None, :] - arr[None, :, :]
+    return float(vector_norm(diffs, p, axis=-1).max())
+
+
 def hull_diameter(E, p: float = 2.0) -> float:
     """Largest pairwise p-norm distance; on an extreme set this equals the
     diameter of the full hull."""
-    pts = _as_points(E)
-    if len(pts) == 1:
-        return 0.0
-    diffs = pts[:, None, :] - pts[None, :, :]
-    return float(vector_norm(diffs, p, axis=-1).max())
+    return pairwise_spread(_as_points(E), p)
 
 
 def is_convex_decreasing(prev, nxt, tol: float = 1e-9) -> bool:

@@ -6,10 +6,12 @@ out_adj[j] lists the receivers fed by node j. Self-loops are mandatory at
 every node and every graph must be strongly connected; both properties are
 checked at construction time.
 
-Every traversal (strong connectivity, the diameter, m-hop in-neighborhoods)
-is one packed-bit flood, _flood: each node holds a row of np.packbits bits
-and each round ORs into it the rows of its senders, with one
-np.bitwise_or.reduceat over the receiver-sorted edge arrays.
+Every per-node reduction over senders is one of two kernels over the
+receiver-sorted edge arrays: _in_sum (np.bincount, one call per coordinate)
+and _in_reduce (ufunc.reduceat at the receiver offsets). Every traversal
+(strong connectivity, the diameter, m-hop in-neighborhoods) is one
+packed-bit flood, _flood: each node holds a row of np.packbits bits and each
+round ORs into it the rows of its senders through _in_reduce.
 """
 
 from __future__ import annotations
@@ -41,6 +43,25 @@ def _reversed(dst, src):
     return src[back], dst[back]
 
 
+def _in_sum(recv, send, weights, values):
+    """Per receiver, the sum of weights * values[send] over its edges, for
+    (n,) or (n, d) values. np.bincount adds in edge order, i.e. ascending
+    sender index, exactly like an unbuffered scatter-add; np.add.reduceat
+    was measured not to be bit-identical, so sums never use it."""
+    n = len(values)
+    if values.ndim == 1:
+        return np.bincount(recv, weights * values[send], minlength=n)
+    return np.column_stack([np.bincount(recv, weights * col[send], minlength=n)
+                            for col in values.T])
+
+
+def _in_reduce(ufunc, per_edge, starts):
+    """ufunc (maximum, minimum, bitwise_or) over each receiver's per-edge
+    values, segmented at the receiver offsets starts. Every receiver has its
+    self-loop, so no segment is empty."""
+    return ufunc.reduceat(per_edge, starts, axis=0)
+
+
 def _flood(recv, send, seeds, limit=None):
     """OR-flood seed bits along the edges until every node holds every bit.
 
@@ -61,7 +82,7 @@ def _flood(recv, send, seeds, limit=None):
     while not (reach == full).all():
         if rounds == limit:
             return -1, reach
-        nxt = np.bitwise_or.reduceat(reach[send], starts, axis=0)
+        nxt = _in_reduce(np.bitwise_or, reach[send], starts)
         if np.array_equal(nxt, reach):
             return -1, reach
         reach = nxt
@@ -124,6 +145,13 @@ class DiGraph:
         object.__setattr__(self, "edge_arrays", (dst, src))
         if not _strongly_connected(n, dst, src):
             raise ValueError("graph is not strongly connected")
+
+    @cached_property
+    def in_starts(self) -> np.ndarray:
+        """Offset in edge_arrays of each receiver's first edge."""
+        starts = np.searchsorted(self.edge_arrays[0], np.arange(self.n))
+        starts.setflags(write=False)
+        return starts
 
     @cached_property
     def in_adj(self) -> tuple:
@@ -220,6 +248,8 @@ class StochasticMatrix:
         n = self.graph.n
         if w.shape != (n, n):
             raise ValueError(f"weight shape {w.shape} does not match n={n}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         expected = np.zeros((n, n), dtype=bool)

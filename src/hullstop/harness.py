@@ -21,7 +21,7 @@ from .consensus import (ConsensusTrace, consensus_limit, pairwise_spread,
 from .errors import InvariantViolation
 from .geometry import vector_norm
 from .graph import DiGraph, generate_digraph, graph_to_json, make_weights
-from .termination import (bandwidth_accounting, run_box_stopping,
+from .termination import (StopTrace, bandwidth_accounting, run_box_stopping,
                           run_hull_stopping, run_radius_stopping,
                           write_termination_csv)
 
@@ -138,23 +138,10 @@ def _resolve_rho(cfg: ExperimentConfig, x0, W) -> float | None:
     return float(cfg.rho) * float(vector_norm(limit, cfg.norm))
 
 
-def _stopping_trace(cfg, g, W, x0, rho_abs):
-    kw = dict(Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max)
-    if cfg.stopping == "radius":
-        return run_radius_stopping(g, W, x0, rho_abs, **kw)
-    if cfg.stopping == "box":
-        return run_box_stopping(g, W, x0, rho_abs, **kw)
-    if cfg.stopping == "hull":
-        return run_hull_stopping(g, W, x0, rho_abs, **kw)
-    return run_consensus(W, x0, cfg.k_max)
-
-
-def _as_consensus_trace(cfg, trace) -> ConsensusTrace:
-    if isinstance(trace, ConsensusTrace):
-        return trace
-    xs = getattr(trace, "xs", None)
-    ys = getattr(trace, "ys", None)
-    return ConsensusTrace(cfg.engine, trace.rs, xs, ys)
+def _stopping_trace(cfg, g, W, x0, rho_abs) -> StopTrace:
+    run = {"radius": run_radius_stopping, "box": run_box_stopping,
+           "hull": run_hull_stopping}[cfg.stopping]
+    return run(g, W, x0, rho_abs, Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max)
 
 
 def verify_states_file(path, p: float) -> dict:
@@ -174,17 +161,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg.validate()
     g, W, x0 = _build(cfg)
     rho_abs = _resolve_rho(cfg, x0, W)
-    trace = _stopping_trace(cfg, g, W, x0, rho_abs)
-
-    halted = bool(getattr(trace, "halted", False))
-    halt_t = getattr(trace, "halt_t", None)
-    states = _as_consensus_trace(cfg, trace)
-    if cfg.stopping == "hull":
-        bits = bandwidth_accounting("hull", 32, cfg.dim, trace.max_points)
-    elif cfg.stopping == "none":
-        bits = 0
+    if cfg.stopping == "none":
+        trace = states = run_consensus(W, x0, cfg.k_max)
+        stop, bits = None, 0
     else:
-        bits = bandwidth_accounting(cfg.stopping, 32, cfg.dim)
+        trace = stop = _stopping_trace(cfg, g, W, x0, rho_abs)
+        states = ConsensusTrace(cfg.engine, stop.rs, stop.xs, stop.ys)
+        bits = bandwidth_accounting(cfg.stopping, 32, cfg.dim, stop.max_points)
+    halt_t = stop.halt_t if stop else None
 
     paths = {name: os.path.join(cfg.out_dir, name) for name in
              ("graph.json", "config.json", "states.csv", "termination.csv",
@@ -194,7 +178,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             fh.write(cfg.to_json())
         write_state_csv(states, paths["states.csv"])
         if cfg.stopping == "radius":
-            write_termination_csv(trace, paths["termination.csv"])
+            write_termination_csv(stop, paths["termination.csv"])
         else:
             paths.pop("termination.csv")
 
@@ -203,18 +187,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         if checked["k_steps"] != states.steps:
             raise InvariantViolation(
                 f"trace length mismatch: file {checked['k_steps']}, run {states.steps}")
-        if halted and halt_t != checked["k_steps"]:
+        if halt_t is not None and halt_t != checked["k_steps"]:
             raise InvariantViolation(
                 f"halt iteration {halt_t} does not close the written trace")
 
         summary.update({
             "halt_k": halt_t,
-            "windows": len(getattr(trace, "windows", [])),
+            "windows": len(stop.windows) if stop else 0,
             "final_spread": checked["final_spread"],
             "rho": rho_abs,
             "guarantee_2rho_ok": (checked["final_spread"] <= 2.0 * rho_abs
-                                  if (halted and rho_abs is not None) else None),
-            "halted": halted,
+                                  if halt_t is not None else None),
+            "halted": halt_t is not None,
             "k_steps": checked["k_steps"],
             "stopping": cfg.stopping,
             "engine": cfg.engine,
@@ -222,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "dim": cfg.dim,
             "seed": cfg.seed,
             "norm": "inf" if np.isinf(float(cfg.norm)) else float(cfg.norm),
-            "dbound": trace.Dbound if hasattr(trace, "Dbound") else None,
+            "dbound": stop.Dbound if stop else None,
             "bandwidth_bits": bits,
         })
     return RunResult(cfg, g, trace, rho_abs, summary, paths)
@@ -242,10 +226,7 @@ def compare_criteria(cfg: ExperimentConfig, B: int = 32) -> list:
         sub = replace(cfg, stopping=method)
         trace = _stopping_trace(sub, g, W, x0, rho_abs)
         spread = pairwise_spread(trace.rs[trace.halt_t], cfg.norm) if trace.halted else None
-        if method == "hull":
-            bits = bandwidth_accounting("hull", B, cfg.dim, trace.max_points)
-        else:
-            bits = bandwidth_accounting(method, B, cfg.dim)
+        bits = bandwidth_accounting(method, B, cfg.dim, trace.max_points)
         rows.append({
             "method": method,
             "halted": trace.halted,

@@ -12,7 +12,9 @@ window, which makes the final halt simultaneous.
 The box protocol floods coordinatewise min/max envelopes of the window
 start states instead, and the hull protocol runs hull consensus on them;
 both reach the exact global quantity after a window, at a higher per-edge
-bandwidth.
+bandwidth. All of them run in one step loop, _run_windows, which steps the
+engine, schedules the windows and returns one StopTrace; a rule holds only
+its own state, its per-step update and its boundary decision.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .consensus import (RatioState, RowState, _csv_table, _finite_states, make_r
                         ratio_step, row_step)
 from .errors import InvariantViolation
 from .geometry import PointSet, hull_diameter, vector_norm
-from .graph import DiGraph, StochasticMatrix
+from .graph import DiGraph, StochasticMatrix, _in_reduce
 from .hull import hull_round, HullNodeState
 
 __all__ = [
@@ -38,9 +40,7 @@ __all__ = [
     "RadiusWindow",
     "BoxWindow",
     "HullWindow",
-    "RadiusTrace",
-    "BoxTrace",
-    "HullStopTrace",
+    "StopTrace",
     "run_radius_stopping",
     "windowed_radius_trace",
     "run_box_stopping",
@@ -60,9 +60,7 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
     dst, src = g.edge_arrays
     cand = vector_norm(r_new[dst] - r_old[src], p, axis=-1) + R_old[src]
-    out = np.full(g.n, -np.inf)
-    np.maximum.at(out, dst, cand)
-    return out
+    return _in_reduce(np.maximum, cand, g.in_starts)
 
 
 def bit_step(g: DiGraph, b) -> np.ndarray:
@@ -70,10 +68,7 @@ def bit_step(g: DiGraph, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (g.n,):
         raise ValueError(f"bit vector shape {b.shape} does not match n={g.n}")
-    dst, src = g.edge_arrays
-    out = np.zeros(g.n, dtype=np.uint8)
-    np.maximum.at(out, dst, b[src])
-    return out
+    return _in_reduce(np.maximum, b[g.edge_arrays[1]], g.in_starts)
 
 
 class MinMaxEnvelope(NamedTuple):
@@ -120,44 +115,25 @@ class HullWindow(NamedTuple):
 
 
 @dataclass
-class RadiusTrace:
-    engine: str
-    rs: np.ndarray        # (T+1, n, d) states per step
-    xs: np.ndarray | None
-    ys: np.ndarray | None
-    Rs: np.ndarray        # (T+1, n) radius accumulators after bookkeeping
-    bs: np.ndarray        # (T+1, n) halt bits after bookkeeping
-    windows: list
-    halted: bool
-    halt_t: int | None
-    rho: float
-    Dbound: int
-    p: float
+class StopTrace:
+    """rs holds the (T+1, n, d) states per step. Only the radius rule records
+    Rs and bs, the (T+1, n) accumulators and halt bits after the boundary
+    bookkeeping, and on the ratio engine xs and ys; only the hull rule
+    max_points. Unrecorded fields are None, as is rho for the plain trace."""
 
-
-@dataclass
-class BoxTrace:
     engine: str
     rs: np.ndarray
     windows: list
     halted: bool
     halt_t: int | None
-    rho: float
+    rho: float | None
     Dbound: int
     p: float
-
-
-@dataclass
-class HullStopTrace:
-    engine: str
-    rs: np.ndarray
-    windows: list
-    halted: bool
-    halt_t: int | None
-    rho: float
-    Dbound: int
-    p: float
-    max_points: int
+    xs: np.ndarray | None = None
+    ys: np.ndarray | None = None
+    Rs: np.ndarray | None = None
+    bs: np.ndarray | None = None
+    max_points: int | None = None
 
 
 class _Engine:
@@ -195,119 +171,216 @@ def _resolve_window(g: DiGraph, Dbound) -> int:
     return D
 
 
-def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
-                        Dbound: int | None = None, p: float = 2.0,
-                        k_max: int = 100_000) -> RadiusTrace:
-    """Consensus with the radius criterion and one-bit halt flooding.
+def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max) -> StopTrace:
+    """The one step loop behind every stopping rule (see _Rule).
 
-    Window boundaries fall after every Dbound-th update (the first window
-    carries one extra step because the radius starts accumulating with the
-    very first update). At a boundary a node whose flooded bit is set stops;
-    since a bit set at one boundary floods the whole graph within the next
-    window, all nodes stop at the same iteration, and that is enforced.
-    Otherwise the node records its accumulated radius: below rho it raises
-    its bit and keeps accumulating; else it resets the accumulator for the
-    next window. A non-halting run (k_max reached) is reported through
-    halted=False, not an exception.
-
-    Stored Rs and bs reflect the values carried into the next step, i.e.
-    after any boundary bookkeeping.
+    Window boundaries fall every D = _resolve_window(g, Dbound) steps after
+    the rule's lag, so its first window has D + lag steps. A run that a
+    boundary ends halts there, unless the rule never halts.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if rule.rho is not None and not rule.rho > 0:
+        raise ValueError(f"rho must be positive, got {rule.rho}")
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
-    n = g.n
-    R = np.zeros(n)
-    b = np.zeros(n, dtype=np.uint8)
-    rs = [eng.cur.copy()]
-    xs = [eng.state.x.copy()] if eng.name == "ratio" else None
-    ys = [eng.state.y.copy()] if eng.name == "ratio" else None
-    Rs = [R.copy()]
-    bs = [b.copy()]
+    rule.begin(eng.cur)
+    rs = [eng.cur]
+    rule.record(eng)
     windows: list = []
-    halted = False
+    start_t = 0
     halt_t = None
-    window_start = 0
     for t in range(1, k_max + 1):
         prev = eng.cur
         eng.step()
-        cur = eng.cur
-        R = radius_step(g, cur, prev, R, p)
-        b = bit_step(g, b)
-        if t > 1 and (t - 1) % D == 0:
-            if b.any():
-                if not b.all():
-                    raise InvariantViolation(f"halt flags disagree at boundary t={t}")
-                halted = True
-                halt_t = t
-            else:
-                rbar = R.copy()
-                det = rbar < rho
-                windows.append(RadiusWindow((t - 1) // D, window_start, t, rbar, det))
-                b = det.astype(np.uint8)
-                R = np.where(det, R, 0.0)
-                window_start = t
-        rs.append(cur.copy())
-        if eng.name == "ratio":
-            xs.append(eng.state.x.copy())
-            ys.append(eng.state.y.copy())
-        Rs.append(R.copy())
-        bs.append(b.copy())
-        if halted:
+        rule.step(prev, eng.cur)
+        end = False
+        if t > rule.lag and (t - rule.lag) % D == 0:
+            # windows are numbered from the lag: radius from 1, the rest from 0
+            window, end = rule.boundary((t - rule.lag) // D - 1 + rule.lag, start_t, t)
+            if window is not None:
+                windows.append(window)
+            if not end:
+                rule.begin(eng.cur)
+            start_t = t
+        rs.append(eng.cur)
+        rule.record(eng)
+        if end:
+            halt_t = t if rule.halts else None
             break
-    return RadiusTrace(
-        eng.name, np.stack(rs),
-        np.stack(xs) if xs is not None else None,
-        np.stack(ys) if ys is not None else None,
-        np.stack(Rs), np.stack(bs), windows, halted, halt_t, rho, D, p)
+    return StopTrace(eng.name, np.stack(rs), windows, halt_t is not None, halt_t,
+                     rule.rho, D, rule.p, **rule.fields())
 
 
-@dataclass
-class WindowedTrace:
-    engine: str
-    rs: np.ndarray
-    windows: list         # RadiusWindow entries with detected=None
-    Dbound: int
-    p: float
+class _Rule:
+    """A stopping rule's own state for _run_windows. begin(cur) starts a
+    window from the states cur; step(prev, cur) follows one engine step;
+    boundary(index, start_t, t) returns the window record (or None) and
+    whether the run ends; record(eng) keeps the rule's history after every
+    step, and fields() hands it to the trace."""
+
+    lag = 0
+    halts = True
+
+    def __init__(self, g: DiGraph, rho, p):
+        self.g, self.rho, self.p = g, rho, p
+
+    def begin(self, cur):
+        pass
+
+    def record(self, eng):
+        pass
+
+    def fields(self) -> dict:
+        return {}
+
+
+class _RadiusRule(_Rule):
+    """Radius accumulation with the one-bit halt flood.
+
+    The radius starts accumulating with the very first update (lag 1). At a
+    boundary a node whose flooded bit is set stops; a bit set at one
+    boundary floods the whole graph within the next window, so all nodes
+    stop at the same iteration, and that is enforced. Otherwise the node
+    records its accumulated radius: below rho it raises its bit and keeps
+    accumulating, else it resets the accumulator for the next window.
+    """
+
+    lag = 1
+
+    def __init__(self, g, rho, p):
+        super().__init__(g, rho, p)
+        self.R = np.zeros(g.n)
+        self.b = np.zeros(g.n, dtype=np.uint8)
+        self.hist = {"Rs": [], "bs": [], "xs": [], "ys": []}
+
+    def step(self, prev, cur):
+        self.R = radius_step(self.g, cur, prev, self.R, self.p)
+        self.b = bit_step(self.g, self.b)
+
+    def boundary(self, index, start_t, t):
+        if self.b.any():
+            if not self.b.all():
+                raise InvariantViolation(f"halt flags disagree at boundary t={t}")
+            return None, True
+        det = self.R < self.rho
+        window = RadiusWindow(index, start_t, t, self.R, det)
+        self.b = det.astype(np.uint8)
+        self.R = np.where(det, self.R, 0.0)
+        return window, False
+
+    def record(self, eng):
+        self.hist["Rs"].append(self.R)
+        self.hist["bs"].append(self.b)
+        if eng.name == "ratio":
+            self.hist["xs"].append(eng.state.x)
+            self.hist["ys"].append(eng.state.y)
+
+    def fields(self):
+        return {name: np.stack(h) if h else None for name, h in self.hist.items()}
+
+
+class _PlainRadiusRule(_Rule):
+    """The radius recursion alone, reset every window: no bits, no halt.
+    The run ends once the largest recorded radius drops below eps or
+    max_windows windows are recorded."""
+
+    halts = False
+
+    def __init__(self, g, p, eps, max_windows):
+        super().__init__(g, None, p)
+        self.eps, self.max_windows = eps, max_windows
+
+    def begin(self, cur):
+        self.R = np.zeros(self.g.n)
+
+    def step(self, prev, cur):
+        self.R = radius_step(self.g, cur, prev, self.R, self.p)
+
+    def boundary(self, index, start_t, t):
+        end = ((self.eps is not None and self.R.max() < self.eps)
+               or (self.max_windows is not None and index + 1 >= self.max_windows))
+        return RadiusWindow(index, start_t, t, self.R, None), end
+
+
+class _BoxRule(_Rule):
+    """Coordinatewise min/max envelopes of the window start states, flooded
+    one hop per step."""
+
+    def begin(self, cur):
+        self.M = self.m = cur
+
+    def step(self, prev, cur):
+        src, starts = self.g.edge_arrays[1], self.g.in_starts
+        self.M = _in_reduce(np.maximum, self.M[src], starts)
+        self.m = _in_reduce(np.minimum, self.m[src], starts)
+
+    def boundary(self, index, start_t, t):
+        spreads = vector_norm(self.M - self.m, self.p, axis=-1)
+        if not np.all(spreads == spreads[0]):
+            raise InvariantViolation(f"envelope disagreement at boundary t={t}")
+        spread = float(spreads[0])
+        return BoxWindow(index, start_t, t, spread), spread < self.rho
+
+
+class _HullRule(_Rule):
+    """Hull consensus over the window start states, one round per step;
+    max_points is the largest message seen, in points."""
+
+    def __init__(self, g, rho, p):
+        super().__init__(g, rho, p)
+        self.cache: dict = {}
+        self.max_points = 1
+
+    def begin(self, cur):
+        self.exts = [HullNodeState(PointSet(cur[i:i + 1]), 0) for i in range(self.g.n)]
+
+    def step(self, prev, cur):
+        self.exts = hull_round(self.exts, self.g, cache=self.cache)
+        self.max_points = max(self.max_points, max(len(s.ext) for s in self.exts))
+
+    def boundary(self, index, start_t, t):
+        first = self.exts[0].ext
+        if any(s.ext != first for s in self.exts[1:]):
+            raise InvariantViolation(f"extreme sets disagree at boundary t={t}")
+        diam = hull_diameter(first, self.p)
+        return HullWindow(index, start_t, t, diam), diam < self.rho
+
+    def fields(self):
+        return {"max_points": self.max_points}
+
+
+def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
+                        Dbound: int | None = None, p: float = 2.0,
+                        k_max: int = 100_000) -> StopTrace:
+    """Consensus with the radius criterion and one-bit halt flooding.
+
+    Window boundaries fall after every Dbound-th update, the first window
+    carrying one extra step (see _RadiusRule). A non-halting run (k_max
+    reached) is reported through halted=False, not an exception. Stored Rs
+    and bs reflect the values carried into the next step, i.e. after any
+    boundary bookkeeping.
+    """
+    return _run_windows(_RadiusRule(g, rho, p), g, W, x0, Dbound, k_max)
 
 
 def windowed_radius_trace(g: DiGraph, W: StochasticMatrix, x0,
                           Dbound: int | None = None, p: float = 2.0,
                           eps: float | None = None,
                           max_windows: int | None = None,
-                          k_max: int = 100_000) -> WindowedTrace:
+                          k_max: int = 100_000) -> StopTrace:
     """Plain windowed radius recursion without bits or halting.
 
     Window l starts at iteration l*D and its radius is recorded at
     (l+1)*D after exactly D accumulation steps, which is the indexing the
     containment and envelope-bound properties are stated in. Runs until
     the largest recorded radius drops below eps, max_windows windows are
-    recorded, or k_max iterations elapse.
+    recorded, or k_max iterations elapse. The windows have detected=None.
     """
-    D = _resolve_window(g, Dbound)
-    eng = _Engine(W, x0)
-    R = np.zeros(g.n)
-    rs = [eng.cur.copy()]
-    windows: list = []
-    for t in range(1, k_max + 1):
-        prev = eng.cur
-        eng.step()
-        R = radius_step(g, eng.cur, prev, R, p)
-        rs.append(eng.cur.copy())
-        if t % D == 0:
-            windows.append(RadiusWindow(t // D - 1, t - D, t, R.copy(), None))
-            if eps is not None and R.max() < eps:
-                break
-            if max_windows is not None and len(windows) >= max_windows:
-                break
-            R = np.zeros(g.n)
-    return WindowedTrace(eng.name, np.stack(rs), windows, D, p)
+    return _run_windows(_PlainRadiusRule(g, p, eps, max_windows), g, W, x0, Dbound, k_max)
 
 
 def run_box_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
                      Dbound: int | None = None, p: float = 2.0,
-                     k_max: int = 100_000) -> BoxTrace:
+                     k_max: int = 100_000) -> StopTrace:
     """Windowed min/max envelope flooding.
 
     Each window floods the coordinatewise extrema of the window-start
@@ -315,42 +388,12 @@ def run_box_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     envelope, so the halt decision is identical everywhere and takes
     effect at the boundary itself.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    D = _resolve_window(g, Dbound)
-    eng = _Engine(W, x0)
-    dst, src = g.edge_arrays
-    Mb = eng.cur.copy()
-    mb = eng.cur.copy()
-    rs = [eng.cur.copy()]
-    windows: list = []
-    halted = False
-    halt_t = None
-    for t in range(1, k_max + 1):
-        eng.step()
-        Mn = np.full_like(Mb, -np.inf)
-        np.maximum.at(Mn, dst, Mb[src])
-        mn = np.full_like(mb, np.inf)
-        np.minimum.at(mn, dst, mb[src])
-        Mb, mb = Mn, mn
-        rs.append(eng.cur.copy())
-        if t % D == 0:
-            spreads = vector_norm(Mb - mb, p, axis=-1)
-            if not np.all(spreads == spreads[0]):
-                raise InvariantViolation(f"envelope disagreement at boundary t={t}")
-            windows.append(BoxWindow(t // D - 1, t - D, t, float(spreads[0])))
-            if spreads[0] < rho:
-                halted = True
-                halt_t = t
-                break
-            Mb = eng.cur.copy()
-            mb = eng.cur.copy()
-    return BoxTrace(eng.name, np.stack(rs), windows, halted, halt_t, rho, D, p)
+    return _run_windows(_BoxRule(g, rho, p), g, W, x0, Dbound, k_max)
 
 
 def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
                       Dbound: int | None = None, p: float = 2.0,
-                      k_max: int = 100_000, tol: float = 1e-9) -> HullStopTrace:
+                      k_max: int = 100_000) -> StopTrace:
     """Windowed hull consensus over the window-start states.
 
     After Dbound rounds every node holds the extreme set of all window
@@ -358,35 +401,7 @@ def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     largest message size seen (in points) is tracked for bandwidth
     accounting.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    D = _resolve_window(g, Dbound)
-    eng = _Engine(W, x0)
-    cache: dict = {}
-    exts = [HullNodeState(PointSet(eng.cur[i:i + 1]), 0) for i in range(g.n)]
-    max_points = max(len(s.ext) for s in exts)
-    rs = [eng.cur.copy()]
-    windows: list = []
-    halted = False
-    halt_t = None
-    for t in range(1, k_max + 1):
-        eng.step()
-        exts = hull_round(exts, g, tol, cache)
-        max_points = max(max_points, max(len(s.ext) for s in exts))
-        rs.append(eng.cur.copy())
-        if t % D == 0:
-            first = exts[0].ext
-            if any(s.ext != first for s in exts[1:]):
-                raise InvariantViolation(f"extreme sets disagree at boundary t={t}")
-            diam = hull_diameter(first, p)
-            windows.append(HullWindow(t // D - 1, t - D, t, diam))
-            if diam < rho:
-                halted = True
-                halt_t = t
-                break
-            exts = [HullNodeState(PointSet(eng.cur[i:i + 1]), 0) for i in range(g.n)]
-    return HullStopTrace(eng.name, np.stack(rs), windows, halted, halt_t,
-                         rho, D, p, max_points)
+    return _run_windows(_HullRule(g, rho, p), g, W, x0, Dbound, k_max)
 
 
 def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,
@@ -409,7 +424,7 @@ def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,
     raise ValueError(f"unknown method {method!r}")
 
 
-def write_termination_csv(trace: RadiusTrace, path):
+def write_termination_csv(trace: StopTrace, path):
     """Rows (k, node, R, b, window_l, halt_flag); window_l counts the
     window each iteration belongs to, halt_flag marks the halt iteration."""
     T, n = trace.Rs.shape

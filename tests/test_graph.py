@@ -227,6 +227,17 @@ def test_stochastic_matrix_rejects_off_support():
         StochasticMatrix(graph=g, w=w, kind="column")
 
 
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cell", [(1, 0), (0, 2)], ids=["on_edge", "off_edge"])
+def test_stochastic_matrix_rejects_non_finite_weights(kind, bad, cell):
+    g = ring(4)  # (1, 0) is an edge, (0, 2) is not
+    w = make_weights(g, kind).w.copy()
+    w[cell] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StochasticMatrix(graph=g, w=w, kind=kind)
+
+
 def test_edge_weights_align_with_edge_arrays():
     g = generate_digraph(5, "erdos_renyi", seed=4, edge_prob=0.5)
     W = make_weights(g, "column")
