@@ -11,15 +11,15 @@ distributed function evaluation with Holder error control.
 """
 
 from .errors import InvariantViolation
-from .graph import (DiGraph, StochasticMatrix, diameter, generate_digraph,
+from .graph import (DiGraph, StochasticMatrix, generate_digraph,
                     graph_from_json, graph_to_json, m_in_neighborhood,
                     make_weights)
 from .geometry import (PointSet, canonicalize_points, extreme_points,
                        hull_diameter, hull_membership, is_convex_decreasing,
-                       support_function, vector_norm)
+                       pairwise_spread, support_function, vector_norm)
 from .consensus import (ConsensusTrace, RatioState, RowState, consensus_limit,
-                        make_ratio_state, pairwise_spread, perron_left,
-                        ratio_step, read_state_csv, row_step, run_consensus,
+                        make_ratio_state, perron_left, ratio_step,
+                        read_state_csv, row_step, run_consensus,
                         scalar_vector_equivalence_check, write_state_csv)
 from .hull import (HullNodeState, decode_extreme_set,
                    distance_from_convergence_bound, encode_extreme_set,

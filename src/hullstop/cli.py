@@ -150,13 +150,12 @@ def _cmd_hull(args) -> int:
     if any(e != central for e in final):
         raise InvariantViolation("hull protocol did not reach the centralized extreme set")
     with artifact_dir(args.out_dir, g) as summary:
-        # messages have different lengths, so this table is not a numeric block
-        with open(os.path.join(args.out_dir, "hull_rounds.csv"), "w") as fh:
-            fh.write("round,node,message\n")
+        with _csv_table(os.path.join(args.out_dir, "hull_rounds.csv"), "round,node,message",
+                        "%d,%d,%s") as write:
             for t, snapshot in enumerate(history):
-                for i, ext in enumerate(snapshot):
-                    msg = ";".join(f"{v:.17g}" for v in encode_extreme_set(ext))
-                    fh.write(f"{t},{i},{msg}\n")
+                msgs = [";".join(f"{v:.17g}" for v in encode_extreme_set(e)) for e in snapshot]
+                # as objects: a numpy str array would pad every message to the longest
+                write(t, np.arange(g.n), np.array(msgs, dtype=object))
         summary.update({
             "rounds": g.diameter,
             "extreme_count": len(central),
@@ -211,28 +210,25 @@ def _cmd_lse(args) -> int:
     trace = run_consensus(W, state0.x, steps)
 
     with artifact_dir(args.out_dir, g) as summary:
-        with _csv_table(os.path.join(args.out_dir, "dataset.csv"), "x,y") as write:
+        with _csv_table(os.path.join(args.out_dir, "dataset.csv"), "x,y", "%.17g,%.17g") as write:
             write(xs, ys)
-        final_err = 0.0
-        # some cells are the text "na", so this table is not a numeric block
-        with open(os.path.join(args.out_dir, "bound.csv"), "w") as fh:
-            fh.write("n,node,lhs,bound,holds\n")
+        with _csv_table(os.path.join(args.out_dir, "bound.csv"), "n,node,lhs,bound,holds",
+                        "%d,%d,%.17g,%.17g,%s") as write:
             for k in range(trace.states.shape[0]):
+                lhs, bound, holds = np.full(g.n, np.nan), np.full(g.n, np.nan), ["na"] * g.n
                 for i in range(g.n):
                     Mi, zi = unflatten_payload(trace.states[k, i], M)
                     try:
                         eb = lse_error_bound(Mi, zi, G_true, z_true)
                     except np.linalg.LinAlgError:
-                        fh.write(f"{k},{i},nan,nan,na\n")
                         continue
-                    if not eb.applicable:
-                        fh.write(f"{k},{i},nan,inf,na\n")
-                        continue
-                    theta_i = np.linalg.solve(Mi, zi)
-                    lhs = float(vector_norm(theta_i - theta_hat, 2.0))
-                    fh.write(f"{k},{i},{lhs:.17g},{eb.bound:.17g},{int(eb.holds)}\n")
-                    if k == trace.states.shape[0] - 1:
-                        final_err = max(final_err, lhs)
+                    bound[i] = eb.bound
+                    if eb.applicable:
+                        theta_i = np.linalg.solve(Mi, zi)
+                        lhs[i] = vector_norm(theta_i - theta_hat, 2.0)
+                        holds[i] = int(eb.holds)
+                write(k, np.arange(g.n), lhs, bound, holds)
+            final_err = float(np.nanmax(lhs, initial=0.0))
         summary.update({
             "theta_hat": [float(v) for v in theta_hat],
             "n": int(n),
@@ -268,7 +264,7 @@ def _cmd_funccalc(args) -> int:
         write_state_csv(ConsensusTrace("ratio", trace.rs, trace.xs, trace.ys),
                         os.path.join(args.out_dir, "states.csv"))
         with _csv_table(os.path.join(args.out_dir, "holder.csv"), "k,node,lhs,rhs,holds",
-                        ("k", "node", "holds")) as write:
+                        "%d,%d,%.17g,%.17g,%d") as write:
             for k in range(trace.rs.shape[0]):
                 lhs, rhs, ok = np.array(
                     [funccalc_error(f, C, alpha, r, r_bar) for r in trace.rs[k]]).T

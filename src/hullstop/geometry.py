@@ -326,14 +326,16 @@ def extreme_points(S, tol: float = 1e-9) -> PointSet:
 
 
 def pairwise_spread(states, p: float = 2.0) -> float:
-    """Largest pairwise p-norm distance among the rows of an (n, d) array."""
+    """Largest pairwise p-norm distance among the rows of an (n, d) array, in
+    row blocks of about 2^16 differences: memory stays flat in n, and each
+    pair's arithmetic, so the result, is that of one (n, n, d) broadcast."""
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected (n, d) states, got shape {arr.shape}")
-    if arr.shape[0] == 1:
-        return 0.0
-    diffs = arr[:, None, :] - arr[None, :, :]
-    return float(vector_norm(diffs, p, axis=-1).max())
+    n, d = arr.shape
+    rows = max(1, (1 << 16) // max(1, n * d))
+    return max(float(vector_norm(arr[s:s + rows, None, :] - arr, p, axis=-1).max())
+               for s in range(0, n, rows))
 
 
 def hull_diameter(E, p: float = 2.0) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "DiGraph",
     "StochasticMatrix",
     "generate_digraph",
-    "diameter",
     "m_in_neighborhood",
     "make_weights",
     "graph_to_json",
@@ -170,10 +169,6 @@ class DiGraph:
         rounds until every node has heard every other, flooding from the
         identity."""
         return _flood(*self.edge_arrays, np.eye(self.n, dtype=bool))[0]
-
-
-def diameter(g: DiGraph) -> int:
-    return g.diameter
 
 
 def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:

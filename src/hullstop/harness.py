@@ -16,10 +16,10 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .consensus import (ConsensusTrace, consensus_limit, pairwise_spread,
-                        read_state_csv, run_consensus, write_state_csv)
+from .consensus import (ConsensusTrace, consensus_limit, read_state_csv, run_consensus,
+                        write_state_csv)
 from .errors import InvariantViolation
-from .geometry import vector_norm
+from .geometry import pairwise_spread, vector_norm
 from .graph import DiGraph, generate_digraph, graph_to_json, make_weights
 from .termination import (StopTrace, bandwidth_accounting, run_box_stopping,
                           run_hull_stopping, run_radius_stopping,

@@ -429,8 +429,7 @@ def write_termination_csv(trace: StopTrace, path):
     window each iteration belongs to, halt_flag marks the halt iteration."""
     T, n = trace.Rs.shape
     D = trace.Dbound
-    with _csv_table(path, "k,node,R,b,window_l,halt_flag",
-                    ("k", "node", "b", "window_l", "halt_flag")) as write:
+    with _csv_table(path, "k,node,R,b,window_l,halt_flag", "%d,%d,%.17g,%d,%d,%d") as write:
         for k in range(T):
             wl = 0 if k == 0 else (k - 1) // D + 1
             hf = 1 if (trace.halted and k == trace.halt_t) else 0

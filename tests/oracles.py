@@ -95,3 +95,23 @@ def write_termination_csv_reference(trace, path):
             hf = 1 if (trace.halted and k == trace.halt_t) else 0
             for i in range(n):
                 fh.write(f"{k},{i},{trace.Rs[k, i]:.17g},{int(trace.bs[k, i])},{wl},{hf}\n")
+
+
+def write_hull_rounds_reference(rounds, path):
+    """The per-row f-string writer that defined the hull_rounds.csv bytes;
+    rounds[t][i] is node i's message after round t."""
+    with open(path, "w") as fh:
+        fh.write("round,node,message\n")
+        for t, messages in enumerate(rounds):
+            for i, msg in enumerate(messages):
+                fh.write(f"{t},{i},{msg}\n")
+
+
+def write_bound_reference(rows, path):
+    """The per-row f-string writer that defined the lse bound.csv bytes;
+    rows are (n, node, lhs, bound, holds) with holds None where the bound
+    does not apply."""
+    with open(path, "w") as fh:
+        fh.write("n,node,lhs,bound,holds\n")
+        for k, i, lhs, bound, holds in rows:
+            fh.write(f"{k},{i},{lhs:.17g},{bound:.17g},{'na' if holds is None else int(holds)}\n")

@@ -15,7 +15,9 @@ import hullstop.cli as cli
 from hullstop import (ConsensusTrace, generate_digraph, make_weights,
                       run_radius_stopping, write_state_csv,
                       write_termination_csv)
-from oracles import write_state_csv_reference, write_termination_csv_reference
+from hullstop.consensus import _CHUNK_ROWS, _csv_table
+from oracles import (write_bound_reference, write_hull_rounds_reference,
+                     write_state_csv_reference, write_termination_csv_reference)
 
 
 def _radius_trace(kind, n, x0, rho, k_max=100_000, seed=3):
@@ -51,6 +53,60 @@ def test_writers_match_reference_bytes(tmp_path, traces, name):
     write_termination_csv(trace, tmp_path / "t.csv")
     write_termination_csv_reference(trace, tmp_path / "t_ref.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+
+# per-step blocks longer than one row chunk: (n, d, engine) giving n*d state
+# rows with a partial last chunk, an exact multiple of the chunk, and n > chunk
+# termination rows
+CHUNKED = {"partial_chunk": (40, 13, "column"), "whole_chunks": (32, 16, "row"),
+           "many_nodes": (300, 2, "column")}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_writers_match_reference_bytes_across_chunks(tmp_path, name):
+    n, d, kind = CHUNKED[name]
+    assert n * d > _CHUNK_ROWS
+    trace = _radius_trace(kind, n, np.random.default_rng(n).normal(size=(n, d)), 1e-2, k_max=12)
+    states = ConsensusTrace(trace.engine, trace.rs, trace.xs, trace.ys)
+    write_state_csv(states, tmp_path / "s.csv")
+    write_state_csv_reference(states, tmp_path / "s_ref.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
+    write_termination_csv(trace, tmp_path / "t.csv")
+    write_termination_csv_reference(trace, tmp_path / "t_ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+
+def _odd_floats(rng, size):
+    v = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+    pick = rng.random(size)
+    v[pick < 0.2] = np.nan
+    v[(pick >= 0.2) & (pick < 0.3)] = np.inf
+    v[(pick >= 0.3) & (pick < 0.4)] = -0.0
+    return v
+
+
+def test_text_tables_match_reference_bytes(tmp_path):
+    """bound.csv and hull_rounds.csv in the cli's formats, with blocks longer
+    than one row chunk."""
+    rng = np.random.default_rng(16)
+    n = 2 * _CHUNK_ROWS + 7
+    blocks = []
+    with _csv_table(tmp_path / "b.csv", "n,node,lhs,bound,holds", "%d,%d,%.17g,%.17g,%s") as write:
+        for k in range(3):
+            lhs, bound = _odd_floats(rng, n), _odd_floats(rng, n)
+            holds = [None if h == 2 else h for h in rng.integers(0, 3, n).tolist()]
+            write(k, np.arange(n), lhs, bound, ["na" if h is None else h for h in holds])
+            blocks += zip([k] * n, range(n), lhs.tolist(), bound.tolist(), holds)
+    write_bound_reference(blocks, tmp_path / "b_ref.csv")
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "b_ref.csv").read_bytes()
+
+    rounds = [[";".join(f"{v:.17g}" for v in _odd_floats(rng, m)) for m in rng.integers(0, 9, n)]
+              for _ in range(3)]
+    with _csv_table(tmp_path / "h.csv", "round,node,message", "%d,%d,%s") as write:
+        for t, messages in enumerate(rounds):
+            write(t, np.arange(n), np.array(messages, dtype=object))
+    write_hull_rounds_reference(rounds, tmp_path / "h_ref.csv")
+    assert (tmp_path / "h.csv").read_bytes() == (tmp_path / "h_ref.csv").read_bytes()
 
 
 def test_signed_zero_trace_writes_negative_zero(tmp_path, traces):

@@ -9,7 +9,6 @@ from hullstop import (
     RowState,
     StochasticMatrix,
     consensus_limit,
-    diameter,
     generate_digraph,
     m_in_neighborhood,
     make_ratio_state,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from hullstop import (
     hull_diameter,
     hull_membership,
     is_convex_decreasing,
+    pairwise_spread,
     support_function,
     vector_norm,
 )
@@ -233,6 +236,28 @@ def test_hull_diameter_brute_force():
         )
         assert hull_diameter(pts, p) == pytest.approx(best)
 
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_pairwise_spread_matches_full_broadcast(p):
+    # sizes that take one row block, several, and several with a 1-row last block
+    rng = np.random.default_rng(14)
+    for n, d in [(20, 3), (300, 10), (97, 7), (700, 3)]:
+        pts = rng.normal(size=(n, d))
+        full = vector_norm(pts[:, None, :] - pts[None, :, :], p, axis=-1).max()
+        assert pairwise_spread(pts, p) == full
+
+
+def test_pairwise_spread_memory_is_bounded():
+    # the (n, n, d) broadcast alone would take 32 MB here
+    pts = np.random.default_rng(15).normal(size=(1000, 4))
+    tracemalloc.start()
+    try:
+        pairwise_spread(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 def test_is_convex_decreasing():
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hullstop import (
     DiGraph,
     StochasticMatrix,
-    diameter,
     generate_digraph,
     graph_from_json,
     graph_to_json,
@@ -92,15 +91,15 @@ def test_in_out_adjacency():
 
 
 def test_ring_diameter():
-    assert diameter(ring(7)) == 6
-    assert diameter(generate_digraph(5, "complete", seed=0)) == 1
-    assert diameter(generate_digraph(1, "ring", seed=0)) == 0
+    assert ring(7).diameter == 6
+    assert generate_digraph(5, "complete", seed=0).diameter == 1
+    assert generate_digraph(1, "ring", seed=0).diameter == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_diameter_against_floyd_warshall(seed):
     g = generate_digraph(9, "erdos_renyi", seed=seed, edge_prob=0.3)
-    assert diameter(g) == floyd_warshall_diameter(g.n, g.edges)
+    assert g.diameter == floyd_warshall_diameter(g.n, g.edges)
 
 
 def _path_with_back_edge(n):
@@ -119,14 +118,14 @@ def _bidirected_path(n):
 @pytest.mark.parametrize("build", [ring, _path_with_back_edge, _bidirected_path])
 def test_long_diameters_against_floyd_warshall(build, n):
     g = build(n)
-    assert diameter(g) == floyd_warshall_diameter(g.n, g.edges) == n - 1
+    assert g.diameter == floyd_warshall_diameter(g.n, g.edges) == n - 1
 
 
 @pytest.mark.parametrize("n", [5, 12, 20, 30])
 @pytest.mark.parametrize("seed", range(3))
 def test_sparse_diameter_against_floyd_warshall(n, seed):
     g = generate_digraph(n, "erdos_renyi", seed=seed, edge_prob=2.5 / n)
-    assert diameter(g) == floyd_warshall_diameter(g.n, g.edges)
+    assert g.diameter == floyd_warshall_diameter(g.n, g.edges)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -176,7 +175,7 @@ def test_m_in_neighborhood_matches_bfs_depth(n, m):
 
 def test_m_neighborhood_saturates_at_diameter():
     g = generate_digraph(8, "erdos_renyi", seed=1, edge_prob=0.3)
-    d = diameter(g)
+    d = g.diameter
     for i in range(g.n):
         assert m_in_neighborhood(g, i, d) == frozenset(range(g.n))
 
