@@ -120,6 +120,7 @@ class ErrorBound(NamedTuple):
     bound: float
     holds: bool | None
     applicable: bool
+    lhs: float | None = None
 
 
 def lse_error_bound(M_i, z_i, M_true, z_true) -> ErrorBound:
@@ -131,8 +132,9 @@ def lse_error_bound(M_i, z_i, M_true, z_true) -> ErrorBound:
         ||theta_i - theta_hat|| <= m * dz + C * dM,
         C = m^2 (||z_i|| + dz) / (1 - m * dM).
 
+    Where the bound applies, lhs is the measured ||theta_i - theta_hat||.
     Outside that region the bound is undefined and applicable=False is
-    returned with infinite C and bound and holds=None.
+    returned with infinite C and bound, holds=None and lhs=None.
     """
     M_i = np.asarray(M_i, dtype=float)
     z_i = np.asarray(z_i, dtype=float)
@@ -149,33 +151,15 @@ def lse_error_bound(M_i, z_i, M_true, z_true) -> ErrorBound:
     theta_i = np.linalg.solve(M_i, z_i)
     theta_hat = np.linalg.solve(M_true, z_true)
     lhs = float(vector_norm(theta_i - theta_hat, 2.0))
-    return ErrorBound(m, C, bound, bool(lhs <= bound + 1e-9), True)
+    return ErrorBound(m, C, bound, bool(lhs <= bound + 1e-9), True, lhs)
 
 
-def operator_norm(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Largest singular value via power iteration on A^T A.
-
-    The start vector is fixed (no randomness) so results are reproducible;
-    the relative residual must fall below tol before the cap.
-    """
+def operator_norm(A: np.ndarray) -> float:
+    """Largest singular value of A (the spectral norm), from LAPACK's SVD."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"need a nonempty matrix, got shape {A.shape}")
-    B = A.T @ A
-    k = B.shape[0]
-    v = 1.0 + np.arange(k) / k
-    v /= np.sqrt((v * v).sum())
-    for _ in range(max_iter):
-        w = B @ v
-        lam = float(v @ w)
-        resid = np.sqrt(((w - lam * v) ** 2).sum())
-        if resid <= tol * max(1.0, abs(lam)):
-            return float(np.sqrt(max(lam, 0.0)))
-        nw = np.sqrt((w * w).sum())
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    raise RuntimeError("power iteration on A^T A did not converge")
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def funccalc_init(u) -> RatioState:

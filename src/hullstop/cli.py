@@ -224,8 +224,7 @@ def _cmd_lse(args) -> int:
                         continue
                     bound[i] = eb.bound
                     if eb.applicable:
-                        theta_i = np.linalg.solve(Mi, zi)
-                        lhs[i] = vector_norm(theta_i - theta_hat, 2.0)
+                        lhs[i] = eb.lhs
                         holds[i] = int(eb.holds)
                 write(k, np.arange(g.n), lhs, bound, holds)
             final_err = float(np.nanmax(lhs, initial=0.0))
@@ -300,12 +299,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (_CliError, ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantViolation as exc:
+    except InvariantViolation as exc:  # before RuntimeError, its base class
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except (_CliError, ValueError, OSError, RuntimeError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

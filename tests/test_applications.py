@@ -123,6 +123,7 @@ def test_error_bound_holds_and_tightens():
     zi = z + 1e-3 * rng.normal(size=z.shape)
     eb = lse_error_bound(Mi, zi, G, z)
     assert eb.applicable and eb.holds
+    assert eb.lhs == np.linalg.norm(np.linalg.solve(Mi, zi) - np.linalg.solve(G, z))
     # exact payload gives a zero bound up to roundoff
     eb0 = lse_error_bound(G, z, G, z)
     assert eb0.bound == pytest.approx(0.0, abs=1e-12)
@@ -142,10 +143,15 @@ def test_operator_norm_examples():
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     assert operator_norm(rot) == pytest.approx(1.0, abs=1e-9)
     assert operator_norm(np.zeros((3, 3))) == 0.0
+    # the top two singular values nearly tie
+    assert operator_norm(np.diag([1.0, 1.0 - 1e-9, 0.5])) == pytest.approx(1.0, rel=1e-15)
     rng = np.random.default_rng(5)
     for _ in range(5):
         A = rng.normal(size=(4, 4))
         assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), abs=1e-8)
+        # small norms are as exact as large ones
+        for s in (1e-4, 1e-8):
+            assert operator_norm(s * A) == pytest.approx(s * np.linalg.norm(A, 2), rel=1e-12)
     with pytest.raises(ValueError):
         operator_norm(np.zeros((0, 0)))
 

@@ -142,7 +142,7 @@ GOLDEN = {
     "hull": (["hull", "--nodes", "5", "--dim", "2", "--seed", "4", "--points", "3"],
         "c6641b560fafcb5c10a70a9a797822c72475a81c7ec62a2ebb5ea38de533c160"),
     "lse": (["lse", "--nodes", "6", "--degree", "2", "--seed", "1", "--k-max", "40"],
-        "ae5980529170048ca7f6304a512fb9d560bc5e694208140ec1e6623626d27258"),
+        "ea8e3f46f41e726a11019e864c71e64e9ddaea0f742b27f224312e2ec6b5e8c9"),
     "funccalc": (["funccalc", "--nodes", "5", "--function", "max", "--seed", "6"],
         "9505f1fbd9971c2210025b0fabf25887abeb59156882a77ee19faf2d2ed28410"),
 }

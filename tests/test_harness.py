@@ -160,6 +160,14 @@ def test_cli_out_dir_on_a_file_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_graph_draw_budget_exhausted_is_config_error(tmp_path, capsys):
+    out = tmp_path / "g"
+    rc = cli.main(["run", "--nodes", "30", "--edge-prob", "1e-9", "--out-dir", str(out)])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_funccalc_nan_rho_is_config_error(tmp_path):
     rc = cli.main(["funccalc", "--nodes", "5", "--rho", "nan", "--k-max", "30",
                    "--out-dir", str(tmp_path / "f")])
@@ -248,6 +256,22 @@ def test_cli_lse_reads_dataset(tmp_path):
     assert rc == 0
     summary = json.loads(open(os.path.join(out, "summary.json")).read())
     assert summary["n"] == 12
+
+
+def test_cli_lse_identity_gram(tmp_path):
+    # x = +-1 under a degree-1 basis makes the Gram matrix the identity, so
+    # the late M_i^{-1} have nearly tied singular values
+    data = tmp_path / "eye.csv"
+    xs = np.tile([1.0, -1.0], 4)
+    data.write_text("x,y\n" + "".join(f"{a},{0.5 + 2.0 * a}\n" for a in xs))
+    out = tmp_path / "le"
+    rc = cli.main(["lse", "--data", str(data), "--degree", "1", "--k-max", "30",
+                   "--out-dir", str(out)])
+    assert rc == 0
+    rows = (out / "bound.csv").read_text().splitlines()
+    assert rows[0] == "n,node,lhs,bound,holds"
+    assert len(rows) == 1 + 31 * 8
+    assert {row.rsplit(",", 1)[1] for row in rows[1:]} <= {"1", "na"}
 
 
 def test_cli_funccalc(tmp_path):
