@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 no halt within k_max,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,7 +63,10 @@ def _add_common(sp, dim=True, stopping=True):
         sp.add_argument("--k-max", type=int, default=100_000)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser every `main` call shares; parse_args leaves it unchanged,
+    and a fresh one per call leaves its help formatters for the cyclic GC."""
     top = _Parser(prog="hullstop", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)

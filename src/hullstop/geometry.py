@@ -2,9 +2,13 @@
 
 Hull membership and extreme point queries reduce to small dense linear
 feasibility problems: p lies in the hull of points q_1..q_m exactly when
-some t >= 0 with sum(t) = 1 satisfies sum(t_k q_k) = p. That system is
-decided by a phase-one simplex with Bland's rule, so no general position
-assumption is needed and termination is guaranteed.
+some t >= 0 with sum(t) = 1 satisfies sum(t_k q_k) = p. Sound distance
+certificates decide first: a bounding-box reject, two separating
+directions (each one matrix-vector product) and Wolfe's minimum-norm-point
+iteration, whose iterates give an upper and a lower bound on the distance
+from p to the hull. Only a query those bounds leave between tol and the
+simplex's own reach goes to a phase-one simplex with Bland's rule, which
+needs no general position assumption and always terminates.
 """
 
 from __future__ import annotations
@@ -107,6 +111,21 @@ def support_function(S, u) -> float:
     return float(np.max(pts @ u))
 
 
+_EPS = np.finfo(float).eps
+
+
+def _rhs_perturbation(d: int) -> np.ndarray:
+    """The distinct epsilons that replace the tableau's d zero right-hand sides."""
+    return 2.0 ** -40 + np.arange(d) * 2.0 ** -44
+
+
+def _tableau_threshold(s: float, tol: float, d: int) -> float:
+    """Largest phase-one optimum the tableau accepts as feasible, in units
+    of the span s. 64 eps floors it at what float64 pivoting can resolve;
+    the perturbations land in the optimum, so they are added back on top."""
+    return max(tol / s, 64.0 * _EPS) + float(_rhs_perturbation(d).sum())
+
+
 def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     """Decide feasibility of {t >= 0, sum t = 1, pts.T t = p}.
 
@@ -124,18 +143,22 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     to lowest-index (Bland) if an unusually long run suggests stalling;
     the iteration cap only guards against numerical pathology and raising
     on it is deliberate.
+
+    A feasible verdict is not a proof: the pivot and reduced-cost cutoffs
+    can end phase one on an objective below the threshold for a point
+    certifiably further than tol from the hull. On flat clouds (axes
+    spanning eight orders of magnitude) such false positives occur, which
+    is why `_member` lets a certified distance overrule it.
     """
     m, d = pts.shape
     nrows = d + 1
     A = np.empty((nrows, m))
     A[:d] = (pts - p).T
     A[d] = 1.0
-    span = float(np.abs(A[:d]).max())
-    s = max(span, tol)
+    s = max(float(np.abs(A[:d]).max()), tol)
     A[:d] /= s
-    eps = np.finfo(float).eps
-    b = np.full(nrows, 2.0 ** -40)
-    b[:] += np.arange(nrows) * 2.0 ** -44
+    b = np.empty(nrows)
+    b[:d] = _rhs_perturbation(d)
     b[d] = 1.0
     ncols = m + nrows
     T = np.empty((nrows, ncols + 1))
@@ -171,10 +194,7 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
         basis[i] = j
     else:
         raise RuntimeError("phase-one simplex did not terminate, numerically degenerate input")
-    # 64 eps floors the threshold at what float64 pivoting can resolve; the
-    # perturbations land in the optimum, so they are added back on top
-    threshold = max(tol / s, 64.0 * eps) + float(b[:d].sum())
-    return float(obj[ncols]) <= threshold
+    return float(obj[ncols]) <= _tableau_threshold(s, tol, d)
 
 
 def _affine_minimizer(A: np.ndarray):
@@ -197,17 +217,19 @@ def _affine_minimizer(A: np.ndarray):
     return a0 + N @ beta
 
 
-def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    """Distance certificate for the cases the tableau cannot settle.
+def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
+    """Wolfe's distance certificate: (inside, best lower bound).
 
     Runs the minimum-norm-point iteration of Wolfe on the shifted cloud
     pts - p. The iterate y stays a convex combination of the inputs, so
     ||y|| is always a sound upper bound on the distance from p to the
     hull, and for any nonzero y the support value min_j <y, v_j> / ||y||
-    is a sound lower bound. The loop exits on whichever certificate
-    settles the comparison with tol first; inner least-squares error can
-    therefore delay the decision but not corrupt it. Stalls fall back to
-    the upper bound, the honest call at the precision available.
+    is a sound lower bound. The loop exits as soon as ||y|| <= tol (inside)
+    or a lower bound exceeds margin (outside, past anything the tableau
+    could accept); inner least-squares error can therefore delay the
+    decision but not corrupt it. On convergence or a stall it returns
+    inside = ||y|| <= tol and the best lower bound seen, and the caller
+    decides what a bound between tol and margin means.
     """
     V = pts - p
     m, _ = V.shape
@@ -218,22 +240,24 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     lam = np.ones(1)
     y = V[j0].copy()
     best = np.inf
+    best_lb = -np.inf
     stall = 0
     for _ in range(64 * (m + V.shape[1] + 2)):
         ny = float(np.sqrt(y @ y))
         if ny <= tol:
-            return True
+            return True, best_lb
         dots = V @ y
         lb = float(dots.min()) / ny
-        if lb > tol:
-            return False
+        best_lb = max(best_lb, lb)
+        if lb > margin:
+            return False, best_lb
         j = int(np.argmin(dots))
         if j in corral or lb >= ny - 1e-12 * scale:
-            return ny <= tol
+            return ny <= tol, best_lb
         if ny >= best - 1e-15 * scale:
             stall += 1
             if stall > 32:
-                return ny <= tol
+                return ny <= tol, best_lb
         else:
             best = ny
             stall = 0
@@ -265,23 +289,54 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
             lam = lam[keep]
             lam /= lam.sum()
     ny = float(np.sqrt(y @ y))
-    return ny <= tol
+    return ny <= tol, best_lb
 
 
 def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    """Membership decision: cheap reject, fast tableau, then certificate.
+    """Membership decision: sound certificates first, the tableau last.
 
-    The bounding-box reject is sound because the hull lies inside the box.
-    A feasible tableau verdict is kept as is; an infeasible one is checked
-    against the distance certificate, because collapsed nearly affine
-    clouds can stall the tableau into a false negative but cannot produce
-    a spurious feasibility.
+    1. Bounding-box reject: the hull lies inside the box.
+    2. Separating directions u = centroid - p and u = nearest - p: the hull
+       lies in {x : <x - p, u> >= min_j <v_j - p, u>}, so that minimum over
+       ||u|| is a lower bound on the distance. Above margin: outside.
+    3. Wolfe (`_min_norm_member`): ||y|| <= tol is a certified inside;
+       a lower bound above margin is a certified outside.
+    4. Otherwise the phase-one tableau decides.
+
+    The margin keeps each verdict that of the tableau-first order (box,
+    tableau, then Wolfe on every infeasible verdict). The tableau answers
+    feasible when its optimum, the L1 residual of t >= 0 in units of the
+    span s = max(max|v_j - p|, tol), is at most theta = max(tol/s, 64 eps)
+    + sum(b[:d]), b the right-hand-side perturbations. Then
+    ||sum t_k (v_k - p)|| <= s (theta + sum b[:d]) and |1 - sum t| <= theta,
+    so the hull point sum t_k v_k / sum t lies within
+    s (theta + sum b[:d]) / (1 - theta) of p, at most
+    margin = 2 s (theta + sum b[:d]) for theta <= 1/2. A certified distance
+    above margin is therefore a point the tableau rejects too, and that
+    order then asked Wolfe, who says outside. Wolfe's "inside" agrees with
+    it because a distance <= tol never yields a lower bound above tol, the
+    only exit the tableau-first order takes earlier on the same iterates.
+    The verdicts differ only where the tableau accepted a point
+    certifiably beyond its own reach: its false positives on flat clouds,
+    and clouds within about 2 tol of p (theta > 1/2), where it accepts any
+    point the box lets through. Those now read outside, as they should.
     """
     if ((p < pts.min(axis=0) - tol) | (p > pts.max(axis=0) + tol)).any():
         return False
-    if _phase_one_feasible(pts, p, tol):
+    V = pts - p
+    d = V.shape[1]
+    s = max(float(np.abs(V).max()), tol)
+    margin = 2.0 * s * (_tableau_threshold(s, tol, d) + float(_rhs_perturbation(d).sum()))
+    for u in (V.mean(axis=0), V[int(np.argmin(np.einsum("ij,ij->i", V, V)))]):
+        nu = float(np.sqrt(u @ u))
+        if nu > 0.0 and float((V @ u).min()) > margin * nu:
+            return False
+    inside, lower = _min_norm_member(pts, p, tol, margin)
+    if inside:
         return True
-    return _min_norm_member(pts, p, tol)
+    if lower > margin:
+        return False
+    return _phase_one_feasible(pts, p, tol)
 
 
 def hull_membership(p, S, tol: float = 1e-9) -> bool:

@@ -2,10 +2,14 @@
 
 Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
-chain construction, so agreement is meaningful.
+chain construction, so agreement is meaningful. The writers and the
+membership decider are the earlier forms of library code, kept to show that
+a faster form gives the same result.
 """
 
 import numpy as np
+
+from hullstop.geometry import _min_norm_member, _phase_one_feasible
 
 
 def reach_set(adj, start):
@@ -115,3 +119,14 @@ def write_bound_reference(rows, path):
         fh.write("n,node,lhs,bound,holds\n")
         for k, i, lhs, bound, holds in rows:
             fh.write(f"{k},{i},{lhs:.17g},{bound:.17g},{'na' if holds is None else int(holds)}\n")
+
+
+def member_reference(pts, p, tol):
+    """The membership order before certificates went first: bounding-box
+    reject, then the tableau, then Wolfe's method on every infeasible
+    verdict, stopping at the first lower bound above tol."""
+    if ((p < pts.min(axis=0) - tol) | (p > pts.max(axis=0) + tol)).any():
+        return False
+    if _phase_one_feasible(pts, p, tol):
+        return True
+    return _min_norm_member(pts, p, tol, tol)[0]

@@ -16,7 +16,8 @@ from hullstop import (
     support_function,
     vector_norm,
 )
-from oracles import monotone_chain
+import hullstop.geometry as geometry
+from oracles import member_reference, monotone_chain
 
 def hull_membership_set(S, q, tol=1e-9):
     return hull_membership(q, S, tol)
@@ -283,10 +284,18 @@ def test_nesting_cross_checked_by_support_functions():
         assert support_function(inner, d) <= support_function(outer, d) + 1e-9
 
 
-def test_membership_of_convex_combinations_in_flat_clouds():
+def test_membership_of_convex_combinations_in_flat_clouds(monkeypatch):
     # clouds whose axes span eight orders of magnitude: Wolfe's method
     # alone calls about half of these interior points outside, so the
     # membership decision needs the tableau as well
+    tableau = geometry._phase_one_feasible
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return tableau(*args)
+
+    monkeypatch.setattr(geometry, "_phase_one_feasible", counted)
     for seed in range(300):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(3, 11))
@@ -294,3 +303,73 @@ def test_membership_of_convex_combinations_in_flat_clouds():
         pts = rng.normal(size=(m, d)) * np.logspace(0, -8, d)
         w = rng.dirichlet(np.ones(m))
         assert hull_membership(w @ pts, pts), (seed, m, d)
+    assert len(calls) >= 1
+
+
+def _wolfe_lower_bound(pts, q, tol):
+    """Best certified lower bound on the distance from q to the hull."""
+    return geometry._min_norm_member(pts, q, tol, np.inf)[1]
+
+
+@pytest.mark.parametrize("seed, vertex", [(153, 28), (119, 34)])
+def test_tableau_false_positive_on_flat_cloud_is_outside(seed, vertex):
+    # a vertex pushed out from the centroid by a factor 1 + 1e-9: the
+    # tableau accepts it, yet Wolfe's lower bound (checked in exact rational
+    # arithmetic on its direction) puts it further than tol from the hull
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 11))
+    m = int(rng.integers(10, 40))
+    scale = 10.0 ** rng.uniform(0, 4)
+    pts = canonicalize_points(rng.normal(size=(m, d)) * np.logspace(0, -8, d) * scale)
+    c = pts.mean(axis=0)
+    q = c + (1.0 + 1e-9) * (pts[vertex] - c)
+    tol = 1e-9
+    assert member_reference(pts, q, tol)
+    assert not hull_membership(q, pts, tol)
+    assert _wolfe_lower_bound(pts, q, tol) > tol
+
+
+def _stress_cloud(rng, kind, scale):
+    d = int(rng.integers(1, 11))
+    m = int(rng.integers(d + 1, 3 * d + 12))
+    pts = rng.normal(size=(m, d))
+    if kind == "flat":
+        pts *= np.logspace(0, -8, d)
+    elif kind == "collapsed":
+        pts = 1e-6 * pts + 10.0 * rng.normal(size=d)
+    return canonicalize_points(pts * scale)
+
+
+def _stress_queries(rng, pts, tol):
+    m, d = pts.shape
+    c = pts.mean(axis=0)
+    yield from rng.dirichlet(np.ones(m), size=3) @ pts
+    yield c
+    for v in pts[rng.choice(m, size=min(m, 3), replace=False)]:
+        yield v
+        for rel in (1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 0.5):
+            yield c + (1.0 + rel) * (v - c)
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        for k in (0.5, 0.99, 1.01, 2.0, 10.0):
+            yield v + k * tol * u
+
+
+def test_membership_matches_reference_order_or_certifies_outside():
+    # random, flat and collapsed clouds at scales 1e-8 to 1e6, d 1 to 10;
+    # the certificate-first verdict equals the old box/tableau/Wolfe order,
+    # or is "outside" with a certified distance above tol (the tableau's
+    # false positives)
+    tol = 1e-9
+    queries = flipped = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        kind = ("random", "flat", "collapsed")[seed % 3]
+        pts = _stress_cloud(rng, kind, 10.0 ** rng.uniform(-8, 6))
+        for q in _stress_queries(rng, pts, tol):
+            queries += 1
+            new = hull_membership(q, pts, tol)
+            if new != member_reference(pts, q, tol):
+                flipped += 1
+                assert not new and _wolfe_lower_bound(pts, q, tol) > tol, (seed, kind, q)
+    assert queries > 5000 and flipped <= queries // 1000
