@@ -257,7 +257,7 @@ def _cmd_funccalc(args) -> int:
     if args.rho_relative:
         rho = args.rho * float(vector_norm(u, _norm_value(args)))
     trace = run_radius_stopping(g, W, state0.x, rho, Dbound=args.d_bound,
-                                p=_norm_value(args), k_max=args.k_max)
+                                p=_norm_value(args), k_max=args.k_max, history=True)
     r_bar = consensus_limit(state0.x, W)
 
     worst = max(abs(float(f(trace.rs[-1, i])) - float(f(r_bar))) for i in range(n))

@@ -206,11 +206,20 @@ def _csv_table(path, header: str, fmt: str):
         yield write
 
 
+def _every_step(rows, what: str) -> np.ndarray:
+    """rows, the (T+1, ...) per-step array that the writer what needs. A
+    stopping run without history holds a dict {0: ..., T: ...} instead,
+    which is rejected here."""
+    if not isinstance(rows, np.ndarray):
+        raise ValueError(f"{what} needs every step: run the stopping rule with history=True")
+    return rows
+
+
 def write_state_csv(trace: ConsensusTrace, path):
     """Rows (k, node, coord, x, y, r) at 17 significant digits, which is
     enough to round-trip float64 exactly. The row engine stores z in both
     x and r with y = 1."""
-    states = trace.states
+    states = _every_step(trace.states, "write_state_csv")
     T, n, d = states.shape
     xs = trace.xs if trace.xs is not None else states
     node, coord = np.divmod(np.arange(n * d), d)

@@ -3,12 +3,12 @@
 Hull membership and extreme point queries reduce to small dense linear
 feasibility problems: p lies in the hull of points q_1..q_m exactly when
 some t >= 0 with sum(t) = 1 satisfies sum(t_k q_k) = p. Sound distance
-certificates decide first: a bounding-box reject, two separating
-directions (each one matrix-vector product) and Wolfe's minimum-norm-point
-iteration, whose iterates give an upper and a lower bound on the distance
-from p to the hull. Only a query those bounds leave between tol and the
-simplex's own reach goes to a phase-one simplex with Bland's rule, which
-needs no general position assumption and always terminates.
+certificates decide first: a bounding-box reject, a separating direction
+through the centroid (one matrix-vector product) and Wolfe's
+minimum-norm-point iteration, whose iterates give an upper and a lower bound
+on the distance from p to the hull. Only a query those bounds leave between
+tol and the simplex's own reach goes to a phase-one simplex with Bland's
+rule, which needs no general position assumption and always terminates.
 """
 
 from __future__ import annotations
@@ -296,11 +296,13 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     """Membership decision: sound certificates first, the tableau last.
 
     1. Bounding-box reject: the hull lies inside the box.
-    2. Separating directions u = centroid - p and u = nearest - p: the hull
-       lies in {x : <x - p, u> >= min_j <v_j - p, u>}, so that minimum over
-       ||u|| is a lower bound on the distance. Above margin: outside.
+    2. Separating direction u = centroid - p: the hull lies in
+       {x : <x - p, u> >= min_j <v_j - p, u>}, so that minimum over ||u|| is
+       a lower bound on the distance. Above margin: outside.
     3. Wolfe (`_min_norm_member`): ||y|| <= tol is a certified inside;
-       a lower bound above margin is a certified outside.
+       a lower bound above margin is a certified outside. Its first iterate
+       is the nearest point, so the direction u = nearest - p is tested
+       there.
     4. Otherwise the phase-one tableau decides.
 
     The margin keeps each verdict that of the tableau-first order (box,
@@ -327,10 +329,10 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     d = V.shape[1]
     s = max(float(np.abs(V).max()), tol)
     margin = 2.0 * s * (_tableau_threshold(s, tol, d) + float(_rhs_perturbation(d).sum()))
-    for u in (V.mean(axis=0), V[int(np.argmin(np.einsum("ij,ij->i", V, V)))]):
-        nu = float(np.sqrt(u @ u))
-        if nu > 0.0 and float((V @ u).min()) > margin * nu:
-            return False
+    u = V.mean(axis=0)
+    nu = float(np.sqrt(u @ u))
+    if nu > 0.0 and float((V @ u).min()) > margin * nu:
+        return False
     inside, lower = _min_norm_member(pts, p, tol, margin)
     if inside:
         return True

@@ -138,10 +138,11 @@ def _resolve_rho(cfg: ExperimentConfig, x0, W) -> float | None:
     return float(cfg.rho) * float(vector_norm(limit, cfg.norm))
 
 
-def _stopping_trace(cfg, g, W, x0, rho_abs) -> StopTrace:
+def _stopping_trace(cfg, g, W, x0, rho_abs, history: bool = False) -> StopTrace:
     run = {"radius": run_radius_stopping, "box": run_box_stopping,
            "hull": run_hull_stopping}[cfg.stopping]
-    return run(g, W, x0, rho_abs, Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max)
+    return run(g, W, x0, rho_abs, Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max,
+               history=history)
 
 
 def verify_states_file(path, p: float) -> dict:
@@ -165,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         trace = states = run_consensus(W, x0, cfg.k_max)
         stop, bits = None, 0
     else:
-        trace = stop = _stopping_trace(cfg, g, W, x0, rho_abs)
+        trace = stop = _stopping_trace(cfg, g, W, x0, rho_abs, history=True)
         states = ConsensusTrace(cfg.engine, stop.rs, stop.xs, stop.ys)
         bits = bandwidth_accounting(cfg.stopping, 32, cfg.dim, stop.max_points)
     halt_t = stop.halt_t if stop else None

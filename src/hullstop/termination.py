@@ -13,8 +13,10 @@ The box protocol floods coordinatewise min/max envelopes of the window
 start states instead, and the hull protocol runs hull consensus on them;
 both reach the exact global quantity after a window, at a higher per-edge
 bandwidth. All of them run in one step loop, _run_windows, which steps the
-engine, schedules the windows and returns one StopTrace; a rule holds only
-its own state, its per-step update and its boundary decision.
+engine, schedules the windows, records the history and returns one
+StopTrace; a rule holds only its own state, its per-step update and its
+boundary decision. No rule reads a state older than its window start, so a
+run keeps only step 0 and the last step unless history=True asks for all.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import (RatioState, RowState, _csv_table, _finite_states, make_ratio_state,
-                        ratio_step, row_step)
+from .consensus import (RatioState, RowState, _csv_table, _every_step, _finite_states,
+                        make_ratio_state, ratio_step, row_step)
 from .errors import InvariantViolation
 from .geometry import PointSet, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _in_reduce
@@ -116,23 +118,27 @@ class HullWindow(NamedTuple):
 
 @dataclass
 class StopTrace:
-    """rs holds the (T+1, n, d) states per step. Only the radius rule records
-    Rs and bs, the (T+1, n) accumulators and halt bits after the boundary
-    bookkeeping, and on the ratio engine xs and ys; only the hull rule
-    max_points. Unrecorded fields are None, as is rho for the plain trace."""
+    """One stopping run of T steps. rs holds the states; only the radius rule
+    records Rs and bs, the (n,) accumulators and halt bits after the boundary
+    bookkeeping, and on the ratio engine xs and ys. Each is indexed by step.
+    With history=True it is a (T+1, ...) array with every step; without, it
+    is a dict {0: ..., T: ...} holding step 0 and the last step only, so
+    rs[0], rs[halt_t] and bs[halt_t] read the same in both forms. Unrecorded
+    fields are None, as is rho for the plain trace; only the hull rule sets
+    max_points."""
 
     engine: str
-    rs: np.ndarray
+    rs: np.ndarray | dict
     windows: list
     halted: bool
     halt_t: int | None
     rho: float | None
     Dbound: int
     p: float
-    xs: np.ndarray | None = None
-    ys: np.ndarray | None = None
-    Rs: np.ndarray | None = None
-    bs: np.ndarray | None = None
+    xs: np.ndarray | dict | None = None
+    ys: np.ndarray | dict | None = None
+    Rs: np.ndarray | dict | None = None
+    bs: np.ndarray | dict | None = None
     max_points: int | None = None
 
 
@@ -171,22 +177,67 @@ def _resolve_window(g: DiGraph, Dbound) -> int:
     return D
 
 
-def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max) -> StopTrace:
+# what each recorded field reads after a step
+_READ = {
+    "rs": lambda eng, rule: eng.cur,
+    "xs": lambda eng, rule: eng.state.x,
+    "ys": lambda eng, rule: eng.state.y,
+    "Rs": lambda eng, rule: rule.R,
+    "bs": lambda eng, rule: rule.b,
+}
+
+
+class _Rows:
+    """Every step of each recorded field, as one (T+1, ...) array. Rows are
+    copied into a buffer that ndarray.resize (realloc) doubles and finally
+    trims, instead of a list of per-step arrays stacked into a second copy.
+    No view of a buffer exists before fields() returns it, which is what
+    makes refcheck=False safe."""
+
+    def __init__(self, row: dict):
+        self.bufs = {name: np.empty((16,) + v.shape, v.dtype)
+                     for name, v in row.items()}
+        self.write(0, row)
+
+    def write(self, t: int, row: dict):
+        self.t = t
+        for name, v in row.items():
+            buf = self.bufs[name]
+            if t == len(buf):
+                buf.resize((2 * t,) + buf.shape[1:], refcheck=False)
+            buf[t] = v
+
+    def fields(self) -> dict:
+        for buf in self.bufs.values():
+            buf.resize((self.t + 1,) + buf.shape[1:], refcheck=False)
+        return self.bufs
+
+
+def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
+                 history: bool) -> StopTrace:
     """The one step loop behind every stopping rule (see _Rule).
 
     Window boundaries fall every D = _resolve_window(g, Dbound) steps after
     the rule's lag, so its first window has D + lag steps. A run that a
-    boundary ends halts there, unless the rule never halts.
+    boundary ends halts there, unless the rule never halts. With history
+    the loop reads rs and the rule's records (see StopTrace) after every
+    step, else only at step 0 and at the end.
     """
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
     rule.begin(eng.cur)
-    rs = [eng.cur]
-    rule.record(eng)
+    names = ("rs",) + tuple(name for name in rule.records
+                            if eng.name == "ratio" or name not in ("xs", "ys"))
+
+    def row():
+        return {name: _READ[name](eng, rule) for name in names}
+
+    first = row()
+    rows = _Rows(first) if history else None
     windows: list = []
-    start_t = 0
+    start_t = T = 0
     halt_t = None
     for t in range(1, k_max + 1):
         prev = eng.cur
@@ -201,36 +252,37 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max) -> St
             if not end:
                 rule.begin(eng.cur)
             start_t = t
-        rs.append(eng.cur)
-        rule.record(eng)
+        T = t
+        if rows is not None:
+            rows.write(t, row())
         if end:
             halt_t = t if rule.halts else None
             break
-    return StopTrace(eng.name, np.stack(rs), windows, halt_t is not None, halt_t,
-                     rule.rho, D, rule.p, **rule.fields())
+    if rows is not None:
+        fields = rows.fields()
+    else:
+        fields = {name: {0: first[name], T: v} for name, v in row().items()}
+    return StopTrace(eng.name, windows=windows, halted=halt_t is not None, halt_t=halt_t,
+                     rho=rule.rho, Dbound=D, p=rule.p, max_points=rule.max_points, **fields)
 
 
 class _Rule:
     """A stopping rule's own state for _run_windows. begin(cur) starts a
     window from the states cur; step(prev, cur) follows one engine step;
     boundary(index, start_t, t) returns the window record (or None) and
-    whether the run ends; record(eng) keeps the rule's history after every
-    step, and fields() hands it to the trace."""
+    whether the run ends. records names the StopTrace fields the driver
+    reads besides rs (xs and ys on the ratio engine only)."""
 
     lag = 0
     halts = True
+    records: tuple = ()
+    max_points = None
 
     def __init__(self, g: DiGraph, rho, p):
         self.g, self.rho, self.p = g, rho, p
 
     def begin(self, cur):
         pass
-
-    def record(self, eng):
-        pass
-
-    def fields(self) -> dict:
-        return {}
 
 
 class _RadiusRule(_Rule):
@@ -245,12 +297,12 @@ class _RadiusRule(_Rule):
     """
 
     lag = 1
+    records = ("Rs", "bs", "xs", "ys")
 
     def __init__(self, g, rho, p):
         super().__init__(g, rho, p)
         self.R = np.zeros(g.n)
         self.b = np.zeros(g.n, dtype=np.uint8)
-        self.hist = {"Rs": [], "bs": [], "xs": [], "ys": []}
 
     def step(self, prev, cur):
         self.R = radius_step(self.g, cur, prev, self.R, self.p)
@@ -266,16 +318,6 @@ class _RadiusRule(_Rule):
         self.b = det.astype(np.uint8)
         self.R = np.where(det, self.R, 0.0)
         return window, False
-
-    def record(self, eng):
-        self.hist["Rs"].append(self.R)
-        self.hist["bs"].append(self.b)
-        if eng.name == "ratio":
-            self.hist["xs"].append(eng.state.x)
-            self.hist["ys"].append(eng.state.y)
-
-    def fields(self):
-        return {name: np.stack(h) if h else None for name, h in self.hist.items()}
 
 
 class _PlainRadiusRule(_Rule):
@@ -344,29 +386,27 @@ class _HullRule(_Rule):
         diam = hull_diameter(first, self.p)
         return HullWindow(index, start_t, t, diam), diam < self.rho
 
-    def fields(self):
-        return {"max_points": self.max_points}
-
 
 def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
                         Dbound: int | None = None, p: float = 2.0,
-                        k_max: int = 100_000) -> StopTrace:
+                        k_max: int = 100_000, history: bool = False) -> StopTrace:
     """Consensus with the radius criterion and one-bit halt flooding.
 
     Window boundaries fall after every Dbound-th update, the first window
     carrying one extra step (see _RadiusRule). A non-halting run (k_max
     reached) is reported through halted=False, not an exception. Stored Rs
     and bs reflect the values carried into the next step, i.e. after any
-    boundary bookkeeping.
+    boundary bookkeeping. Every runner keeps only step 0 and the last step
+    unless history=True (see StopTrace).
     """
-    return _run_windows(_RadiusRule(g, rho, p), g, W, x0, Dbound, k_max)
+    return _run_windows(_RadiusRule(g, rho, p), g, W, x0, Dbound, k_max, history)
 
 
 def windowed_radius_trace(g: DiGraph, W: StochasticMatrix, x0,
                           Dbound: int | None = None, p: float = 2.0,
                           eps: float | None = None,
                           max_windows: int | None = None,
-                          k_max: int = 100_000) -> StopTrace:
+                          k_max: int = 100_000, history: bool = False) -> StopTrace:
     """Plain windowed radius recursion without bits or halting.
 
     Window l starts at iteration l*D and its radius is recorded at
@@ -375,12 +415,13 @@ def windowed_radius_trace(g: DiGraph, W: StochasticMatrix, x0,
     the largest recorded radius drops below eps, max_windows windows are
     recorded, or k_max iterations elapse. The windows have detected=None.
     """
-    return _run_windows(_PlainRadiusRule(g, p, eps, max_windows), g, W, x0, Dbound, k_max)
+    return _run_windows(_PlainRadiusRule(g, p, eps, max_windows), g, W, x0, Dbound, k_max,
+                        history)
 
 
 def run_box_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
                      Dbound: int | None = None, p: float = 2.0,
-                     k_max: int = 100_000) -> StopTrace:
+                     k_max: int = 100_000, history: bool = False) -> StopTrace:
     """Windowed min/max envelope flooding.
 
     Each window floods the coordinatewise extrema of the window-start
@@ -388,12 +429,12 @@ def run_box_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     envelope, so the halt decision is identical everywhere and takes
     effect at the boundary itself.
     """
-    return _run_windows(_BoxRule(g, rho, p), g, W, x0, Dbound, k_max)
+    return _run_windows(_BoxRule(g, rho, p), g, W, x0, Dbound, k_max, history)
 
 
 def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
                       Dbound: int | None = None, p: float = 2.0,
-                      k_max: int = 100_000) -> StopTrace:
+                      k_max: int = 100_000, history: bool = False) -> StopTrace:
     """Windowed hull consensus over the window-start states.
 
     After Dbound rounds every node holds the extreme set of all window
@@ -401,7 +442,7 @@ def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     largest message size seen (in points) is tracked for bandwidth
     accounting.
     """
-    return _run_windows(_HullRule(g, rho, p), g, W, x0, Dbound, k_max)
+    return _run_windows(_HullRule(g, rho, p), g, W, x0, Dbound, k_max, history)
 
 
 def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,
@@ -426,8 +467,11 @@ def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,
 
 def write_termination_csv(trace: StopTrace, path):
     """Rows (k, node, R, b, window_l, halt_flag); window_l counts the
-    window each iteration belongs to, halt_flag marks the halt iteration."""
-    T, n = trace.Rs.shape
+    window each iteration belongs to, halt_flag marks the halt iteration.
+    Needs a radius-rule trace with history."""
+    if trace.Rs is None:
+        raise ValueError("termination.csv needs a radius-rule trace")
+    T, n = _every_step(trace.Rs, "write_termination_csv").shape
     D = trace.Dbound
     with _csv_table(path, "k,node,R,b,window_l,halt_flag", "%d,%d,%.17g,%d,%d,%d") as write:
         for k in range(T):

@@ -57,7 +57,7 @@ def radius_traces():
         g = _er(n, seed=500 + i)
         W = make_weights(g, kind)
         x0 = np.random.default_rng([9, i]).random((n, d)) * 2.0
-        tr = run_radius_stopping(g, W, x0, rho=rho, k_max=50_000)
+        tr = run_radius_stopping(g, W, x0, rho=rho, k_max=50_000, history=True)
         assert tr.halted, f"instance {i} did not stop"
         traces.append((g, x0, tr))
     return traces
@@ -120,7 +120,7 @@ def test_c04_radius_bounded_and_vanishing(radius_traces):
         g = _er(8 + seed % 5, seed=3000 + seed)
         W = make_weights(g, "column")
         x0 = np.random.default_rng([seed, 3]).random((g.n, 2)) * 3.0
-        wt = windowed_radius_trace(g, W, x0, max_windows=12)
+        wt = windowed_radius_trace(g, W, x0, max_windows=12, history=True)
         D = wt.Dbound
         for w in wt.windows:
             env = minmax_envelope(wt.rs[w.index * D])
@@ -136,7 +136,7 @@ def test_c04_radius_bounded_and_vanishing(radius_traces):
     for g, d, sd in cases:
         W = make_weights(g, "column")
         x0 = np.random.default_rng([sd, 4]).random((g.n, d))
-        wt = windowed_radius_trace(g, W, x0, eps=1e-6, k_max=100_000)
+        wt = windowed_radius_trace(g, W, x0, eps=1e-6, k_max=100_000, history=True)
         assert wt.rs.shape[0] - 1 <= 100_000
         assert wt.windows[-1].rbar.max() < 1e-6, \
             f"radius did not vanish on n={g.n} instance"
@@ -231,7 +231,7 @@ def test_c09_function_calculation():
 
     f, C, alpha = registered_function("max", n)
     rho = 1e-3
-    tr = run_radius_stopping(g, W, st0.x, rho=rho)
+    tr = run_radius_stopping(g, W, st0.x, rho=rho, history=True)
     assert tr.halted
     for k in range(tr.rs.shape[0]):
         for i in range(n):

@@ -22,7 +22,7 @@ from oracles import (write_bound_reference, write_hull_rounds_reference,
 
 def _radius_trace(kind, n, x0, rho, k_max=100_000, seed=3):
     g = generate_digraph(n, "erdos_renyi", seed, 0.4)
-    return run_radius_stopping(g, make_weights(g, kind), x0, rho, k_max=k_max)
+    return run_radius_stopping(g, make_weights(g, kind), x0, rho, k_max=k_max, history=True)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hullstop import (
+    ConsensusTrace,
     DiGraph,
     InvariantViolation,
     bandwidth_accounting,
@@ -20,6 +23,7 @@ from hullstop import (
     run_radius_stopping,
     vector_norm,
     windowed_radius_trace,
+    write_state_csv,
     write_termination_csv,
 )
 
@@ -120,7 +124,7 @@ def test_radius_windows_contain_past_states():
     g = er(7, seed=5)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(7).random((7, 3))
-    tr = run_radius_stopping(g, W, x0, rho=1e-4)
+    tr = run_radius_stopping(g, W, x0, rho=1e-4, history=True)
     assert tr.windows
     for w in tr.windows:
         dists = vector_norm(
@@ -146,7 +150,7 @@ def test_radius_detection_resets_only_undetected():
     g = er(6, seed=9)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(3).random((6, 2)) * 5
-    tr = run_radius_stopping(g, W, x0, rho=2e-3)
+    tr = run_radius_stopping(g, W, x0, rho=2e-3, history=True)
     assert tr.halted
     last = tr.windows[-1]
     assert last.detected.all()
@@ -171,7 +175,7 @@ def test_radius_non_halt_reported_not_raised():
     g = er(6, seed=2)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(2).random((6, 2))
-    tr = run_radius_stopping(g, W, x0, rho=1e-15, k_max=40)
+    tr = run_radius_stopping(g, W, x0, rho=1e-15, k_max=40, history=True)
     assert not tr.halted and tr.halt_t is None
     assert tr.rs.shape[0] == 41
 
@@ -227,7 +231,7 @@ def test_windowed_schedule_and_envelope_bound():
     g = er(8, seed=14)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(11).random((8, 3)) * 4
-    wt = windowed_radius_trace(g, W, x0, max_windows=12)
+    wt = windowed_radius_trace(g, W, x0, max_windows=12, history=True)
     D = wt.Dbound
     for w in wt.windows:
         assert w.start_t == w.index * D
@@ -256,7 +260,7 @@ def test_box_halts_with_exact_global_envelope():
     g = er(7, seed=23)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(13).random((7, 3))
-    tr = run_box_stopping(g, W, x0, rho=1e-3)
+    tr = run_box_stopping(g, W, x0, rho=1e-3, history=True)
     assert tr.halted and tr.halt_t % tr.Dbound == 0
     for w in tr.windows:
         env = minmax_envelope(tr.rs[w.start_t])
@@ -283,7 +287,7 @@ def test_hull_stop_matches_centralized_extremes():
     g = er(6, seed=25)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(15).random((6, 2)) * 3
-    tr = run_hull_stopping(g, W, x0, rho=5e-3)
+    tr = run_hull_stopping(g, W, x0, rho=5e-3, history=True)
     assert tr.halted and tr.halt_t % tr.Dbound == 0
     assert tr.max_points >= 1
     for w in tr.windows:
@@ -348,7 +352,7 @@ def test_termination_csv_layout(tmp_path):
     g = er(5, seed=29)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(18).random((5, 2))
-    tr = run_radius_stopping(g, W, x0, rho=1e-3)
+    tr = run_radius_stopping(g, W, x0, rho=1e-3, history=True)
     path = tmp_path / "t.csv"
     write_termination_csv(tr, path)
     lines = path.read_text().splitlines()
@@ -360,3 +364,77 @@ def test_termination_csv_layout(tmp_path):
     # R column round-trips exactly
     row = lines[1 + tr.halt_t * 5].split(",")
     assert float(row[2]) == tr.Rs[tr.halt_t, 0]
+
+
+def test_writers_need_a_trace_with_history(tmp_path):
+    g = er(5, seed=29)
+    W = make_weights(g, "column")
+    x0 = np.random.default_rng(18).random((5, 2))
+    tr = run_radius_stopping(g, W, x0, rho=1e-3)
+    with pytest.raises(ValueError, match="history=True"):
+        write_termination_csv(tr, tmp_path / "t.csv")
+    with pytest.raises(ValueError, match="history=True"):
+        write_state_csv(ConsensusTrace(tr.engine, tr.rs, tr.xs, tr.ys), tmp_path / "s.csv")
+    with pytest.raises(ValueError, match="radius"):
+        write_termination_csv(run_box_stopping(g, W, x0, rho=1e-3, history=True),
+                              tmp_path / "b.csv")
+    assert not list(tmp_path.iterdir())
+
+
+# --- history ---
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("run, kind, kw", [
+    (run_radius_stopping, "column", {"rho": 1e-3}),
+    (run_radius_stopping, "row", {"rho": 1e-3}),
+    (run_radius_stopping, "column", {"rho": 1e-15, "k_max": 11}),
+    (run_box_stopping, "column", {"rho": 1e-3}),
+    (run_box_stopping, "row", {"rho": 1e-3}),
+    (run_hull_stopping, "column", {"rho": 1e-2}),
+    (run_hull_stopping, "row", {"rho": 1e-2}),
+    (windowed_radius_trace, "column", {"eps": 1e-4}),
+    (windowed_radius_trace, "column", {"max_windows": 5}),
+], ids=["radius_ratio", "radius_row", "radius_no_halt", "box_ratio", "box_row",
+        "hull_ratio", "hull_row", "windowed_eps", "windowed_max"])
+def test_bounded_trace_equals_full_at_kept_steps(run, kind, kw):
+    g = er(7, seed=41)
+    W = make_weights(g, kind)
+    x0 = np.random.default_rng(41).random((7, 2))
+    ends = run(g, W, x0, history=False, **kw)
+    full = run(g, W, x0, history=True, **kw)
+    T = full.rs.shape[0] - 1
+    assert (ends.halt_t, ends.max_points) == (full.halt_t, full.max_points)
+    assert len(ends.windows) == len(full.windows)
+    for a, b in zip(ends.windows, full.windows):
+        for name, x, y in zip(a._fields, a, b):
+            if isinstance(y, np.ndarray):
+                assert _bits(x) == _bits(y), name
+            else:
+                assert x == y, name
+    for name in ("rs", "xs", "ys", "Rs", "bs"):
+        a, b = getattr(ends, name), getattr(full, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert sorted(a) == [0, T], name
+        for k in (0, T):
+            assert _bits(a[k]) == _bits(b[k]), (name, k)
+
+
+def test_non_halting_run_keeps_memory_bounded():
+    # keeping every step of this run took about 700 MB
+    g = er(50, seed=0, p=0.1)
+    W = make_weights(g, "column")
+    x0 = np.random.default_rng(0).random((50, 20))
+    tracemalloc.start()
+    try:
+        tr = run_radius_stopping(g, W, x0, rho=1e-300, k_max=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not tr.halted and sorted(tr.rs) == [0, 20_000]
+    assert peak < 10e6

@@ -58,12 +58,12 @@ def _x0(n, d, seed):
 
 def _stop(run, kind, n=8, d=2, seed=0, rho=1e-3, **kw):
     g = _er(n, seed)
-    return run(g, make_weights(g, kind), _x0(n, d, seed), rho, **kw)
+    return run(g, make_weights(g, kind), _x0(n, d, seed), rho, history=True, **kw)
 
 
 def _windowed(**kw):
     g = _er(8, 1)
-    return windowed_radius_trace(g, make_weights(g, "column"), _x0(8, 3, 1), **kw)
+    return windowed_radius_trace(g, make_weights(g, "column"), _x0(8, 3, 1), history=True, **kw)
 
 
 def _consensus(kind):
@@ -74,17 +74,17 @@ def _consensus(kind):
 def _signed_zero(run, kind):
     g = _er(3, 3)
     x0 = np.array([[-0.0, 1.0], [-0.0, -2.5], [-0.0, 1e-300]])
-    return run(g, make_weights(g, kind), x0, 1e-2)
+    return run(g, make_weights(g, kind), x0, 1e-2, history=True)
 
 
 def _er1000(run):
     g = generate_digraph(1000, "erdos_renyi", 0, 4.0 * math.log(1000) / 1000)
-    return run(g, make_weights(g, "column"), _x0(1000, 4, 0), 1e-8)
+    return run(g, make_weights(g, "column"), _x0(1000, 4, 0), 1e-8, history=True)
 
 
 def _ring60(run, kind):
     g = generate_digraph(60, "ring", 0)
-    return run(g, make_weights(g, kind), _x0(60, 10, 0), 1e-3, k_max=300)
+    return run(g, make_weights(g, kind), _x0(60, 10, 0), 1e-3, k_max=300, history=True)
 
 
 CASES = {
