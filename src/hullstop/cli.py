@@ -260,7 +260,6 @@ def _cmd_funccalc(args) -> int:
                                 p=_norm_value(args), k_max=args.k_max, history=True)
     r_bar = consensus_limit(state0.x, W)
 
-    worst = max(abs(float(f(trace.rs[-1, i])) - float(f(r_bar))) for i in range(n))
     cert = C * (2.0 * rho) ** alpha
     holder_ok = True
     with artifact_dir(args.out_dir, g) as summary:
@@ -273,6 +272,7 @@ def _cmd_funccalc(args) -> int:
                     [funccalc_error(f, C, alpha, r, r_bar) for r in trace.rs[k]]).T
                 holder_ok = holder_ok and bool(ok.all())
                 write(k, np.arange(n), lhs, rhs, ok)
+        worst = float(lhs.max())
         summary.update({
             "function": args.function,
             "halted": trace.halted,

@@ -35,6 +35,10 @@ __all__ = [
 
 _STATE_HEADER = "k,node,coord,x,y,r"
 _CHUNK_ROWS = 256
+# power iteration in perron_left: stop once an iterate moves by at most
+# _PERRON_TOL in l1; _PERRON_MAX_ITER iterations without that is an error
+_PERRON_TOL = 1e-12
+_PERRON_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -121,28 +125,55 @@ class ConsensusTrace:
         return self.states.shape[0] - 1
 
 
+class _Engine:
+    """The one place that maps W.kind to a consensus step: the ratio engine
+    for column-stochastic weights, the row engine otherwise. x0 is checked
+    here, before any step runs."""
+
+    def __init__(self, W: StochasticMatrix, x0):
+        self.W = W
+        x0 = _finite_states(x0)
+        if x0.shape[0] != W.graph.n:
+            raise ValueError(f"initial states must be ({W.graph.n}, d), got {x0.shape}")
+        if W.kind == "column":
+            self.name = "ratio"
+            self.state: RatioState | RowState = make_ratio_state(x0)
+        else:
+            self.name = "row"
+            self.state = RowState(x0)
+
+    @property
+    def cur(self) -> np.ndarray:
+        return self.state.r if self.name == "ratio" else self.state.z
+
+    def step(self):
+        if self.name == "ratio":
+            self.state = ratio_step(self.state, self.W)
+        else:
+            self.state = row_step(self.state, self.W)
+
+    def record(self) -> dict:
+        """What a step records: rs, plus xs and ys on the ratio engine."""
+        if self.name == "ratio":
+            return {"rs": self.state.r, "xs": self.state.x, "ys": self.state.y}
+        return {"rs": self.state.z}
+
+
 def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
     """Run the engine matching W.kind for a fixed number of rounds."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if W.kind == "column":
-        st = make_ratio_state(x0)
-        xs, ys, rs = [st.x], [st.y], [st.r]
-        for _ in range(steps):
-            st = ratio_step(st, W)
-            xs.append(st.x)
-            ys.append(st.y)
-            rs.append(st.r)
-        return ConsensusTrace("ratio", np.stack(rs), np.stack(xs), np.stack(ys))
-    st = RowState(_finite_states(x0))
-    zs = [st.z]
+    eng = _Engine(W, x0)
+    rows = {name: [v] for name, v in eng.record().items()}
     for _ in range(steps):
-        st = row_step(st, W)
-        zs.append(st.z)
-    return ConsensusTrace("row", np.stack(zs))
+        eng.step()
+        for name, v in eng.record().items():
+            rows[name].append(v)
+    fields = {name: np.stack(v) for name, v in rows.items()}
+    return ConsensusTrace(eng.name, fields["rs"], fields.get("xs"), fields.get("ys"))
 
 
-def perron_left(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
+def perron_left(A: np.ndarray) -> np.ndarray:
     """Left Perron vector of a row-stochastic matrix, normalized to sum 1.
 
     Plain power iteration on A^T; primitivity (positive diagonal plus strong
@@ -152,10 +183,10 @@ def perron_left(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> n
     n = A.shape[0]
     v = np.full(n, 1.0 / n)
     At = np.ascontiguousarray(A.T)
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         w = At @ v
         w = w / w.sum()
-        if np.abs(w - v).sum() <= tol:
+        if np.abs(w - v).sum() <= _PERRON_TOL:
             return w
         v = w
     raise RuntimeError("power iteration did not converge; matrix may not be primitive")

@@ -32,9 +32,7 @@ class HullNodeState:
     t: int = 0
 
 
-def _extreme_cached(stacked: np.ndarray, tol: float, cache: dict | None) -> PointSet:
-    if cache is None:
-        return extreme_points(stacked, tol)
+def _extreme_cached(stacked: np.ndarray, tol: float, cache: dict) -> PointSet:
     probe = PointSet(stacked)
     hit = cache.get(probe)
     if hit is None:
@@ -45,10 +43,13 @@ def _extreme_cached(stacked: np.ndarray, tol: float, cache: dict | None) -> Poin
 
 def hull_round(states, g: DiGraph, tol: float = 1e-9, cache: dict | None = None):
     """One synchronous round: every node unions the estimates of its senders
-    (itself included via the self-loop) and keeps the extreme points."""
+    (itself included via the self-loop) and keeps the extreme points.
+    Extreme sets are memoized in cache, a fresh dict if none is given."""
     dims = {s.ext.d for s in states}
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions in hull states: {sorted(dims)}")
+    if cache is None:
+        cache = {}
     out = []
     for i in range(g.n):
         stacked = np.vstack([states[j].ext.points for j in g.in_adj[i]])

@@ -12,11 +12,13 @@ window, which makes the final halt simultaneous.
 The box protocol floods coordinatewise min/max envelopes of the window
 start states instead, and the hull protocol runs hull consensus on them;
 both reach the exact global quantity after a window, at a higher per-edge
-bandwidth. All of them run in one step loop, _run_windows, which steps the
-engine, schedules the windows, records the history and returns one
-StopTrace; a rule holds only its own state, its per-step update and its
-boundary decision. No rule reads a state older than its window start, so a
-run keeps only step 0 and the last step unless history=True asks for all.
+bandwidth. All of them run in one step loop, _run_windows, which steps
+consensus._Engine (the one place that maps the weights to a ratio or row
+step, shared with run_consensus), schedules the windows, records the
+history and returns one StopTrace; a rule holds only its own state, its
+per-step update and its boundary decision. No rule reads a state older
+than its window start, so a run keeps only step 0 and the last step
+unless history=True asks for all.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import (RatioState, RowState, _csv_table, _every_step, _finite_states,
-                        make_ratio_state, ratio_step, row_step)
+# ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
+from .consensus import _Engine, _csv_table, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _in_reduce
@@ -142,32 +144,6 @@ class StopTrace:
     max_points: int | None = None
 
 
-class _Engine:
-    """Uniform stepping over the two consensus engines."""
-
-    def __init__(self, W: StochasticMatrix, x0):
-        self.W = W
-        x0 = _finite_states(x0)
-        if x0.shape[0] != W.graph.n:
-            raise ValueError(f"initial states must be ({W.graph.n}, d), got {x0.shape}")
-        if W.kind == "column":
-            self.name = "ratio"
-            self.state: RatioState | RowState = make_ratio_state(x0)
-        else:
-            self.name = "row"
-            self.state = RowState(x0)
-
-    @property
-    def cur(self) -> np.ndarray:
-        return self.state.r if self.name == "ratio" else self.state.z
-
-    def step(self):
-        if self.name == "ratio":
-            self.state = ratio_step(self.state, self.W)
-        else:
-            self.state = row_step(self.state, self.W)
-
-
 def _resolve_window(g: DiGraph, Dbound) -> int:
     D = max(1, g.diameter) if Dbound is None else int(Dbound)
     if D < 1:
@@ -175,42 +151,6 @@ def _resolve_window(g: DiGraph, Dbound) -> int:
     if D < g.diameter:
         raise ValueError(f"window length {D} is below the graph diameter {g.diameter}")
     return D
-
-
-# what each recorded field reads after a step
-_READ = {
-    "rs": lambda eng, rule: eng.cur,
-    "xs": lambda eng, rule: eng.state.x,
-    "ys": lambda eng, rule: eng.state.y,
-    "Rs": lambda eng, rule: rule.R,
-    "bs": lambda eng, rule: rule.b,
-}
-
-
-class _Rows:
-    """Every step of each recorded field, as one (T+1, ...) array. Rows are
-    copied into a buffer that ndarray.resize (realloc) doubles and finally
-    trims, instead of a list of per-step arrays stacked into a second copy.
-    No view of a buffer exists before fields() returns it, which is what
-    makes refcheck=False safe."""
-
-    def __init__(self, row: dict):
-        self.bufs = {name: np.empty((16,) + v.shape, v.dtype)
-                     for name, v in row.items()}
-        self.write(0, row)
-
-    def write(self, t: int, row: dict):
-        self.t = t
-        for name, v in row.items():
-            buf = self.bufs[name]
-            if t == len(buf):
-                buf.resize((2 * t,) + buf.shape[1:], refcheck=False)
-            buf[t] = v
-
-    def fields(self) -> dict:
-        for buf in self.bufs.values():
-            buf.resize((self.t + 1,) + buf.shape[1:], refcheck=False)
-        return self.bufs
 
 
 def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
@@ -232,10 +172,11 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
                             if eng.name == "ratio" or name not in ("xs", "ys"))
 
     def row():
-        return {name: _READ[name](eng, rule) for name in names}
+        rec = eng.record()
+        return {name: rec[name] if name in rec else getattr(rule, name) for name in names}
 
     first = row()
-    rows = _Rows(first) if history else None
+    rows = {name: [v] for name, v in first.items()} if history else None
     windows: list = []
     start_t = T = 0
     halt_t = None
@@ -254,12 +195,13 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
             start_t = t
         T = t
         if rows is not None:
-            rows.write(t, row())
+            for name, v in row().items():
+                rows[name].append(v)
         if end:
             halt_t = t if rule.halts else None
             break
     if rows is not None:
-        fields = rows.fields()
+        fields = {name: np.stack(v) for name, v in rows.items()}
     else:
         fields = {name: {0: first[name], T: v} for name, v in row().items()}
     return StopTrace(eng.name, windows=windows, halted=halt_t is not None, halt_t=halt_t,
@@ -271,7 +213,8 @@ class _Rule:
     window from the states cur; step(prev, cur) follows one engine step;
     boundary(index, start_t, t) returns the window record (or None) and
     whether the run ends. records names the StopTrace fields the driver
-    reads besides rs (xs and ys on the ratio engine only)."""
+    reads besides rs: xs and ys from a ratio engine (skipped on the row
+    engine), any other from the rule's attribute of that name."""
 
     lag = 0
     halts = True
@@ -301,22 +244,22 @@ class _RadiusRule(_Rule):
 
     def __init__(self, g, rho, p):
         super().__init__(g, rho, p)
-        self.R = np.zeros(g.n)
-        self.b = np.zeros(g.n, dtype=np.uint8)
+        self.Rs = np.zeros(g.n)
+        self.bs = np.zeros(g.n, dtype=np.uint8)
 
     def step(self, prev, cur):
-        self.R = radius_step(self.g, cur, prev, self.R, self.p)
-        self.b = bit_step(self.g, self.b)
+        self.Rs = radius_step(self.g, cur, prev, self.Rs, self.p)
+        self.bs = bit_step(self.g, self.bs)
 
     def boundary(self, index, start_t, t):
-        if self.b.any():
-            if not self.b.all():
+        if self.bs.any():
+            if not self.bs.all():
                 raise InvariantViolation(f"halt flags disagree at boundary t={t}")
             return None, True
-        det = self.R < self.rho
-        window = RadiusWindow(index, start_t, t, self.R, det)
-        self.b = det.astype(np.uint8)
-        self.R = np.where(det, self.R, 0.0)
+        det = self.Rs < self.rho
+        window = RadiusWindow(index, start_t, t, self.Rs, det)
+        self.bs = det.astype(np.uint8)
+        self.Rs = np.where(det, self.Rs, 0.0)
         return window, False
 
 

@@ -242,6 +242,14 @@ def test_shape_validation():
         run_consensus(W, np.zeros((3, 1)), -1)
 
 
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("steps", [0, 1])
+def test_run_consensus_rejects_wrong_node_count(kind, steps):
+    W = make_weights(ring(5), kind)
+    with pytest.raises(ValueError, match=r"initial states must be \(5, d\)"):
+        run_consensus(W, np.zeros((7, 2)), steps)
+
+
 def test_nonpositive_denominator_flagged():
     g = generate_digraph(2, "complete", seed=0)
     W = make_weights(g, "column")

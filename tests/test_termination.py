@@ -19,6 +19,7 @@ from hullstop import (
     pairwise_spread,
     radius_step,
     run_box_stopping,
+    run_consensus,
     run_hull_stopping,
     run_radius_stopping,
     vector_norm,
@@ -423,6 +424,25 @@ def test_bounded_trace_equals_full_at_kept_steps(run, kind, kw):
         assert sorted(a) == [0, T], name
         for k in (0, T):
             assert _bits(a[k]) == _bits(b[k]), (name, k)
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_stopping_history_equals_run_consensus(kind):
+    # the stopping driver and run_consensus step the same engine
+    g = er(9, seed=5)
+    W = make_weights(g, kind)
+    x0 = np.random.default_rng(12).random((9, 3))
+    tr = run_radius_stopping(g, W, x0, rho=1e-3, history=True)
+    ref = run_consensus(W, x0, tr.halt_t)
+    assert tr.halted and tr.engine == ref.engine
+    assert _bits(tr.rs) == _bits(ref.states)
+    if kind == "column":
+        assert _bits(tr.xs) == _bits(ref.xs) and _bits(tr.ys) == _bits(ref.ys)
+    else:
+        assert tr.xs is tr.ys is ref.xs is ref.ys is None
+    box = run_box_stopping(g, W, x0, rho=1e-3, history=True)
+    assert box.halted
+    assert _bits(box.rs) == _bits(run_consensus(W, x0, box.halt_t).states)
 
 
 def test_non_halting_run_keeps_memory_bounded():
