@@ -27,7 +27,7 @@ from .applications import (_design_row, funccalc_error, funccalc_init,
 from .consensus import ConsensusTrace, _csv_table, consensus_limit, run_consensus, write_state_csv
 from .errors import InvariantViolation
 from .geometry import extreme_points, vector_norm
-from .graph import generate_digraph, make_weights
+from .graph import MODELS, generate_digraph, make_weights
 from .harness import ExperimentConfig, artifact_dir, compare_criteria, run_experiment, write_json
 from .hull import encode_extreme_set, run_hull_consensus
 from .termination import run_radius_stopping
@@ -50,8 +50,7 @@ def _add_common(sp, dim=True, stopping=True):
     else:  # the subcommand fixes its own dimension; callers may still read args.dim
         sp.set_defaults(dim=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--topology", choices=["erdos_renyi", "ring", "complete"],
-                    default="erdos_renyi")
+    sp.add_argument("--topology", choices=MODELS, default="erdos_renyi")
     sp.add_argument("--edge-prob", type=float, default=0.3)
     sp.add_argument("--out-dir", default="out")
     if stopping:

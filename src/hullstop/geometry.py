@@ -89,17 +89,23 @@ def _as_points(obj) -> np.ndarray:
     return canonicalize_points(obj)
 
 
+def _norm_order(p) -> float:
+    """p as a float; a ValueError unless it is 1, 2 or inf."""
+    p = float(p)
+    if p not in (1.0, 2.0, np.inf):
+        raise ValueError(f"unsupported norm order {p}, expected 1, 2 or inf")
+    return p
+
+
 def vector_norm(a, p: float = 2.0, axis: int = -1):
     """p-norm along an axis for p in {1, 2, inf}."""
     a = np.asarray(a, dtype=float)
-    p = float(p)
+    p = _norm_order(p)
     if p == 1.0:
         return np.abs(a).sum(axis=axis)
     if p == 2.0:
         return np.sqrt((a * a).sum(axis=axis))
-    if np.isinf(p):
-        return np.abs(a).max(axis=axis)
-    raise ValueError(f"unsupported norm order {p}, expected 1, 2 or inf")
+    return np.abs(a).max(axis=axis)
 
 
 def support_function(S, u) -> float:

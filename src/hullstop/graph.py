@@ -224,47 +224,44 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Dense nonnegative weight matrix tied to a graph's sparsity.
+    """Positive weights on a graph's edges, stored once, one per edge.
 
-    Both kinds are stored receiver-row, sender-column: w[i, j] > 0 exactly
-    when (i, j) is an edge. kind "column" normalizes each sender's column
-    to 1 (push-sum splitting); kind "row" normalizes each receiver's row
-    to 1 (averaging).
+    edge_weights[e] is the weight src[e] gives dst[e], for (dst, src) =
+    graph.edge_arrays; off the edges the weight is zero. kind "column"
+    normalizes each sender's weights to 1 (push-sum splitting), kind "row"
+    each receiver's (averaging). w is the dense receiver-row view.
     """
 
     kind: str
-    w: np.ndarray
+    edge_weights: np.ndarray
     graph: DiGraph
 
     def __post_init__(self):
         if self.kind not in ("column", "row"):
             raise ValueError(f"kind must be 'column' or 'row', got {self.kind!r}")
-        w = np.array(self.w, dtype=float)
-        n = self.graph.n
-        if w.shape != (n, n):
-            raise ValueError(f"weight shape {w.shape} does not match n={n}")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
-        expected = np.zeros((n, n), dtype=bool)
         dst, src = self.graph.edge_arrays
-        expected[dst, src] = True
-        if not np.array_equal(w > 0, expected):
-            raise ValueError("weight sparsity does not match the edge set")
-        sums = w.sum(axis=0) if self.kind == "column" else w.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-12:
-            raise ValueError(f"{self.kind} sums deviate from 1 by {np.abs(sums - 1.0).max():.3e}")
-        if (np.diag(w) <= 0).any():
-            raise ValueError("diagonal weights must be strictly positive")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        ew = np.array(self.edge_weights, dtype=float)
+        if ew.shape != dst.shape:
+            raise ValueError(f"weight shape {ew.shape} does not match the {dst.size} edges")
+        if not np.isfinite(ew).all():
+            raise ValueError("weights must be finite")
+        # every node has its self-loop, so this also makes the diagonal positive
+        if (ew <= 0).any():
+            raise ValueError("edge weights must be strictly positive")
+        end = src if self.kind == "column" else dst
+        dev = np.abs(np.bincount(end, ew, minlength=self.graph.n) - 1.0).max()
+        if dev > 1e-12:
+            raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
+        ew.setflags(write=False)
+        object.__setattr__(self, "edge_weights", ew)
 
     @cached_property
-    def edge_weights(self) -> np.ndarray:
-        """Weights aligned with graph.edge_arrays order."""
-        dst, src = self.graph.edge_arrays
-        return self.w[dst, src]
+    def w(self) -> np.ndarray:
+        """The dense (n, n) view, w[i, j] the weight j gives i; built on first use."""
+        w = np.zeros((self.graph.n, self.graph.n))
+        w[self.graph.edge_arrays] = self.edge_weights
+        w.setflags(write=False)
+        return w
 
 
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:
@@ -272,15 +269,8 @@ def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:
     weight 1/out_degree, row kind gives each receiver's in-edges weight
     1/in_degree. Self-loops keep every diagonal entry positive."""
     dst, src = g.edge_arrays
-    if kind == "column":
-        split = src
-    elif kind == "row":
-        split = dst
-    else:
-        raise ValueError(f"kind must be 'column' or 'row', got {kind!r}")
-    w = np.zeros((g.n, g.n))
-    w[dst, src] = 1.0 / np.bincount(split, minlength=g.n)[split]
-    return StochasticMatrix(kind, w, g)
+    end = src if kind == "column" else dst  # the constructor rejects another kind
+    return StochasticMatrix(kind, 1.0 / np.bincount(end, minlength=g.n)[end], g)
 
 
 def graph_to_json(g: DiGraph) -> str:

@@ -19,8 +19,8 @@ import numpy as np
 from .consensus import (ConsensusTrace, consensus_limit, read_state_csv, run_consensus,
                         write_state_csv)
 from .errors import InvariantViolation
-from .geometry import pairwise_spread, vector_norm
-from .graph import DiGraph, generate_digraph, graph_to_json, make_weights
+from .geometry import _norm_order, pairwise_spread, vector_norm
+from .graph import MODELS, DiGraph, generate_digraph, graph_to_json, make_weights
 from .termination import (StopTrace, bandwidth_accounting, run_box_stopping,
                           run_hull_stopping, run_radius_stopping,
                           write_termination_csv)
@@ -28,7 +28,6 @@ from .termination import (StopTrace, bandwidth_accounting, run_box_stopping,
 __all__ = ["ExperimentConfig", "RunResult", "run_experiment", "compare_criteria",
            "verify_states_file"]
 
-_TOPOLOGIES = ("erdos_renyi", "ring", "complete")
 _STOPPINGS = ("radius", "box", "hull", "none")
 
 
@@ -53,7 +52,7 @@ class ExperimentConfig:
             raise ValueError(f"need at least one node, got n={self.n}")
         if self.dim < 1:
             raise ValueError(f"need dim >= 1, got {self.dim}")
-        if self.topology not in _TOPOLOGIES:
+        if self.topology not in MODELS:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not (0.0 < self.edge_prob <= 1.0):
             raise ValueError(f"edge_prob must be in (0, 1], got {self.edge_prob}")
@@ -64,8 +63,7 @@ class ExperimentConfig:
         if self.stopping != "none":
             if self.rho is None or not self.rho > 0:
                 raise ValueError(f"stopping {self.stopping!r} needs rho > 0, got {self.rho}")
-        if float(self.norm) not in (1.0, 2.0) and not np.isinf(float(self.norm)):
-            raise ValueError(f"norm must be 1, 2 or inf, got {self.norm}")
+        _norm_order(self.norm)
         if self.dbound is not None and self.dbound < 1:
             raise ValueError(f"dbound must be >= 1, got {self.dbound}")
         if self.k_max < 1:

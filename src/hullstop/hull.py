@@ -29,7 +29,6 @@ __all__ = [
 @dataclass
 class HullNodeState:
     ext: PointSet
-    t: int = 0
 
 
 def _extreme_cached(stacked: np.ndarray, tol: float, cache: dict) -> PointSet:
@@ -53,7 +52,7 @@ def hull_round(states, g: DiGraph, tol: float = 1e-9, cache: dict | None = None)
     out = []
     for i in range(g.n):
         stacked = np.vstack([states[j].ext.points for j in g.in_adj[i]])
-        out.append(HullNodeState(_extreme_cached(stacked, tol, cache), states[i].t + 1))
+        out.append(HullNodeState(_extreme_cached(stacked, tol, cache)))
     return out
 
 
@@ -72,7 +71,7 @@ def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     cache: dict = {}
-    states = [HullNodeState(extreme_points(s, tol), 0) for s in sets]
+    states = [HullNodeState(extreme_points(s, tol)) for s in sets]
     history = [[s.ext for s in states]]
     for _ in range(rounds):
         states = hull_round(states, g, tol, cache)

@@ -31,7 +31,7 @@ import numpy as np
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
 from .consensus import _Engine, _csv_table, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
-from .geometry import PointSet, hull_diameter, vector_norm
+from .geometry import PointSet, _norm_order, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _in_reduce
 from .hull import hull_round, HullNodeState
 
@@ -165,6 +165,9 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     """
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")
+    _norm_order(rule.p)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
     rule.begin(eng.cur)
@@ -271,6 +274,10 @@ class _PlainRadiusRule(_Rule):
     halts = False
 
     def __init__(self, g, p, eps, max_windows):
+        if eps is not None and not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if max_windows is not None and max_windows < 1:
+            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         super().__init__(g, None, p)
         self.eps, self.max_windows = eps, max_windows
 
@@ -316,7 +323,7 @@ class _HullRule(_Rule):
         self.max_points = 1
 
     def begin(self, cur):
-        self.exts = [HullNodeState(PointSet(cur[i:i + 1]), 0) for i in range(self.g.n)]
+        self.exts = [HullNodeState(PointSet(cur[i:i + 1])) for i in range(self.g.n)]
 
     def step(self, prev, cur):
         self.exts = hull_round(self.exts, self.g, cache=self.cache)

@@ -2,7 +2,8 @@
 
 Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
-chain construction, so agreement is meaningful. The writers and the
+chain construction, in-neighbour sums by a plain loop over the dense weight
+view, so agreement is meaningful. The writers and the
 membership decider are the earlier forms of library code, kept to show that
 a faster form gives the same result.
 """
@@ -25,6 +26,23 @@ def reach_set(adj, start):
                     nxt.add(v)
         frontier = nxt
     return seen
+
+
+def in_sum_reference(W, values):
+    """The determinism contract written out: for each receiver i and each
+    coordinate, acc = 0.0, then acc += W.w[i, j] * values[j] over the
+    senders j of i in ascending order, one float64 addition at a time.
+    values is (n,) or (n, d)."""
+    values = np.asarray(values, dtype=float)
+    cols = values.reshape(len(values), -1)
+    out = np.empty_like(cols)
+    for i, senders in enumerate(W.graph.in_adj):
+        for c in range(cols.shape[1]):
+            acc = 0.0
+            for j in senders:
+                acc += W.w[i, j] * cols[j, c]
+            out[i, c] = acc
+    return out.reshape(values.shape)
 
 
 def floyd_warshall_diameter(n, edges):

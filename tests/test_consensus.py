@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hullstop import (
     DiGraph,
@@ -22,6 +23,7 @@ from hullstop import (
     scalar_vector_equivalence_check,
     write_state_csv,
 )
+from oracles import in_sum_reference
 
 
 def ring(n):
@@ -55,6 +57,41 @@ def test_row_step_by_hand():
     assert np.array_equal(st1.z, [[3.0], [1.5], [4.5]])
 
 
+def _random_weights(g, kind, rng):
+    """Unequal positive weights normalized to 1 per sender (column kind) or
+    per receiver (row kind)."""
+    dst, src = g.edge_arrays
+    end = src if kind == "column" else dst
+    ew = rng.random(len(end)) + 0.1
+    return StochasticMatrix(kind, ew / np.bincount(end, ew)[end], g)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_steps_match_in_sum_reference_byte_for_byte(n, d, seed, data):
+    # the determinism contract: every per-node sum adds w[i, j] * value[j]
+    # over ascending senders j from 0.0, whatever kernel computes it
+    g = generate_digraph(n, "erdos_renyi", seed=seed, edge_prob=0.4)
+    rng = np.random.default_rng(seed)
+    values = st.floats(min_value=-1e3, max_value=1e3) | st.just(-0.0)
+    drawn = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+    y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=0.01, max_value=10.0)))
+    for x in (drawn, np.full((n, d), -0.0)):
+        W = _random_weights(g, "column", rng)
+        nxt = ratio_step(RatioState(x, y, x / y[:, None], 0), W)
+        x_ref, y_ref = in_sum_reference(W, x), in_sum_reference(W, y)
+        assert _same_bytes(nxt.x, x_ref)
+        assert _same_bytes(nxt.y, y_ref)
+        assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
+        A = _random_weights(g, "row", rng)
+        assert _same_bytes(row_step(RowState(x), A).z, in_sum_reference(A, x))
+
+
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=50))
 @settings(max_examples=40, deadline=None)
@@ -82,7 +119,7 @@ def test_ratio_limit_is_plain_average():
 def test_row_limit_matches_perron_and_long_run():
     g = generate_digraph(2, "complete", seed=0)
     w = np.array([[0.5, 0.5], [0.25, 0.75]])
-    A = StochasticMatrix(graph=g, w=w, kind="row")
+    A = StochasticMatrix(graph=g, edge_weights=w[g.edge_arrays], kind="row")
     pi = perron_left(w)
     assert pi == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-11)
     x0 = np.array([[1.0, 0.0], [4.0, -6.0]])

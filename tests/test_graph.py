@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,30 +212,65 @@ def test_weight_sparsity_matches_edges():
 
 def test_stochastic_matrix_rejects_bad_sums():
     g = ring(3)
-    w = make_weights(g, "column").w.copy()
-    w[0, 0] += 0.5
-    with pytest.raises(ValueError):
-        StochasticMatrix(graph=g, w=w, kind="column")
-
-
-def test_stochastic_matrix_rejects_off_support():
-    g = ring(4)
-    w = make_weights(g, "column").w.copy()
-    w[0, 2] = 0.25  # (0,2) is not an edge
-    w[0, 0] -= 0.25
-    with pytest.raises(ValueError):
-        StochasticMatrix(graph=g, w=w, kind="column")
+    ew = make_weights(g, "column").edge_weights.copy()
+    ew[g.edges.index((0, 0))] += 0.5
+    with pytest.raises(ValueError, match="sums deviate"):
+        StochasticMatrix(graph=g, edge_weights=ew, kind="column")
 
 
 @pytest.mark.parametrize("kind", ["column", "row"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("cell", [(1, 0), (0, 2)], ids=["on_edge", "off_edge"])
+@pytest.mark.parametrize("cell", [(1, 0), (0, 0)], ids=["on_edge", "self_loop"])
 def test_stochastic_matrix_rejects_non_finite_weights(kind, bad, cell):
-    g = ring(4)  # (1, 0) is an edge, (0, 2) is not
-    w = make_weights(g, kind).w.copy()
-    w[cell] = bad
+    g = ring(4)
+    ew = make_weights(g, kind).edge_weights.copy()
+    ew[g.edges.index(cell)] = bad
     with pytest.raises(ValueError, match="finite"):
-        StochasticMatrix(graph=g, w=w, kind=kind)
+        StochasticMatrix(graph=g, edge_weights=ew, kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("cell", [(1, 0), (0, 0)], ids=["on_edge", "self_loop"])
+@pytest.mark.parametrize("bad", [0.0, -0.25])
+def test_stochastic_matrix_rejects_nonpositive_edge_weights(kind, cell, bad):
+    # a weight per edge leaves a zero weight as the only way to drop an
+    # edge; on the self-loop it would be a zero diagonal entry
+    g = ring(4)
+    ew = make_weights(g, kind).edge_weights.copy()
+    ew[g.edges.index(cell)] = bad
+    with pytest.raises(ValueError, match="strictly positive"):
+        StochasticMatrix(graph=g, edge_weights=ew, kind=kind)
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (9,), (4, 4)],
+                         ids=["none", "one_short", "one_extra", "dense"])
+def test_stochastic_matrix_rejects_wrong_weight_count(shape):
+    g = ring(4)  # 8 edges
+    with pytest.raises(ValueError, match="does not match the 8 edges"):
+        StochasticMatrix(graph=g, edge_weights=np.full(shape, 0.25), kind="column")
+
+
+def test_stochastic_matrix_rejects_unknown_kind():
+    g = ring(3)
+    with pytest.raises(ValueError, match="kind"):
+        StochasticMatrix(graph=g, edge_weights=make_weights(g, "row").edge_weights, kind="rows")
+    with pytest.raises(ValueError, match="kind"):
+        make_weights(g, "rows")
+
+
+def test_make_weights_allocates_no_dense_matrix():
+    # n^2 floats would be 32 MB here; the per-edge arrays are about 0.5 MB
+    n = 2000
+    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * np.log(n) / n)
+    for kind in ("column", "row"):
+        tracemalloc.start()
+        try:
+            W = make_weights(g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (kind, peak)
+        assert "w" not in vars(W)
 
 
 def test_edge_weights_align_with_edge_arrays():

@@ -47,6 +47,8 @@ def test_config_validation():
         ExperimentConfig(stopping="radius", rho=float("nan")).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(norm=3).validate()
+    with pytest.raises(ValueError):  # config.json would record it as "inf"
+        ExperimentConfig(norm=float("-inf")).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(k_max=0).validate()
     assert ExperimentConfig().validate() is not None

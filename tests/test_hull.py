@@ -75,7 +75,7 @@ def test_fixed_point_after_agreement():
     truth = extreme_points(np.vstack(sets))
     assert all(s == truth for s in final)
     # one more round changes nothing
-    states = [HullNodeState(s, 0) for s in final]
+    states = [HullNodeState(s) for s in final]
     nxt = hull_round(states, g)
     assert all(a.ext == b for a, b in zip(nxt, final))
 

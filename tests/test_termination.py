@@ -211,6 +211,29 @@ def test_stopping_rejects_non_finite_x0(run, kind):
         run(g, make_weights(g, kind), x0, rho=0.1, k_max=50)
 
 
+@pytest.mark.parametrize("run, kw, match", [
+    (windowed_radius_trace, {"eps": float("nan")}, "eps"),
+    (windowed_radius_trace, {"eps": -1.0}, "eps"),
+    (windowed_radius_trace, {"eps": 0.0}, "eps"),
+    (windowed_radius_trace, {"max_windows": 0}, "max_windows"),
+    (windowed_radius_trace, {"max_windows": -3}, "max_windows"),
+    (windowed_radius_trace, {"k_max": -1}, "k_max"),
+    (run_radius_stopping, {"rho": 0.1, "k_max": -5}, "k_max"),
+    (windowed_radius_trace, {"p": 3}, "norm order"),
+    (run_radius_stopping, {"rho": 0.1, "p": 3}, "norm order"),
+    (run_box_stopping, {"rho": 0.1, "p": 3}, "norm order"),
+    (run_hull_stopping, {"rho": 0.1, "p": 3}, "norm order"),
+], ids=["eps_nan", "eps_negative", "eps_zero", "max_windows_zero", "max_windows_negative",
+        "windowed_k_max_negative", "radius_k_max_negative", "windowed_p3", "radius_p3",
+        "box_p3", "hull_p3"])
+def test_stopping_rejects_bad_input_at_entry(run, kw, match):
+    # k_max=0 runs no step, so only a check at entry can raise; each of these
+    # inputs would otherwise spend the whole step budget or record a window
+    g = ring(8)
+    with pytest.raises(ValueError, match=match):
+        run(g, make_weights(g, "column"), np.zeros((8, 2)), **{"k_max": 0, **kw})
+
+
 def test_box_criterion_rejects_nan_rho():
     with pytest.raises(ValueError):
         box_criterion(np.zeros((3, 2)), rho=float("nan"))
