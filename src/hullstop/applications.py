@@ -55,20 +55,19 @@ def lse_local_payload(x_j, y_j, basis):
     return np.outer(g, g), g * float(y_j)
 
 
-def lse_gram(xs, ys, basis):
-    """Averaged Gram matrix and moment vector over the whole dataset."""
+def _payloads(xs, ys, basis) -> np.ndarray:
+    """One flattened (g g^T, g y) payload row per sample, in sample order."""
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float).reshape(-1)
     if xs.shape != ys.shape or xs.size == 0:
         raise ValueError(f"dataset shapes {xs.shape} and {ys.shape} are unusable")
-    M = len(basis)
-    G = np.zeros((M, M))
-    z = np.zeros(M)
-    for x, y in zip(xs, ys):
-        Gj, zj = lse_local_payload(x, y, basis)
-        G += Gj
-        z += zj
-    return G / xs.size, z / xs.size
+    return np.stack([flatten_payload(*lse_local_payload(x, y, basis))
+                     for x, y in zip(xs, ys)])
+
+
+def lse_gram(xs, ys, basis):
+    """Averaged Gram matrix and moment vector over the whole dataset."""
+    return unflatten_payload(_payloads(xs, ys, basis).mean(axis=0), len(basis))
 
 
 def lse_batch(xs, ys, basis) -> np.ndarray:
@@ -102,10 +101,7 @@ def unflatten_payload(v: np.ndarray, M: int):
 
 def lse_payload_states(xs, ys, basis) -> RatioState:
     """Initial ratio-consensus state whose average is (Gram, moment)."""
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    rows = [flatten_payload(*lse_local_payload(x, y, basis)) for x, y in zip(xs, ys)]
-    return make_ratio_state(np.stack(rows))
+    return make_ratio_state(_payloads(xs, ys, basis))
 
 
 def lse_consensus_estimate(M_i: np.ndarray, z_i: np.ndarray) -> np.ndarray:

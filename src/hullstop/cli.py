@@ -148,7 +148,7 @@ def _cmd_hull(args) -> int:
     g = generate_digraph(args.nodes, args.topology, args.seed, args.edge_prob)
     rng = np.random.default_rng([args.seed, 2])
     sets = [rng.random((args.points, args.dim)) for _ in range(g.n)]
-    final, history = run_hull_consensus(sets, g, rounds=g.diameter, return_history=True)
+    final, history = run_hull_consensus(sets, g, return_history=True)
     central = extreme_points(np.vstack(sets))
     if any(e != central for e in final):
         raise InvariantViolation("hull protocol did not reach the centralized extreme set")

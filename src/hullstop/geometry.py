@@ -206,21 +206,21 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
 def _affine_minimizer(A: np.ndarray):
     """Least-norm point of the affine hull of the columns of A.
 
-    Solves min ||A a|| subject to sum a = 1 by eliminating the constraint
-    (a = a0 + N b with N spanning the sum-zero directions) and handing the
-    reduced problem to lstsq, which tolerates rank deficiency. Returns the
-    barycentric coordinates a.
+    Solves min ||A a|| subject to sum a = 1 by eliminating the constraint:
+    a = a0 + N b, where column i of N is e_i - e_(i+1), so A N is the
+    consecutive column differences and N b is b minus b shifted by one.
+    lstsq solves the reduced problem and tolerates rank deficiency. Returns
+    the barycentric coordinates a.
     """
     k = A.shape[1]
     if k == 1:
         return np.ones(1)
     a0 = np.full(k, 1.0 / k)
-    N = np.zeros((k, k - 1))
-    idx = np.arange(k - 1)
-    N[idx, idx] = 1.0
-    N[idx + 1, idx] = -1.0
-    beta = np.linalg.lstsq(A @ N, -(A @ a0), rcond=None)[0]
-    return a0 + N @ beta
+    beta = np.linalg.lstsq(A[:, :-1] - A[:, 1:], -(A @ a0), rcond=None)[0]
+    step = np.zeros(k)
+    step[:-1] = beta
+    step[1:] -= beta
+    return a0 + step
 
 
 def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
@@ -251,19 +251,19 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
     for _ in range(64 * (m + V.shape[1] + 2)):
         ny = float(np.sqrt(y @ y))
         if ny <= tol:
-            return True, best_lb
+            break
         dots = V @ y
         lb = float(dots.min()) / ny
         best_lb = max(best_lb, lb)
         if lb > margin:
-            return False, best_lb
+            break
         j = int(np.argmin(dots))
         if j in corral or lb >= ny - 1e-12 * scale:
-            return ny <= tol, best_lb
+            break
         if ny >= best - 1e-15 * scale:
             stall += 1
             if stall > 32:
-                return ny <= tol, best_lb
+                break
         else:
             best = ny
             stall = 0
@@ -294,7 +294,8 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
             corral = [c for c, k_ in zip(corral, keep) if k_]
             lam = lam[keep]
             lam /= lam.sum()
-    ny = float(np.sqrt(y @ y))
+    else:
+        ny = float(np.sqrt(y @ y))
     return ny <= tol, best_lb
 
 
@@ -307,7 +308,8 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
        a lower bound on the distance. Above margin: outside.
     3. Wolfe (`_min_norm_member`): ||y|| <= tol is a certified inside;
        a lower bound above margin is a certified outside. Its first iterate
-       is the nearest point, so the direction u = nearest - p is tested
+       is the nearest input point v_j, j = argmin_j ||v_j - p|| (not the
+       nearest point of the hull), so the direction u = v_j - p is tested
        there.
     4. Otherwise the phase-one tableau decides.
 
@@ -366,17 +368,12 @@ def extreme_points(S, tol: float = 1e-9) -> PointSet:
     because removing a non-extreme point leaves the hull unchanged.
     """
     pts = _as_points(S)
-    m, d = pts.shape
+    m = pts.shape[0]
     if m == 1:
         return PointSet(pts)
     # unique coordinate extremes can never be convex combinations of others
-    definite = np.zeros(m, dtype=bool)
-    for c in range(d):
-        col = pts[:, c]
-        for val in (col.min(), col.max()):
-            hits = np.nonzero(col == val)[0]
-            if hits.size == 1:
-                definite[hits[0]] = True
+    lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
+    definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)
     keep = np.ones(m, dtype=bool)
     for idx in range(m):
         if definite[idx]:

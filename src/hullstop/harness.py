@@ -29,6 +29,13 @@ __all__ = ["ExperimentConfig", "RunResult", "run_experiment", "compare_criteria"
            "verify_states_file"]
 
 _STOPPINGS = ("radius", "box", "hull", "none")
+# bits per transmitted float in the bandwidth figures
+_WORD_BITS = 32
+
+
+def _norm_json(norm):
+    """The norm order as JSON: "inf" or a float."""
+    return "inf" if np.isinf(float(norm)) else float(norm)
 
 
 @dataclass
@@ -72,7 +79,7 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         obj = asdict(self)
-        obj["norm"] = "inf" if np.isinf(float(self.norm)) else float(self.norm)
+        obj["norm"] = _norm_json(self.norm)
         return _json_text(obj)
 
     @classmethod
@@ -166,7 +173,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     else:
         trace = stop = _stopping_trace(cfg, g, W, x0, rho_abs, history=True)
         states = ConsensusTrace(cfg.engine, stop.rs, stop.xs, stop.ys)
-        bits = bandwidth_accounting(cfg.stopping, 32, cfg.dim, stop.max_points)
+        bits = bandwidth_accounting(cfg.stopping, _WORD_BITS, cfg.dim, stop.max_points)
     halt_t = stop.halt_t if stop else None
 
     paths = {name: os.path.join(cfg.out_dir, name) for name in
@@ -204,14 +211,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "n": cfg.n,
             "dim": cfg.dim,
             "seed": cfg.seed,
-            "norm": "inf" if np.isinf(float(cfg.norm)) else float(cfg.norm),
+            "norm": _norm_json(cfg.norm),
             "dbound": stop.Dbound if stop else None,
             "bandwidth_bits": bits,
         })
     return RunResult(cfg, g, trace, rho_abs, summary, paths)
 
 
-def compare_criteria(cfg: ExperimentConfig, B: int = 32) -> list:
+def compare_criteria(cfg: ExperimentConfig) -> list:
     """Run all three stopping protocols over the identical consensus
     sequence (same graph, same seed, same initial states) and tabulate
     halt iteration, extra bandwidth and the spread achieved at halt."""
@@ -225,7 +232,7 @@ def compare_criteria(cfg: ExperimentConfig, B: int = 32) -> list:
         sub = replace(cfg, stopping=method)
         trace = _stopping_trace(sub, g, W, x0, rho_abs)
         spread = pairwise_spread(trace.rs[trace.halt_t], cfg.norm) if trace.halted else None
-        bits = bandwidth_accounting(method, B, cfg.dim, trace.max_points)
+        bits = bandwidth_accounting(method, _WORD_BITS, cfg.dim, trace.max_points)
         rows.append({
             "method": method,
             "halted": trace.halted,

@@ -31,16 +31,7 @@ class HullNodeState:
     ext: PointSet
 
 
-def _extreme_cached(stacked: np.ndarray, tol: float, cache: dict) -> PointSet:
-    probe = PointSet(stacked)
-    hit = cache.get(probe)
-    if hit is None:
-        hit = extreme_points(probe, tol)
-        cache[probe] = hit
-    return hit
-
-
-def hull_round(states, g: DiGraph, tol: float = 1e-9, cache: dict | None = None):
+def hull_round(states, g: DiGraph, cache: dict | None = None):
     """One synchronous round: every node unions the estimates of its senders
     (itself included via the self-loop) and keeps the extreme points.
     Extreme sets are memoized in cache, a fresh dict if none is given."""
@@ -51,13 +42,15 @@ def hull_round(states, g: DiGraph, tol: float = 1e-9, cache: dict | None = None)
         cache = {}
     out = []
     for i in range(g.n):
-        stacked = np.vstack([states[j].ext.points for j in g.in_adj[i]])
-        out.append(HullNodeState(_extreme_cached(stacked, tol, cache)))
+        probe = PointSet(np.vstack([states[j].ext.points for j in g.in_adj[i]]))
+        if probe not in cache:
+            cache[probe] = extreme_points(probe)
+        out.append(HullNodeState(cache[probe]))
     return out
 
 
 def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
-                       tol: float = 1e-9, return_history: bool = False):
+                       return_history: bool = False):
     """Run the protocol for the given number of rounds (default: diameter).
 
     Returns the per-node extreme sets after the final round; with
@@ -71,10 +64,10 @@ def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     cache: dict = {}
-    states = [HullNodeState(extreme_points(s, tol)) for s in sets]
+    states = [HullNodeState(extreme_points(s)) for s in sets]
     history = [[s.ext for s in states]]
     for _ in range(rounds):
-        states = hull_round(states, g, tol, cache)
+        states = hull_round(states, g, cache)
         history.append([s.ext for s in states])
     final = [s.ext for s in states]
     if return_history:
@@ -82,12 +75,11 @@ def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
     return final
 
 
-def distance_from_convergence_bound(E_k, later_states, limit, p: float = 2.0,
-                                    tol: float = 1e-9) -> bool:
+def distance_from_convergence_bound(E_k, later_states, limit, p: float = 2.0) -> bool:
     """Check that every later state stays within hull_diameter(E_k) of the
     limit, the guarantee a node can evaluate once it knows the global
     extreme set at some time k."""
-    bound = hull_diameter(E_k, p) + tol
+    bound = hull_diameter(E_k, p) + 1e-9  # slack for rounding in the deviations
     states = np.asarray(later_states, dtype=float)
     if states.ndim == 2:
         states = states[None]

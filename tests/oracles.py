@@ -148,3 +148,19 @@ def member_reference(pts, p, tol):
     if _phase_one_feasible(pts, p, tol):
         return True
     return _min_norm_member(pts, p, tol, tol)[0]
+
+
+def affine_minimizer_reference(A):
+    """The corral step as first written, with the k x (k-1) null-space
+    matrix N spelled out: a = a0 + N b, N[i, i] = 1, N[i + 1, i] = -1, and
+    lstsq on A N."""
+    k = A.shape[1]
+    if k == 1:
+        return np.ones(1)
+    a0 = np.full(k, 1.0 / k)
+    N = np.zeros((k, k - 1))
+    idx = np.arange(k - 1)
+    N[idx, idx] = 1.0
+    N[idx + 1, idx] = -1.0
+    beta = np.linalg.lstsq(A @ N, -(A @ a0), rcond=None)[0]
+    return a0 + N @ beta

@@ -94,6 +94,32 @@ def test_payload_states_average_to_gram():
     assert np.allclose(Gm, G) and np.allclose(zm, z)
 
 
+def test_payload_states_reject_mismatched_samples():
+    basis = polynomial_basis(1)
+    with pytest.raises(ValueError):
+        lse_payload_states([1.0, 2.0, 3.0], [1.0, 2.0], basis)
+    with pytest.raises(ValueError):
+        lse_gram([1.0, 2.0, 3.0], [1.0, 2.0], basis)
+    with pytest.raises(ValueError):
+        lse_payload_states([], [], basis)
+
+
+def test_gram_sums_payloads_in_sample_order():
+    # bit for bit the running sum over samples in index order, then / n
+    basis = polynomial_basis(4)
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(-3, 3, 57)
+    ys = rng.normal(size=57)
+    G_ref, z_ref = np.zeros((5, 5)), np.zeros(5)
+    for x, y in zip(xs, ys):
+        Gj, zj = lse_local_payload(x, y, basis)
+        G_ref += Gj
+        z_ref += zj
+    G, z = lse_gram(xs, ys, basis)
+    assert G.tobytes() == (G_ref / 57).tobytes()
+    assert z.tobytes() == (z_ref / 57).tobytes()
+
+
 def test_consensus_estimates_converge_to_batch():
     rng = np.random.default_rng(3)
     n = 10

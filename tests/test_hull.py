@@ -125,3 +125,23 @@ def test_distance_bound_from_known_extreme_set():
     # a deliberately far point violates it
     far = tr.states[-1] + 100.0
     assert not distance_from_convergence_bound(E0, far, limit)
+
+
+def test_hull_round_memo_shares_one_extreme_set_per_union():
+    # on a complete graph every node unions the same senders, so each round
+    # computes one extreme set; round 2 unions the global extreme set, a new
+    # probe, and round 3 repeats it
+    g = generate_digraph(5, "complete", seed=0)
+    rng = np.random.default_rng(31)
+    sets = [rng.random((4, 2)) for _ in range(5)]
+    start = [HullNodeState(extreme_points(s)) for s in sets]
+    cache: dict = {}
+    states, fresh, sizes = start, start, []
+    for _ in range(3):
+        states = hull_round(states, g, cache=cache)
+        fresh = hull_round(fresh, g)
+        assert all(s.ext is states[0].ext for s in states)
+        sizes.append(len(cache))
+    assert sizes == [1, 2, 2]
+    assert [s.ext for s in states] == [s.ext for s in fresh]
+    assert states[0].ext == extreme_points(np.vstack(sets))
