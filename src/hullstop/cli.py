@@ -113,7 +113,7 @@ def _config_from(args, stopping=None) -> ExperimentConfig:
         stopping=stopping if stopping is not None else args.stopping,
         rho=args.rho, rho_relative=args.rho_relative, norm=_norm_value(args),
         dbound=args.d_bound, k_max=args.k_max, out_dir=args.out_dir,
-    ).validate()
+    )
 
 
 def _cmd_run(args) -> int:

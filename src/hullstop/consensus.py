@@ -1,10 +1,11 @@
 """Push-sum (ratio) and row-averaging consensus engines over R^d states.
 
 Every per-node sum runs over the graph's fixed edge list, sorted by
-(receiver, sender), with one np.bincount per coordinate (graph._in_sum),
-which adds each receiver's terms in ascending sender order. Repeated runs
-are therefore bit-identical, and a d-dimensional run matches d independent
-scalar runs coordinate for coordinate, exactly.
+(receiver, sender): one graph._in_sum call per step, with one np.bincount
+per coordinate (push-sum's y is one more), which adds each receiver's terms
+in ascending sender order. Repeated runs are therefore bit-identical, and a
+d-dimensional run matches d independent scalar runs coordinate for
+coordinate, exactly.
 """
 
 from __future__ import annotations
@@ -74,25 +75,21 @@ def make_ratio_state(x0) -> RatioState:
     return RatioState(x, y, x / y[:, None], 0)
 
 
-def _check_column(W: StochasticMatrix):
-    if W.kind != "column":
-        raise ValueError(f"ratio updates need column-stochastic weights, got kind {W.kind!r}")
-
-
 def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     """One synchronous push-sum round.
 
     Receiver j accumulates w[j, i] * x_i over its senders i in ascending
-    order, likewise for y, then r = x / y. Column stochasticity conserves
-    the totals of x and y.
+    order, likewise for y in the same edge sum, then r = x / y. Column
+    stochasticity conserves the totals of x and y.
     """
-    _check_column(W)
+    if W.kind != "column":
+        raise ValueError(f"ratio updates need column-stochastic weights, got kind {W.kind!r}")
     n = W.graph.n
     x, y = state.x, state.y
     if x.ndim != 2 or x.shape[0] != n or y.shape != (n,):
         raise ValueError(f"state shapes {x.shape}, {y.shape} do not match n={n}")
-    xn = _in_sum(*W.graph.edge_arrays, W.edge_weights, x)
-    yn = _in_sum(*W.graph.edge_arrays, W.edge_weights, y)
+    xy = _in_sum(W, [*x.T, y])
+    xn, yn = xy[:, :-1], xy[:, -1]
     if yn.min() <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={state.k + 1}")
     return RatioState(xn, yn, xn / yn[:, None], state.k + 1)
@@ -106,7 +103,7 @@ def row_step(state: RowState, A: StochasticMatrix) -> RowState:
     z = state.z
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"state shape {z.shape} does not match n={n}")
-    return RowState(_in_sum(*A.graph.edge_arrays, A.edge_weights, z), state.k + 1)
+    return RowState(_in_sum(A, z.T), state.k + 1)
 
 
 @dataclass
@@ -132,15 +129,14 @@ class _Engine:
 
     def __init__(self, W: StochasticMatrix, x0):
         self.W = W
-        x0 = _finite_states(x0)
-        if x0.shape[0] != W.graph.n:
-            raise ValueError(f"initial states must be ({W.graph.n}, d), got {x0.shape}")
         if W.kind == "column":
             self.name = "ratio"
             self.state: RatioState | RowState = make_ratio_state(x0)
         else:
             self.name = "row"
-            self.state = RowState(x0)
+            self.state = RowState(_finite_states(x0))
+        if self.cur.shape[0] != W.graph.n:
+            raise ValueError(f"initial states must be ({W.graph.n}, d), got {self.cur.shape}")
 
     @property
     def cur(self) -> np.ndarray:

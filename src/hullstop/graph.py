@@ -7,11 +7,12 @@ every node and every graph must be strongly connected; both properties are
 checked at construction time.
 
 Every per-node reduction over senders is one of two kernels over the
-receiver-sorted edge arrays: _in_sum (np.bincount, one call per coordinate)
-and _in_reduce (ufunc.reduceat at the receiver offsets). Every traversal
-(strong connectivity, the diameter, m-hop in-neighborhoods) is one
-packed-bit flood, _flood: each node holds a row of np.packbits bits and each
-round ORs into it the rows of its senders through _in_reduce.
+receiver-sorted edge arrays: _in_sum (np.bincount, one call per (n,) column,
+stacked into one (n, c) result) and _in_reduce (ufunc.reduceat at the
+receiver offsets). Every traversal (strong connectivity, the diameter, m-hop
+in-neighborhoods) is one packed-bit flood, _flood: each node holds a row of
+np.packbits bits and each round ORs into it the rows of its senders through
+_in_reduce.
 """
 
 from __future__ import annotations
@@ -42,16 +43,17 @@ def _reversed(dst, src):
     return src[back], dst[back]
 
 
-def _in_sum(recv, send, weights, values):
-    """Per receiver, the sum of weights * values[send] over its edges, for
-    (n,) or (n, d) values. np.bincount adds in edge order, i.e. ascending
-    sender index, exactly like an unbuffered scatter-add; np.add.reduceat
-    was measured not to be bit-identical, so sums never use it."""
-    n = len(values)
-    if values.ndim == 1:
-        return np.bincount(recv, weights * values[send], minlength=n)
-    return np.column_stack([np.bincount(recv, weights * col[send], minlength=n)
-                            for col in values.T])
+def _in_sum(W, columns):
+    """Per receiver, the sum over its edges of W.edge_weights times each of
+    the c (n,) columns at the sender, as one (n, c) array. np.bincount adds
+    in edge order, i.e. ascending sender index, exactly like an unbuffered
+    scatter-add; np.add.reduceat was measured not to be bit-identical, so
+    sums never use it."""
+    dst, src = W.graph.edge_arrays
+    # stacked as rows and returned transposed, so each column stays contiguous
+    # for the next step's gathers: this measured faster than np.column_stack
+    return np.array([np.bincount(dst, W.edge_weights * col[src], minlength=W.graph.n)
+                     for col in columns]).T
 
 
 def _in_reduce(ufunc, per_edge, starts):
@@ -138,12 +140,12 @@ class DiGraph:
         if missing.size:
             raise ValueError(f"node {missing[0] // (n + 1)} is missing its self-loop")
         dst, src = np.divmod(codes, n)
+        if not _strongly_connected(n, dst, src):
+            raise ValueError("graph is not strongly connected")
         dst.setflags(write=False)
         src.setflags(write=False)
         object.__setattr__(self, "edges", tuple(zip(dst.tolist(), src.tolist())))
         object.__setattr__(self, "edge_arrays", (dst, src))
-        if not _strongly_connected(n, dst, src):
-            raise ValueError("graph is not strongly connected")
 
     @cached_property
     def in_starts(self) -> np.ndarray:
@@ -182,13 +184,6 @@ def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:
     return frozenset(np.flatnonzero(np.unpackbits(reach, axis=1, count=1)).tolist())
 
 
-def _er_attempt(rng, n, p):
-    # mask[a, b] True means a sends to b, i.e. edge pair (b, a)
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, True)
-    return mask
-
-
 def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
                      edge_prob: float = 0.5) -> DiGraph:
     """Build a strongly connected digraph with self-loops.
@@ -214,9 +209,15 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
-        dst, src = np.nonzero(_er_attempt(rng, n, edge_prob).T)
-        if _strongly_connected(n, dst, src):
-            return DiGraph(n, np.column_stack((dst, src)), seed=seed, model=model)
+        # mask[a, b] True means a sends to b, i.e. edge pair (b, a)
+        mask = rng.random((n, n)) < edge_prob
+        np.fill_diagonal(mask, True)
+        try:
+            return DiGraph(n, np.argwhere(mask.T), seed=seed, model=model)
+        except ValueError:
+            # a draw's edges are in range and include every self-loop, so
+            # only the strong-connectivity check can reject it
+            continue
     raise RuntimeError(
         f"no strongly connected draw in 1000 attempts (n={n}, edge_prob={edge_prob}); "
         "raise edge_prob")

@@ -315,14 +315,15 @@ class _BoxRule(_Rule):
 
 class _HullRule(_Rule):
     """Hull consensus over the window start states, one round per step;
-    max_points is the largest message seen, in points."""
+    max_points is the largest message seen, in points. The extreme-set memo
+    lasts one window: its keys are unions of that window's start states."""
 
     def __init__(self, g, rho, p):
         super().__init__(g, rho, p)
-        self.cache: dict = {}
         self.max_points = 1
 
     def begin(self, cur):
+        self.cache: dict = {}
         self.exts = [HullNodeState(PointSet(cur[i:i + 1])) for i in range(self.g.n)]
 
     def step(self, prev, cur):

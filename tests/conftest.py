@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 _ACCEPT_RE = re.compile(r"test_acceptance\.py::test_c(\d+)_(\w+)")
 
 
@@ -25,3 +27,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(results):
         label, ok = results[num]
         tw.write_line("criterion %2d [%s]: %s" % (num, "PASS" if ok else "FAIL", label))
+
+
+@pytest.fixture
+def spy_calls(monkeypatch):
+    """spy_calls(module, name) wraps module.name for the test and returns the
+    list of (args, kwargs) of every call."""
+    def spy(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls.append((args, kw))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+    return spy

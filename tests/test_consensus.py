@@ -287,6 +287,26 @@ def test_run_consensus_rejects_wrong_node_count(kind, steps):
         run_consensus(W, np.zeros((7, 2)), steps)
 
 
+def test_each_step_makes_one_edge_sum(spy_calls):
+    # push-sum sends x and y along the same weights, so one edge sum
+    # carries both
+    import hullstop.consensus as consensus
+    g = generate_digraph(7, "erdos_renyi", seed=2, edge_prob=0.4)
+    x0 = np.random.default_rng(3).random((7, 3))
+    calls = spy_calls(consensus, "_in_sum")
+    ratio_step(make_ratio_state(x0), make_weights(g, "column"))
+    assert len(calls) == 1
+    row_step(RowState(x0), make_weights(g, "row"))
+    assert len(calls) == 2
+
+
+def test_ratio_run_checks_initial_states_once(spy_calls):
+    import hullstop.consensus as consensus
+    calls = spy_calls(consensus, "_finite_states")
+    run_consensus(make_weights(ring(4), "column"), np.ones((4, 2)), 3)
+    assert len(calls) == 1
+
+
 def test_nonpositive_denominator_flagged():
     g = generate_digraph(2, "complete", seed=0)
     W = make_weights(g, "column")

@@ -145,6 +145,17 @@ def test_generation_deterministic_in_seed():
     assert a.edges == b.edges
 
 
+def test_accepted_draw_checks_connectivity_once(spy_calls):
+    import hullstop.graph as graph
+    calls = spy_calls(graph, "_strongly_connected")
+    g = generate_digraph(8, "erdos_renyi", seed=0, edge_prob=0.5)
+    # the first draw was accepted: the graph holds exactly its edges
+    mask = np.random.default_rng(0).random((8, 8)) < 0.5
+    np.fill_diagonal(mask, True)
+    assert g.edges == tuple(map(tuple, np.argwhere(mask.T).tolist()))
+    assert len(calls) == 1
+
+
 def test_rejection_budget_exhausted():
     with pytest.raises(RuntimeError):
         generate_digraph(30, "erdos_renyi", seed=0, edge_prob=1e-9)

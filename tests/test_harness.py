@@ -260,6 +260,24 @@ def test_cli_lse_reads_dataset(tmp_path):
     assert summary["n"] == 12
 
 
+def test_cli_lse_dataset_without_header_or_with_blank_lines(tmp_path):
+    xs = np.random.default_rng(5).uniform(-1, 1, 7).tolist()
+    rows = [f"{a!r},{1.0 - 0.5 * a!r}\n" for a in xs]
+    texts = {"header": "x,y\n" + "".join(rows),
+             "bare": rows[0] + "\n" + "".join(rows[1:4]) + "\n\n" + "".join(rows[4:])}
+    written = {}
+    for name, text in texts.items():
+        data = tmp_path / f"{name}.csv"
+        data.write_text(text)
+        out = tmp_path / name
+        rc = cli.main(["lse", "--data", str(data), "--degree", "1", "--k-max", "20",
+                       "--seed", "3", "--out-dir", str(out)])
+        assert rc == 0
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written["bare"]) == ["bound.csv", "dataset.csv", "graph.json", "summary.json"]
+    assert written["bare"] == written["header"]
+
+
 def test_cli_lse_identity_gram(tmp_path):
     # x = +-1 under a degree-1 basis makes the Gram matrix the identity, so
     # the late M_i^{-1} have nearly tied singular values
@@ -284,6 +302,17 @@ def test_cli_funccalc(tmp_path):
     summary = json.loads(open(os.path.join(out, "summary.json")).read())
     assert summary["certificate_ok"] is True
     assert summary["holder_ok_every_step"] is True
+
+
+def test_cli_funccalc_relative_rho(tmp_path):
+    out = tmp_path / "fr"
+    rc = cli.main(["funccalc", "--nodes", "6", "--function", "mean", "--seed", "2",
+                   "--rho", "0.01", "--rho-relative", "--out-dir", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    u = np.random.default_rng([2, 4]).random(6)
+    assert summary["halted"] is True
+    assert summary["rho"] == pytest.approx(0.01 * float(np.linalg.norm(u)), rel=1e-14)
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -321,6 +321,18 @@ def test_hull_stop_matches_centralized_extremes():
     assert pairwise_spread(tr.rs[tr.halt_t], tr.p) <= tr.windows[-1].diam + 1e-12
 
 
+def test_hull_stop_memo_lasts_one_window(spy_calls):
+    # every memo key is a union of one window's start states, so a window
+    # of D rounds over n nodes stores at most n * D extreme sets
+    import hullstop.termination as termination
+    calls = spy_calls(termination, "hull_round")
+    g = er(6, seed=1, p=0.4)
+    x0 = np.random.default_rng([1, 1]).random((6, 2))
+    tr = run_hull_stopping(g, make_weights(g, "column"), x0, rho=1e-2)
+    assert tr.halted and len(tr.windows) == 4 and tr.Dbound == 3
+    assert len(calls[-1][1]["cache"]) <= g.n * tr.Dbound
+
+
 def test_box_and_hull_agree_in_one_dimension():
     # an interval's hull diameter equals its envelope spread, so both
     # criteria trip at the same boundary
