@@ -1,11 +1,13 @@
 """Push-sum (ratio) and row-averaging consensus engines over R^d states.
 
-Every per-node sum runs over the graph's fixed edge list, sorted by
-(receiver, sender): one graph._in_sum call per step, with one np.bincount
-per coordinate (push-sum's y is one more), which adds each receiver's terms
-in ascending sender order. Repeated runs are therefore bit-identical, and a
-d-dimensional run matches d independent scalar runs coordinate for
-coordinate, exactly.
+Every per-node sum is one graph._in_sum call per step over all coordinates
+(push-sum's y is one more column). It adds each receiver's terms in
+ascending sender order, whichever of the graph's two in-layouts it runs on:
+one np.bincount per coordinate over the edge list, or one pass per row of
+the padded (K, n) sender table that near-regular graphs get (n*K <= 1.25*E);
+graph's module docstring says why both give the same bytes. Repeated runs
+are therefore bit-identical, and a d-dimensional run matches d independent
+scalar runs coordinate for coordinate, exactly.
 """
 
 from __future__ import annotations

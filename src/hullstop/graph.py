@@ -6,13 +6,28 @@ out_adj[j] lists the receivers fed by node j. Self-loops are mandatory at
 every node and every graph must be strongly connected; both properties are
 checked at construction time.
 
-Every per-node reduction over senders is one of two kernels over the
-receiver-sorted edge arrays: _in_sum (np.bincount, one call per (n,) column,
-stacked into one (n, c) result) and _in_reduce (ufunc.reduceat at the
-receiver offsets). Every traversal (strong connectivity, the diameter, m-hop
-in-neighborhoods) is one packed-bit flood, _flood: each node holds a row of
-np.packbits bits and each round ORs into it the rows of its senders through
-_in_reduce.
+Every per-node reduction over senders goes through the graph's in-layout
+(_InLayout), chosen once at construction from K, the largest in-degree, and
+E, the edge count, and through one of two kernels: _in_sum for weighted sums
+and _in_reduce for maximum, minimum and bitwise_or.
+- n*K <= 1.25*E (rings, complete graphs, dense ER): a read-only (K, n) table
+  of sender ids. Column i holds i's senders in ascending order; a column
+  short of K repeats i's own self-loop next to it. _in_sum adds one table
+  row at a time, with weight 0.0 in the repeats, then + 0.0; _in_reduce is
+  ufunc.reduce over the table axis.
+- Otherwise, where a table would hold mostly repeats: the receiver-sorted
+  edge arrays. _in_sum is one np.bincount per column, _in_reduce is
+  ufunc.reduceat at the receiver offsets.
+Both layouts give the same bytes. Both add a receiver's terms in ascending
+sender order. A zero-weight slot adds +-0.0, which can change only the sign
+of a zero, and the trailing + 0.0 turns a -0.0 total into +0.0, as
+bincount's 0.0 start does. A repeat sits next to the self value it copies,
+so a max, min or or over it changes nothing, even on a +-0.0 tie, where
+np.maximum keeps its second argument: a repeat after a later tied sender
+would flip the sign.
+Every traversal (strong connectivity, the diameter, m-hop in-neighborhoods)
+is one packed-bit flood, _flood: each node holds a row of np.packbits bits
+and each round ORs into it the rows of its senders through _in_reduce.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,47 +59,104 @@ def _reversed(dst, src):
     return src[back], dst[back]
 
 
+class _InLayout(NamedTuple):
+    """How each receiver reaches its senders' values: gather values[send]
+    (next to the receiver's own values[recv]) and reduce over axis 0 with
+    _in_reduce. The edge layout has recv, send = the receiver-sorted edge
+    arrays and starts = each receiver's first edge; the padded layout has
+    the (K, n) table as send, recv = arange(n) as a (1, n) row, and
+    starts = None."""
+
+    recv: np.ndarray
+    send: np.ndarray
+    starts: np.ndarray | None
+
+
+def _table_rows(recv, send, deg):
+    """The row of the padded table that holds each (recv, send) edge: its
+    rank among the receiver's senders, pushed down past the receiver's
+    K - deg repeated self-loops when the sender comes after the receiver."""
+    first = np.cumsum(deg) - deg
+    return (np.arange(len(recv)) - first[recv]
+            + np.where(send > recv, deg.max() - deg[recv], 0))
+
+
+def _in_layout(n, recv, send) -> _InLayout:
+    """The padded layout when n*K <= 1.25*E, else the edge layout, for the
+    receiver-sorted edge arrays (recv, send) that include every self-loop.
+    On the ER graph of the stop_er1000 bench (n*K = 1.58 E) a table raised
+    run_s by 30% and peak memory by 52%."""
+    deg = np.bincount(recv, minlength=n)
+    if n * deg.max() > 1.25 * len(recv):
+        starts = np.cumsum(deg) - deg
+        starts.setflags(write=False)
+        return _InLayout(recv, send, starts)
+    table = np.tile(np.arange(n), (deg.max(), 1))
+    table[_table_rows(recv, send, deg), recv] = send
+    table.setflags(write=False)
+    own = np.arange(n)[None, :]
+    own.setflags(write=False)
+    return _InLayout(own, table, None)
+
+
 def _in_sum(W, columns):
-    """Per receiver, the sum over its edges of W.edge_weights times each of
-    the c (n,) columns at the sender, as one (n, c) array. np.bincount adds
-    in edge order, i.e. ascending sender index, exactly like an unbuffered
-    scatter-add; np.add.reduceat was measured not to be bit-identical, so
-    sums never use it."""
-    dst, src = W.graph.edge_arrays
-    # stacked as rows and returned transposed, so each column stays contiguous
-    # for the next step's gathers: this measured faster than np.column_stack
-    return np.array([np.bincount(dst, W.edge_weights * col[src], minlength=W.graph.n)
-                     for col in columns]).T
+    """Per receiver, the sum over its senders of W's weight times each of the
+    c (n,) columns at the sender, as one (n, c) array; terms are added in
+    ascending sender order, exactly like an unbuffered scatter-add. On the
+    edge layout that is np.bincount per column. On the padded layout it is
+    one table row at a time across all columns, then + 0.0 (see the module
+    docstring for why the bytes are equal). np.add.reduceat was measured not
+    to be bit-identical, and one (wk * X[:, table]).sum(axis=1) raised the
+    stop_ring bench's peak memory by 12%, so neither is used."""
+    layout, wk = W.graph.in_layout, W.slot_weights
+    if layout.starts is not None:
+        # stacked as rows and returned transposed, so each column stays
+        # contiguous for the next step's gathers: this measured faster than
+        # np.column_stack
+        return np.array([np.bincount(layout.recv, wk * col[layout.send], minlength=W.graph.n)
+                         for col in columns]).T
+    X = np.array(columns)
+    table = layout.send
+    acc = X[:, table[0]]
+    acc *= wk[0]
+    for k in range(1, len(table)):
+        t = X[:, table[k]]
+        t *= wk[k]
+        acc += t
+    acc += 0.0
+    return acc.T
 
 
-def _in_reduce(ufunc, per_edge, starts):
-    """ufunc (maximum, minimum, bitwise_or) over each receiver's per-edge
-    values, segmented at the receiver offsets starts. Every receiver has its
-    self-loop, so no segment is empty."""
-    return ufunc.reduceat(per_edge, starts, axis=0)
+def _in_reduce(ufunc, per_slot, layout):
+    """ufunc (maximum, minimum, bitwise_or) over each receiver's values
+    per_slot, gathered through layout.send (and recv): ufunc.reduce over the
+    table axis, or ufunc.reduceat at the receiver offsets. Every receiver has
+    its self-loop, so none is empty."""
+    if layout.starts is None:
+        return ufunc.reduce(per_slot, axis=0)
+    return ufunc.reduceat(per_slot, layout.starts, axis=0)
 
 
-def _flood(recv, send, seeds, limit=None):
-    """OR-flood seed bits along the edges until every node holds every bit.
+def _flood(layout, seeds, limit=None):
+    """OR-flood seed bits along the edges of layout until every node holds
+    every bit.
 
-    recv and send are the edge arrays sorted by receiver. Every receiver has
-    its self-loop, so no reduceat segment is empty and a node never loses a
-    bit. seeds is an (n, k) bool matrix; it is packed into reach, an
+    seeds is an (n, k) bool matrix; it is packed into reach, an
     (n, ceil(k/8)) np.packbits matrix whose row v holds the seed columns
     heard by v so far, and each round ORs the rows of v's senders into it.
+    Every receiver hears its own self-loop, so a node never loses a bit.
     The bits stay packed: an unpacked per-edge gather would cost n bytes per
     edge. Returns (rounds, reach): rounds is the number of rounds until every
     bit is set, or -1 when a round changes nothing first or `limit` rounds
     have run.
     """
-    starts = np.searchsorted(recv, np.arange(len(seeds)))
     reach = np.packbits(seeds, axis=1)
     full = np.packbits(np.ones(seeds.shape[1], dtype=bool))
     rounds = 0
     while not (reach == full).all():
         if rounds == limit:
             return -1, reach
-        nxt = _in_reduce(np.bitwise_or, reach[send], starts)
+        nxt = _in_reduce(np.bitwise_or, reach[layout.send], layout)
         if np.array_equal(nxt, reach):
             return -1, reach
         reach = nxt
@@ -91,12 +164,13 @@ def _flood(recv, send, seeds, limit=None):
     return rounds, reach
 
 
-def _strongly_connected(n, dst, src):
+def _strongly_connected(n, dst, src, layout):
     """Whether node 0 reaches every node and every node reaches node 0,
-    for receiver-sorted edge arrays that include every self-loop."""
+    for receiver-sorted edge arrays that include every self-loop and their
+    in-layout."""
     seed = np.arange(n)[:, None] == 0
-    return (_flood(dst, src, seed)[0] >= 0
-            and _flood(*_reversed(dst, src), seed)[0] >= 0)
+    return (_flood(layout, seed)[0] >= 0
+            and _flood(_in_layout(n, *_reversed(dst, src)), seed)[0] >= 0)
 
 
 def _adjacency(recv, send, n):
@@ -125,6 +199,8 @@ class DiGraph:
     # sender). This fixed ordering is what makes every per-node reduction in
     # the engines run over ascending sender index, the determinism contract.
     edge_arrays: tuple = field(init=False, repr=False, compare=False)
+    # how every per-node reduction gathers its senders' values (_InLayout)
+    in_layout: _InLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -140,19 +216,14 @@ class DiGraph:
         if missing.size:
             raise ValueError(f"node {missing[0] // (n + 1)} is missing its self-loop")
         dst, src = np.divmod(codes, n)
-        if not _strongly_connected(n, dst, src):
-            raise ValueError("graph is not strongly connected")
         dst.setflags(write=False)
         src.setflags(write=False)
+        layout = _in_layout(n, dst, src)
+        if not _strongly_connected(n, dst, src, layout):
+            raise ValueError("graph is not strongly connected")
         object.__setattr__(self, "edges", tuple(zip(dst.tolist(), src.tolist())))
         object.__setattr__(self, "edge_arrays", (dst, src))
-
-    @cached_property
-    def in_starts(self) -> np.ndarray:
-        """Offset in edge_arrays of each receiver's first edge."""
-        starts = np.searchsorted(self.edge_arrays[0], np.arange(self.n))
-        starts.setflags(write=False)
-        return starts
+        object.__setattr__(self, "in_layout", layout)
 
     @cached_property
     def in_adj(self) -> tuple:
@@ -170,7 +241,7 @@ class DiGraph:
         """Longest shortest directed path over all ordered node pairs: the
         rounds until every node has heard every other, flooding from the
         identity."""
-        return _flood(*self.edge_arrays, np.eye(self.n, dtype=bool))[0]
+        return _flood(self.in_layout, np.eye(self.n, dtype=bool))[0]
 
 
 def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:
@@ -180,7 +251,7 @@ def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     seed = np.arange(g.n)[:, None] == i
-    reach = _flood(*_reversed(*g.edge_arrays), seed, limit=m)[1]
+    reach = _flood(_in_layout(g.n, *_reversed(*g.edge_arrays)), seed, limit=m)[1]
     return frozenset(np.flatnonzero(np.unpackbits(reach, axis=1, count=1)).tolist())
 
 
@@ -230,7 +301,9 @@ class StochasticMatrix:
     edge_weights[e] is the weight src[e] gives dst[e], for (dst, src) =
     graph.edge_arrays; off the edges the weight is zero. kind "column"
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
-    each receiver's (averaging). w is the dense receiver-row view.
+    each receiver's (averaging). w is the dense receiver-row view, and
+    slot_weights the weight of each slot of the graph's in-layout, a (K, n)
+    copy in table order on a padded graph; both are built on first use.
     """
 
     kind: str
@@ -255,6 +328,22 @@ class StochasticMatrix:
             raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
         ew.setflags(write=False)
         object.__setattr__(self, "edge_weights", ew)
+
+    @cached_property
+    def slot_weights(self) -> np.ndarray:
+        """The weight of each slot of the graph's in-layout: edge_weights on
+        the edge layout; on the padded one, the read-only (K, n) weights
+        matching its table, slot_weights[k, i] the weight table[k, i] gives
+        i and 0.0 in the slots that repeat i's self-loop."""
+        layout = self.graph.in_layout
+        if layout.starts is not None:
+            return self.edge_weights
+        dst, src = self.graph.edge_arrays
+        rows = _table_rows(dst, src, np.bincount(dst, minlength=self.graph.n))
+        wk = np.zeros(layout.send.shape)
+        wk[rows, dst] = self.edge_weights
+        wk.setflags(write=False)
+        return wk
 
     @cached_property
     def w(self) -> np.ndarray:

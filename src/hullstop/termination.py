@@ -19,6 +19,13 @@ history and returns one StopTrace; a rule holds only its own state, its
 per-step update and its boundary decision. No rule reads a state older
 than its window start, so a run keeps only step 0 and the last step
 unless history=True asks for all.
+
+The per-step maxima and minima (radius_step, bit_step, the box envelopes)
+gather each receiver's sender values through the graph's in-layout and
+reduce them with graph._in_reduce: ufunc.reduceat over the edge list, or
+ufunc.reduce over the padded (K, n) sender table when n*K <= 1.25*E. The
+table repeats a short column's self-loop next to the original, so both give
+the same bytes, +-0.0 ties included.
 """
 
 from __future__ import annotations
@@ -62,9 +69,9 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
     if r_new.shape != r_old.shape or r_new.shape[0] != g.n or R_old.shape != (g.n,):
         raise ValueError(
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
-    dst, src = g.edge_arrays
-    cand = vector_norm(r_new[dst] - r_old[src], p, axis=-1) + R_old[src]
-    return _in_reduce(np.maximum, cand, g.in_starts)
+    layout = g.in_layout
+    cand = vector_norm(r_new[layout.recv] - r_old[layout.send], p, axis=-1) + R_old[layout.send]
+    return _in_reduce(np.maximum, cand, layout)
 
 
 def bit_step(g: DiGraph, b) -> np.ndarray:
@@ -72,7 +79,7 @@ def bit_step(g: DiGraph, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (g.n,):
         raise ValueError(f"bit vector shape {b.shape} does not match n={g.n}")
-    return _in_reduce(np.maximum, b[g.edge_arrays[1]], g.in_starts)
+    return _in_reduce(np.maximum, b[g.in_layout.send], g.in_layout)
 
 
 class MinMaxEnvelope(NamedTuple):
@@ -301,9 +308,9 @@ class _BoxRule(_Rule):
         self.M = self.m = cur
 
     def step(self, prev, cur):
-        src, starts = self.g.edge_arrays[1], self.g.in_starts
-        self.M = _in_reduce(np.maximum, self.M[src], starts)
-        self.m = _in_reduce(np.minimum, self.m[src], starts)
+        layout = self.g.in_layout
+        self.M = _in_reduce(np.maximum, self.M[layout.send], layout)
+        self.m = _in_reduce(np.minimum, self.m[layout.send], layout)
 
     def boundary(self, index, start_t, t):
         spreads = vector_norm(self.M - self.m, self.p, axis=-1)

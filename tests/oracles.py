@@ -3,14 +3,14 @@
 Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
 chain construction, in-neighbour sums by a plain loop over the dense weight
-view, so agreement is meaningful. The writers and the
-membership decider are the earlier forms of library code, kept to show that
-a faster form gives the same result.
+view, so agreement is meaningful. The writers, the membership decider and
+the reduceat step kernels are the earlier forms of library code, kept to
+show that a faster form gives the same result.
 """
 
 import numpy as np
 
-from hullstop.geometry import _min_norm_member, _phase_one_feasible
+from hullstop.geometry import _min_norm_member, _phase_one_feasible, vector_norm
 
 
 def reach_set(adj, start):
@@ -43,6 +43,32 @@ def in_sum_reference(W, values):
                 acc += W.w[i, j] * cols[j, c]
             out[i, c] = acc
     return out.reshape(values.shape)
+
+
+def _reduceat_senders(g, ufunc, per_edge):
+    """ufunc over each receiver's per-edge values, the edges sorted by
+    (receiver, sender): ufunc.reduceat at each receiver's first edge."""
+    return ufunc.reduceat(per_edge, np.searchsorted(g.edge_arrays[0], np.arange(g.n)), axis=0)
+
+
+def radius_step_reference(g, r_new, r_old, R_old, p):
+    """radius_step over the edge list: one candidate per edge, then
+    np.maximum.reduceat over each receiver's senders."""
+    dst, src = g.edge_arrays
+    cand = vector_norm(r_new[dst] - r_old[src], p, axis=-1) + R_old[src]
+    return _reduceat_senders(g, np.maximum, cand)
+
+
+def bit_step_reference(g, b):
+    """bit_step over the edge list."""
+    return _reduceat_senders(g, np.maximum, b[g.edge_arrays[1]])
+
+
+def envelope_step_reference(g, M, m):
+    """One box-rule flood round over the edge list: the coordinatewise
+    max of the senders' M and min of their m."""
+    src = g.edge_arrays[1]
+    return _reduceat_senders(g, np.maximum, M[src]), _reduceat_senders(g, np.minimum, m[src])
 
 
 def floyd_warshall_diameter(n, edges):
