@@ -4,8 +4,9 @@ Every per-node sum is one graph._in_sum call per step over all coordinates
 (push-sum's y is one more column). It adds each receiver's terms in
 ascending sender order, whichever of the graph's two in-layouts it runs on:
 one np.bincount per coordinate over the edge list, or one pass per row of
-the padded (K, n) sender table that near-regular graphs get (n*K <= 1.25*E);
-graph's module docstring says why both give the same bytes. Repeated runs
+the (K, n) sender table that graphs with every in-degree equal get (rings,
+complete graphs); graph's module docstring says why both give the same
+bytes. Repeated runs
 are therefore bit-identical, and a d-dimensional run matches d independent
 scalar runs coordinate for coordinate, exactly.
 """

@@ -7,24 +7,20 @@ every node and every graph must be strongly connected; both properties are
 checked at construction time.
 
 Every per-node reduction over senders goes through the graph's in-layout
-(_InLayout), chosen once at construction from K, the largest in-degree, and
-E, the edge count, and through one of two kernels: _in_sum for weighted sums
-and _in_reduce for maximum, minimum and bitwise_or.
-- n*K <= 1.25*E (rings, complete graphs, dense ER): a read-only (K, n) table
-  of sender ids. Column i holds i's senders in ascending order; a column
-  short of K repeats i's own self-loop next to it. _in_sum adds one table
-  row at a time, with weight 0.0 in the repeats, then + 0.0; _in_reduce is
+(_InLayout), chosen once at construction, and through one of two kernels:
+_in_sum for weighted sums and _in_reduce for maximum, minimum and bitwise_or.
+- Every in-degree equal to K (n*K == E: rings, complete graphs): a read-only
+  (K, n) table of sender ids, column i holding i's K senders in ascending
+  order. _in_sum adds one table row at a time, then + 0.0; _in_reduce is
   ufunc.reduce over the table axis.
-- Otherwise, where a table would hold mostly repeats: the receiver-sorted
-  edge arrays. _in_sum is one np.bincount per column, _in_reduce is
-  ufunc.reduceat at the receiver offsets.
-Both layouts give the same bytes. Both add a receiver's terms in ascending
-sender order. A zero-weight slot adds +-0.0, which can change only the sign
-of a zero, and the trailing + 0.0 turns a -0.0 total into +0.0, as
-bincount's 0.0 start does. A repeat sits next to the self value it copies,
-so a max, min or or over it changes nothing, even on a +-0.0 tie, where
-np.maximum keeps its second argument: a repeat after a later tied sender
-would flip the sign.
+- Otherwise: the receiver-sorted edge arrays. _in_sum is one np.bincount per
+  column, _in_reduce is ufunc.reduceat at the receiver offsets.
+Both layouts give the same bytes: both combine a receiver's terms in
+ascending sender order, and the trailing + 0.0 turns a -0.0 total into
++0.0, as bincount's 0.0 start does. A graph with unequal in-degrees keeps
+the edge arrays rather than padding short columns: padding was measured
+slower on the stop_er1000 bench graph, and a zero-weight pad slot would turn
+an inf into NaN.
 Every traversal (strong connectivity, the diameter, m-hop in-neighborhoods)
 is one packed-bit flood, _flood: each node holds a row of np.packbits bits
 and each round ORs into it the rows of its senders through _in_reduce.
@@ -63,7 +59,7 @@ class _InLayout(NamedTuple):
     """How each receiver reaches its senders' values: gather values[send]
     (next to the receiver's own values[recv]) and reduce over axis 0 with
     _in_reduce. The edge layout has recv, send = the receiver-sorted edge
-    arrays and starts = each receiver's first edge; the padded layout has
+    arrays and starts = each receiver's first edge; the table layout has
     the (K, n) table as send, recv = arange(n) as a (1, n) row, and
     starts = None."""
 
@@ -72,38 +68,26 @@ class _InLayout(NamedTuple):
     starts: np.ndarray | None
 
 
-def _table_rows(recv, send, deg):
-    """The row of the padded table that holds each (recv, send) edge: its
-    rank among the receiver's senders, pushed down past the receiver's
-    K - deg repeated self-loops when the sender comes after the receiver."""
-    first = np.cumsum(deg) - deg
-    return (np.arange(len(recv)) - first[recv]
-            + np.where(send > recv, deg.max() - deg[recv], 0))
-
-
 def _in_layout(n, recv, send) -> _InLayout:
-    """The padded layout when n*K <= 1.25*E, else the edge layout, for the
-    receiver-sorted edge arrays (recv, send) that include every self-loop.
-    On the ER graph of the stop_er1000 bench (n*K = 1.58 E) a table raised
-    run_s by 30% and peak memory by 52%."""
+    """The table layout when every in-degree is equal, else the edge layout,
+    for the receiver-sorted edge arrays (recv, send) that include every
+    self-loop."""
     deg = np.bincount(recv, minlength=n)
-    if n * deg.max() > 1.25 * len(recv):
+    if (deg != deg[0]).any():
         starts = np.cumsum(deg) - deg
         starts.setflags(write=False)
         return _InLayout(recv, send, starts)
-    table = np.tile(np.arange(n), (deg.max(), 1))
-    table[_table_rows(recv, send, deg), recv] = send
-    table.setflags(write=False)
     own = np.arange(n)[None, :]
     own.setflags(write=False)
-    return _InLayout(own, table, None)
+    # a view of the read-only send, so read-only too
+    return _InLayout(own, send.reshape(n, deg[0]).T, None)
 
 
 def _in_sum(W, columns):
     """Per receiver, the sum over its senders of W's weight times each of the
     c (n,) columns at the sender, as one (n, c) array; terms are added in
     ascending sender order, exactly like an unbuffered scatter-add. On the
-    edge layout that is np.bincount per column. On the padded layout it is
+    edge layout that is np.bincount per column. On the table layout it is
     one table row at a time across all columns, then + 0.0 (see the module
     docstring for why the bytes are equal). np.add.reduceat was measured not
     to be bit-identical, and one (wk * X[:, table]).sum(axis=1) raised the
@@ -303,7 +287,7 @@ class StochasticMatrix:
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
     each receiver's (averaging). w is the dense receiver-row view, and
     slot_weights the weight of each slot of the graph's in-layout, a (K, n)
-    copy in table order on a padded graph; both are built on first use.
+    view in table order on the table layout; both are built on first use.
     """
 
     kind: str
@@ -332,18 +316,12 @@ class StochasticMatrix:
     @cached_property
     def slot_weights(self) -> np.ndarray:
         """The weight of each slot of the graph's in-layout: edge_weights on
-        the edge layout; on the padded one, the read-only (K, n) weights
-        matching its table, slot_weights[k, i] the weight table[k, i] gives
-        i and 0.0 in the slots that repeat i's self-loop."""
+        the edge layout; on the table layout, the read-only (K, n) view
+        slot_weights[k, i] = the weight table[k, i] gives i."""
         layout = self.graph.in_layout
         if layout.starts is not None:
             return self.edge_weights
-        dst, src = self.graph.edge_arrays
-        rows = _table_rows(dst, src, np.bincount(dst, minlength=self.graph.n))
-        wk = np.zeros(layout.send.shape)
-        wk[rows, dst] = self.edge_weights
-        wk.setflags(write=False)
-        return wk
+        return self.edge_weights.reshape(layout.send.T.shape).T
 
     @cached_property
     def w(self) -> np.ndarray:

@@ -23,9 +23,9 @@ unless history=True asks for all.
 The per-step maxima and minima (radius_step, bit_step, the box envelopes)
 gather each receiver's sender values through the graph's in-layout and
 reduce them with graph._in_reduce: ufunc.reduceat over the edge list, or
-ufunc.reduce over the padded (K, n) sender table when n*K <= 1.25*E. The
-table repeats a short column's self-loop next to the original, so both give
-the same bytes, +-0.0 ties included.
+ufunc.reduce over the (K, n) sender table when every in-degree is K. Both
+take each receiver's senders in ascending order, so both give the same
+bytes, +-0.0 ties included.
 """
 
 from __future__ import annotations

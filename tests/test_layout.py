@@ -1,6 +1,6 @@
 """The two in-layouts behind every per-step sum and max (graph._InLayout):
-which graphs get the padded (K, n) sender table, what the table holds, and
-that both layouts give the references' bytes."""
+which graphs get the (K, n) sender table, what the table holds, and that
+both layouts give the references' bytes."""
 
 import math
 
@@ -30,30 +30,40 @@ from oracles import (
 from test_consensus import _random_weights, _same_bytes
 
 
-def _padded(g):
+def _tabled(g):
     return g.in_layout.starts is None
 
 
 def complete_minus(n, drop, seed):
     """The complete graph on n nodes without drop random off-diagonal edges.
-    With drop <= n - 2 it stays strongly connected (its edge connectivity is
-    n - 1) and some receiver keeps all n senders, so K = n."""
+    With 1 <= drop <= n - 2 it stays strongly connected (its edge
+    connectivity is n - 1) and its in-degrees are unequal: some receiver
+    keeps all n senders and some does not."""
     full = np.argwhere(np.ones((n, n), dtype=bool))
     off = np.flatnonzero(full[:, 0] != full[:, 1])
     gone = np.random.default_rng(seed).choice(off, size=drop, replace=False)
     return DiGraph(n, np.delete(full, gone, axis=0))
 
 
+def circulant(n, offsets):
+    """Node i hears i - o (mod n) for each offset o, 0 included: every
+    in-degree is len(offsets), and the senders of i are not in offset order."""
+    i = np.arange(n)
+    return DiGraph(n, [(a, (a - o) % n) for o in offsets for a in i.tolist()])
+
+
 @st.composite
 def graphs(draw):
-    """A ring, a complete graph or a ragged complete-minus-a-few graph, all
-    padded, or a sparse ER graph, which nearly always keeps the edge layout."""
-    family = draw(st.sampled_from(["ring", "complete", "ragged", "er"]))
+    """A ring, a complete graph or a circulant, which get the table, or a
+    complete-minus-a-few graph or a sparse ER graph, which keep the edges."""
+    family = draw(st.sampled_from(["ring", "complete", "circulant", "ragged", "er"]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     if family == "ring":
         g = generate_digraph(draw(st.integers(min_value=1, max_value=12)), "ring")
     elif family == "complete":
         g = generate_digraph(draw(st.integers(min_value=1, max_value=7)), "complete")
+    elif family == "circulant":
+        g = circulant(draw(st.integers(min_value=5, max_value=12)), (0, 1, 3))
     elif family == "ragged":
         n = draw(st.integers(min_value=3, max_value=8))
         g = complete_minus(n, draw(st.integers(min_value=1, max_value=n - 2)), seed)
@@ -61,16 +71,18 @@ def graphs(draw):
         g = generate_digraph(draw(st.integers(min_value=12, max_value=18)), "erdos_renyi",
                              seed=seed, edge_prob=0.25)
     if family != "er":
-        assert _padded(g)
+        assert _tabled(g) == (family not in ("ragged", "er"))
     return g
 
 
-def test_ring_and_complete_get_the_table_sparse_er_keeps_the_edges():
-    assert _padded(generate_digraph(60, "ring"))
-    assert _padded(generate_digraph(25, "complete"))
+def test_regular_graphs_get_the_table_others_keep_the_edges():
+    assert _tabled(generate_digraph(60, "ring"))
+    assert _tabled(generate_digraph(25, "complete"))
+    assert _tabled(circulant(9, (0, 2, 5)))
+    assert not _tabled(complete_minus(7, 5, seed=1))
     n = 1000
     er = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
-    assert not _padded(er)
+    assert not _tabled(er)
     assert _same_bytes(er.in_layout.recv, er.edge_arrays[0])
     assert _same_bytes(er.in_layout.send, er.edge_arrays[1])
     W = make_weights(er, "column")
@@ -78,23 +90,15 @@ def test_ring_and_complete_get_the_table_sparse_er_keeps_the_edges():
 
 
 @pytest.mark.parametrize("kind", ["column", "row"])
-def test_pad_slots_repeat_the_self_loop_with_weight_zero(kind):
-    g = complete_minus(7, 5, seed=1)
+def test_table_holds_each_receivers_senders_and_weights(kind):
+    g = circulant(9, (0, 2, 5))
     table = g.in_layout.send
-    K = len(table)
-    assert K == g.n and _same_bytes(g.in_layout.recv, np.arange(g.n)[None, :])
+    assert table.shape == (3, g.n)
+    assert _same_bytes(g.in_layout.recv, np.arange(g.n)[None, :])
     W = make_weights(g, kind)
-    expected = np.empty(table.shape)
     for i, senders in enumerate(g.in_adj):
-        col = table[:, i]
-        own = np.flatnonzero(col == i)
-        # i's senders in ascending order, i itself repeated in place
-        assert col.tolist() == sorted(col.tolist())
-        assert sorted(set(col.tolist())) == list(senders)
-        assert len(own) == K - len(senders) + 1
-        expected[:, i] = W.w[i, col]
-        expected[own[1:], i] = 0.0
-    assert _same_bytes(W.slot_weights, expected)
+        assert table[:, i].tolist() == list(senders)
+        assert _same_bytes(np.ascontiguousarray(W.slot_weights[:, i]), W.w[i, table[:, i]])
 
 
 def test_tables_are_read_only():
@@ -105,7 +109,7 @@ def test_tables_are_read_only():
             table[0, 0] = 1
 
 
-def test_padded_step_makes_one_in_sum(spy_calls):
+def test_table_step_makes_one_in_sum(spy_calls):
     import hullstop.consensus as consensus
     g = generate_digraph(6, "ring")
     x0 = np.random.default_rng(3).random((6, 3))
@@ -118,7 +122,7 @@ def test_padded_step_makes_one_in_sum(spy_calls):
 @given(graphs(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=10_000), st.data())
 @settings(max_examples=60, deadline=None)
-def test_padded_sum_matches_in_sum_reference_byte_for_byte(g, d, seed, data):
+def test_both_layouts_sum_like_in_sum_reference_byte_for_byte(g, d, seed, data):
     n = g.n
     rng = np.random.default_rng(seed)
     values = st.floats(min_value=-1e3, max_value=1e3) | st.just(-0.0)
@@ -138,7 +142,7 @@ def test_padded_sum_matches_in_sum_reference_byte_for_byte(g, d, seed, data):
 @given(graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([1.0, 2.0, np.inf]),
        st.data())
 @settings(max_examples=80, deadline=None)
-def test_padded_reductions_match_reduceat_reference(g, d, p, data):
+def test_both_layouts_reduce_like_reduceat_reference(g, d, p, data):
     # few distinct values, so maxima repeat and +0.0 ties -0.0
     n = g.n
     ties = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
@@ -155,3 +159,21 @@ def test_padded_reductions_match_reduceat_reference(g, d, p, data):
     M_ref, m_ref = envelope_step_reference(g, M, m)
     assert _same_bytes(rule.M, M_ref)
     assert _same_bytes(rule.m, m_ref)
+
+
+@given(graphs(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_layouts_sum_non_finite_and_overflowing_states_like_the_reference(g, d, seed, data):
+    # the steps take any float state: an inf, or near-max values whose sum
+    # overflows, must come out as the reference's inf (or nan), never as a
+    # nan of the layout's own making
+    n = g.n
+    rng = np.random.default_rng(seed)
+    values = st.sampled_from([np.inf, -np.inf, 1.7e308, -1.7e308, 1.0, 0.0, -0.0])
+    x = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+    W, A = _random_weights(g, "column", rng), _random_weights(g, "row", rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bytes(ratio_step(RatioState(x, np.ones(n), x, 0), W).x,
+                           in_sum_reference(W, x))
+        assert _same_bytes(row_step(RowState(x), A).z, in_sum_reference(A, x))
