@@ -29,10 +29,10 @@ from .termination import (MinMaxEnvelope, StopTrace, bandwidth_accounting,
                           radius_step, run_box_stopping, run_hull_stopping,
                           run_radius_stopping, windowed_radius_trace,
                           write_termination_csv)
-from .applications import (ErrorBound, flatten_payload, funccalc_error,
+from .applications import (ErrorBound, LseBounds, flatten_payload, funccalc_error,
                            funccalc_init, lse_batch, lse_consensus_estimate,
-                           lse_error_bound, lse_gram, lse_local_payload,
-                           lse_payload_states, operator_norm,
+                           lse_error_bound, lse_error_bound_blocks, lse_error_bounds,
+                           lse_gram, lse_local_payload, lse_payload_states, operator_norm,
                            polynomial_basis, registered_function,
                            unflatten_payload)
 from .harness import (ExperimentConfig, RunResult, compare_criteria,

@@ -20,9 +20,8 @@ import sys
 
 import numpy as np
 
-from .applications import (_design_row, funccalc_error, funccalc_init,
-                           lse_batch, lse_error_bound, lse_gram,
-                           lse_payload_states, polynomial_basis,
+from .applications import (_design, _payloads, _solve_gram, funccalc_error,
+                           funccalc_init, lse_error_bound_blocks, polynomial_basis,
                            registered_function, unflatten_payload)
 from .consensus import ConsensusTrace, _csv_table, consensus_limit, run_consensus, write_state_csv
 from .errors import InvariantViolation
@@ -145,6 +144,8 @@ def _cmd_compare(args) -> int:
 def _cmd_hull(args) -> int:
     if args.points < 1:
         raise _CliError(f"--points must be >= 1, got {args.points}")
+    if args.dim < 1:
+        raise _CliError(f"--dim must be >= 1, got {args.dim}")
     g = generate_digraph(args.nodes, args.topology, args.seed, args.edge_prob)
     rng = np.random.default_rng([args.seed, 2])
     sets = [rng.random((args.points, args.dim)) for _ in range(g.n)]
@@ -190,47 +191,42 @@ def _load_dataset(path):
 def _cmd_lse(args) -> int:
     if args.degree < 0:
         raise _CliError(f"--degree must be >= 0, got {args.degree}")
+    if args.nodes < 1:
+        raise _CliError(f"--nodes must be >= 1, got {args.nodes}")
     basis = polynomial_basis(args.degree)
     M = len(basis)
     if args.data is not None:
         xs, ys = _load_dataset(args.data)
-        n = xs.size
+        if xs.size < 1:
+            raise _CliError("dataset is empty")
+        design = _design(xs, basis)
     else:
-        n = args.nodes
         rng = np.random.default_rng([args.seed, 3])
-        xs = rng.uniform(-1.0, 1.0, n)
-        theta_true = rng.normal(size=M)
-        design = np.stack([_design_row(x, basis) for x in xs])
-        ys = design @ theta_true + 0.01 * rng.normal(size=n)
-    if n < 1:
-        raise _CliError("dataset is empty")
+        xs = rng.uniform(-1.0, 1.0, args.nodes)
+        design = _design(xs, basis)
+        ys = design @ rng.normal(size=M) + 0.01 * rng.normal(size=xs.size)
+    n = xs.size
     g = generate_digraph(n, args.topology, args.seed, args.edge_prob)
     W = make_weights(g, "column")
-    theta_hat = lse_batch(xs, ys, basis)
-    G_true, z_true = lse_gram(xs, ys, basis)
-    state0 = lse_payload_states(xs, ys, basis)
+    payloads = _payloads(design, ys)
+    G_true, z_true = unflatten_payload(payloads.mean(axis=0), M)
+    theta_hat = _solve_gram(G_true, z_true)
     steps = args.k_max
-    trace = run_consensus(W, state0.x, steps)
+    trace = run_consensus(W, payloads, steps)
 
     with artifact_dir(args.out_dir, g) as summary:
         with _csv_table(os.path.join(args.out_dir, "dataset.csv"), "x,y", "%.17g,%.17g") as write:
             write(xs, ys)
+        # row s of the flattened states is step s // n, node s % n
+        states = trace.states.reshape(-1, M * M + M)
+        lhs = np.empty(len(states))
         with _csv_table(os.path.join(args.out_dir, "bound.csv"), "n,node,lhs,bound,holds",
                         "%d,%d,%.17g,%.17g,%s") as write:
-            for k in range(trace.states.shape[0]):
-                lhs, bound, holds = np.full(g.n, np.nan), np.full(g.n, np.nan), ["na"] * g.n
-                for i in range(g.n):
-                    Mi, zi = unflatten_payload(trace.states[k, i], M)
-                    try:
-                        eb = lse_error_bound(Mi, zi, G_true, z_true)
-                    except np.linalg.LinAlgError:
-                        continue
-                    bound[i] = eb.bound
-                    if eb.applicable:
-                        lhs[i] = eb.lhs
-                        holds[i] = int(eb.holds)
-                write(k, np.arange(g.n), lhs, bound, holds)
-            final_err = float(np.nanmax(lhs, initial=0.0))
+            for s, eb in lse_error_bound_blocks(states, G_true, z_true):
+                k, node = np.divmod(np.arange(s, s + len(eb.m)), n)
+                lhs[s:s + len(eb.m)] = eb.lhs
+                write(k, node, eb.lhs, eb.bound, np.where(eb.applicable, eb.holds.astype(int), "na"))
+        final_err = float(np.nanmax(lhs[-n:], initial=0.0))
         summary.update({
             "theta_hat": [float(v) for v in theta_hat],
             "n": int(n),

@@ -3,13 +3,15 @@
 Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
 chain construction, in-neighbour sums by a plain loop over the dense weight
-view, so agreement is meaningful. The writers, the membership decider and
-the reduceat step kernels are the earlier forms of library code, kept to
-show that a faster form gives the same result.
+view, so agreement is meaningful. The writers, the membership decider, the
+reduceat step kernels and the per-item least-squares bound are the
+earlier forms of library code, kept to show that a faster form gives the
+same result.
 """
 
 import numpy as np
 
+from hullstop.applications import ErrorBound
 from hullstop.geometry import _min_norm_member, _phase_one_feasible, vector_norm
 
 
@@ -190,3 +192,28 @@ def affine_minimizer_reference(A):
     N[idx + 1, idx] = -1.0
     beta = np.linalg.lstsq(A @ N, -(A @ a0), rcond=None)[0]
     return a0 + N @ beta
+
+
+def lse_error_bound_reference(M_i, z_i, M_true, z_true):
+    """The least-squares bound as one call per (step, node) computed it,
+    before the stacked kernel: each spectral norm one LAPACK SVD, theta_hat
+    re-solved on every call, LinAlgError on a singular M_i."""
+    def operator_norm(A):
+        return float(np.linalg.svd(A, compute_uv=False)[0])
+
+    M_i = np.asarray(M_i, dtype=float)
+    z_i = np.asarray(z_i, dtype=float)
+    M_true = np.asarray(M_true, dtype=float)
+    z_true = np.asarray(z_true, dtype=float)
+    m = operator_norm(np.linalg.inv(M_i))
+    dM = operator_norm(M_i - M_true)
+    dz = float(vector_norm(z_i - z_true, 2.0))
+    denom = 1.0 - m * dM
+    if denom <= 0.0:
+        return ErrorBound(m, np.inf, np.inf, None, False)
+    C = m * m * (float(vector_norm(z_i, 2.0)) + dz) / denom
+    bound = m * dz + C * dM
+    theta_i = np.linalg.solve(M_i, z_i)
+    theta_hat = np.linalg.solve(M_true, z_true)
+    lhs = float(vector_norm(theta_i - theta_hat, 2.0))
+    return ErrorBound(m, C, bound, bool(lhs <= bound + 1e-9), True, lhs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hullstop import (
     ErrorBound,
@@ -10,6 +11,8 @@ from hullstop import (
     lse_batch,
     lse_consensus_estimate,
     lse_error_bound,
+    lse_error_bound_blocks,
+    lse_error_bounds,
     lse_gram,
     lse_local_payload,
     lse_payload_states,
@@ -20,6 +23,9 @@ from hullstop import (
     run_consensus,
     unflatten_payload,
 )
+from hullstop.consensus import _CHUNK_ROWS
+
+from oracles import lse_error_bound_reference
 
 
 def test_polynomial_basis():
@@ -163,6 +169,114 @@ def test_error_bound_inapplicable_region():
     assert eb == ErrorBound(eb.m, np.inf, np.inf, None, False)
 
 
+# items of a kernel test batch: "near" applies, "flip" (a negated M_true)
+# does not, "zero" has a zero row and column and is singular; "rank1" is a
+# step-0 payload g g^T and "wild" a perturbation from 1e-3 to 1e3, each
+# whichever way LAPACK and the bound decide it
+_KINDS = ("near", "flip", "zero", "rank1", "wild")
+
+
+def _lse_item(kind, M_true, z_true, rng):
+    M = len(z_true)
+    if kind == "near":
+        return M_true + 1e-9 * rng.normal(size=(M, M)), z_true + 1e-9 * rng.normal(size=M)
+    if kind == "flip":
+        return -rng.uniform(0.5, 2.0) * M_true, rng.normal(size=M)
+    if kind == "zero":
+        Mi = M_true + rng.normal(size=(M, M))
+        j = rng.integers(M)
+        Mi[j, :] = Mi[:, j] = 0.0
+        return Mi, rng.normal(size=M)
+    if kind == "rank1":
+        g = rng.uniform(-1.0, 1.0) ** np.arange(M)
+        return np.outer(g, g), g * rng.normal()
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return M_true + scale * rng.normal(size=(M, M)), z_true + scale * rng.normal(size=M)
+
+
+def _lse_problem(M, kinds, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(M, M))
+    M_true, z_true = A @ A.T / M + np.eye(M), rng.normal(size=M)
+    Ms, zs = zip(*(_lse_item(kind, M_true, z_true, rng) for kind in kinds))
+    return np.array(Ms), np.array(zs), M_true, z_true
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _assert_matches_reference(eb, j, Mi, zi, M_true, z_true):
+    """Item j of a kernel result against one per-item reference call."""
+    try:
+        ref = lse_error_bound_reference(Mi, zi, M_true, z_true)
+    except np.linalg.LinAlgError:
+        assert eb.singular[j] and not eb.applicable[j] and not eb.holds[j]
+        assert np.isnan([eb.m[j], eb.C[j], eb.bound[j], eb.lhs[j]]).all()
+        return
+    assert not eb.singular[j] and eb.applicable[j] == ref.applicable
+    assert [_bits(eb.m[j]), _bits(eb.C[j]), _bits(eb.bound[j])] == \
+        [_bits(ref.m), _bits(ref.C), _bits(ref.bound)]
+    if ref.applicable:
+        assert _bits(eb.lhs[j]) == _bits(ref.lhs) and eb.holds[j] == ref.holds
+    else:
+        assert np.isnan(eb.lhs[j]) and not eb.holds[j]
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.lists(st.sampled_from(_KINDS), min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_error_bounds_equal_one_call_per_item(M, kinds, seed):
+    Ms, zs, M_true, z_true = _lse_problem(M, kinds, seed)
+    eb = lse_error_bounds(Ms, zs, M_true, z_true)
+    for j in range(len(kinds)):
+        _assert_matches_reference(eb, j, Ms[j], zs[j], M_true, z_true)
+    kinds = np.array(kinds)
+    assert eb.applicable[kinds == "near"].all()
+    assert not eb.applicable[np.isin(kinds, ["flip", "zero"])].any()
+    assert eb.singular[kinds == "zero"].all()
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.lists(st.sampled_from(_KINDS), min_size=_CHUNK_ROWS + 2, max_size=_CHUNK_ROWS + 40),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_error_bound_blocks_keep_a_singular_item_to_its_block(M, kinds, seed):
+    # a singular item on each side of the first block boundary
+    kinds[_CHUNK_ROWS - 1] = kinds[_CHUNK_ROWS] = "zero"
+    Ms, zs, M_true, z_true = _lse_problem(M, kinds, seed)
+    payloads = np.concatenate([Ms.reshape(len(kinds), M * M), zs], axis=1)
+    starts = []
+    for s, eb in lse_error_bound_blocks(payloads, M_true, z_true):
+        starts.append(s)
+        for j in range(len(eb.m)):
+            _assert_matches_reference(eb, j, Ms[s + j], zs[s + j], M_true, z_true)
+    assert starts == [0, _CHUNK_ROWS]
+
+
+def test_error_bound_keeps_its_singular_error_and_rejects_bad_shapes():
+    with pytest.raises(np.linalg.LinAlgError):
+        lse_error_bound(np.zeros((2, 2)), np.ones(2), np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match="need"):
+        lse_error_bounds(np.zeros((3, 2, 2)), np.ones((3, 3)), np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match="need"):
+        lse_error_bounds(np.zeros((3, 2, 2)), np.ones((3, 2)), np.eye(3), np.ones(3))
+
+
+def test_payloads_use_scalar_powers():
+    # a vectorized x ** m rounds differently on some hosts; the payload
+    # entries are those of one scalar power per sample and basis element
+    basis = polynomial_basis(5)
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-3, 3, 300)
+    ys = rng.normal(size=300)
+    x0 = lse_payload_states(xs, ys, basis).x
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        g = np.array([x ** m for m in range(6)])
+        assert x0[j].tobytes() == np.concatenate([np.outer(g, g).ravel(), g * y]).tobytes()
+
+
 def test_operator_norm_examples():
     assert operator_norm(np.diag([3.0, -7.0, 2.0])) == pytest.approx(7.0, abs=1e-9)
     th = 0.3
@@ -178,8 +292,14 @@ def test_operator_norm_examples():
         # small norms are as exact as large ones
         for s in (1e-4, 1e-8):
             assert operator_norm(s * A) == pytest.approx(s * np.linalg.norm(A, 2), rel=1e-12)
-    with pytest.raises(ValueError):
-        operator_norm(np.zeros((0, 0)))
+    # a stack gives each matrix's own norm, bit for bit
+    stack = rng.normal(size=(2, 3, 4, 5)) * 10.0 ** rng.uniform(-8, 3, (2, 3, 1, 1))
+    norms = operator_norm(stack)
+    assert norms.shape == (2, 3)
+    assert [float(v) for v in norms.ravel()] == [operator_norm(A) for A in stack.reshape(6, 4, 5)]
+    for empty in (np.zeros((0, 0)), np.zeros(3), np.zeros((2, 0, 3))):
+        with pytest.raises(ValueError):
+            operator_norm(empty)
 
 
 def test_funccalc_init_average_is_u():

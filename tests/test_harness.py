@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import hullstop.applications as applications
 import hullstop.cli as cli
 from hullstop import (
     ExperimentConfig,
@@ -177,6 +178,20 @@ def test_cli_funccalc_nan_rho_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lse", "--nodes", "0"],
+    ["lse", "--nodes", "-2"],
+    ["hull", "--dim", "0"],
+    ["hull", "--dim", "-1"],
+])
+def test_cli_rejects_sizes_below_one_by_flag(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    rc = cli.main(argv + ["--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"configuration error: {argv[1]} must be >= 1, got {argv[2]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["compare", "--rho", "0.01", "--stopping", "box"],
     ["hull", "--rho", "0.1"],
     ["hull", "--rho-relative"],
@@ -244,6 +259,16 @@ def test_cli_lse(tmp_path):
     assert summary["final_max_error"] < 1e-6
     assert os.path.exists(os.path.join(out, "bound.csv"))
     assert os.path.exists(os.path.join(out, "dataset.csv"))
+
+
+def test_cli_lse_makes_one_kernel_call_per_block(tmp_path, spy_calls):
+    per_item = spy_calls(applications, "lse_error_bound")
+    blocks = spy_calls(applications, "lse_error_bounds")
+    rc = cli.main(["lse", "--nodes", "10", "--k-max", "60", "--out-dir", str(tmp_path / "l")])
+    assert rc == 0
+    assert per_item == [] and "lse_error_bound" not in vars(cli)
+    # 61 steps x 10 nodes = 610 (step, node) items, in blocks of 256
+    assert [len(args[0]) for args, _ in blocks] == [256, 256, 98]
 
 
 def test_cli_lse_reads_dataset(tmp_path):
