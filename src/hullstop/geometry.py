@@ -9,10 +9,19 @@ minimum-norm-point iteration, whose iterates give an upper and a lower bound
 on the distance from p to the hull. Only a query those bounds leave between
 tol and the simplex's own reach goes to a phase-one simplex with Bland's
 rule, which needs no general position assumption and always terminates.
+
+Extreme-point queries are cut without changing a verdict. A point that is
+a unique coordinate extreme, or ahead of every other point along one of 256
+fixed unit directions by more than the margin past which a query answers
+outside anyway, is extreme with no query (Dula and Helgason: frame points
+maximize linear functions). Within one hull round, a `_Verdicts` memo
+answers a repeated (point, ground set) query from the first answer.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +134,24 @@ def _rhs_perturbation(d: int) -> np.ndarray:
     return 2.0 ** -40 + np.arange(d) * 2.0 ** -44
 
 
+@functools.cache
+def _rhs_sum(d: int) -> float:
+    """sum(_rhs_perturbation(d)), summed once per d."""
+    return float(_rhs_perturbation(d).sum())
+
+
 def _tableau_threshold(s: float, tol: float, d: int) -> float:
     """Largest phase-one optimum the tableau accepts as feasible, in units
     of the span s. 64 eps floors it at what float64 pivoting can resolve;
     the perturbations land in the optimum, so they are added back on top."""
-    return max(tol / s, 64.0 * _EPS) + float(_rhs_perturbation(d).sum())
+    return max(tol / s, 64.0 * _EPS) + _rhs_sum(d)
+
+
+def _margin(s: float, tol: float, d: int) -> float:
+    """Distance beyond which no point is one the tableau could accept, for a
+    query of span s (see `_member`). It grows with s, so the margin of a
+    larger span is a conservative stand-in."""
+    return 2.0 * s * (_tableau_threshold(s, tol, d) + _rhs_sum(d))
 
 
 def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
@@ -240,7 +262,7 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
     V = pts - p
     m, _ = V.shape
     norms2 = np.einsum("ij,ij->i", V, V)
-    scale = float(np.sqrt(norms2.max()))
+    scale = math.sqrt(float(norms2.max()))
     j0 = int(np.argmin(norms2))
     corral = [j0]
     lam = np.ones(1)
@@ -249,15 +271,15 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
     best_lb = -np.inf
     stall = 0
     for _ in range(64 * (m + V.shape[1] + 2)):
-        ny = float(np.sqrt(y @ y))
+        ny = math.sqrt(float(y @ y))
         if ny <= tol:
             break
         dots = V @ y
-        lb = float(dots.min()) / ny
+        j = int(np.argmin(dots))
+        lb = float(dots[j]) / ny
         best_lb = max(best_lb, lb)
         if lb > margin:
             break
-        j = int(np.argmin(dots))
         if j in corral or lb >= ny - 1e-12 * scale:
             break
         if ny >= best - 1e-15 * scale:
@@ -295,7 +317,7 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
             lam = lam[keep]
             lam /= lam.sum()
     else:
-        ny = float(np.sqrt(y @ y))
+        ny = math.sqrt(float(y @ y))
     return ny <= tol, best_lb
 
 
@@ -336,9 +358,9 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     V = pts - p
     d = V.shape[1]
     s = max(float(np.abs(V).max()), tol)
-    margin = 2.0 * s * (_tableau_threshold(s, tol, d) + float(_rhs_perturbation(d).sum()))
+    margin = _margin(s, tol, d)
     u = V.mean(axis=0)
-    nu = float(np.sqrt(u @ u))
+    nu = math.sqrt(float(u @ u))
     if nu > 0.0 and float((V @ u).min()) > margin * nu:
         return False
     inside, lower = _min_norm_member(pts, p, tol, margin)
@@ -349,8 +371,17 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     return _phase_one_feasible(pts, p, tol)
 
 
+def _check_tol(tol) -> float:
+    """tol as a float; a ValueError unless it is finite and >= 0."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def hull_membership(p, S, tol: float = 1e-9) -> bool:
     """True when p lies in the convex hull of S within tol."""
+    tol = _check_tol(tol)
     pts = _as_points(S)
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape[0] != pts.shape[1]:
@@ -360,13 +391,87 @@ def hull_membership(p, S, tol: float = 1e-9) -> bool:
     return _member(pts, p, tol)
 
 
-def extreme_points(S, tol: float = 1e-9) -> PointSet:
+_N_DIRECTIONS = 256
+_DIRECTION_BLOCK = 64
+
+
+@functools.cache
+def _directions(d: int) -> np.ndarray:
+    """A fixed (d, 256) read-only array of unit directions, one draw per d."""
+    U = np.random.default_rng([d, 20_160_301]).normal(size=(d, _N_DIRECTIONS))
+    U /= np.sqrt((U * U).sum(axis=0))
+    U.setflags(write=False)
+    return U
+
+
+def _direction_extremes(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Points certified extreme by a fixed direction, with no query.
+
+    A point that is the unique argmax of <x, u> for a unit u, ahead of the
+    runner-up by more than the margin, lies further than the margin from
+    the hull of the others: the separating direction certificate `_member`
+    applies to the centroid direction, here applied to fixed directions.
+    The margin is taken at the span of the whole set, which bounds the span
+    of every query `extreme_points` could make, so it is conservative.
+    Scores are taken from the lower corner of the box, which keeps their
+    rounding a few eps of the span, far below the margin.
+    """
+    m, d = pts.shape
+    lo = pts.min(axis=0)
+    span = float((pts.max(axis=0) - lo).max())
+    margin = _margin(max(span, tol), tol, d)
+    X = pts - lo
+    U = _directions(d)
+    found = np.zeros(m, dtype=bool)
+    for b in range(0, _N_DIRECTIONS, _DIRECTION_BLOCK):
+        scores = X @ U[:, b:b + _DIRECTION_BLOCK]
+        cols = np.arange(scores.shape[1])
+        top = scores.argmax(axis=0)
+        best = scores[top, cols]
+        scores[top, cols] = -np.inf
+        found[top[best - scores.max(axis=0) > margin]] = True
+    return found
+
+
+class _Verdicts:
+    """Membership verdicts shared by the `extreme_points` calls of one hull
+    round. A query is keyed by the id of its point and the bitmask of the
+    ids of its ground set, each id numbering a distinct row (by its bytes)
+    in order of first sight. An equal key means the same point and, rows
+    being in canonical order, the same ground-set array, so the stored
+    verdict is the one `_member` would return again."""
+
+    def __init__(self):
+        self._ids: dict = {}
+        self._seen: dict = {}
+
+    def ids(self, pts: np.ndarray) -> list:
+        ids = self._ids
+        return [ids.setdefault(row.tobytes(), len(ids)) for row in pts]
+
+    def member(self, rest: np.ndarray, p: np.ndarray, tol: float, key) -> bool:
+        key = (tol, *key)
+        verdict = self._seen.get(key)
+        if verdict is None:
+            verdict = self._seen[key] = _member(rest, p, tol)
+        return verdict
+
+
+def extreme_points(S, tol: float = 1e-9, verdicts: _Verdicts | None = None) -> PointSet:
     """Points of S not representable as convex combinations of the others.
 
     Each candidate is tested against the rest of the set; a point found
     interior is removed from the ground set immediately, which is sound
-    because removing a non-extreme point leaves the hull unchanged.
+    because removing a non-extreme point leaves the hull unchanged. Two
+    certificates settle points with no query: a unique coordinate extreme,
+    and a point ahead of all others along one of 256 fixed directions by
+    more than the margin past which `_member` answers outside anyway
+    (`_direction_extremes`). Given verdicts, a hull round's `_Verdicts`,
+    a (point, ground set) query already answered in that round is not
+    asked again. Either way the result is that of querying every other
+    point in turn.
     """
+    tol = _check_tol(tol)
     pts = _as_points(S)
     m = pts.shape[0]
     if m == 1:
@@ -374,14 +479,23 @@ def extreme_points(S, tol: float = 1e-9) -> PointSet:
     # unique coordinate extremes can never be convex combinations of others
     lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
     definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)
+    if not definite.all():
+        definite |= _direction_extremes(pts, tol)
+    if verdicts is None:
+        verdicts = _Verdicts()
+    bits = [1 << i for i in verdicts.ids(pts)]
+    kept = sum(bits)
     keep = np.ones(m, dtype=bool)
     for idx in range(m):
         if definite[idx]:
             continue
         keep[idx] = False
         rest = pts[keep]
-        if rest.shape[0] == 0 or not _member(rest, pts[idx], tol):
+        key = (bits[idx], kept & ~bits[idx])
+        if rest.shape[0] == 0 or not verdicts.member(rest, pts[idx], tol, key):
             keep[idx] = True
+        else:
+            kept &= ~bits[idx]
     return PointSet(pts[keep])
 
 
@@ -406,6 +520,7 @@ def hull_diameter(E, p: float = 2.0) -> float:
 
 def is_convex_decreasing(prev, nxt, tol: float = 1e-9) -> bool:
     """True when every point of nxt lies in the convex hull of prev."""
+    tol = _check_tol(tol)
     prev_pts = _as_points(prev)
     nxt_pts = _as_points(nxt)
     if prev_pts.shape[1] != nxt_pts.shape[1]:

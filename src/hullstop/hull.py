@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, extreme_points, hull_diameter, vector_norm
+from .geometry import PointSet, _Verdicts, extreme_points, hull_diameter, vector_norm
 from .graph import DiGraph
 
 __all__ = [
@@ -34,17 +34,19 @@ class HullNodeState:
 def hull_round(states, g: DiGraph, cache: dict | None = None):
     """One synchronous round: every node unions the estimates of its senders
     (itself included via the self-loop) and keeps the extreme points.
-    Extreme sets are memoized in cache, a fresh dict if none is given."""
+    Extreme sets are memoized in cache, a fresh dict if none is given; the
+    membership verdicts behind them are shared for this round only."""
     dims = {s.ext.d for s in states}
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions in hull states: {sorted(dims)}")
     if cache is None:
         cache = {}
+    verdicts = _Verdicts()
     out = []
     for i in range(g.n):
         probe = PointSet(np.vstack([states[j].ext.points for j in g.in_adj[i]]))
         if probe not in cache:
-            cache[probe] = extreme_points(probe)
+            cache[probe] = extreme_points(probe, verdicts=verdicts)
         out.append(HullNodeState(cache[probe]))
     return out
 
@@ -99,7 +101,10 @@ def decode_extreme_set(seq) -> PointSet:
     seq = list(seq)
     if len(seq) < 2:
         raise ValueError("extreme set message needs at least d and m")
-    d, m = int(seq[0]), int(seq[1])
+    head = [float(v) for v in seq[:2]]
+    if not all(v.is_integer() for v in head):
+        raise ValueError(f"message header d and m must be integers, got {head[0]}, {head[1]}")
+    d, m = int(head[0]), int(head[1])
     if d < 1 or m < 1 or len(seq) != 2 + m * d:
         raise ValueError(f"coordinate payload mismatch: d={d}, m={m}, len={len(seq)}")
     return PointSet(np.asarray(seq[2:], dtype=float).reshape(m, d))

@@ -4,15 +4,16 @@ Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
 chain construction, in-neighbour sums by a plain loop over the dense weight
 view, so agreement is meaningful. The writers, the membership decider, the
-reduceat step kernels and the per-item least-squares bound are the
-earlier forms of library code, kept to show that a faster form gives the
-same result.
+reduceat step kernels, the per-item least-squares bound and the
+extreme-point loop are the earlier forms of library code, kept to show that
+a faster form gives the same result.
 """
 
 import numpy as np
 
 from hullstop.applications import ErrorBound
-from hullstop.geometry import _min_norm_member, _phase_one_feasible, vector_norm
+from hullstop.geometry import (PointSet, _as_points, _member, _min_norm_member,
+                               _phase_one_feasible, vector_norm)
 
 
 def reach_set(adj, start):
@@ -176,6 +177,28 @@ def member_reference(pts, p, tol):
     if _phase_one_feasible(pts, p, tol):
         return True
     return _min_norm_member(pts, p, tol, tol)[0]
+
+
+def extreme_points_reference(S, tol=1e-9):
+    """The extreme-point loop before the direction pre-pass and the verdict
+    memo: the unique-coordinate skip, then one `_member` query per other
+    point against the points kept so far."""
+    pts = _as_points(S)
+    m = pts.shape[0]
+    if m == 1:
+        return PointSet(pts)
+    # unique coordinate extremes can never be convex combinations of others
+    lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
+    definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)
+    keep = np.ones(m, dtype=bool)
+    for idx in range(m):
+        if definite[idx]:
+            continue
+        keep[idx] = False
+        rest = pts[keep]
+        if rest.shape[0] == 0 or not _member(rest, pts[idx], tol):
+            keep[idx] = True
+    return PointSet(pts[keep])
 
 
 def affine_minimizer_reference(A):

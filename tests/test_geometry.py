@@ -17,7 +17,7 @@ from hullstop import (
     vector_norm,
 )
 import hullstop.geometry as geometry
-from oracles import member_reference, monotone_chain
+from oracles import extreme_points_reference, member_reference, monotone_chain
 
 def hull_membership_set(S, q, tol=1e-9):
     return hull_membership(q, S, tol)
@@ -373,3 +373,58 @@ def test_membership_matches_reference_order_or_certifies_outside():
                 flipped += 1
                 assert not new and _wolfe_lower_bound(pts, q, tol) > tol, (seed, kind, q)
     assert queries > 5000 and flipped <= queries // 1000
+
+
+def _guard_cloud(rng, kind, d):
+    """Random, flat (axes spanning eight orders of magnitude), collapsed (a
+    1e-6 spread at offset 10) or random with repeated rows."""
+    m = int(rng.integers(2, 3 * d + 12))
+    pts = rng.normal(size=(m, d))
+    if kind == "flat":
+        pts *= np.logspace(0, -8, d)
+    elif kind == "collapsed":
+        pts = 10.0 + 1e-6 * pts
+    elif kind == "duplicate":
+        pts[rng.integers(0, m, size=m // 2)] = pts[rng.integers(0, m, size=m // 2)]
+    return pts
+
+
+def _assert_reference_bytes(got, pts):
+    ref = extreme_points_reference(pts)
+    assert got.points.shape == ref.points.shape and got.points.tobytes() == ref.points.tobytes()
+
+
+def test_extreme_points_keep_the_reference_loops_verdicts():
+    # certificates and memo may skip queries, never change an answer: the
+    # extreme set is that of querying every other point in turn
+    rng = np.random.default_rng(2016)
+    for d in range(1, 9):
+        for kind in ("random", "flat", "collapsed", "duplicate"):
+            for _ in range(6):
+                pts = _guard_cloud(rng, kind, d)
+                _assert_reference_bytes(extreme_points(pts), pts)
+                _assert_reference_bytes(extreme_points(pts, verdicts=geometry._Verdicts()), pts)
+
+
+@pytest.mark.parametrize("seed", [7, 0])
+def test_hull_consensus_probes_keep_the_reference_loops_verdicts(monkeypatch, seed):
+    # every probe of the bench's hull command (20 nodes, 5 points each in
+    # d=3, edge probability 4 ln n / n), with the round's shared memo too
+    import hullstop.hull as hull
+    from hullstop import generate_digraph, run_hull_consensus
+    calls = []
+    real = hull.extreme_points
+
+    def spy(S, *args, **kw):
+        calls.append((S, real(S, *args, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hull, "extreme_points", spy)
+    g = generate_digraph(20, "erdos_renyi", seed, float(f"{4 * np.log(20) / 20:.6g}"))
+    rng = np.random.default_rng([seed, 2])
+    run_hull_consensus([rng.random((5, 3)) for _ in range(g.n)], g)
+    assert len(calls) > g.n
+    for probe, got in calls:
+        _assert_reference_bytes(got, probe)
+        _assert_reference_bytes(extreme_points(probe), probe)
+        _assert_reference_bytes(extreme_points(probe, verdicts=geometry._Verdicts()), probe)

@@ -145,3 +145,25 @@ def test_hull_round_memo_shares_one_extreme_set_per_union():
     assert sizes == [1, 2, 2]
     assert [s.ext for s in states] == [s.ext for s in fresh]
     assert states[0].ext == extreme_points(np.vstack(sets))
+
+
+def test_hull_round_asks_no_membership_query_twice(spy_calls):
+    # in the bench's hull command, round 2 at seed 7 repeated 469 (rest, p)
+    # queries across nodes before verdicts were shared within a round
+    import hullstop.geometry as geometry
+    g = generate_digraph(20, "erdos_renyi", 7, float(f"{4 * np.log(20) / 20:.6g}"))
+    rng = np.random.default_rng([7, 2])
+    states = [HullNodeState(extreme_points(rng.random((5, 3)))) for _ in range(g.n)]
+    cache: dict = {}
+    states = hull_round(states, g, cache=cache)
+    calls = spy_calls(geometry, "_member")
+    hull_round(states, g, cache=cache)
+    keys = [(rest.shape, rest.tobytes(), p.tobytes()) for (rest, p, _), _ in calls]
+    assert len(keys) > 100 and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("header", [[2.5, 1.0], [2.0, 0.5], [np.nan, 1.0], [2.0, np.inf],
+                                    [-np.inf, 1.0]])
+def test_decode_rejects_a_header_that_is_not_an_integer(header):
+    with pytest.raises(ValueError, match="^message header d and m must be integers, got "):
+        decode_extreme_set(header + [0.1, 0.2])
