@@ -1,14 +1,14 @@
 """Push-sum (ratio) and row-averaging consensus engines over R^d states.
 
-Every per-node sum is one graph._in_sum call per step over all coordinates
-(push-sum's y is one more column). It adds each receiver's terms in
-ascending sender order, whichever of the graph's two in-layouts it runs on:
-one np.bincount per coordinate over the edge list, or one pass per row of
-the (K, n) sender table that graphs with every in-degree equal get (rings,
-complete graphs); graph's module docstring says why both give the same
-bytes. Repeated runs
-are therefore bit-identical, and a d-dimensional run matches d independent
-scalar runs coordinate for coordinate, exactly.
+Every per-node sum is one graph._in_sum call per step over one (c, n) array
+of all coordinates, stacked once (push-sum's y is one more row). It adds
+each receiver's terms in ascending sender order, whichever of the graph's
+two in-layouts it runs on: one np.bincount per coordinate over the edge
+list, or one pass per row of the (K, n) sender table that graphs with every
+in-degree equal get (rings, complete graphs); graph's module docstring says
+why both give the same bytes. Repeated runs are therefore bit-identical,
+and a d-dimensional run matches d independent scalar runs coordinate for
+coordinate, exactly.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     x, y = state.x, state.y
     if x.ndim != 2 or x.shape[0] != n or y.shape != (n,):
         raise ValueError(f"state shapes {x.shape}, {y.shape} do not match n={n}")
-    xy = _in_sum(W, [*x.T, y])
+    xy = _in_sum(W, np.concatenate((x.T, y[None])))
     xn, yn = xy[:, :-1], xy[:, -1]
-    if yn.min() <= 0.0:
+    if np.minimum.reduce(yn) <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={state.k + 1}")
     return RatioState(xn, yn, xn / yn[:, None], state.k + 1)
 
@@ -261,7 +261,10 @@ def write_state_csv(trace: ConsensusTrace, path):
 
 def read_state_csv(path) -> ConsensusTrace:
     """Exact inverse of write_state_csv (engine label is not stored). Raises
-    ValueError unless every (k, node, coord) cell appears exactly once."""
+    ValueError unless every (k, node, coord) cell appears exactly once.
+    T, n and d are the largest indices found, so a file cut at a step
+    boundary reads back as a shorter trace: a caller must compare the step
+    count with the one it knows."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != _STATE_HEADER:

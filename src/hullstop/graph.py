@@ -8,13 +8,15 @@ checked at construction time.
 
 Every per-node reduction over senders goes through the graph's in-layout
 (_InLayout), chosen once at construction, and through one of two kernels:
-_in_sum for weighted sums and _in_reduce for maximum, minimum and bitwise_or.
+_in_sum for weighted sums of the rows of one (c, n) array and _in_reduce for
+maximum, minimum and bitwise_or.
 - Every in-degree equal to K (n*K == E: rings, complete graphs): a read-only
   (K, n) table of sender ids, column i holding i's K senders in ascending
-  order. _in_sum adds one table row at a time, then + 0.0; _in_reduce is
-  ufunc.reduce over the table axis.
+  order. _in_sum adds one table row at a time across all c rows, then
+  + 0.0; _in_reduce is ufunc.reduce over the table axis.
 - Otherwise: the receiver-sorted edge arrays. _in_sum is one np.bincount per
-  column, _in_reduce is ufunc.reduceat at the receiver offsets.
+  row of its (c, n) array, _in_reduce is ufunc.reduceat at the receiver
+  offsets.
 Both layouts give the same bytes: both combine a receiver's terms in
 ascending sender order, and the trailing + 0.0 turns a -0.0 total into
 +0.0, as bincount's 0.0 start does. A graph with unequal in-degrees keeps
@@ -83,23 +85,23 @@ def _in_layout(n, recv, send) -> _InLayout:
     return _InLayout(own, send.reshape(n, deg[0]).T, None)
 
 
-def _in_sum(W, columns):
+def _in_sum(W, X):
     """Per receiver, the sum over its senders of W's weight times each of the
-    c (n,) columns at the sender, as one (n, c) array; terms are added in
-    ascending sender order, exactly like an unbuffered scatter-add. On the
-    edge layout that is np.bincount per column. On the table layout it is
-    one table row at a time across all columns, then + 0.0 (see the module
-    docstring for why the bytes are equal). np.add.reduceat was measured not
-    to be bit-identical, and one (wk * X[:, table]).sum(axis=1) raised the
-    stop_ring bench's peak memory by 12%, so neither is used."""
+    c rows of the (c, n) array X at the sender, as one (n, c) array; terms
+    are added in ascending sender order, exactly like an unbuffered
+    scatter-add. On the edge layout that is np.bincount per row of X. On the
+    table layout it is one table row at a time across all of X, then + 0.0
+    (see the module docstring for why the bytes are equal). np.add.reduceat
+    was measured not to be bit-identical, and one
+    (wk * X[:, table]).sum(axis=1) raised the stop_ring bench's peak memory
+    by 12%, so neither is used."""
     layout, wk = W.graph.in_layout, W.slot_weights
     if layout.starts is not None:
         # stacked as rows and returned transposed, so each column stays
         # contiguous for the next step's gathers: this measured faster than
         # np.column_stack
         return np.array([np.bincount(layout.recv, wk * col[layout.send], minlength=W.graph.n)
-                         for col in columns]).T
-    X = np.array(columns)
+                         for col in X]).T
     table = layout.send
     acc = X[:, table[0]]
     acc *= wk[0]

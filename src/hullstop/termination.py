@@ -25,7 +25,13 @@ gather each receiver's sender values through the graph's in-layout and
 reduce them with graph._in_reduce: ufunc.reduceat over the edge list, or
 ufunc.reduce over the (K, n) sender table when every in-degree is K. Both
 take each receiver's senders in ascending order, so both give the same
-bytes, +-0.0 ties included.
+bytes, +-0.0 ties included. On the table, radius_step broadcasts a
+receiver's own state instead of gathering it through arange(n); on the edge
+list its gather stays inside one expression, since a gather bound to a name
+keeps one more (E, d) array alive and raised the stop_er1000 bench's peak
+memory from 2.29 to 3.20 MB. bit_step returns a copy of its input when all
+bits are 0 (every window before the first detection) or all are 1: every
+node has its self-loop, so an OR over equal bits changes none of them.
 """
 
 from __future__ import annotations
@@ -70,7 +76,10 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
     layout = g.in_layout
-    cand = vector_norm(r_new[layout.recv] - r_old[layout.send], p, axis=-1) + R_old[layout.send]
+    # one expression, so numpy can reuse the gathered temporary in place
+    # (see the module docstring)
+    cand = vector_norm((r_new[None] if layout.starts is None else r_new[layout.recv])
+                       - r_old[layout.send], p, axis=-1) + R_old[layout.send]
     return _in_reduce(np.maximum, cand, layout)
 
 
@@ -79,6 +88,10 @@ def bit_step(g: DiGraph, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (g.n,):
         raise ValueError(f"bit vector shape {b.shape} does not match n={g.n}")
+    ones = np.count_nonzero(b)
+    if ones == 0 or (ones == g.n and np.maximum.reduce(b) == 1):
+        # equal bits everywhere: with every self-loop, the OR is the identity
+        return b.copy()
     return _in_reduce(np.maximum, b[g.in_layout.send], g.in_layout)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import hullstop.applications as applications
 import hullstop.cli as cli
+import hullstop.harness as harness
 from hullstop import (
+    ConsensusTrace,
     ExperimentConfig,
     InvariantViolation,
     compare_criteria,
@@ -104,6 +106,20 @@ def test_verify_states_file_matches_run(tmp_path):
     checked = verify_states_file(res.paths["states.csv"], 2.0)
     assert checked["k_steps"] == res.summary["k_steps"]
     assert checked["final_spread"] == res.summary["final_spread"]
+
+
+def test_states_file_cut_at_a_step_boundary_is_a_length_mismatch(tmp_path, monkeypatch):
+    # read_state_csv reads a file missing its last step's rows as a valid
+    # shorter trace; the run's own step count is what catches it
+    write = harness.write_state_csv
+
+    def drop_last_step(trace, path):
+        cut = [None if a is None else a[:-1] for a in (trace.states, trace.xs, trace.ys)]
+        write(ConsensusTrace(trace.engine, *cut), path)
+
+    monkeypatch.setattr(harness, "write_state_csv", drop_last_step)
+    with pytest.raises(InvariantViolation, match="trace length mismatch"):
+        run_experiment(cfg_for(tmp_path))
 
 
 def test_row_engine_experiment(tmp_path):

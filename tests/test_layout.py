@@ -3,6 +3,7 @@ which graphs get the (K, n) sender table, what the table holds, and that
 both layouts give the references' bytes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,3 +178,34 @@ def test_both_layouts_sum_non_finite_and_overflowing_states_like_the_reference(g
         assert _same_bytes(ratio_step(RatioState(x, np.ones(n), x, 0), W).x,
                            in_sum_reference(W, x))
         assert _same_bytes(row_step(RowState(x), A).z, in_sum_reference(A, x))
+
+
+@pytest.mark.parametrize("g", [generate_digraph(9, "ring"), complete_minus(7, 5, seed=1)],
+                         ids=["table", "edges"])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_bit_step_of_equal_bits_is_a_fresh_copy_of_the_reference(g, bit):
+    b = np.full(g.n, bit, dtype=np.uint8)
+    out = bit_step(g, b)
+    assert _same_bytes(out, bit_step_reference(g, b))
+    assert out.dtype == np.uint8
+    assert out is not b and not np.shares_memory(out, b)
+
+
+def test_radius_step_peak_memory_on_the_edge_layout():
+    # the receiver-side gather r_new[recv] must stay a temporary numpy can
+    # reuse in place: bound to a name, it keeps one more (E, d) array alive
+    # and the peak reaches about 3.25 (E, d) float arrays, against 2.25
+    n, d = 1000, 4
+    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
+    E = len(g.edges)
+    assert not _tabled(g) and E == 28_538
+    rng = np.random.default_rng(0)
+    r_new, r_old, R_old = rng.random((n, d)), rng.random((n, d)), rng.random(n)
+    radius_step(g, r_new, r_old, R_old)
+    tracemalloc.start()
+    try:
+        radius_step(g, r_new, r_old, R_old)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * E * d * 8
