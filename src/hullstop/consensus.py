@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -248,15 +248,38 @@ def _every_step(rows, what: str) -> np.ndarray:
 def write_state_csv(trace: ConsensusTrace, path):
     """Rows (k, node, coord, x, y, r) at 17 significant digits, which is
     enough to round-trip float64 exactly. The row engine stores z in both
-    x and r with y = 1."""
+    x and r with y = 1.
+
+    Each value the layout repeats is formatted once: the "node,coord,"
+    prefixes once per file, written into one %-template per chunk of
+    _CHUNK_ROWS rows; y once per node and step, not once per coordinate;
+    and on the row engine, where x and r are the same array, that array
+    once per step. The bytes are those of one "%d,%d,%d,%.17g,%.17g,%.17g"
+    row format, which the tests keep as the reference."""
     states = _every_step(trace.states, "write_state_csv")
     T, n, d = states.shape
-    xs = trace.xs if trace.xs is not None else states
-    node, coord = np.divmod(np.arange(n * d), d)
-    with _csv_table(path, _STATE_HEADER, "%d,%d,%d,%.17g,%.17g,%.17g") as write:
+    same = trace.xs is None
+    xs = states if same else trace.xs
+    # x and r go in as preformatted strings when they are the same array
+    cell = "%s" if same else "%.17g"
+    rows = n * d
+    templates = ["".join(f"%s,{j // d},{j % d},{cell},%s,{cell}\n"
+                         for j in range(s, min(s + _CHUNK_ROWS, rows)))
+                 for s in range(0, rows, _CHUNK_ROWS)]
+    with open(path, "w", newline="") as fh:
+        fh.write(_STATE_HEADER + "\n")
         for k in range(T):
-            y = np.repeat(trace.ys[k], d) if trace.ys is not None else 1.0
-            write(k, node, coord, xs[k].ravel(), y, states[k].ravel())
+            ys = trace.ys[k].tolist() if trace.ys is not None else [1.0] * n
+            y = [g for g in map("%.17g".__mod__, ys) for _ in range(d)]
+            x_k, r_k = xs[k].ravel(), states[k].ravel()
+            for s, template in zip(range(0, rows, _CHUNK_ROWS), templates):
+                x = x_k[s:s + _CHUNK_ROWS].tolist()
+                if same:
+                    x = r = list(map("%.17g".__mod__, x))
+                else:
+                    r = r_k[s:s + _CHUNK_ROWS].tolist()
+                fh.write(template % tuple(chain.from_iterable(
+                    zip(repeat(str(k)), x, y[s:s + _CHUNK_ROWS], r))))
 
 
 def read_state_csv(path) -> ConsensusTrace:

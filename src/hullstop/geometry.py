@@ -225,20 +225,57 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     return float(obj[ncols]) <= _tableau_threshold(s, tol, d)
 
 
+# np.linalg.lstsq's own gufunc, resolved at import so that a numpy without
+# it (before 2.0 it was split in two) fails here rather than in a hull round
+try:
+    from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
+except ImportError as exc:
+    raise ImportError("hullstop needs numpy>=2.4: numpy.linalg._umath_linalg.lstsq "
+                      f"is missing from numpy {np.__version__}") from exc
+if "ddd->ddid" not in _lstsq_gufunc.types:
+    raise ImportError(f"numpy {np.__version__}: the lstsq gufunc has no float64 loop")
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+@functools.cache
+def _uniform(k: int) -> np.ndarray:
+    """The read-only barycentre np.full(k, 1/k), built once per k."""
+    a0 = np.full(k, 1.0 / k)
+    a0.setflags(write=False)
+    return a0
+
+
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
+
 def _affine_minimizer(A: np.ndarray):
     """Least-norm point of the affine hull of the columns of A.
 
     Solves min ||A a|| subject to sum a = 1 by eliminating the constraint:
     a = a0 + N b, where column i of N is e_i - e_(i+1), so A N is the
     consecutive column differences and N b is b minus b shifted by one.
-    lstsq solves the reduced problem and tolerates rank deficiency. Returns
-    the barycentric coordinates a.
+    The reduced problem, which may be rank deficient, goes straight to the
+    LAPACK gufunc (xGELSD) that np.linalg.lstsq wraps, with what the
+    wrapper passes for rcond=None: rcond = eps * max of A N's shape, the
+    'ddd->ddid' loop, and its errstate, so that non-convergence still
+    raises LinAlgError. The bytes are therefore lstsq's, without its checks
+    and casts, which on these 3 to 40 entry systems cost more than the
+    solve. Returns the barycentric coordinates a.
     """
     k = A.shape[1]
     if k == 1:
         return np.ones(1)
-    a0 = np.full(k, 1.0 / k)
-    beta = np.linalg.lstsq(A[:, :-1] - A[:, 1:], -(A @ a0), rcond=None)[0]
+    a0 = _uniform(k)
+    B = A[:, :-1] - A[:, 1:]
+    rhs = -(A @ a0)
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        beta = _lstsq_gufunc(B, rhs[:, None], _EPS * max(B.shape),
+                             signature="ddd->ddid")[0][:, 0]
     step = np.zeros(k)
     step[:-1] = beta
     step[1:] -= beta
@@ -258,12 +295,17 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
     decision but not corrupt it. On convergence or a stall it returns
     inside = ||y|| <= tol and the best lower bound seen, and the caller
     decides what a bound between tol and margin means.
+
+    Reductions on the 3 to 40 entry arrays here call the ufunc's reduce
+    (np.minimum.reduce for .min()) and argmin methods directly: the same
+    arithmetic without numpy's Python-level wrappers, which cost more than
+    it does. The bytes are pinned against the wrapper form in the tests.
     """
     V = pts - p
     m, _ = V.shape
     norms2 = np.einsum("ij,ij->i", V, V)
-    scale = math.sqrt(float(norms2.max()))
-    j0 = int(np.argmin(norms2))
+    scale = math.sqrt(float(np.maximum.reduce(norms2)))
+    j0 = int(norms2.argmin())
     corral = [j0]
     lam = np.ones(1)
     y = V[j0].copy()
@@ -275,7 +317,7 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
         if ny <= tol:
             break
         dots = V @ y
-        j = int(np.argmin(dots))
+        j = int(dots.argmin())
         lb = float(dots[j]) / ny
         best_lb = max(best_lb, lb)
         if lb > margin:
@@ -290,11 +332,11 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
             best = ny
             stall = 0
         corral.append(j)
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, _ZERO))
         while True:
             A = V[corral].T
             alpha = _affine_minimizer(A)
-            if alpha.min() > 1e-12:
+            if np.minimum.reduce(alpha) > 1e-12:
                 lam = alpha
                 y = A @ alpha
                 break
@@ -303,19 +345,18 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
             ok = neg & (denom > 0)
             if not ok.any():
                 alpha = np.clip(alpha, 0.0, None)
-                lam = alpha / alpha.sum()
+                lam = alpha / np.add.reduce(alpha)
                 y = A @ lam
                 break
-            steps = lam[ok] / denom[ok]
-            theta = float(steps.min())
+            theta = float(np.minimum.reduce(lam[ok] / denom[ok]))
             lam = lam + theta * (alpha - lam)
             lam[lam < 1e-14] = 0.0
             if not (lam == 0.0).any():
-                lam[int(np.argmin(lam))] = 0.0
+                lam[int(lam.argmin())] = 0.0
             keep = lam > 0.0
             corral = [c for c, k_ in zip(corral, keep) if k_]
             lam = lam[keep]
-            lam /= lam.sum()
+            lam /= np.add.reduce(lam)
     else:
         ny = math.sqrt(float(y @ y))
     return ny <= tol, best_lb
@@ -353,15 +394,15 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     and clouds within about 2 tol of p (theta > 1/2), where it accepts any
     point the box lets through. Those now read outside, as they should.
     """
-    if ((p < pts.min(axis=0) - tol) | (p > pts.max(axis=0) + tol)).any():
+    if ((p < np.minimum.reduce(pts) - tol) | (p > np.maximum.reduce(pts) + tol)).any():
         return False
     V = pts - p
-    d = V.shape[1]
-    s = max(float(np.abs(V).max()), tol)
+    m, d = V.shape
+    s = max(float(np.maximum.reduce(np.abs(V), axis=None)), tol)
     margin = _margin(s, tol, d)
-    u = V.mean(axis=0)
+    u = np.add.reduce(V) / m
     nu = math.sqrt(float(u @ u))
-    if nu > 0.0 and float((V @ u).min()) > margin * nu:
+    if nu > 0.0 and float(np.minimum.reduce(V @ u)) > margin * nu:
         return False
     inside, lower = _min_norm_member(pts, p, tol, margin)
     if inside:

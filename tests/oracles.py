@@ -4,10 +4,12 @@ Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
 chain construction, in-neighbour sums by a plain loop over the dense weight
 view, so agreement is meaningful. The writers, the membership decider, the
-reduceat step kernels, the per-item least-squares bound and the
-extreme-point loop are the earlier forms of library code, kept to show that
-a faster form gives the same result.
+reduceat step kernels, Wolfe's loop and its corral step, the per-item
+least-squares bound and the extreme-point loop are the earlier forms of
+library code, kept to show that a faster form gives the same result.
 """
+
+import math
 
 import numpy as np
 
@@ -135,6 +137,22 @@ def write_state_csv_reference(trace, path):
                     fh.write(f"{k},{i},{c},{xs[k, i, c]:.17g},{y:.17g},{states[k, i, c]:.17g}\n")
 
 
+def write_state_csv_rows_reference(trace, path):
+    """The one-format-per-row writer that formatted every cell of a row,
+    repeated y and shared x = r included, with one %-format."""
+    states = trace.states
+    T, n, d = states.shape
+    xs = trace.xs if trace.xs is not None else states
+    with open(path, "w", newline="") as fh:
+        fh.write("k,node,coord,x,y,r\n")
+        for k in range(T):
+            for i in range(n):
+                y = float(trace.ys[k, i]) if trace.ys is not None else 1.0
+                for c in range(d):
+                    fh.write("%d,%d,%d,%.17g,%.17g,%.17g\n"
+                             % (k, i, c, float(xs[k, i, c]), y, float(states[k, i, c])))
+
+
 def write_termination_csv_reference(trace, path):
     """The per-cell f-string writer that defined the termination.csv bytes."""
     T, n = trace.Rs.shape
@@ -215,6 +233,72 @@ def affine_minimizer_reference(A):
     N[idx + 1, idx] = -1.0
     beta = np.linalg.lstsq(A @ N, -(A @ a0), rcond=None)[0]
     return a0 + N @ beta
+
+
+def min_norm_member_reference(pts, p, tol, margin):
+    """Wolfe's minimum-norm-point loop as it stood with numpy's wrappers
+    (np.argmin, np.append, ndarray.min and .sum), its corral step the
+    null-space form above."""
+    V = pts - p
+    m, _ = V.shape
+    norms2 = np.einsum("ij,ij->i", V, V)
+    scale = math.sqrt(float(norms2.max()))
+    j0 = int(np.argmin(norms2))
+    corral = [j0]
+    lam = np.ones(1)
+    y = V[j0].copy()
+    best = np.inf
+    best_lb = -np.inf
+    stall = 0
+    for _ in range(64 * (m + V.shape[1] + 2)):
+        ny = math.sqrt(float(y @ y))
+        if ny <= tol:
+            break
+        dots = V @ y
+        j = int(np.argmin(dots))
+        lb = float(dots[j]) / ny
+        best_lb = max(best_lb, lb)
+        if lb > margin:
+            break
+        if j in corral or lb >= ny - 1e-12 * scale:
+            break
+        if ny >= best - 1e-15 * scale:
+            stall += 1
+            if stall > 32:
+                break
+        else:
+            best = ny
+            stall = 0
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            A = V[corral].T
+            alpha = affine_minimizer_reference(A)
+            if alpha.min() > 1e-12:
+                lam = alpha
+                y = A @ alpha
+                break
+            neg = alpha <= 1e-12
+            denom = lam - alpha
+            ok = neg & (denom > 0)
+            if not ok.any():
+                alpha = np.clip(alpha, 0.0, None)
+                lam = alpha / alpha.sum()
+                y = A @ lam
+                break
+            steps = lam[ok] / denom[ok]
+            theta = float(steps.min())
+            lam = lam + theta * (alpha - lam)
+            lam[lam < 1e-14] = 0.0
+            if not (lam == 0.0).any():
+                lam[int(np.argmin(lam))] = 0.0
+            keep = lam > 0.0
+            corral = [c for c, k_ in zip(corral, keep) if k_]
+            lam = lam[keep]
+            lam /= lam.sum()
+    else:
+        ny = math.sqrt(float(y @ y))
+    return ny <= tol, best_lb
 
 
 def lse_error_bound_reference(M_i, z_i, M_true, z_true):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hullstop import (
+    ConsensusTrace,
     DiGraph,
     InvariantViolation,
     RatioState,
@@ -23,7 +24,7 @@ from hullstop import (
     scalar_vector_equivalence_check,
     write_state_csv,
 )
-from oracles import in_sum_reference
+from oracles import in_sum_reference, write_state_csv_rows_reference
 
 
 def ring(n):
@@ -211,6 +212,36 @@ def test_state_csv_row_engine(tmp_path):
     back = read_state_csv(path)
     assert np.array_equal(back.states, tr.states)
     assert np.all(back.ys == 1.0)
+
+
+def _odd_states(rng, shape):
+    """Normal draws salted with -0.0, 1e-300, subnormals, exact integers and
+    values at the ends of the float range."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    odd = np.array([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 2.5e-310, -3e-320, 3.0, -7.0,
+                    2.0 ** 53, 1e300, -1.7976931348623157e308, 0.1, 1.0 / 3.0])
+    flat = v.reshape(-1)
+    pick = rng.random(flat.size) < 0.5
+    flat[pick] = odd[rng.integers(0, odd.size, int(pick.sum()))]
+    return v
+
+
+# (engine, T, n, d): d = 1 and d > 1, and blocks of one step shorter than,
+# equal to and longer than one row chunk
+STATE_TRACES = [("ratio", 3, 4, 1), ("row", 3, 4, 1), ("ratio", 4, 5, 3), ("row", 4, 5, 3),
+                ("ratio", 2, 300, 1), ("row", 2, 64, 4), ("ratio", 2, 37, 9), ("row", 2, 37, 9)]
+
+
+@pytest.mark.parametrize("engine, T, n, d", STATE_TRACES)
+def test_state_csv_matches_row_format_reference_bytes(tmp_path, engine, T, n, d):
+    rng = np.random.default_rng([T, n, d])
+    if engine == "ratio":
+        tr = ConsensusTrace("ratio", *(_odd_states(rng, s) for s in [(T, n, d), (T, n, d), (T, n)]))
+    else:
+        tr = ConsensusTrace("row", _odd_states(rng, (T, n, d)))
+    write_state_csv(tr, tmp_path / "s.csv")
+    write_state_csv_rows_reference(tr, tmp_path / "ref.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _state_csv_lines(tmp_path):
