@@ -8,7 +8,8 @@ list, or one pass per row of the (K, n) sender table that graphs with every
 in-degree equal get (rings, complete graphs); graph's module docstring says
 why both give the same bytes. Repeated runs are therefore bit-identical,
 and a d-dimensional run matches d independent scalar runs coordinate for
-coordinate, exactly.
+coordinate, exactly. The row engine's limit is per edge too: perron_left
+sums each node's out-edges in ascending receiver order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import StochasticMatrix, _in_sum
+from .graph import StochasticMatrix, _in_sum, _integer
 
 __all__ = [
     "RatioState",
@@ -160,8 +161,7 @@ class _Engine:
 
 def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
     """Run the engine matching W.kind for a fixed number of rounds."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = _integer("steps", steps, 0)
     eng = _Engine(W, x0)
     rows = {name: [v] for name, v in eng.record().items()}
     for _ in range(steps):
@@ -172,18 +172,18 @@ def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
     return ConsensusTrace(eng.name, fields["rs"], fields.get("xs"), fields.get("ys"))
 
 
-def perron_left(A: np.ndarray) -> np.ndarray:
-    """Left Perron vector of a row-stochastic matrix, normalized to sum 1.
+def perron_left(A: StochasticMatrix) -> np.ndarray:
+    """Left Perron vector of row-stochastic weights, normalized to sum 1.
 
-    Plain power iteration on A^T; primitivity (positive diagonal plus strong
-    connectivity) guarantees convergence, so hitting the cap signals a
-    weight matrix that violates those assumptions.
+    Power iteration v <- A^T v over the edges: node j sums a[i, j] * v[i]
+    over its out-edges j -> i in ascending receiver order, one np.bincount.
+    Primitivity (positive diagonal plus strong connectivity) guarantees
+    convergence, so hitting the cap signals weights that violate it.
     """
-    n = A.shape[0]
+    (dst, src), n = A.graph.edge_arrays, A.graph.n
     v = np.full(n, 1.0 / n)
-    At = np.ascontiguousarray(A.T)
     for _ in range(_PERRON_MAX_ITER):
-        w = At @ v
+        w = np.bincount(src, A.edge_weights * v[dst], minlength=n)
         w = w / w.sum()
         if np.abs(w - v).sum() <= _PERRON_TOL:
             return w
@@ -197,7 +197,7 @@ def consensus_limit(initial, W: StochasticMatrix) -> np.ndarray:
     initial = np.asarray(initial, dtype=float)
     if W.kind == "column":
         return initial.mean(axis=0)
-    return perron_left(W.w) @ initial
+    return perron_left(W) @ initial
 
 
 def scalar_vector_equivalence_check(initial, W: StochasticMatrix, steps: int) -> bool:

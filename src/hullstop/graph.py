@@ -31,6 +31,7 @@ and each round ORs into it the rows of its senders through _in_reduce.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -48,6 +49,18 @@ __all__ = [
 ]
 
 MODELS = ("erdos_renyi", "ring", "complete")
+
+
+def _integer(name, value, low=None) -> int:
+    """value as an int if operator.index accepts it (3.0 and 2.5 it does
+    not), and if it is at least low when low is given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _reversed(dst, src):
@@ -189,7 +202,7 @@ class DiGraph:
     in_layout: _InLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
+        n = _integer("n", self.n)
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
         pairs = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
@@ -232,10 +245,9 @@ class DiGraph:
 
 def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:
     """Nodes from which i is reachable in at most m hops (including i)."""
+    i, m = _integer("i", i), _integer("m", m, 0)
     if not (0 <= i < g.n):
         raise ValueError(f"node {i} out of range for n={g.n}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
     seed = np.arange(g.n)[:, None] == i
     reach = _flood(_in_layout(g.n, *_reversed(*g.edge_arrays)), seed, limit=m)[1]
     return frozenset(np.flatnonzero(np.unpackbits(reach, axis=1, count=1)).tolist())
@@ -252,6 +264,7 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
     complete has every ordered pair. Identical (n, model, seed, edge_prob)
     always yields an identical graph.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     if model not in MODELS:
@@ -287,9 +300,9 @@ class StochasticMatrix:
     edge_weights[e] is the weight src[e] gives dst[e], for (dst, src) =
     graph.edge_arrays; off the edges the weight is zero. kind "column"
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
-    each receiver's (averaging). w is the dense receiver-row view, and
-    slot_weights the weight of each slot of the graph's in-layout, a (K, n)
-    view in table order on the table layout; both are built on first use.
+    each receiver's (averaging); there is no dense view. slot_weights is
+    the weight of each slot of the graph's in-layout, a (K, n) view in
+    table order on the table layout; it is built on first use.
     """
 
     kind: str
@@ -324,14 +337,6 @@ class StochasticMatrix:
         if layout.starts is not None:
             return self.edge_weights
         return self.edge_weights.reshape(layout.send.T.shape).T
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        """The dense (n, n) view, w[i, j] the weight j gives i; built on first use."""
-        w = np.zeros((self.graph.n, self.graph.n))
-        w[self.graph.edge_arrays] = self.edge_weights
-        w.setflags(write=False)
-        return w
 
 
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:

@@ -20,7 +20,7 @@ from .consensus import (ConsensusTrace, consensus_limit, read_state_csv, run_con
                         write_state_csv)
 from .errors import InvariantViolation
 from .geometry import _norm_order, pairwise_spread, vector_norm
-from .graph import MODELS, DiGraph, generate_digraph, graph_to_json, make_weights
+from .graph import MODELS, DiGraph, _integer, generate_digraph, graph_to_json, make_weights
 from .termination import (StopTrace, bandwidth_accounting, run_box_stopping,
                           run_hull_stopping, run_radius_stopping,
                           write_termination_csv)
@@ -55,9 +55,9 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self):
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        if self.dim < 1:
+        if _integer("dim", self.dim) < 1:
             raise ValueError(f"need dim >= 1, got {self.dim}")
         if self.topology not in MODELS:
             raise ValueError(f"unknown topology {self.topology!r}")
@@ -71,10 +71,9 @@ class ExperimentConfig:
             if self.rho is None or not self.rho > 0:
                 raise ValueError(f"stopping {self.stopping!r} needs rho > 0, got {self.rho}")
         _norm_order(self.norm)
-        if self.dbound is not None and self.dbound < 1:
-            raise ValueError(f"dbound must be >= 1, got {self.dbound}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if self.dbound is not None:
+            _integer("dbound", self.dbound, 1)
+        _integer("k_max", self.k_max, 1)
         return self
 
     def to_json(self) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointSet, _Verdicts, extreme_points, hull_diameter, vector_norm
-from .graph import DiGraph
+from .graph import DiGraph, _integer
 
 __all__ = [
     "HullNodeState",
@@ -61,10 +61,7 @@ def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
     """
     if len(sets) != g.n:
         raise ValueError(f"got {len(sets)} point sets for {g.n} nodes")
-    if rounds is None:
-        rounds = g.diameter
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    rounds = g.diameter if rounds is None else _integer("rounds", rounds, 0)
     cache: dict = {}
     states = [HullNodeState(extreme_points(s)) for s in sets]
     history = [[s.ext for s in states]]

@@ -45,7 +45,7 @@ import numpy as np
 from .consensus import _Engine, _csv_table, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm_order, hull_diameter, vector_norm
-from .graph import DiGraph, StochasticMatrix, _in_reduce
+from .graph import DiGraph, StochasticMatrix, _in_reduce, _integer
 from .hull import hull_round, HullNodeState
 
 __all__ = [
@@ -165,9 +165,7 @@ class StopTrace:
 
 
 def _resolve_window(g: DiGraph, Dbound) -> int:
-    D = max(1, g.diameter) if Dbound is None else int(Dbound)
-    if D < 1:
-        raise ValueError(f"window length must be >= 1, got {D}")
+    D = max(1, g.diameter) if Dbound is None else _integer("Dbound", Dbound, 1)
     if D < g.diameter:
         raise ValueError(f"window length {D} is below the graph diameter {g.diameter}")
     return D
@@ -186,8 +184,7 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")
     _norm_order(rule.p)
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = _integer("k_max", k_max, 0)
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
     rule.begin(eng.cur)
@@ -296,8 +293,8 @@ class _PlainRadiusRule(_Rule):
     def __init__(self, g, p, eps, max_windows):
         if eps is not None and not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if max_windows is not None and max_windows < 1:
-            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
+        if max_windows is not None:
+            _integer("max_windows", max_windows, 1)
         super().__init__(g, None, p)
         self.eps, self.max_windows = eps, max_windows
 

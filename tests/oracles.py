@@ -6,7 +6,9 @@ chain construction, in-neighbour sums by a plain loop over the dense weight
 view, so agreement is meaningful. The writers, the membership decider, the
 reduceat step kernels, Wolfe's loop and its corral step, the per-item
 least-squares bound and the extreme-point loop are the earlier forms of
-library code, kept to show that a faster form gives the same result.
+library code, kept to show that a faster form gives the same result. The
+dense n x n weight view lives only here, with the dense Perron power
+iteration that the per-edge perron_left replaced.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from hullstop.applications import ErrorBound
+from hullstop.consensus import _PERRON_MAX_ITER, _PERRON_TOL
 from hullstop.geometry import (PointSet, _as_points, _member, _min_norm_member,
                                _phase_one_feasible, vector_norm)
 
@@ -33,19 +36,44 @@ def reach_set(adj, start):
     return seen
 
 
+def dense_weights(W):
+    """The dense (n, n) view of W's per-edge weights, w[i, j] the weight j
+    gives i, read-only."""
+    w = np.zeros((W.graph.n, W.graph.n))
+    w[W.graph.edge_arrays] = W.edge_weights
+    w.setflags(write=False)
+    return w
+
+
+def perron_left_dense_reference(A):
+    """perron_left's earlier dense form: power iteration with the dense
+    transpose of a row-stochastic (n, n) array A."""
+    n = A.shape[0]
+    v = np.full(n, 1.0 / n)
+    At = np.ascontiguousarray(A.T)
+    for _ in range(_PERRON_MAX_ITER):
+        w = At @ v
+        w = w / w.sum()
+        if np.abs(w - v).sum() <= _PERRON_TOL:
+            return w
+        v = w
+    raise RuntimeError("power iteration did not converge; matrix may not be primitive")
+
+
 def in_sum_reference(W, values):
     """The determinism contract written out: for each receiver i and each
-    coordinate, acc = 0.0, then acc += W.w[i, j] * values[j] over the
-    senders j of i in ascending order, one float64 addition at a time.
-    values is (n,) or (n, d)."""
+    coordinate, acc = 0.0, then acc += w[i, j] * values[j] over the
+    senders j of i in ascending order, one float64 addition at a time,
+    w = dense_weights(W). values is (n,) or (n, d)."""
     values = np.asarray(values, dtype=float)
     cols = values.reshape(len(values), -1)
     out = np.empty_like(cols)
+    w = dense_weights(W)
     for i, senders in enumerate(W.graph.in_adj):
         for c in range(cols.shape[1]):
             acc = 0.0
             for j in senders:
-                acc += W.w[i, j] * cols[j, c]
+                acc += w[i, j] * cols[j, c]
             out[i, c] = acc
     return out.reshape(values.shape)
 

@@ -145,6 +145,11 @@ GOLDEN = {
         "ea8e3f46f41e726a11019e864c71e64e9ddaea0f742b27f224312e2ec6b5e8c9"),
     "funccalc": (["funccalc", "--nodes", "5", "--function", "max", "--seed", "6"],
         "9505f1fbd9971c2210025b0fabf25887abeb59156882a77ee19faf2d2ed28410"),
+    # recorded when perron_left moved to the edge list, whose sums moved the
+    # last bit of this run's relative rho in summary.json
+    "run_row_relative": (["run", "--engine", "row", "--rho-relative", "--rho", "0.01",
+                          "--seed", "0"],
+        "4cdca21fc56d07a9610f5075ff489c85981ce58c4175c7de9c2521e528c348ea"),
 }
 
 

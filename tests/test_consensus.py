@@ -24,7 +24,8 @@ from hullstop import (
     scalar_vector_equivalence_check,
     write_state_csv,
 )
-from oracles import in_sum_reference, write_state_csv_rows_reference
+from oracles import (dense_weights, in_sum_reference, perron_left_dense_reference,
+                     write_state_csv_rows_reference)
 
 
 def ring(n):
@@ -121,7 +122,7 @@ def test_row_limit_matches_perron_and_long_run():
     g = generate_digraph(2, "complete", seed=0)
     w = np.array([[0.5, 0.5], [0.25, 0.75]])
     A = StochasticMatrix(graph=g, edge_weights=w[g.edge_arrays], kind="row")
-    pi = perron_left(w)
+    pi = perron_left(A)
     assert pi == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-11)
     x0 = np.array([[1.0, 0.0], [4.0, -6.0]])
     lim = consensus_limit(x0, A)
@@ -133,7 +134,20 @@ def test_row_limit_matches_perron_and_long_run():
 def test_perron_uniform_on_complete_graph():
     g = generate_digraph(5, "complete", seed=0)
     A = make_weights(g, "row")
-    assert perron_left(A.w) == pytest.approx(np.full(5, 0.2), abs=1e-12)
+    assert perron_left(A) == pytest.approx(np.full(5, 0.2), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
+@pytest.mark.parametrize("model", ["erdos_renyi", "ring", "complete"])
+def test_perron_per_edge_matches_dense_reference(model, n):
+    # the per-edge sums run in another order than a dense mat-vec, so only
+    # the last bits may differ
+    g = generate_digraph(n, model, seed=n, edge_prob=min(1.0, 4 * np.log(max(n, 2)) / n))
+    A = make_weights(g, "row")
+    pi = perron_left(A)
+    assert np.abs(pi - perron_left_dense_reference(dense_weights(A))).max() <= 1e-15
+    x0 = np.random.default_rng(n).normal(size=(n, 3))
+    assert np.array_equal(consensus_limit(x0, A), pi @ x0)
 
 
 def test_spread_never_increases_and_vanishes():

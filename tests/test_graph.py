@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hullstop import (
     DiGraph,
     StochasticMatrix,
+    consensus_limit,
     generate_digraph,
     graph_from_json,
     graph_to_json,
     m_in_neighborhood,
     make_weights,
 )
-from oracles import floyd_warshall_diameter, reach_set
+from oracles import dense_weights, floyd_warshall_diameter, reach_set
 
 
 def ring(n):
@@ -198,26 +199,27 @@ def test_m_neighborhood_saturates_at_diameter():
 def test_column_weights_equal_splitting():
     g = ring(3)
     W = make_weights(g, "column")
+    w = dense_weights(W)
     # sender j splits equally over its out-neighborhood
-    assert W.w.sum(axis=0) == pytest.approx(np.ones(3))
+    assert w.sum(axis=0) == pytest.approx(np.ones(3))
     for r, s in g.edges:
-        assert W.w[r, s] == pytest.approx(1.0 / len(g.out_adj[s]))
+        assert w[r, s] == pytest.approx(1.0 / len(g.out_adj[s]))
     assert W.kind == "column"
 
 
 def test_row_weights_equal_splitting():
     g = generate_digraph(6, "erdos_renyi", seed=2, edge_prob=0.4)
-    W = make_weights(g, "row")
-    assert W.w.sum(axis=1) == pytest.approx(np.ones(6))
+    w = dense_weights(make_weights(g, "row"))
+    assert w.sum(axis=1) == pytest.approx(np.ones(6))
     for r, s in g.edges:
-        assert W.w[r, s] == pytest.approx(1.0 / len(g.in_adj[r]))
+        assert w[r, s] == pytest.approx(1.0 / len(g.in_adj[r]))
 
 
 def test_weight_sparsity_matches_edges():
     g = generate_digraph(7, "erdos_renyi", seed=5, edge_prob=0.35)
     for kind in ("column", "row"):
         W = make_weights(g, kind)
-        nz = {(int(r), int(s)) for r, s in zip(*np.nonzero(W.w))}
+        nz = {(int(r), int(s)) for r, s in zip(*np.nonzero(dense_weights(W)))}
         assert nz == set(g.edges)
 
 
@@ -270,25 +272,31 @@ def test_stochastic_matrix_rejects_unknown_kind():
 
 
 def test_make_weights_allocates_no_dense_matrix():
-    # n^2 floats would be 32 MB here; the per-edge arrays are about 0.5 MB
+    # n^2 floats would be 32 MB here; the per-edge arrays are about 0.5 MB.
+    # consensus_limit on the row weights runs the Perron iteration per edge
     n = 2000
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * np.log(n) / n)
+    x0 = np.random.default_rng(0).random((n, 2))
     for kind in ("column", "row"):
         tracemalloc.start()
         try:
             W = make_weights(g, kind)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            consensus_limit(x0, W)
+            limit_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, (kind, peak)
-        assert "w" not in vars(W)
+        assert limit_peak < 4 * 2**20, (kind, limit_peak)
+        assert not hasattr(W, "w")
 
 
 def test_edge_weights_align_with_edge_arrays():
     g = generate_digraph(5, "erdos_renyi", seed=4, edge_prob=0.5)
     W = make_weights(g, "column")
     dst, src = g.edge_arrays
-    assert np.array_equal(W.edge_weights, W.w[dst, src])
+    assert np.array_equal(W.edge_weights, dense_weights(W)[dst, src])
 
 
 # --- serialization ---

@@ -24,6 +24,7 @@ from hullstop import (
 from hullstop.termination import _BoxRule
 from oracles import (
     bit_step_reference,
+    dense_weights,
     envelope_step_reference,
     in_sum_reference,
     radius_step_reference,
@@ -99,7 +100,7 @@ def test_table_holds_each_receivers_senders_and_weights(kind):
     W = make_weights(g, kind)
     for i, senders in enumerate(g.in_adj):
         assert table[:, i].tolist() == list(senders)
-        assert _same_bytes(np.ascontiguousarray(W.slot_weights[:, i]), W.w[i, table[:, i]])
+        assert _same_bytes(np.ascontiguousarray(W.slot_weights[:, i]), dense_weights(W)[i, table[:, i]])
 
 
 def test_tables_are_read_only():
