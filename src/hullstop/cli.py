@@ -297,6 +297,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # every subcommand seeds default_rng with it, which rejects a negative
+        if args.seed < 0:
+            raise _CliError(f"--seed must be >= 0, got {args.seed}")
         return _HANDLERS[args.command](args)
     except InvariantViolation as exc:  # before RuntimeError, its base class
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -96,7 +96,8 @@ def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     xn, yn = xy[:, :-1], xy[:, -1]
     if np.minimum.reduce(yn) <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={state.k + 1}")
-    return RatioState(xn, yn, xn / yn[:, None], state.k + 1)
+    # C order, so the stopping rules' row gathers (ndarray.take) copy no state
+    return RatioState(xn, yn, np.divide(xn, yn[:, None], order="C"), state.k + 1)
 
 
 def row_step(state: RowState, A: StochasticMatrix) -> RowState:

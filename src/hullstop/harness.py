@@ -63,6 +63,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not (0.0 < self.edge_prob <= 1.0):
             raise ValueError(f"edge_prob must be in (0, 1], got {self.edge_prob}")
+        _integer("seed", self.seed, 0)
         if self.engine not in ("ratio", "row"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.stopping not in _STOPPINGS:

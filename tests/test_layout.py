@@ -16,6 +16,7 @@ from hullstop import (
     RowState,
     bit_step,
     generate_digraph,
+    make_ratio_state,
     make_weights,
     radius_step,
     ratio_step,
@@ -210,3 +211,65 @@ def test_radius_step_peak_memory_on_the_edge_layout():
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * E * d * 8
+
+
+def test_box_step_peak_memory_on_the_edge_layout():
+    # the envelopes start from the engine's own state, and ndarray.take
+    # copies a source that is not C-contiguous whole before it gathers, so
+    # ratio_step must hand out r in C order. One step holds the (E, d)
+    # gather, the (E,) intp copy take makes of the read-only sender array
+    # and one (n, d) envelope; a copied source adds one more (n, d) array
+    n, d = 1000, 4
+    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
+    E = len(g.edges)
+    assert not _tabled(g) and E == 28_538
+    W = make_weights(g, "column")
+    r = ratio_step(make_ratio_state(np.random.default_rng(0).random((n, d))), W).r
+    rule = _BoxRule(g, 1.0, 2.0)
+    rule.begin(r)
+    rule.step(None, None)
+    rule.begin(r)
+    tracemalloc.start()
+    try:
+        rule.step(None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E * d * 8 + E * 8 + n * d * 8 + n * d * 8 // 2
+
+
+@pytest.mark.parametrize("d", [1, 4, 7, 8, 10, 50])
+@pytest.mark.parametrize("g", [circulant(11, (0, 1, 4)), complete_minus(8, 4, seed=2),
+                               generate_digraph(16, "erdos_renyi", seed=5, edge_prob=0.25)],
+                         ids=["table", "ragged", "er"])
+def test_engine_states_reduce_like_the_references_in_either_memory_order(g, d):
+    # the states the stopping rules really get: make_ratio_state's r (with
+    # -0.0 entries, so maxima and minima tie +0.0 against -0.0) and then
+    # ratio_step's r in its own memory order; the public radius_step must
+    # give the same bytes for C- and F-ordered copies of them. From d = 8
+    # numpy sums a row pairwise, so a sum that took the terms in another
+    # order would change the bytes
+    rng = np.random.default_rng(d)
+    ties = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+    for x0 in (ties[rng.integers(0, len(ties), (g.n, d))], np.full((g.n, d), -0.0)):
+        for W in (make_weights(g, "column"), _random_weights(g, "column", rng)):
+            states = [make_ratio_state(x0)]
+            for _ in range(3):
+                states.append(ratio_step(states[-1], W))
+            rs = [s.r for s in states]
+            rule = _BoxRule(g, 1.0, 2.0)
+            rule.begin(rs[0])
+            M = m = rs[0]
+            R = np.zeros(g.n)
+            for r_old, r_new in zip(rs, rs[1:]):
+                for p in (1.0, 2.0, np.inf):
+                    ref = radius_step_reference(g, r_new, r_old, R, p)
+                    for order in ("C", "F"):
+                        out = radius_step(g, np.asarray(r_new, order=order),
+                                          np.asarray(r_old, order=order), R, p)
+                        assert _same_bytes(out, ref)
+                R = radius_step(g, r_new, r_old, R)
+                rule.step(r_old, r_new)
+                M, m = envelope_step_reference(g, M, m)
+                assert _same_bytes(rule.M, M)
+                assert _same_bytes(rule.m, m)

@@ -16,6 +16,7 @@ from hullstop import (DiGraph, ExperimentConfig, StochasticMatrix, extreme_point
                       m_in_neighborhood, make_weights, read_state_csv, run_box_stopping,
                       run_consensus, run_hull_consensus, run_hull_stopping,
                       run_radius_stopping, windowed_radius_trace, write_state_csv)
+from hullstop import cli, graph_from_json, graph_to_json
 
 _STOPPING = [run_radius_stopping, run_box_stopping, run_hull_stopping]
 _graphs = st.builds(lambda n, seed: generate_digraph(n, "erdos_renyi", seed, 0.6),
@@ -180,3 +181,39 @@ def test_sizes_accept_what_operator_index_accepts():
     trace = run_radius_stopping(_RING, _RING_W, _RING_X0, 0.01, Dbound=np.int64(8),
                                 k_max=np.int64(20))
     assert trace.Dbound == 8 and type(trace.Dbound) is int
+
+
+_SEED_ENTRIES = [lambda v: generate_digraph(5, "ring", seed=v),
+                 lambda v: generate_digraph(6, "erdos_renyi", seed=v),
+                 lambda v: ExperimentConfig(seed=v).validate()]
+
+
+@pytest.mark.parametrize("entry", _SEED_ENTRIES, ids=["ring", "erdos_renyi", "config"])
+def test_seeds_that_are_not_nonnegative_integers_are_rejected_by_name(entry):
+    # unchecked, ExperimentConfig(seed=2.5) validated and then failed inside
+    # numpy, and a ring recorded "seed": 2.5 in graph.json
+    for value in (2.5, np.float64(3.0), "3", None):
+        message = f"seed must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(value)
+    for value in (-1, np.int64(-4)):
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {int(value)}$"):
+            entry(value)
+
+
+def test_graphs_record_the_seed_as_an_int_and_hand_built_ones_may_have_none():
+    g = generate_digraph(5, "ring", seed=np.int64(3))
+    assert type(g.seed) is int and g.seed == 3
+    assert graph_from_json(graph_to_json(g)) == g
+    hand = DiGraph(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
+    assert hand.seed is None and graph_from_json(graph_to_json(hand)).seed is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["compare", "--rho", "0.01"], ["hull"], ["lse"], ["funccalc"],
+], ids=lambda argv: argv[0])
+def test_cli_rejects_a_negative_seed_by_flag(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--nodes", "4", "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "configuration error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
