@@ -1,15 +1,13 @@
 """Push-sum (ratio) and row-averaging consensus engines over R^d states.
 
-Every per-node sum is one graph._in_sum call per step over one (c, n) array
-of all coordinates, stacked once (push-sum's y is one more row). It adds
-each receiver's terms in ascending sender order, whichever of the graph's
-two in-layouts it runs on: one np.bincount per coordinate over the edge
-list, or one pass per row of the (K, n) sender table that graphs with every
-in-degree equal get (rings, complete graphs); graph's module docstring says
-why both give the same bytes. Repeated runs are therefore bit-identical,
+Every per-node sum is one graph._in_sum call per step over one (n, c) array
+of all coordinates, stacked once (push-sum's y is one more column). It adds
+each receiver's terms in ascending sender order over the graph's slot-major
+in-layout (graph's module docstring), so repeated runs are bit-identical,
 and a d-dimensional run matches d independent scalar runs coordinate for
-coordinate, exactly. The row engine's limit is per edge too: perron_left
-sums each node's out-edges in ascending receiver order.
+coordinate, exactly; the states come out C-ordered. The row engine's limit
+is per edge too: perron_left sums each node's out-edges in ascending
+receiver order.
 """
 
 from __future__ import annotations
@@ -92,12 +90,11 @@ def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     x, y = state.x, state.y
     if x.ndim != 2 or x.shape[0] != n or y.shape != (n,):
         raise ValueError(f"state shapes {x.shape}, {y.shape} do not match n={n}")
-    xy = _in_sum(W, np.concatenate((x.T, y[None])))
+    xy = _in_sum(W, np.column_stack((x, y)))
     xn, yn = xy[:, :-1], xy[:, -1]
     if np.minimum.reduce(yn) <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={state.k + 1}")
-    # C order, so the stopping rules' row gathers (ndarray.take) copy no state
-    return RatioState(xn, yn, np.divide(xn, yn[:, None], order="C"), state.k + 1)
+    return RatioState(xn, yn, xn / yn[:, None], state.k + 1)
 
 
 def row_step(state: RowState, A: StochasticMatrix) -> RowState:
@@ -108,7 +105,7 @@ def row_step(state: RowState, A: StochasticMatrix) -> RowState:
     z = state.z
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"state shape {z.shape} does not match n={n}")
-    return RowState(_in_sum(A, z.T), state.k + 1)
+    return RowState(_in_sum(A, z), state.k + 1)
 
 
 @dataclass

@@ -107,14 +107,21 @@ def _norm_order(p) -> float:
 
 
 def vector_norm(a, p: float = 2.0, axis: int = -1):
-    """p-norm along an axis for p in {1, 2, inf}."""
+    """p-norm along an axis for p in {1, 2, inf}. A last axis of 1 to 7
+    entries is folded column by column: below 8 terms numpy's pairwise sum
+    adds left to right, so this gives ufunc.reduce's bytes in either memory
+    order without its per-row cost. Other cases keep ufunc.reduce."""
     a = np.asarray(a, dtype=float)
     p = _norm_order(p)
-    if p == 1.0:
-        return np.abs(a).sum(axis=axis)
-    if p == 2.0:
-        return np.sqrt((a * a).sum(axis=axis))
-    return np.abs(a).max(axis=axis)
+    term = np.square if p == 2.0 else np.abs
+    ufunc = np.maximum if p == np.inf else np.add
+    if a.ndim > 1 and axis in (-1, a.ndim - 1) and 0 < a.shape[-1] < 8:
+        acc = term(a[..., 0])
+        for c in range(1, a.shape[-1]):
+            ufunc(acc, term(a[..., c]), out=acc)
+    else:
+        acc = ufunc.reduce(term(a), axis=axis)
+    return np.sqrt(acc) if p == 2.0 else acc
 
 
 def support_function(S, u) -> float:

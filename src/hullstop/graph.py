@@ -7,22 +7,21 @@ every node and every graph must be strongly connected; both properties are
 checked at construction time.
 
 Every per-node reduction over senders goes through the graph's in-layout
-(_InLayout), chosen once at construction, and through one of two kernels:
-_in_sum for weighted sums of the rows of one (c, n) array and _in_reduce for
-maximum, minimum and bitwise_or.
-- Every in-degree equal to K (n*K == E: rings, complete graphs): a read-only
-  (K, n) table of sender ids, column i holding i's K senders in ascending
-  order. _in_sum adds one table row at a time across all c rows, then
-  + 0.0; _in_reduce is ufunc.reduce over the table axis.
-- Otherwise: the receiver-sorted edge arrays. _in_sum is one np.bincount per
-  row of its (c, n) array, _in_reduce is ufunc.reduceat at the receiver
-  offsets.
-Both layouts give the same bytes: both combine a receiver's terms in
-ascending sender order, and the trailing + 0.0 turns a -0.0 total into
-+0.0, as bincount's 0.0 start does. A graph with unequal in-degrees keeps
-the edge arrays rather than padding short columns: padding was measured
-slower on the stop_er1000 bench graph, and a zero-weight pad slot would turn
-an inf into NaN.
+(_InLayout), built once at construction in the jagged-diagonal form (Saad,
+"Krylov subspace methods on supercomputers", SIAM J. Sci. Stat. Comput.
+10(6), 1989). Receivers are ranked by descending in-degree, a stable sort,
+so the ranking is the identity when every in-degree is equal (rings,
+complete graphs). Slot k lists the (k+1)-th smallest sender of each of the
+first m_k ranked receivers, the ones with more than k senders; every
+receiver has its self-loop, so slot 0 covers all of them. Two kernels use
+it: _in_sum for weighted sums of the rows of an (n, c) array and _in_reduce
+for maximum, minimum and bitwise_or. Each gathers slot 0 into a fresh
+accumulator and the later slots with one ndarray.take, combines slot k into
+the accumulator's first m_k rows in place, and undoes the ranking with one
+more take. So each receiver combines its senders in ascending order from
+its first term, with no pad slots; the sum's closing + 0.0 turns a -0.0
+total into +0.0 and changes nothing else, which gives the bytes of a sum
+started at 0.0.
 Every traversal (strong connectivity, the diameter, m-hop in-neighborhoods)
 is one packed-bit flood, _flood: each node holds a row of np.packbits bits
 and each round ORs into it the rows of its senders through _in_reduce.
@@ -71,72 +70,83 @@ def _reversed(dst, src):
 
 
 class _InLayout(NamedTuple):
-    """How each receiver reaches its senders' values: gather values[send]
-    (next to the receiver's own values[recv]) and reduce over axis 0 with
-    _in_reduce. The edge layout has recv, send = the receiver-sorted edge
-    arrays and starts = each receiver's first edge; the table layout has
-    the (K, n) table as send, recv = arange(n) as a (1, n) row, and
-    starts = None. The stopping rules gather (n, d) rows on the edge layout
-    with values.take(send, axis=0), many times faster than values[send],
-    which copies nothing extra only when values is C-ordered (termination's
-    module docstring); on the table they index."""
+    """A graph's in-adjacency slot by slot (the module docstring). Slot k is
+    send[start:start + m] for (start, m) = blocks[k]: the (k+1)-th smallest
+    sender of each of the first m ranked receivers. ranked lists the
+    receivers by rank and rank gives each receiver's rank; both are None
+    when the ranking is the identity. The arrays are read-only."""
 
-    recv: np.ndarray
     send: np.ndarray
-    starts: np.ndarray | None
+    ranked: np.ndarray | None
+    rank: np.ndarray | None
+    blocks: tuple
+
+
+def _slot_order(n, recv):
+    """For receiver-sorted edge receivers recv that include every self-loop:
+    the edge at each slot of the in-layout, the ranked receivers, each
+    receiver's rank (both None for the identity) and the (start, m) blocks."""
+    deg = np.bincount(recv, minlength=n)
+    ranked = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[ranked] = np.arange(n)
+    # m[k]: the receivers with more than k senders, the first m[k] ranked
+    m = n - np.cumsum(np.bincount(deg))[:-1]
+    starts = np.cumsum(m) - m
+    pos = np.arange(len(recv)) - (np.cumsum(deg) - deg)[recv]
+    order = np.empty(len(recv), dtype=np.intp)
+    order[starts[pos] + rank[recv]] = np.arange(len(recv))
+    for a in (ranked, rank):
+        a.setflags(write=False)
+    if (deg[1:] <= deg[:-1]).all():
+        ranked = rank = None
+    return order, ranked, rank, tuple(zip(starts.tolist(), m.tolist()))
 
 
 def _in_layout(n, recv, send) -> _InLayout:
-    """The table layout when every in-degree is equal, else the edge layout,
-    for the receiver-sorted edge arrays (recv, send) that include every
-    self-loop."""
-    deg = np.bincount(recv, minlength=n)
-    if (deg != deg[0]).any():
-        starts = np.cumsum(deg) - deg
-        starts.setflags(write=False)
-        return _InLayout(recv, send, starts)
-    own = np.arange(n)[None, :]
-    own.setflags(write=False)
-    # a view of the read-only send, so read-only too
-    return _InLayout(own, send.reshape(n, deg[0]).T, None)
+    """The in-layout of the receiver-sorted edge arrays (recv, send) that
+    include every self-loop."""
+    order, *ranking = _slot_order(n, recv)
+    send = send[order]
+    send.setflags(write=False)
+    return _InLayout(send, *ranking)
+
+
+def _slots(values, layout):
+    """The rows of the (n, ...) values at slot 0, a fresh (n, ...)
+    accumulator in rank order, and at every later slot, in slot order."""
+    n = len(values)
+    return values.take(layout.send[:n], axis=0), values.take(layout.send[n:], axis=0)
+
+
+def _fold(ufunc, head, tail, layout):
+    """Fold each later slot of tail into the rows of head in place, then
+    return head in node order: head itself under the identity ranking."""
+    n = len(head)
+    for start, m in layout.blocks[1:]:
+        ufunc(head[:m], tail[start - n:start - n + m], out=head[:m])
+    return head if layout.rank is None else head.take(layout.rank, axis=0)
 
 
 def _in_sum(W, X):
-    """Per receiver, the sum over its senders of W's weight times each of the
-    c rows of the (c, n) array X at the sender, as one (n, c) array; terms
-    are added in ascending sender order, exactly like an unbuffered
-    scatter-add. On the edge layout that is np.bincount per row of X. On the
-    table layout it is one table row at a time across all of X, then + 0.0
-    (see the module docstring for why the bytes are equal). np.add.reduceat
-    was measured not to be bit-identical, and one
-    (wk * X[:, table]).sum(axis=1) raised the stop_ring bench's peak memory
-    by 12%, so neither is used."""
+    """Per receiver, the sum over its senders of W's weight times the
+    sender's row of the (n, c) array X, as a C-ordered (n, c) array. Terms
+    are added in ascending sender order from the first, and the closing
+    + 0.0 gives the bytes of a sum started at 0.0 (the module docstring)."""
     layout, wk = W.graph.in_layout, W.slot_weights
-    if layout.starts is not None:
-        # stacked as rows and returned transposed, so each column stays
-        # contiguous for the next step's gathers: this measured faster than
-        # np.column_stack
-        return np.array([np.bincount(layout.recv, wk * col[layout.send], minlength=W.graph.n)
-                         for col in X]).T
-    table = layout.send
-    acc = X[:, table[0]]
-    acc *= wk[0]
-    for k in range(1, len(table)):
-        t = X[:, table[k]]
-        t *= wk[k]
-        acc += t
-    acc += 0.0
-    return acc.T
+    n = len(X)
+    head, tail = _slots(X, layout)
+    head *= wk[:n, None]
+    tail *= wk[n:, None]
+    out = _fold(np.add, head, tail, layout)
+    out += 0.0
+    return out
 
 
-def _in_reduce(ufunc, per_slot, layout):
-    """ufunc (maximum, minimum, bitwise_or) over each receiver's values
-    per_slot, gathered through layout.send (and recv): ufunc.reduce over the
-    table axis, or ufunc.reduceat at the receiver offsets. Every receiver has
-    its self-loop, so none is empty."""
-    if layout.starts is None:
-        return ufunc.reduce(per_slot, axis=0)
-    return ufunc.reduceat(per_slot, layout.starts, axis=0)
+def _in_reduce(ufunc, values, layout):
+    """ufunc (maximum, minimum, bitwise_or) over the rows of the (n, ...)
+    values at each receiver's senders, in ascending sender order."""
+    return _fold(ufunc, *_slots(values, layout), layout)
 
 
 def _flood(layout, seeds, limit=None):
@@ -158,7 +168,7 @@ def _flood(layout, seeds, limit=None):
     while not (reach == full).all():
         if rounds == limit:
             return -1, reach
-        nxt = _in_reduce(np.bitwise_or, reach[layout.send], layout)
+        nxt = _in_reduce(np.bitwise_or, reach, layout)
         if np.array_equal(nxt, reach):
             return -1, reach
         reach = nxt
@@ -187,10 +197,11 @@ class DiGraph:
     """Immutable directed graph with mandatory self-loops.
 
     edges may be given as any sequence of (receiver, sender) pairs or an
-    (E, 2) integer array, in any order and with repeats; they are stored as
-    a lexicographically sorted tuple of Python int pairs. seed and model are
-    provenance metadata kept so a graph can be serialized reproducibly; they
-    are optional for hand-built graphs.
+    (E, 2) integer array, in any order and with repeats. g.edges, their
+    sorted tuple of Python int pairs and most of a graph's memory, is built
+    from edge_arrays when first read. seed and model are provenance metadata
+    kept so a graph can be serialized reproducibly; they are optional for
+    hand-built graphs.
     """
 
     n: int
@@ -223,9 +234,16 @@ class DiGraph:
         layout = _in_layout(n, dst, src)
         if not _strongly_connected(n, dst, src, layout):
             raise ValueError("graph is not strongly connected")
-        object.__setattr__(self, "edges", tuple(zip(dst.tolist(), src.tolist())))
         object.__setattr__(self, "edge_arrays", (dst, src))
         object.__setattr__(self, "in_layout", layout)
+        del self.__dict__["edges"]  # __getattr__ rebuilds it
+
+    def __getattr__(self, name):
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dst, src = self.edge_arrays
+        edges = self.__dict__["edges"] = tuple(zip(dst.tolist(), src.tolist()))
+        return edges
 
     @cached_property
     def in_adj(self) -> tuple:
@@ -304,9 +322,8 @@ class StochasticMatrix:
     edge_weights[e] is the weight src[e] gives dst[e], for (dst, src) =
     graph.edge_arrays; off the edges the weight is zero. kind "column"
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
-    each receiver's (averaging); there is no dense view. slot_weights is
-    the weight of each slot of the graph's in-layout, a (K, n) view in
-    table order on the table layout; it is built on first use.
+    each receiver's (averaging); there is no dense view. slot_weights, the
+    weights in the graph's in-layout slot order, is built on first use.
     """
 
     kind: str
@@ -334,13 +351,10 @@ class StochasticMatrix:
 
     @cached_property
     def slot_weights(self) -> np.ndarray:
-        """The weight of each slot of the graph's in-layout: edge_weights on
-        the edge layout; on the table layout, the read-only (K, n) view
-        slot_weights[k, i] = the weight table[k, i] gives i."""
-        layout = self.graph.in_layout
-        if layout.starts is not None:
-            return self.edge_weights
-        return self.edge_weights.reshape(layout.send.T.shape).T
+        """edge_weights in the in-layout's slot order, read-only."""
+        w = self.edge_weights[_slot_order(self.graph.n, self.graph.edge_arrays[0])[0]]
+        w.setflags(write=False)
+        return w
 
 
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:

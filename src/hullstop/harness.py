@@ -55,15 +55,17 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self):
-        if _integer("n", self.n) < 1:
+        # sizes are kept as the ints _integer returns, which JSON can write
+        self.n, self.dim = _integer("n", self.n), _integer("dim", self.dim)
+        if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        if _integer("dim", self.dim) < 1:
+        if self.dim < 1:
             raise ValueError(f"need dim >= 1, got {self.dim}")
         if self.topology not in MODELS:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not (0.0 < self.edge_prob <= 1.0):
             raise ValueError(f"edge_prob must be in (0, 1], got {self.edge_prob}")
-        _integer("seed", self.seed, 0)
+        self.seed = _integer("seed", self.seed, 0)
         if self.engine not in ("ratio", "row"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.stopping not in _STOPPINGS:
@@ -73,8 +75,8 @@ class ExperimentConfig:
                 raise ValueError(f"stopping {self.stopping!r} needs rho > 0, got {self.rho}")
         _norm_order(self.norm)
         if self.dbound is not None:
-            _integer("dbound", self.dbound, 1)
-        _integer("k_max", self.k_max, 1)
+            self.dbound = _integer("dbound", self.dbound, 1)
+        self.k_max = _integer("k_max", self.k_max, 1)
         return self
 
     def to_json(self) -> str:

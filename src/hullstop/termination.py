@@ -21,32 +21,14 @@ than its window start, so a run keeps only step 0 and the last step
 unless history=True asks for all.
 
 The per-step maxima and minima (radius_step, bit_step, the box envelopes)
-gather each receiver's sender values through the graph's in-layout and
-reduce them with graph._in_reduce: ufunc.reduceat over the edge list, or
-ufunc.reduce over the (K, n) sender table when every in-degree is K. Both
-take each receiver's senders in ascending order, so both give the same
-bytes, +-0.0 ties included. On the table, radius_step broadcasts a
-receiver's own state instead of gathering it through arange(n). On the edge
-list the (n, d) row gathers (radius_step's r_new by receiver and r_old by
-sender, the box rule's M and m by sender) are ndarray.take(idx, axis=0), the
-same copy as values[idx]: numpy's indexing copies row by row, about 630 us
-per 28.5k-row gather at d=4 against 50-75 us for take, which halved
-radius_step's and the box rule's time on the stop_er1000 bench. take first
-copies a source that is not C-contiguous, so consensus.ratio_step hands out r
-in C order (the box rule gathers from the engine's state at each window
-start); the row engine's z keeps _in_sum's F order, and each gather copies
-that (n, d) state once. take also copies the read-only sender array into a
-writeable intp index, an (E,) array per call: about 10-35 us and 228 KB on
-the bench graph. That copy is accepted: it lies under the run-to-run noise of
-stop_er1000's run_s, does not raise its peak memory (radius_step's (E, d)
-gathers set that), and avoiding it would need a writeable alias of the
-layout's arrays. The table keeps numpy indexing: take gained 3% there and
-np.take raised the stop_ring bench's peak memory by 6%. Each gather stays a
-temporary, since one bound to a name keeps one more (E, d) array alive and
-raised the stop_er1000 bench's peak memory from 2.29 to 3.20 MB. bit_step
-gathers (n,) bits and keeps numpy indexing; it returns a copy of its input
-when all bits are 0 (every window before the first detection) or all are 1:
-every node has its self-loop, so an OR over equal bits changes none of them.
+run over the graph's slot-major in-layout (graph._in_reduce, or graph._fold
+on radius_step's per-edge candidates), each receiver taking its senders in
+ascending order. Rows are gathered with ndarray.take from the engines'
+C-ordered states; radius_step subtracts them from the ranked receiver rows
+slot by slot, in place, so it holds one (E, d) array at its peak. bit_step
+returns a copy of its input when all bits are 0 (every window before the
+first detection) or all are 1: every node has its self-loop, so an OR over
+equal bits changes none of them.
 """
 
 from __future__ import annotations
@@ -60,7 +42,7 @@ import numpy as np
 from .consensus import _Engine, _csv_table, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm_order, hull_diameter, vector_norm
-from .graph import DiGraph, StochasticMatrix, _in_reduce, _integer
+from .graph import DiGraph, StochasticMatrix, _fold, _in_reduce, _integer
 from .hull import hull_round, HullNodeState
 
 __all__ = [
@@ -90,20 +72,18 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
     if r_new.shape != r_old.shape or r_new.shape[0] != g.n or R_old.shape != (g.n,):
         raise ValueError(
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
-    layout = g.in_layout
-    # one expression, so numpy can reuse the gathered temporary in place
-    # (see the module docstring)
-    cand = vector_norm((r_new[None] if layout.starts is None else r_new.take(layout.recv, axis=0))
-                       - _sender_rows(r_old, layout), p, axis=-1) + R_old[layout.send]
-    return _in_reduce(np.maximum, cand, layout)
+    cand = vector_norm(_edge_gaps(g.in_layout, r_new, r_old), p)
+    cand += R_old.take(g.in_layout.send)
+    return _fold(np.maximum, cand[:g.n].copy(), cand[g.n:], g.in_layout)
 
 
-def _sender_rows(values, layout) -> np.ndarray:
-    """values[layout.send] for (n, d) values: ndarray.take on the edge
-    layout, plain indexing on the table (see the module docstring)."""
-    if layout.starts is None:
-        return values[layout.send]
-    return values.take(layout.send, axis=0)
+def _edge_gaps(layout, r_new, r_old) -> np.ndarray:
+    """r_new at each slot's receiver minus r_old at its sender, in slot order."""
+    own = r_new if layout.ranked is None else r_new.take(layout.ranked, axis=0)
+    gaps = r_old.take(layout.send, axis=0)
+    for start, m in layout.blocks:
+        np.subtract(own[:m], gaps[start:start + m], out=gaps[start:start + m])
+    return gaps
 
 
 def bit_step(g: DiGraph, b) -> np.ndarray:
@@ -115,7 +95,7 @@ def bit_step(g: DiGraph, b) -> np.ndarray:
     if ones == 0 or (ones == g.n and np.maximum.reduce(b) == 1):
         # equal bits everywhere: with every self-loop, the OR is the identity
         return b.copy()
-    return _in_reduce(np.maximum, b[g.in_layout.send], g.in_layout)
+    return _in_reduce(np.maximum, b, g.in_layout)
 
 
 class MinMaxEnvelope(NamedTuple):
@@ -342,8 +322,8 @@ class _BoxRule(_Rule):
 
     def step(self, prev, cur):
         layout = self.g.in_layout
-        self.M = _in_reduce(np.maximum, _sender_rows(self.M, layout), layout)
-        self.m = _in_reduce(np.minimum, _sender_rows(self.m, layout), layout)
+        self.M = _in_reduce(np.maximum, self.M, layout)
+        self.m = _in_reduce(np.minimum, self.m, layout)
 
     def boundary(self, index, start_t, t):
         spreads = vector_norm(self.M - self.m, self.p, axis=-1)

@@ -3,12 +3,12 @@
 Deliberately written with different algorithms than the library: reachability
 by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
 chain construction, in-neighbour sums by a plain loop over the dense weight
-view, so agreement is meaningful. The writers, the membership decider, the
-reduceat step kernels, Wolfe's loop and its corral step, the per-item
-least-squares bound and the extreme-point loop are the earlier forms of
-library code, kept to show that a faster form gives the same result. The
-dense n x n weight view lives only here, with the dense Perron power
-iteration that the per-edge perron_left replaced.
+view, in-neighbour maxima and minima by a fold one edge at a time, so
+agreement is meaningful. The writers, the membership decider, Wolfe's loop
+and its corral step, the per-item least-squares bound and the extreme-point
+loop are the earlier forms of library code, kept to show that a faster form
+gives the same result. The dense n x n weight view lives only here, with the
+dense Perron power iteration that the per-edge perron_left replaced.
 """
 
 import math
@@ -78,30 +78,40 @@ def in_sum_reference(W, values):
     return out.reshape(values.shape)
 
 
-def _reduceat_senders(g, ufunc, per_edge):
+def _fold_senders(g, ufunc, per_edge):
     """ufunc over each receiver's per-edge values, the edges sorted by
-    (receiver, sender): ufunc.reduceat at each receiver's first edge."""
-    return ufunc.reduceat(per_edge, np.searchsorted(g.edge_arrays[0], np.arange(g.n)), axis=0)
+    (receiver, sender), folded one sender at a time from the first:
+    acc = ufunc(acc, next). ufunc.reduceat is no reference here: on a
+    (28, 4) segment of +-0.0 ties its np.minimum picked -0.0 in a column
+    where this fold and ufunc.reduce(axis=0) pick +0.0."""
+    bounds = np.searchsorted(g.edge_arrays[0], np.arange(g.n + 1)).tolist()
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        acc = per_edge[a:a + 1].copy()
+        for e in range(a + 1, b):
+            ufunc(acc, per_edge[e:e + 1], out=acc)
+        out.append(acc)
+    return np.concatenate(out)
 
 
 def radius_step_reference(g, r_new, r_old, R_old, p):
     """radius_step over the edge list: one candidate per edge, then
-    np.maximum.reduceat over each receiver's senders."""
+    np.maximum folded over each receiver's senders."""
     dst, src = g.edge_arrays
     cand = vector_norm(r_new[dst] - r_old[src], p, axis=-1) + R_old[src]
-    return _reduceat_senders(g, np.maximum, cand)
+    return _fold_senders(g, np.maximum, cand)
 
 
 def bit_step_reference(g, b):
     """bit_step over the edge list."""
-    return _reduceat_senders(g, np.maximum, b[g.edge_arrays[1]])
+    return _fold_senders(g, np.maximum, b[g.edge_arrays[1]])
 
 
 def envelope_step_reference(g, M, m):
     """One box-rule flood round over the edge list: the coordinatewise
     max of the senders' M and min of their m."""
     src = g.edge_arrays[1]
-    return _reduceat_senders(g, np.maximum, M[src]), _reduceat_senders(g, np.minimum, m[src])
+    return _fold_senders(g, np.maximum, M[src]), _fold_senders(g, np.minimum, m[src])
 
 
 def floyd_warshall_diameter(n, edges):

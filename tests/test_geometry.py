@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from hullstop import (
@@ -24,6 +25,26 @@ def hull_membership_set(S, q, tol=1e-9):
 
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=64)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2),
+       st.integers(min_value=1, max_value=12), st.sampled_from([1.0, 2.0, np.inf]),
+       st.sampled_from("CF"), st.data())
+@settings(max_examples=300, deadline=None)
+def test_vector_norm_matches_numpys_reduce_in_either_memory_order(lead, d, p, order, data):
+    # below 8 columns vector_norm folds column by column; numpy's reduce
+    # over the last axis is a left-to-right sum there in either memory
+    # order, and pairwise from 8 on, where vector_norm keeps it
+    entries = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e-200])
+               | st.floats(min_value=-1e3, max_value=1e3))
+    a = np.asarray(data.draw(hnp.arrays(np.float64, (*lead, d), elements=entries)), order=order)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if p == 2.0:
+            ref = np.sqrt(np.add.reduce(a * a, axis=-1))
+        else:
+            ref = (np.add if p == 1.0 else np.maximum).reduce(np.abs(a), axis=-1)
+        out = vector_norm(a, p)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 def test_canonicalize_sorts_lexicographically():

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,40 @@ def test_make_weights_allocates_no_dense_matrix():
         assert peak < 4 * 2**20, (kind, peak)
         assert limit_peak < 4 * 2**20, (kind, limit_peak)
         assert not hasattr(W, "w")
+
+
+def test_graph_keeps_its_edges_as_arrays():
+    # a tuple of Python int pairs costs about 67 bytes an edge; the graph
+    # holds (dst, src) and the in-layout's senders, 24 bytes an edge, and
+    # builds the tuple only when g.edges is read
+    n = 300
+    generate_digraph(20, "erdos_renyi", seed=0, edge_prob=0.3)
+    tracemalloc.start()
+    try:
+        g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    E = len(g.edge_arrays[0])
+    assert E == 7120
+    assert held < 32 * E, held
+    dst, src = g.edge_arrays
+    assert g.edges == tuple(zip(dst.tolist(), src.tolist()))
+
+
+def test_graph_equality_hash_and_repr_are_those_of_its_record():
+    g = DiGraph(n=2, edges=((1, 0), (0, 0), (1, 1), (0, 1)), seed=4, model="hand")
+    record = (2, ((0, 0), (0, 1), (1, 0), (1, 1)), 4, "hand")
+    assert hash(g) == hash(record)
+    assert repr(g) == ("DiGraph(n=2, edges=((0, 0), (0, 1), (1, 0), (1, 1)), "
+                       "seed=4, model='hand')")
+    assert g == DiGraph(2, np.array(record[1])[::-1], seed=4, model="hand")
+    assert g != DiGraph(2, record[1], seed=5, model="hand")
+    assert g != record
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(AttributeError):
+        g.edges = ()
 
 
 def test_edge_weights_align_with_edge_arrays():

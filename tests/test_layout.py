@@ -1,6 +1,7 @@
-"""The two in-layouts behind every per-step sum and max (graph._InLayout):
-which graphs get the (K, n) sender table, what the table holds, and that
-both layouts give the references' bytes."""
+"""The slot-major in-layout behind every per-step sum and max
+(graph._InLayout): what its slots and blocks hold, which graphs keep the
+identity ranking, and that it gives the references' bytes on regular and
+ragged graphs alike."""
 
 import math
 import tracemalloc
@@ -33,8 +34,12 @@ from oracles import (
 from test_consensus import _random_weights, _same_bytes
 
 
-def _tabled(g):
-    return g.in_layout.starts is None
+def _ranked(g):
+    return g.in_layout.rank is not None
+
+
+def _full_slots(g):
+    return all(m == g.n for _, m in g.in_layout.blocks)
 
 
 def complete_minus(n, drop, seed):
@@ -57,8 +62,9 @@ def circulant(n, offsets):
 
 @st.composite
 def graphs(draw):
-    """A ring, a complete graph or a circulant, which get the table, or a
-    complete-minus-a-few graph or a sparse ER graph, which keep the edges."""
+    """A ring, a complete graph or a circulant, whose slots are all full and
+    whose ranking is the identity, or a complete-minus-a-few graph or a
+    sparse ER graph, whose in-degrees differ."""
     family = draw(st.sampled_from(["ring", "complete", "circulant", "ragged", "er"]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     if family == "ring":
@@ -74,42 +80,71 @@ def graphs(draw):
         g = generate_digraph(draw(st.integers(min_value=12, max_value=18)), "erdos_renyi",
                              seed=seed, edge_prob=0.25)
     if family != "er":
-        assert _tabled(g) == (family not in ("ragged", "er"))
+        assert _full_slots(g) == (family != "ragged")
+        assert _ranked(g) <= (family == "ragged")
     return g
 
 
-def test_regular_graphs_get_the_table_others_keep_the_edges():
-    assert _tabled(generate_digraph(60, "ring"))
-    assert _tabled(generate_digraph(25, "complete"))
-    assert _tabled(circulant(9, (0, 2, 5)))
-    assert not _tabled(complete_minus(7, 5, seed=1))
+def test_equal_in_degrees_give_the_identity_ranking():
+    for g in (generate_digraph(60, "ring"), generate_digraph(25, "complete"),
+              circulant(9, (0, 2, 5))):
+        layout = g.in_layout
+        assert layout.ranked is None and layout.rank is None
+        K = len(g.edges) // g.n
+        assert layout.blocks == tuple((k * g.n, g.n) for k in range(K))
     n = 1000
-    er = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
-    assert not _tabled(er)
-    assert _same_bytes(er.in_layout.recv, er.edge_arrays[0])
-    assert _same_bytes(er.in_layout.send, er.edge_arrays[1])
-    W = make_weights(er, "column")
-    assert W.slot_weights is W.edge_weights
+    for g in (complete_minus(7, 5, seed=1),
+              generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)):
+        layout = g.in_layout
+        deg = np.array([len(s) for s in g.in_adj])
+        assert layout.ranked.tolist() == np.argsort(-deg, kind="stable").tolist()
+        assert layout.rank[layout.ranked].tolist() == list(range(g.n))
+        # the blocks tile the slots, and block k is the prefix of the
+        # ranking with more than k senders
+        starts, ms = zip(*layout.blocks)
+        assert list(starts) == np.cumsum((0,) + ms[:-1]).tolist()
+        assert sum(ms) == len(g.edges) == len(layout.send)
+        for k, m in enumerate(ms):
+            assert (deg[layout.ranked[:m]] > k).all() and (deg[layout.ranked[m:]] <= k).all()
 
 
 @pytest.mark.parametrize("kind", ["column", "row"])
 def test_table_holds_each_receivers_senders_and_weights(kind):
-    g = circulant(9, (0, 2, 5))
-    table = g.in_layout.send
-    assert table.shape == (3, g.n)
-    assert _same_bytes(g.in_layout.recv, np.arange(g.n)[None, :])
-    W = make_weights(g, kind)
-    for i, senders in enumerate(g.in_adj):
-        assert table[:, i].tolist() == list(senders)
-        assert _same_bytes(np.ascontiguousarray(W.slot_weights[:, i]), dense_weights(W)[i, table[:, i]])
+    for g in (circulant(9, (0, 2, 5)), complete_minus(7, 5, seed=1),
+              generate_digraph(200, "erdos_renyi", seed=3, edge_prob=0.1)):
+        layout = g.in_layout
+        W = make_weights(g, kind)
+        w = dense_weights(W)
+        assert W.slot_weights.shape == layout.send.shape
+        for i, senders in enumerate(g.in_adj):
+            rank = i if layout.rank is None else layout.rank[i]
+            slots = [start + rank for start, _ in layout.blocks[:len(senders)]]
+            assert layout.send[slots].tolist() == list(senders)
+            assert _same_bytes(W.slot_weights[slots], w[i, list(senders)])
 
 
 def test_tables_are_read_only():
-    g = generate_digraph(5, "ring")
-    W = make_weights(g, "column")
-    for table in (g.in_layout.send, g.in_layout.recv, W.slot_weights):
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+    ragged = complete_minus(7, 5, seed=1)
+    assert _ranked(ragged)
+    for g in (generate_digraph(5, "ring"), ragged):
+        W = make_weights(g, "column")
+        for table in (g.in_layout.send, g.in_layout.ranked, g.in_layout.rank, W.slot_weights):
+            if table is None:
+                continue
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+@pytest.mark.parametrize("g", [generate_digraph(9, "ring"),
+                               generate_digraph(40, "erdos_renyi", seed=2, edge_prob=0.2)],
+                         ids=["ring", "er"])
+def test_engine_states_are_c_ordered(g):
+    # the stopping rules gather state rows with ndarray.take, which first
+    # copies a source that is not C-contiguous
+    x0 = np.random.default_rng(1).random((g.n, 3))
+    assert ratio_step(make_ratio_state(x0), make_weights(g, "column")).r.flags.c_contiguous
+    assert row_step(RowState(x0), make_weights(g, "row")).z.flags.c_contiguous
+    assert row_step(RowState(np.asfortranarray(x0)), make_weights(g, "row")).z.flags.c_contiguous
 
 
 def test_table_step_makes_one_in_sum(spy_calls):
@@ -145,7 +180,7 @@ def test_both_layouts_sum_like_in_sum_reference_byte_for_byte(g, d, seed, data):
 @given(graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([1.0, 2.0, np.inf]),
        st.data())
 @settings(max_examples=80, deadline=None)
-def test_both_layouts_reduce_like_reduceat_reference(g, d, p, data):
+def test_both_layouts_reduce_like_the_sender_fold_reference(g, d, p, data):
     # few distinct values, so maxima repeat and +0.0 ties -0.0
     n = g.n
     ties = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
@@ -194,13 +229,14 @@ def test_bit_step_of_equal_bits_is_a_fresh_copy_of_the_reference(g, bit):
 
 
 def test_radius_step_peak_memory_on_the_edge_layout():
-    # the receiver-side gather r_new[recv] must stay a temporary numpy can
-    # reuse in place: bound to a name, it keeps one more (E, d) array alive
-    # and the peak reaches about 3.25 (E, d) float arrays, against 2.25
+    # radius_step fills one gathered (E, d) difference in place and folds
+    # it into (E,) columns: about 1.5 (E, d) float arrays at the peak. A
+    # receiver-side (E, d) gather bound to a name kept one more alive and
+    # reached about 3.25
     n, d = 1000, 4
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
     E = len(g.edges)
-    assert not _tabled(g) and E == 28_538
+    assert _ranked(g) and E == 28_538
     rng = np.random.default_rng(0)
     r_new, r_old, R_old = rng.random((n, d)), rng.random((n, d)), rng.random(n)
     radius_step(g, r_new, r_old, R_old)
@@ -216,13 +252,13 @@ def test_radius_step_peak_memory_on_the_edge_layout():
 def test_box_step_peak_memory_on_the_edge_layout():
     # the envelopes start from the engine's own state, and ndarray.take
     # copies a source that is not C-contiguous whole before it gathers, so
-    # ratio_step must hand out r in C order. One step holds the (E, d)
-    # gather, the (E,) intp copy take makes of the read-only sender array
+    # ratio_step must hand out r in C order. One step holds the (E, d) slot
+    # gathers, the intp copy take makes of the read-only sender array
     # and one (n, d) envelope; a copied source adds one more (n, d) array
     n, d = 1000, 4
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
     E = len(g.edges)
-    assert not _tabled(g) and E == 28_538
+    assert _ranked(g) and E == 28_538
     W = make_weights(g, "column")
     r = ratio_step(make_ratio_state(np.random.default_rng(0).random((n, d))), W).r
     rule = _BoxRule(g, 1.0, 2.0)
@@ -240,8 +276,9 @@ def test_box_step_peak_memory_on_the_edge_layout():
 
 @pytest.mark.parametrize("d", [1, 4, 7, 8, 10, 50])
 @pytest.mark.parametrize("g", [circulant(11, (0, 1, 4)), complete_minus(8, 4, seed=2),
-                               generate_digraph(16, "erdos_renyi", seed=5, edge_prob=0.25)],
-                         ids=["table", "ragged", "er"])
+                               generate_digraph(16, "erdos_renyi", seed=5, edge_prob=0.25),
+                               generate_digraph(200, "erdos_renyi", seed=1, edge_prob=0.1)],
+                         ids=["table", "ragged", "er", "wide"])
 def test_engine_states_reduce_like_the_references_in_either_memory_order(g, d):
     # the states the stopping rules really get: make_ratio_state's r (with
     # -0.0 entries, so maxima and minima tie +0.0 against -0.0) and then

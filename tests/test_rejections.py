@@ -4,6 +4,7 @@ positive, weights that are not a stochastic matrix on the graph's edges,
 damaged state files, a geometry tolerance that is not a finite
 nonnegative number, and a size or index that is not an integer."""
 
+import json
 import re
 from decimal import Decimal
 
@@ -16,7 +17,7 @@ from hullstop import (DiGraph, ExperimentConfig, StochasticMatrix, extreme_point
                       m_in_neighborhood, make_weights, read_state_csv, run_box_stopping,
                       run_consensus, run_hull_consensus, run_hull_stopping,
                       run_radius_stopping, windowed_radius_trace, write_state_csv)
-from hullstop import cli, graph_from_json, graph_to_json
+from hullstop import cli, graph_from_json, graph_to_json, run_experiment
 
 _STOPPING = [run_radius_stopping, run_box_stopping, run_hull_stopping]
 _graphs = st.builds(lambda n, seed: generate_digraph(n, "erdos_renyi", seed, 0.6),
@@ -181,6 +182,19 @@ def test_sizes_accept_what_operator_index_accepts():
     trace = run_radius_stopping(_RING, _RING_W, _RING_X0, 0.01, Dbound=np.int64(8),
                                 k_max=np.int64(20))
     assert trace.Dbound == 8 and type(trace.Dbound) is int
+
+
+def test_validated_sizes_are_stored_as_ints(tmp_path):
+    # validate used to keep numpy integers, and run_experiment then failed
+    # writing config.json: "Object of type int64 is not JSON serializable"
+    names = ("n", "dim", "seed", "dbound", "k_max")
+    cfg = ExperimentConfig(n=np.int64(5), dim=np.int32(2), seed=np.int64(3),
+                           dbound=np.int64(5), k_max=np.int64(10_000),
+                           out_dir=str(tmp_path / "run"))
+    run_experiment(cfg)
+    assert [type(getattr(cfg, name)) for name in names] == [int] * 5
+    saved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert [saved[name] for name in names] == [5, 2, 3, 5, 10_000]
 
 
 _SEED_ENTRIES = [lambda v: generate_digraph(5, "ring", seed=v),
