@@ -193,6 +193,8 @@ def _cmd_lse(args) -> int:
         raise _CliError(f"--degree must be >= 0, got {args.degree}")
     if args.nodes < 1:
         raise _CliError(f"--nodes must be >= 1, got {args.nodes}")
+    if args.k_max < 0:
+        raise _CliError(f"--k-max must be >= 0, got {args.k_max}")
     basis = polynomial_basis(args.degree)
     M = len(basis)
     if args.data is not None:
@@ -241,6 +243,8 @@ def _cmd_lse(args) -> int:
 def _cmd_funccalc(args) -> int:
     if not args.rho > 0:
         raise _CliError(f"funccalc needs --rho > 0, got {args.rho}")
+    if args.k_max < 1:  # with no step the run cannot halt
+        raise _CliError(f"--k-max must be >= 1, got {args.k_max}")
     n = args.nodes
     f, C, alpha = registered_function(args.function, n)
     rng = np.random.default_rng([args.seed, 4])

@@ -3,8 +3,7 @@
 Hull membership and extreme point queries reduce to small dense linear
 feasibility problems: p lies in the hull of points q_1..q_m exactly when
 some t >= 0 with sum(t) = 1 satisfies sum(t_k q_k) = p. Sound distance
-certificates decide first: a bounding-box reject, a separating direction
-through the centroid (one matrix-vector product) and Wolfe's
+certificates decide first: a bounding-box reject and Wolfe's
 minimum-norm-point iteration, whose iterates give an upper and a lower bound
 on the distance from p to the hull. Only a query those bounds leave between
 tol and the simplex's own reach goes to a phase-one simplex with Bland's
@@ -373,15 +372,12 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     """Membership decision: sound certificates first, the tableau last.
 
     1. Bounding-box reject: the hull lies inside the box.
-    2. Separating direction u = centroid - p: the hull lies in
-       {x : <x - p, u> >= min_j <v_j - p, u>}, so that minimum over ||u|| is
-       a lower bound on the distance. Above margin: outside.
-    3. Wolfe (`_min_norm_member`): ||y|| <= tol is a certified inside;
+    2. Wolfe (`_min_norm_member`): ||y|| <= tol is a certified inside;
        a lower bound above margin is a certified outside. Its first iterate
        is the nearest input point v_j, j = argmin_j ||v_j - p|| (not the
        nearest point of the hull), so the direction u = v_j - p is tested
        there.
-    4. Otherwise the phase-one tableau decides.
+    3. Otherwise the phase-one tableau decides.
 
     The margin keeps each verdict that of the tableau-first order (box,
     tableau, then Wolfe on every infeasible verdict). The tableau answers
@@ -403,14 +399,8 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     """
     if ((p < np.minimum.reduce(pts) - tol) | (p > np.maximum.reduce(pts) + tol)).any():
         return False
-    V = pts - p
-    m, d = V.shape
-    s = max(float(np.maximum.reduce(np.abs(V), axis=None)), tol)
-    margin = _margin(s, tol, d)
-    u = np.add.reduce(V) / m
-    nu = math.sqrt(float(u @ u))
-    if nu > 0.0 and float(np.minimum.reduce(V @ u)) > margin * nu:
-        return False
+    s = max(float(np.maximum.reduce(np.abs(pts - p), axis=None)), tol)
+    margin = _margin(s, tol, pts.shape[1])
     inside, lower = _min_norm_member(pts, p, tol, margin)
     if inside:
         return True
@@ -457,10 +447,10 @@ def _direction_extremes(pts: np.ndarray, tol: float) -> np.ndarray:
 
     A point that is the unique argmax of <x, u> for a unit u, ahead of the
     runner-up by more than the margin, lies further than the margin from
-    the hull of the others: the separating direction certificate `_member`
-    applies to the centroid direction, here applied to fixed directions.
-    The margin is taken at the span of the whole set, which bounds the span
-    of every query `extreme_points` could make, so it is conservative.
+    the hull of the others, which all lie behind a hyperplane normal to u,
+    so `_member` would answer outside. The margin is taken at the span of
+    the whole set, which bounds the span of every query `extreme_points`
+    could make, so it is conservative.
     Scores are taken from the lower corner of the box, which keeps their
     rounding a few eps of the span, far below the margin.
     """

@@ -31,23 +31,23 @@ class HullNodeState:
     ext: PointSet
 
 
-def hull_round(states, g: DiGraph, cache: dict | None = None):
+def hull_round(states, g: DiGraph):
     """One synchronous round: every node unions the estimates of its senders
-    (itself included via the self-loop) and keeps the extreme points.
-    Extreme sets are memoized in cache, a fresh dict if none is given; the
-    membership verdicts behind them are shared for this round only."""
+    (itself included via the self-loop) and keeps the extreme points. Nodes
+    whose unions are equal share one extreme set, and nodes share membership
+    verdicts; both last this round only, so a round depends on its states
+    alone."""
     dims = {s.ext.d for s in states}
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions in hull states: {sorted(dims)}")
-    if cache is None:
-        cache = {}
+    extremes: dict = {}
     verdicts = _Verdicts()
     out = []
     for i in range(g.n):
         probe = PointSet(np.vstack([states[j].ext.points for j in g.in_adj[i]]))
-        if probe not in cache:
-            cache[probe] = extreme_points(probe, verdicts=verdicts)
-        out.append(HullNodeState(cache[probe]))
+        if probe not in extremes:
+            extremes[probe] = extreme_points(probe, verdicts=verdicts)
+        out.append(HullNodeState(extremes[probe]))
     return out
 
 
@@ -62,11 +62,10 @@ def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
     if len(sets) != g.n:
         raise ValueError(f"got {len(sets)} point sets for {g.n} nodes")
     rounds = g.diameter if rounds is None else _integer("rounds", rounds, 0)
-    cache: dict = {}
     states = [HullNodeState(extreme_points(s)) for s in sets]
     history = [[s.ext for s in states]]
     for _ in range(rounds):
-        states = hull_round(states, g, cache)
+        states = hull_round(states, g)
         history.append([s.ext for s in states])
     final = [s.ext for s in states]
     if return_history:

@@ -335,19 +335,18 @@ class _BoxRule(_Rule):
 
 class _HullRule(_Rule):
     """Hull consensus over the window start states, one round per step;
-    max_points is the largest message seen, in points. The extreme-set memo
-    lasts one window: its keys are unions of that window's start states."""
+    max_points is the largest message seen, in points. Each round is a
+    function of the nodes' current extreme sets alone (see hull_round)."""
 
     def __init__(self, g, rho, p):
         super().__init__(g, rho, p)
         self.max_points = 1
 
     def begin(self, cur):
-        self.cache: dict = {}
         self.exts = [HullNodeState(PointSet(cur[i:i + 1])) for i in range(self.g.n)]
 
     def step(self, prev, cur):
-        self.exts = hull_round(self.exts, self.g, cache=self.cache)
+        self.exts = hull_round(self.exts, self.g)
         self.max_points = max(self.max_points, max(len(s.ext) for s in self.exts))
 
     def boundary(self, index, start_t, t):

@@ -92,6 +92,22 @@ def test_run_experiment_none_stopping(tmp_path):
     assert s["bandwidth_bits"] == 0 and s["guarantee_2rho_ok"] is None
 
 
+# ROADMAP item 2: on nearly flat start states a point within geometry's 1e-9
+# of the hull's boundary is kept by one node and dropped by another, and the
+# hull rule raises "extreme sets disagree" instead of halting; the ER n=12,
+# d=3 case shows the fault is not limited to tiny rho
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="hull rule's extreme sets disagree (ROADMAP item 2)")
+@pytest.mark.parametrize("kw", [
+    dict(n=10, dim=2, seed=1, rho=1e-6, edge_prob=0.3),
+    dict(n=8, dim=2, seed=3, rho=1e-8, topology="ring"),
+    dict(n=12, dim=3, seed=9, rho=1e-4, edge_prob=0.3),
+], ids=["er10-t27", "ring8-t224", "er12-d3-t35"])
+def test_hull_rule_halts_within_2rho_on_flat_start_states(tmp_path, kw):
+    res = run_experiment(cfg_for(tmp_path, stopping="hull", **kw))
+    assert res.summary["halted"] and res.summary["guarantee_2rho_ok"]
+
+
 def test_run_experiment_relative_rho(tmp_path):
     cfg = cfg_for(tmp_path, rho=0.05, rho_relative=True)
     res = run_experiment(cfg)

@@ -127,23 +127,23 @@ def test_distance_bound_from_known_extreme_set():
     assert not distance_from_convergence_bound(E0, far, limit)
 
 
-def test_hull_round_memo_shares_one_extreme_set_per_union():
+def test_hull_round_memo_shares_one_extreme_set_per_union(spy_calls):
     # on a complete graph every node unions the same senders, so each round
-    # computes one extreme set; round 2 unions the global extreme set, a new
-    # probe, and round 3 repeats it
+    # computes one extreme set; round 3 repeats round 2's union and, keeping
+    # nothing between rounds, computes it again
+    import hullstop.hull as hull
     g = generate_digraph(5, "complete", seed=0)
     rng = np.random.default_rng(31)
     sets = [rng.random((4, 2)) for _ in range(5)]
-    start = [HullNodeState(extreme_points(s)) for s in sets]
-    cache: dict = {}
-    states, fresh, sizes = start, start, []
+    states = [HullNodeState(extreme_points(s)) for s in sets]
+    calls = spy_calls(hull, "extreme_points")
+    sizes = []
     for _ in range(3):
-        states = hull_round(states, g, cache=cache)
-        fresh = hull_round(fresh, g)
+        states = hull_round(states, g)
         assert all(s.ext is states[0].ext for s in states)
-        sizes.append(len(cache))
-    assert sizes == [1, 2, 2]
-    assert [s.ext for s in states] == [s.ext for s in fresh]
+        sizes.append(len(calls))
+    assert sizes == [1, 2, 3]
+    assert calls[2][0][0] == calls[1][0][0]
     assert states[0].ext == extreme_points(np.vstack(sets))
 
 
@@ -154,10 +154,9 @@ def test_hull_round_asks_no_membership_query_twice(spy_calls):
     g = generate_digraph(20, "erdos_renyi", 7, float(f"{4 * np.log(20) / 20:.6g}"))
     rng = np.random.default_rng([7, 2])
     states = [HullNodeState(extreme_points(rng.random((5, 3)))) for _ in range(g.n)]
-    cache: dict = {}
-    states = hull_round(states, g, cache=cache)
+    states = hull_round(states, g)
     calls = spy_calls(geometry, "_member")
-    hull_round(states, g, cache=cache)
+    hull_round(states, g)
     keys = [(rest.shape, rest.tobytes(), p.tobytes()) for (rest, p, _), _ in calls]
     assert len(keys) > 100 and len(set(keys)) == len(keys)
 

@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hullstop import (DiGraph, ExperimentConfig, StochasticMatrix, extreme_points,
+from hullstop import (DiGraph, ExperimentConfig, RowState, StochasticMatrix, bit_step,
+                      canonicalize_points, extreme_points, flatten_payload, funccalc_init,
                       generate_digraph, hull_membership, is_convex_decreasing,
-                      m_in_neighborhood, make_weights, read_state_csv, run_box_stopping,
+                      m_in_neighborhood, make_weights, minmax_envelope, pairwise_spread,
+                      read_state_csv, registered_function, row_step, run_box_stopping,
                       run_consensus, run_hull_consensus, run_hull_stopping,
-                      run_radius_stopping, windowed_radius_trace, write_state_csv)
+                      run_radius_stopping, support_function, unflatten_payload,
+                      windowed_radius_trace, write_state_csv)
 from hullstop import cli, graph_from_json, graph_to_json, run_experiment
 
 _STOPPING = [run_radius_stopping, run_box_stopping, run_hull_stopping]
@@ -230,4 +233,82 @@ def test_cli_rejects_a_negative_seed_by_flag(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert cli.main(argv + ["--nodes", "4", "--seed", "-1", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "configuration error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, low", [
+    (["funccalc", "--k-max", "0"], 1),
+    (["funccalc", "--k-max", "-3"], 1),
+    (["lse", "--k-max", "-1"], 0),
+], ids=["funccalc-0", "funccalc-neg", "lse-neg"])
+def test_cli_rejects_a_step_budget_below_its_floor_by_flag(tmp_path, capsys, argv, low):
+    # funccalc ran no step and exited 2 (no halt); lse failed in
+    # run_consensus with "steps must be >= 0", naming no flag
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--nodes", "4", "--out-dir", str(out)]) == 1
+    message = f"configuration error: --k-max must be >= {low}, got {argv[2]}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+_SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: flatten_payload(np.eye(2), np.zeros(3)),
+     "matrix shape (2, 2) does not match vector length 3"),
+    (lambda: unflatten_payload(np.zeros(5), 2), "payload length 5 is not 2*2 + 2"),
+    (lambda: funccalc_init([]), "need at least one node value"),
+    (lambda: registered_function("max", 0), "need N >= 1, got 0"),
+    (lambda: support_function(_SQUARE, [1.0, 0.0, 0.0]), "direction has dim 3, points have dim 2"),
+    (lambda: hull_membership([0.5, 0.5, 0.5], _SQUARE), "point has dim 3, set has dim 2"),
+    (lambda: hull_membership([0.5, np.nan], _SQUARE), "query point must be finite"),
+    (lambda: hull_membership([np.inf, 0.5], _SQUARE), "query point must be finite"),
+    (lambda: is_convex_decreasing(_SQUARE, [[0.5, 0.5, 0.5]]), "dimension mismatch: 2 vs 3"),
+    (lambda: pairwise_spread(np.zeros(3)), "expected (n, d) states, got shape (3,)"),
+    (lambda: canonicalize_points(np.zeros((0, 2))),
+     "expected a nonempty (m, d) point array, got shape (0, 2)"),
+    (lambda: minmax_envelope(np.zeros((2, 2, 2))), "expected (n, d) states, got shape (2, 2, 2)"),
+    (lambda: generate_digraph(0, "ring"), "need at least one node, got n=0"),
+    (lambda: DiGraph(0, []), "need at least one node, got n=0"),
+    (lambda: m_in_neighborhood(_RING, 8, 1), "node 8 out of range for n=8"),
+    (lambda: m_in_neighborhood(_RING, -1, 1), "node -1 out of range for n=8"),
+    (lambda: ExperimentConfig(edge_prob=0).validate(), "edge_prob must be in (0, 1], got 0"),
+    (lambda: ExperimentConfig(edge_prob=1.5).validate(), "edge_prob must be in (0, 1], got 1.5"),
+    (lambda: bit_step(_RING, np.zeros(7)), "bit vector shape (7,) does not match n=8"),
+    (lambda: row_step(RowState(np.zeros((7, 2))), make_weights(_RING, "row")),
+     "state shape (7, 2) does not match n=8"),
+    (lambda: row_step(RowState(np.zeros(8)), make_weights(_RING, "row")),
+     "state shape (8,) does not match n=8"),
+], ids=["flatten_payload", "unflatten_payload", "funccalc_init", "registered_function",
+        "support_function", "hull_membership-dim", "hull_membership-nan",
+        "hull_membership-inf", "is_convex_decreasing", "pairwise_spread",
+        "canonicalize_points", "minmax_envelope", "generate_digraph", "DiGraph",
+        "m_in_neighborhood-high",
+        "m_in_neighborhood-low", "edge_prob-0", "edge_prob-1.5", "bit_step",
+        "row_step-n", "row_step-ndim"])
+def test_entry_points_reject_mismatched_input_with_their_message(entry, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare"], "compare requires --rho"),
+    (["hull", "--points", "0"], "--points must be >= 1, got 0"),
+    (["lse", "--degree", "-1"], "--degree must be >= 0, got -1"),
+], ids=["compare-rho", "hull-points", "lse-degree"])
+def test_cli_rejects_a_missing_or_out_of_range_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--nodes", "4", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "x,y\n", "x,y\n\n\n"], ids=["empty", "header", "blank"])
+def test_cli_lse_rejects_a_dataset_without_rows(tmp_path, capsys, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["lse", "--data", str(data), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "configuration error: dataset is empty\n"
     assert not out.exists()

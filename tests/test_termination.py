@@ -27,6 +27,7 @@ from hullstop import (
     write_state_csv,
     write_termination_csv,
 )
+from hullstop.termination import _BoxRule, _RadiusRule
 
 
 def ring(n):
@@ -162,6 +163,18 @@ def test_radius_detection_resets_only_undetected():
         stored = tr.Rs[w.record_t]
         assert np.array_equal(stored[~w.detected], np.zeros((~w.detected).sum()))
         assert np.array_equal(stored[w.detected], w.rbar[w.detected])
+
+
+def test_radius_boundary_raises_when_halt_flags_disagree():
+    # a bit set at one boundary has flooded every node by the next, so a
+    # boundary that sees some bits set and others not has lost a message
+    g = ring(5)
+    rule = _RadiusRule(g, 0.1, 2.0)
+    rule.bs = np.ones(g.n, dtype=np.uint8)
+    assert rule.boundary(1, 5, 10) == (None, True)
+    rule.bs[3] = 0
+    with pytest.raises(InvariantViolation, match="^halt flags disagree at boundary t=10$"):
+        rule.boundary(1, 5, 10)
 
 
 def test_radius_single_node_graph():
@@ -304,6 +317,19 @@ def test_box_non_halt_and_validation():
         run_box_stopping(g, W, x0, rho=-1.0)
 
 
+def test_box_boundary_raises_when_envelopes_disagree():
+    # after a window every node holds the global envelope, so their spreads
+    # must be equal bit for bit
+    g = ring(4)
+    rule = _BoxRule(g, 0.1, 2.0)
+    rule.M, rule.m = np.ones((g.n, 2)), np.zeros((g.n, 2))
+    window, end = rule.boundary(0, 0, 4)
+    assert window.spread == np.sqrt(2.0) and not end
+    rule.m[2, 1] = 0.5
+    with pytest.raises(InvariantViolation, match="^envelope disagreement at boundary t=4$"):
+        rule.boundary(0, 0, 4)
+
+
 # --- hull stopping ---
 
 
@@ -319,18 +345,6 @@ def test_hull_stop_matches_centralized_extremes():
         assert w.diam == hull_diameter(truth, tr.p)
     assert tr.windows[-1].diam < tr.rho
     assert pairwise_spread(tr.rs[tr.halt_t], tr.p) <= tr.windows[-1].diam + 1e-12
-
-
-def test_hull_stop_memo_lasts_one_window(spy_calls):
-    # every memo key is a union of one window's start states, so a window
-    # of D rounds over n nodes stores at most n * D extreme sets
-    import hullstop.termination as termination
-    calls = spy_calls(termination, "hull_round")
-    g = er(6, seed=1, p=0.4)
-    x0 = np.random.default_rng([1, 1]).random((6, 2))
-    tr = run_hull_stopping(g, make_weights(g, "column"), x0, rho=1e-2)
-    assert tr.halted and len(tr.windows) == 4 and tr.Dbound == 3
-    assert len(calls[-1][1]["cache"]) <= g.n * tr.Dbound
 
 
 def test_box_and_hull_agree_in_one_dimension():
