@@ -6,8 +6,10 @@ some t >= 0 with sum(t) = 1 satisfies sum(t_k q_k) = p. Sound distance
 certificates decide first: a bounding-box reject and Wolfe's
 minimum-norm-point iteration, whose iterates give an upper and a lower bound
 on the distance from p to the hull. Only a query those bounds leave between
-tol and the simplex's own reach goes to a phase-one simplex with Bland's
-rule, which needs no general position assumption and always terminates.
+the tolerance and the simplex's own reach goes to a phase-one simplex with
+Bland's rule, which needs no general position assumption and always
+terminates. Every query uses the one absolute tolerance `_TOL`: p is a
+member when it lies within 1e-9 of the hull.
 
 Extreme-point queries are cut without changing a verdict. A point that is
 a unique coordinate extreme, or ahead of every other point along one of 256
@@ -87,9 +89,6 @@ class PointSet:
     def __hash__(self):
         return hash((self.points.shape, self.points.tobytes()))
 
-    def union(self, other: "PointSet") -> "PointSet":
-        return PointSet(np.vstack([self.points, other.points]))
-
 
 def _as_points(obj) -> np.ndarray:
     if isinstance(obj, PointSet):
@@ -133,6 +132,8 @@ def support_function(S, u) -> float:
 
 
 _EPS = np.finfo(float).eps
+# the membership tolerance of every query: an absolute distance to the hull
+_TOL = 1e-9
 
 
 def _rhs_perturbation(d: int) -> np.ndarray:
@@ -146,21 +147,21 @@ def _rhs_sum(d: int) -> float:
     return float(_rhs_perturbation(d).sum())
 
 
-def _tableau_threshold(s: float, tol: float, d: int) -> float:
+def _tableau_threshold(s: float, d: int) -> float:
     """Largest phase-one optimum the tableau accepts as feasible, in units
     of the span s. 64 eps floors it at what float64 pivoting can resolve;
     the perturbations land in the optimum, so they are added back on top."""
-    return max(tol / s, 64.0 * _EPS) + _rhs_sum(d)
+    return max(_TOL / s, 64.0 * _EPS) + _rhs_sum(d)
 
 
-def _margin(s: float, tol: float, d: int) -> float:
+def _margin(s: float, d: int) -> float:
     """Distance beyond which no point is one the tableau could accept, for a
     query of span s (see `_member`). It grows with s, so the margin of a
     larger span is a conservative stand-in."""
-    return 2.0 * s * (_tableau_threshold(s, tol, d) + _rhs_sum(d))
+    return 2.0 * s * (_tableau_threshold(s, d) + _rhs_sum(d))
 
 
-def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
+def _phase_one_feasible(pts: np.ndarray, p: np.ndarray) -> bool:
     """Decide feasibility of {t >= 0, sum t = 1, pts.T t = p}.
 
     Shifting by p turns the system into A t = b with b = (0,...,0,1) >= 0,
@@ -168,9 +169,9 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     well behaved on the collapsed, highly anisotropic clouds consensus
     produces. The coordinate rows are divided by the cloud span, so entries
     are O(1) at any spread and the feasibility threshold divided by the
-    same span keeps tol an absolute distance (clouds smaller than tol pass
-    automatically through the span floor). The zero right-hand sides are
-    perturbed by distinct epsilons well below the threshold: every ratio
+    same span keeps _TOL an absolute distance (clouds smaller than _TOL
+    pass automatically through the span floor). The zero right-hand sides
+    are perturbed by distinct epsilons well below the threshold: every ratio
     test is then strict, which both rules out degenerate cycling and steers
     the pivot away from near-parallel rows where a tiny pivot would wreck
     conditioning. Entering column is by largest reduced cost, falling back
@@ -180,7 +181,7 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
 
     A feasible verdict is not a proof: the pivot and reduced-cost cutoffs
     can end phase one on an objective below the threshold for a point
-    certifiably further than tol from the hull. On flat clouds (axes
+    certifiably further than _TOL from the hull. On flat clouds (axes
     spanning eight orders of magnitude) such false positives occur, which
     is why `_member` lets a certified distance overrule it.
     """
@@ -189,7 +190,7 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     A = np.empty((nrows, m))
     A[:d] = (pts - p).T
     A[d] = 1.0
-    s = max(float(np.abs(A[:d]).max()), tol)
+    s = max(float(np.abs(A[:d]).max()), _TOL)
     A[:d] /= s
     b = np.empty(nrows)
     b[:d] = _rhs_perturbation(d)
@@ -228,7 +229,7 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
         basis[i] = j
     else:
         raise RuntimeError("phase-one simplex did not terminate, numerically degenerate input")
-    return float(obj[ncols]) <= _tableau_threshold(s, tol, d)
+    return float(obj[ncols]) <= _tableau_threshold(s, d)
 
 
 # np.linalg.lstsq's own gufunc, resolved at import so that a numpy without
@@ -288,19 +289,19 @@ def _affine_minimizer(A: np.ndarray):
     return a0 + step
 
 
-def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
+def _min_norm_member(pts: np.ndarray, p: np.ndarray, margin: float):
     """Wolfe's distance certificate: (inside, best lower bound).
 
     Runs the minimum-norm-point iteration of Wolfe on the shifted cloud
     pts - p. The iterate y stays a convex combination of the inputs, so
     ||y|| is always a sound upper bound on the distance from p to the
     hull, and for any nonzero y the support value min_j <y, v_j> / ||y||
-    is a sound lower bound. The loop exits as soon as ||y|| <= tol (inside)
+    is a sound lower bound. The loop exits as soon as ||y|| <= _TOL (inside)
     or a lower bound exceeds margin (outside, past anything the tableau
     could accept); inner least-squares error can therefore delay the
     decision but not corrupt it. On convergence or a stall it returns
-    inside = ||y|| <= tol and the best lower bound seen, and the caller
-    decides what a bound between tol and margin means.
+    inside = ||y|| <= _TOL and the best lower bound seen, and the caller
+    decides what a bound between _TOL and margin means.
 
     Reductions on the 3 to 40 entry arrays here call the ufunc's reduce
     (np.minimum.reduce for .min()) and argmin methods directly: the same
@@ -320,7 +321,7 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
     stall = 0
     for _ in range(64 * (m + V.shape[1] + 2)):
         ny = math.sqrt(float(y @ y))
-        if ny <= tol:
+        if ny <= _TOL:
             break
         dots = V @ y
         j = int(dots.argmin())
@@ -365,13 +366,14 @@ def _min_norm_member(pts: np.ndarray, p: np.ndarray, tol: float, margin: float):
             lam /= np.add.reduce(lam)
     else:
         ny = math.sqrt(float(y @ y))
-    return ny <= tol, best_lb
+    return ny <= _TOL, best_lb
 
 
-def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    """Membership decision: sound certificates first, the tableau last.
+def _member(pts: np.ndarray, p: np.ndarray) -> bool:
+    """Membership of p in the hull of pts within the module's fixed _TOL
+    (written tol below): sound certificates first, the tableau last.
 
-    1. Bounding-box reject: the hull lies inside the box.
+    1. Bounding-box reject: the hull lies inside the box, widened by tol.
     2. Wolfe (`_min_norm_member`): ||y|| <= tol is a certified inside;
        a lower bound above margin is a certified outside. Its first iterate
        is the nearest input point v_j, j = argmin_j ||v_j - p|| (not the
@@ -397,36 +399,27 @@ def _member(pts: np.ndarray, p: np.ndarray, tol: float) -> bool:
     and clouds within about 2 tol of p (theta > 1/2), where it accepts any
     point the box lets through. Those now read outside, as they should.
     """
-    if ((p < np.minimum.reduce(pts) - tol) | (p > np.maximum.reduce(pts) + tol)).any():
+    if ((p < np.minimum.reduce(pts) - _TOL) | (p > np.maximum.reduce(pts) + _TOL)).any():
         return False
-    s = max(float(np.maximum.reduce(np.abs(pts - p), axis=None)), tol)
-    margin = _margin(s, tol, pts.shape[1])
-    inside, lower = _min_norm_member(pts, p, tol, margin)
+    s = max(float(np.maximum.reduce(np.abs(pts - p), axis=None)), _TOL)
+    margin = _margin(s, pts.shape[1])
+    inside, lower = _min_norm_member(pts, p, margin)
     if inside:
         return True
     if lower > margin:
         return False
-    return _phase_one_feasible(pts, p, tol)
+    return _phase_one_feasible(pts, p)
 
 
-def _check_tol(tol) -> float:
-    """tol as a float; a ValueError unless it is finite and >= 0."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    return tol
-
-
-def hull_membership(p, S, tol: float = 1e-9) -> bool:
-    """True when p lies in the convex hull of S within tol."""
-    tol = _check_tol(tol)
+def hull_membership(p, S) -> bool:
+    """True when p lies in the convex hull of S within _TOL."""
     pts = _as_points(S)
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape[0] != pts.shape[1]:
         raise ValueError(f"point has dim {p.shape[0]}, set has dim {pts.shape[1]}")
     if not np.isfinite(p).all():
         raise ValueError("query point must be finite")
-    return _member(pts, p, tol)
+    return _member(pts, p)
 
 
 _N_DIRECTIONS = 256
@@ -442,7 +435,7 @@ def _directions(d: int) -> np.ndarray:
     return U
 
 
-def _direction_extremes(pts: np.ndarray, tol: float) -> np.ndarray:
+def _direction_extremes(pts: np.ndarray) -> np.ndarray:
     """Points certified extreme by a fixed direction, with no query.
 
     A point that is the unique argmax of <x, u> for a unit u, ahead of the
@@ -457,7 +450,7 @@ def _direction_extremes(pts: np.ndarray, tol: float) -> np.ndarray:
     m, d = pts.shape
     lo = pts.min(axis=0)
     span = float((pts.max(axis=0) - lo).max())
-    margin = _margin(max(span, tol), tol, d)
+    margin = _margin(max(span, _TOL), d)
     X = pts - lo
     U = _directions(d)
     found = np.zeros(m, dtype=bool)
@@ -487,15 +480,14 @@ class _Verdicts:
         ids = self._ids
         return [ids.setdefault(row.tobytes(), len(ids)) for row in pts]
 
-    def member(self, rest: np.ndarray, p: np.ndarray, tol: float, key) -> bool:
-        key = (tol, *key)
+    def member(self, rest: np.ndarray, p: np.ndarray, key) -> bool:
         verdict = self._seen.get(key)
         if verdict is None:
-            verdict = self._seen[key] = _member(rest, p, tol)
+            verdict = self._seen[key] = _member(rest, p)
         return verdict
 
 
-def extreme_points(S, tol: float = 1e-9, verdicts: _Verdicts | None = None) -> PointSet:
+def extreme_points(S, verdicts: _Verdicts | None = None) -> PointSet:
     """Points of S not representable as convex combinations of the others.
 
     Each candidate is tested against the rest of the set; a point found
@@ -509,7 +501,6 @@ def extreme_points(S, tol: float = 1e-9, verdicts: _Verdicts | None = None) -> P
     asked again. Either way the result is that of querying every other
     point in turn.
     """
-    tol = _check_tol(tol)
     pts = _as_points(S)
     m = pts.shape[0]
     if m == 1:
@@ -518,7 +509,7 @@ def extreme_points(S, tol: float = 1e-9, verdicts: _Verdicts | None = None) -> P
     lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
     definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)
     if not definite.all():
-        definite |= _direction_extremes(pts, tol)
+        definite |= _direction_extremes(pts)
     if verdicts is None:
         verdicts = _Verdicts()
     bits = [1 << i for i in verdicts.ids(pts)]
@@ -530,7 +521,7 @@ def extreme_points(S, tol: float = 1e-9, verdicts: _Verdicts | None = None) -> P
         keep[idx] = False
         rest = pts[keep]
         key = (bits[idx], kept & ~bits[idx])
-        if rest.shape[0] == 0 or not verdicts.member(rest, pts[idx], tol, key):
+        if rest.shape[0] == 0 or not verdicts.member(rest, pts[idx], key):
             keep[idx] = True
         else:
             kept &= ~bits[idx]
@@ -556,12 +547,12 @@ def hull_diameter(E, p: float = 2.0) -> float:
     return pairwise_spread(_as_points(E), p)
 
 
-def is_convex_decreasing(prev, nxt, tol: float = 1e-9) -> bool:
-    """True when every point of nxt lies in the convex hull of prev."""
-    tol = _check_tol(tol)
+def is_convex_decreasing(prev, nxt) -> bool:
+    """True when every point of nxt lies in the convex hull of prev within
+    _TOL."""
     prev_pts = _as_points(prev)
     nxt_pts = _as_points(nxt)
     if prev_pts.shape[1] != nxt_pts.shape[1]:
         raise ValueError(
             f"dimension mismatch: {prev_pts.shape[1]} vs {nxt_pts.shape[1]}")
-    return all(_member(prev_pts, q, tol) for q in nxt_pts)
+    return all(_member(prev_pts, q) for q in nxt_pts)

@@ -230,12 +230,12 @@ def member_reference(pts, p, tol):
     verdict, stopping at the first lower bound above tol."""
     if ((p < pts.min(axis=0) - tol) | (p > pts.max(axis=0) + tol)).any():
         return False
-    if _phase_one_feasible(pts, p, tol):
+    if _phase_one_feasible(pts, p):
         return True
-    return _min_norm_member(pts, p, tol, tol)[0]
+    return _min_norm_member(pts, p, tol)[0]
 
 
-def extreme_points_reference(S, tol=1e-9):
+def extreme_points_reference(S):
     """The extreme-point loop before the direction pre-pass and the verdict
     memo: the unique-coordinate skip, then one `_member` query per other
     point against the points kept so far."""
@@ -252,7 +252,7 @@ def extreme_points_reference(S, tol=1e-9):
             continue
         keep[idx] = False
         rest = pts[keep]
-        if rest.shape[0] == 0 or not _member(rest, pts[idx], tol):
+        if rest.shape[0] == 0 or not _member(rest, pts[idx]):
             keep[idx] = True
     return PointSet(pts[keep])
 

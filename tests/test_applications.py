@@ -255,6 +255,16 @@ def test_error_bound_blocks_keep_a_singular_item_to_its_block(M, kinds, seed):
     assert starts == [0, _CHUNK_ROWS]
 
 
+def test_error_bounds_with_a_singular_true_gram_apply_to_no_item():
+    # ||M_i - M_true|| >= 1 / ||M_i^-1|| whenever M_true is singular, so
+    # m * dM >= 1 for every invertible M_i and theta_hat is never needed
+    rng = np.random.default_rng(4)
+    Ms = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 2.0]], *(rng.normal(size=(3, 2, 2)))])
+    zs = rng.normal(size=(len(Ms), 2))
+    eb = lse_error_bounds(Ms, zs, np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+    assert not eb.applicable.any() and not eb.holds.any() and not eb.singular.any()
+
+
 def test_error_bound_keeps_its_singular_error_and_rejects_bad_shapes():
     with pytest.raises(np.linalg.LinAlgError):
         lse_error_bound(np.zeros((2, 2)), np.ones(2), np.eye(2), np.ones(2))

@@ -171,6 +171,29 @@ def test_scalar_runs_bit_identical_to_vector_run():
             assert scalar_vector_equivalence_check(x0, W, 30)
 
 
+@pytest.mark.parametrize("fault", ["perturbed", "doubled"])
+def test_equivalence_check_fails_when_the_vector_run_differs(monkeypatch, fault):
+    # only the vector run's edge sums (x's 3 columns and y) are changed. A
+    # perturbed sum changes its states; doubled x and y change x and y
+    # but leave every r = x / y the same bit for bit
+    import hullstop.consensus as consensus
+    real = consensus._in_sum
+
+    def faulty(W, values):
+        out = real(W, values)
+        if values.shape[1] > 2:
+            if fault == "perturbed":
+                out[0, 0] += 1e-3
+            else:
+                out *= 2.0
+        return out
+
+    monkeypatch.setattr(consensus, "_in_sum", faulty)
+    g = generate_digraph(8, "erdos_renyi", seed=0, edge_prob=0.35)
+    x0 = np.random.default_rng(0).normal(size=(8, 3))
+    assert not scalar_vector_equivalence_check(x0, make_weights(g, "column"), 5)
+
+
 def test_information_respects_graph_distance():
     # perturbing a node outside the m-step in-neighborhood of i cannot
     # change r_i within m steps; one more step it must arrive

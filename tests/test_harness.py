@@ -138,6 +138,22 @@ def test_states_file_cut_at_a_step_boundary_is_a_length_mismatch(tmp_path, monke
         run_experiment(cfg_for(tmp_path))
 
 
+def test_halt_before_the_end_of_the_written_trace_is_an_invariant_violation(tmp_path,
+                                                                             monkeypatch):
+    # a stopping run whose halt step is not its last recorded step
+    real = harness._stopping_trace
+
+    def early_halt(*args, **kw):
+        trace = real(*args, **kw)
+        trace.halt_t -= 1
+        return trace
+
+    monkeypatch.setattr(harness, "_stopping_trace", early_halt)
+    with pytest.raises(InvariantViolation, match="^halt iteration .* does not close the "
+                                                 "written trace$"):
+        run_experiment(cfg_for(tmp_path))
+
+
 def test_row_engine_experiment(tmp_path):
     cfg = cfg_for(tmp_path, engine="row", stopping="radius")
     res = run_experiment(cfg)
@@ -245,10 +261,13 @@ def test_cli_rejects_flags_the_subcommand_ignores(tmp_path, argv):
     assert not (tmp_path / "x").exists()
 
 
-def test_cli_exit_code_non_halt(tmp_path):
-    rc = cli.main(["run", "--nodes", "6", "--rho", "1e-15", "--k-max", "15",
-                   "--out-dir", str(tmp_path / "nh")])
-    assert rc == 2
+@pytest.mark.parametrize("argv", [
+    ["run", "--nodes", "6", "--rho", "1e-15", "--k-max", "15"],
+    ["compare", "--nodes", "6", "--dim", "2", "--rho", "1e-3", "--k-max", "5"],
+    ["funccalc", "--nodes", "6", "--k-max", "2", "--rho", "1e-9"],
+], ids=lambda argv: argv[0])
+def test_cli_exit_code_non_halt(tmp_path, argv):
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "nh")]) == 2
 
 
 def test_cli_exit_code_invariant_violation(tmp_path, monkeypatch):

@@ -157,7 +157,7 @@ def test_hull_round_asks_no_membership_query_twice(spy_calls):
     states = hull_round(states, g)
     calls = spy_calls(geometry, "_member")
     hull_round(states, g)
-    keys = [(rest.shape, rest.tobytes(), p.tobytes()) for (rest, p, _), _ in calls]
+    keys = [(rest.shape, rest.tobytes(), p.tobytes()) for (rest, p), _ in calls]
     assert len(keys) > 100 and len(set(keys)) == len(keys)
 
 

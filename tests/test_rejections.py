@@ -1,8 +1,7 @@
 """Every entry point rejects bad input with its own ValueError message,
 before any step runs: non-finite initial states, a rho that is not
 positive, weights that are not a stochastic matrix on the graph's edges,
-damaged state files, a geometry tolerance that is not a finite
-nonnegative number, and a size or index that is not an integer."""
+damaged state files, and a size or index that is not an integer."""
 
 import json
 import re
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hullstop import (DiGraph, ExperimentConfig, RowState, StochasticMatrix, bit_step,
-                      canonicalize_points, extreme_points, flatten_payload, funccalc_init,
+                      canonicalize_points, flatten_payload, funccalc_init,
                       generate_digraph, hull_membership, is_convex_decreasing,
                       m_in_neighborhood, make_weights, minmax_envelope, pairwise_spread,
                       read_state_csv, registered_function, row_step, run_box_stopping,
@@ -108,23 +107,6 @@ def test_damaged_state_files_are_rejected(tmp_path_factory, n, T, d, damage, dat
     message = f"state csv {path} does not hold each (k, node, coord) exactly once"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_state_csv(path)
-
-
-@given(st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(max_value=-1e-300),
-       st.integers(min_value=0, max_value=99))
-@settings(max_examples=25, deadline=None)
-def test_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tol, seed):
-    # at tol=inf a point far outside the unit square read as a member, and
-    # at NaN or a negative tol every point of a cloud read as extreme
-    square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    cloud = np.random.default_rng(seed).random((6, 2))
-    message = f"^{re.escape(f'tol must be finite and >= 0, got {tol}')}$"
-    with pytest.raises(ValueError, match=message):
-        hull_membership([5.0, 5.0], square, tol=tol)
-    with pytest.raises(ValueError, match=message):
-        extreme_points(cloud, tol=tol)
-    with pytest.raises(ValueError, match=message):
-        is_convex_decreasing(square, cloud, tol=tol)
 
 
 _RING = generate_digraph(8, "ring")

@@ -14,17 +14,17 @@ import hullstop.geometry as geometry
 from oracles import min_norm_member_reference
 
 
-def _assert_same_certificate(pts, p, tol, margin):
-    got = geometry._min_norm_member(pts, p, tol, margin)
-    ref = min_norm_member_reference(pts, p, tol, margin)
-    assert got[0] == ref[0], (pts, p, tol, margin)
-    assert np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes(), (pts, p, tol, margin)
+def _assert_same_certificate(pts, p, margin):
+    got = geometry._min_norm_member(pts, p, margin)
+    ref = min_norm_member_reference(pts, p, geometry._TOL, margin)
+    assert got[0] == ref[0], (pts, p, margin)
+    assert np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes(), (pts, p, margin)
 
 
-def _member_margin(pts, p, tol):
+def _member_margin(pts, p):
     """The margin `_member` hands Wolfe, in its original numpy form."""
-    s = max(float(np.abs(pts - p).max()), tol)
-    return geometry._margin(s, tol, pts.shape[1])
+    s = max(float(np.abs(pts - p).max()), geometry._TOL)
+    return geometry._margin(s, pts.shape[1])
 
 
 def _cloud(rng, kind, d):
@@ -60,13 +60,12 @@ def _queries(rng, pts):
 @pytest.mark.parametrize("kind", ["random", "flat", "collapsed", "duplicate", "subtol"])
 def test_min_norm_member_matches_reference_bytes(kind):
     rng = np.random.default_rng(["random", "flat", "collapsed", "duplicate", "subtol"].index(kind))
-    tol = 1e-9
     for d in range(1, 9):
         for _ in range(12):
             pts = _cloud(rng, kind, d)
             for p in _queries(rng, pts):
-                for margin in (tol, _member_margin(pts, p, tol), np.inf):
-                    _assert_same_certificate(pts, p, tol, margin)
+                for margin in (geometry._TOL, _member_margin(pts, p), np.inf):
+                    _assert_same_certificate(pts, p, margin)
 
 
 @pytest.mark.parametrize("seed", [7, 0])
@@ -78,9 +77,9 @@ def test_min_norm_member_matches_reference_on_hull_command_queries(monkeypatch, 
     queries = []
     real = geometry._member
 
-    def spy(pts, p, tol):
-        queries.append((pts, p, tol))
-        return real(pts, p, tol)
+    def spy(pts, p):
+        queries.append((pts, p))
+        return real(pts, p)
 
     monkeypatch.setattr(geometry, "_member", spy)
     g = generate_digraph(20, "erdos_renyi", seed, float(f"{4 * np.log(20) / 20:.6g}"))
@@ -89,8 +88,8 @@ def test_min_norm_member_matches_reference_on_hull_command_queries(monkeypatch, 
     run_hull_consensus(sets, g)
     extreme_points(np.vstack(sets))
     assert len(queries) > 500
-    for pts, p, tol in queries:
-        _assert_same_certificate(pts, p, tol, _member_margin(pts, p, tol))
+    for pts, p in queries:
+        _assert_same_certificate(pts, p, _member_margin(pts, p))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
