@@ -191,8 +191,9 @@ def perron_left(A: StochasticMatrix) -> np.ndarray:
 
 def consensus_limit(initial, W: StochasticMatrix) -> np.ndarray:
     """Analytic limit of the run: the plain average for the ratio engine,
-    the Perron-weighted average for the row engine."""
-    initial = np.asarray(initial, dtype=float)
+    the Perron-weighted average for the row engine. initial is checked as
+    the engine checks it."""
+    initial = _Engine(W, initial).cur
     if W.kind == "column":
         return initial.mean(axis=0)
     return perron_left(W) @ initial

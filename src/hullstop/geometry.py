@@ -11,12 +11,12 @@ Bland's rule, which needs no general position assumption and always
 terminates. Every query uses the one absolute tolerance `_TOL`: p is a
 member when it lies within 1e-9 of the hull.
 
-Extreme-point queries are cut without changing a verdict. A point that is
-a unique coordinate extreme, or ahead of every other point along one of 256
-fixed unit directions by more than the margin past which a query answers
-outside anyway, is extreme with no query (Dula and Helgason: frame points
-maximize linear functions). Within one hull round, a `_Verdicts` memo
-answers a repeated (point, ground set) query from the first answer.
+Extreme-point queries are cut. A unique coordinate extreme is kept with no
+query, exactly but blind to `_TOL`; so is a point ahead of every other along
+one of 256 fixed unit directions by more than the margin past which a query
+answers outside anyway (Dula and Helgason: frame points maximize linear
+functions), which changes no verdict. Within one hull round, a `_Verdicts`
+memo answers a repeated (point, ground set) query from the first answer.
 """
 
 from __future__ import annotations
@@ -498,8 +498,10 @@ def extreme_points(S, verdicts: _Verdicts | None = None) -> PointSet:
     more than the margin past which `_member` answers outside anyway
     (`_direction_extremes`). Given verdicts, a hull round's `_Verdicts`,
     a (point, ground set) query already answered in that round is not
-    asked again. Either way the result is that of querying every other
-    point in turn.
+    asked again. The direction certificate and the memo change no verdict;
+    the coordinate skip, exact but blind to `_TOL`, can keep a point a
+    query would call a member. The result is tests/oracles.py's
+    `extreme_points_reference`: the skip, then one query per other point.
     """
     pts = _as_points(S)
     m = pts.shape[0]

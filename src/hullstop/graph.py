@@ -4,7 +4,7 @@ Edge convention: the ordered pair (i, j) is an edge meaning node j can send
 to node i. in_adj[i] therefore lists the senders feeding node i and
 out_adj[j] lists the receivers fed by node j. Self-loops are mandatory at
 every node and every graph must be strongly connected; both properties are
-checked at construction time.
+checked at construction time, strong connectivity by the diameter's flood.
 
 Every per-node reduction over senders goes through the graph's in-layout
 (_InLayout), built once at construction in the jagged-diagonal form (Saad,
@@ -22,9 +22,9 @@ more take. So each receiver combines its senders in ascending order from
 its first term, with no pad slots; the sum's closing + 0.0 turns a -0.0
 total into +0.0 and changes nothing else, which gives the bytes of a sum
 started at 0.0.
-Every traversal (strong connectivity, the diameter, m-hop in-neighborhoods)
-is one packed-bit flood, _flood: each node holds a row of np.packbits bits
-and each round ORs into it the rows of its senders through _in_reduce.
+Every traversal (the diameter, m-hop in-neighborhoods) is one packed-bit
+flood, _flood: each node holds a row of np.packbits bits and each round
+ORs into it the rows of its senders through _in_reduce.
 """
 
 from __future__ import annotations
@@ -176,15 +176,6 @@ def _flood(layout, seeds, limit=None):
     return rounds, reach
 
 
-def _strongly_connected(n, dst, src, layout):
-    """Whether node 0 reaches every node and every node reaches node 0,
-    for receiver-sorted edge arrays that include every self-loop and their
-    in-layout."""
-    seed = np.arange(n)[:, None] == 0
-    return (_flood(layout, seed)[0] >= 0
-            and _flood(_in_layout(n, *_reversed(dst, src)), seed)[0] >= 0)
-
-
 def _adjacency(recv, send, n):
     """Per-node tuples of Python ints: send split at recv's offsets."""
     values = send.tolist()
@@ -194,14 +185,15 @@ def _adjacency(recv, send, n):
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Immutable directed graph with mandatory self-loops.
+    """Immutable, strongly connected directed graph with mandatory self-loops.
 
     edges may be given as any sequence of (receiver, sender) pairs or an
     (E, 2) integer array, in any order and with repeats. g.edges, their
     sorted tuple of Python int pairs and most of a graph's memory, is built
     from edge_arrays when first read. seed and model are provenance metadata
     kept so a graph can be serialized reproducibly; they are optional for
-    hand-built graphs.
+    hand-built graphs. Construction computes the diameter to check
+    strong connectivity, so reading g.diameter later floods nothing.
     """
 
     n: int
@@ -231,11 +223,10 @@ class DiGraph:
         dst, src = np.divmod(codes, n)
         dst.setflags(write=False)
         src.setflags(write=False)
-        layout = _in_layout(n, dst, src)
-        if not _strongly_connected(n, dst, src, layout):
-            raise ValueError("graph is not strongly connected")
         object.__setattr__(self, "edge_arrays", (dst, src))
-        object.__setattr__(self, "in_layout", layout)
+        object.__setattr__(self, "in_layout", _in_layout(n, dst, src))
+        if self.diameter < 0:
+            raise ValueError("graph is not strongly connected")
         del self.__dict__["edges"]  # __getattr__ rebuilds it
 
     def __getattr__(self, name):
@@ -260,7 +251,8 @@ class DiGraph:
     def diameter(self) -> int:
         """Longest shortest directed path over all ordered node pairs: the
         rounds until every node has heard every other, flooding from the
-        identity."""
+        identity; -1, which construction rejects, when the flood stalls
+        because the graph is not strongly connected."""
         return _flood(self.in_layout, np.eye(self.n, dtype=bool))[0]
 
 
@@ -281,9 +273,10 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
     erdos_renyi draws each off-diagonal directed link independently with
     probability edge_prob and rejection-samples until strongly connected
     (at most 1000 attempts, then an error: the budget failing means the
-    probability is too small for this n). ring is the directed n-cycle,
-    complete has every ordered pair. Identical (n, model, seed, edge_prob)
-    always yields an identical graph.
+    probability is too small for this n), each draw judged by the diameter
+    flood its construction runs. ring is the directed n-cycle, complete has
+    every ordered pair. Identical (n, model, seed, edge_prob) always yields
+    an identical graph.
     """
     n = _integer("n", n)
     if n < 1:

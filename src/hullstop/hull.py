@@ -37,6 +37,8 @@ def hull_round(states, g: DiGraph):
     whose unions are equal share one extreme set, and nodes share membership
     verdicts; both last this round only, so a round depends on its states
     alone."""
+    if len(states) != g.n:
+        raise ValueError(f"got {len(states)} hull states for {g.n} nodes")
     dims = {s.ext.d for s in states}
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions in hull states: {sorted(dims)}")

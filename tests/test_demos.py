@@ -1,12 +1,15 @@
-"""Runs every demo script end to end, so a change to the traces they read
-(rs, bs, halt_t, windows) or to any public call they make shows here."""
+"""Runs every demo script and README's quick start end to end, so a change
+to the traces they read (rs, bs, halt_t, windows) or to any public call they
+make shows here."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 def test_demos_found():
@@ -18,3 +21,13 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    halted, spread = capsys.readouterr().out.splitlines()
+    assert halted == "True 25"
+    assert float(spread) < 0.016

@@ -426,6 +426,18 @@ def test_extreme_points_keep_the_reference_loops_verdicts():
                 _assert_reference_bytes(extreme_points(pts, verdicts=geometry._Verdicts()), pts)
 
 
+def test_unique_coordinate_skip_keeps_a_point_within_tol_of_the_hull():
+    # the skip is exact, not tolerant: the point 1e-12 above the segment is
+    # the unique maximum of y, kept though a query calls it a member; the
+    # result is the reference loop's, not that of querying every point
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]]
+    assert hull_membership(pts[2], pts[:2])
+    got = extreme_points(pts)
+    assert len(got.points) == 3
+    _assert_reference_bytes(got, pts)
+    _assert_reference_bytes(extreme_points(pts, verdicts=geometry._Verdicts()), pts)
+
+
 @pytest.mark.parametrize("seed", [7, 0])
 def test_hull_consensus_probes_keep_the_reference_loops_verdicts(monkeypatch, seed):
     # every probe of the bench's hull command (20 nodes, 5 points each in

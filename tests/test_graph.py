@@ -148,13 +148,17 @@ def test_generation_deterministic_in_seed():
 
 
 def test_accepted_draw_checks_connectivity_once(spy_calls):
+    # construction decides strong connectivity by the diameter's flood and
+    # keeps the result: reading g.diameter floods nothing more
     import hullstop.graph as graph
-    calls = spy_calls(graph, "_strongly_connected")
+    calls = spy_calls(graph, "_flood")
     g = generate_digraph(8, "erdos_renyi", seed=0, edge_prob=0.5)
     # the first draw was accepted: the graph holds exactly its edges
     mask = np.random.default_rng(0).random((8, 8)) < 0.5
     np.fill_diagonal(mask, True)
     assert g.edges == tuple(map(tuple, np.argwhere(mask.T).tolist()))
+    assert len(calls) == 1
+    assert g.diameter == floyd_warshall_diameter(g.n, g.edges)
     assert len(calls) == 1
 
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hullstop import (DiGraph, ExperimentConfig, RowState, StochasticMatrix, bit_step,
-                      canonicalize_points, flatten_payload, funccalc_init,
-                      generate_digraph, hull_membership, is_convex_decreasing,
+from hullstop import (DiGraph, ExperimentConfig, HullNodeState, PointSet, RowState,
+                      StochasticMatrix, bit_step, canonicalize_points,
+                      consensus_limit, flatten_payload, funccalc_init,
+                      generate_digraph, hull_membership, hull_round, is_convex_decreasing,
                       m_in_neighborhood, make_weights, minmax_envelope, pairwise_spread,
                       read_state_csv, registered_function, row_step, run_box_stopping,
                       run_consensus, run_hull_consensus, run_hull_stopping,
@@ -234,6 +235,8 @@ def test_cli_rejects_a_step_budget_below_its_floor_by_flag(tmp_path, capsys, arg
 
 
 _SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+_RING5 = generate_digraph(5, "ring")
+_HULL_STATE = HullNodeState(PointSet(_SQUARE))
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -262,13 +265,22 @@ _SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
      "state shape (7, 2) does not match n=8"),
     (lambda: row_step(RowState(np.zeros(8)), make_weights(_RING, "row")),
      "state shape (8,) does not match n=8"),
+    (lambda: hull_round([_HULL_STATE] * 3, _RING5), "got 3 hull states for 5 nodes"),
+    (lambda: hull_round([_HULL_STATE] * 7, _RING5), "got 7 hull states for 5 nodes"),
+    (lambda: consensus_limit(np.ones((7, 2)), make_weights(_RING5, "column")),
+     "initial states must be (5, d), got (7, 2)"),
+    (lambda: consensus_limit(np.ones(5), make_weights(_RING5, "column")),
+     "initial states must be (n, d), got shape (5,)"),
+    (lambda: consensus_limit(np.ones((7, 2)), make_weights(_RING5, "row")),
+     "initial states must be (5, d), got (7, 2)"),
 ], ids=["flatten_payload", "unflatten_payload", "funccalc_init", "registered_function",
         "support_function", "hull_membership-dim", "hull_membership-nan",
         "hull_membership-inf", "is_convex_decreasing", "pairwise_spread",
         "canonicalize_points", "minmax_envelope", "generate_digraph", "DiGraph",
         "m_in_neighborhood-high",
         "m_in_neighborhood-low", "edge_prob-0", "edge_prob-1.5", "bit_step",
-        "row_step-n", "row_step-ndim"])
+        "row_step-n", "row_step-ndim", "hull_round-few", "hull_round-many",
+        "consensus_limit-n", "consensus_limit-ndim", "consensus_limit-row"])
 def test_entry_points_reject_mismatched_input_with_their_message(entry, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry()
