@@ -78,6 +78,7 @@ def build_parser() -> _Parser:
 
     cmp_p = sub.add_parser("compare", help="radius vs box vs hull stopping")
     _add_common(cmp_p)
+    cmp_p.set_defaults(stopping="radius")
     cmp_p.add_argument("--engine", choices=["ratio", "row"], default="ratio")
 
     hull_p = sub.add_parser("hull", help="exact hull agreement protocol")
@@ -100,17 +101,16 @@ def build_parser() -> _Parser:
     return top
 
 
-def _norm_value(args) -> float:
-    return float("inf") if args.norm == "inf" else float(args.norm)
+def _at_least(flag, value, low):
+    if value < low:
+        raise _CliError(f"{flag} must be >= {low}, got {value}")
 
 
-def _config_from(args, stopping=None) -> ExperimentConfig:
+def _config_from(args) -> ExperimentConfig:
     return ExperimentConfig(
         n=args.nodes, dim=args.dim, topology=args.topology,
-        edge_prob=args.edge_prob, seed=args.seed,
-        engine=getattr(args, "engine", "ratio"),
-        stopping=stopping if stopping is not None else args.stopping,
-        rho=args.rho, rho_relative=args.rho_relative, norm=_norm_value(args),
+        edge_prob=args.edge_prob, seed=args.seed, engine=args.engine, stopping=args.stopping,
+        rho=args.rho, rho_relative=args.rho_relative, norm=float(args.norm),
         dbound=args.d_bound, k_max=args.k_max, out_dir=args.out_dir,
     )
 
@@ -127,7 +127,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     if args.rho is None:
         raise _CliError("compare requires --rho")
-    cfg = _config_from(args, stopping="radius")
+    cfg = _config_from(args)
     rows = compare_criteria(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     write_json(os.path.join(args.out_dir, "compare.json"), rows)
@@ -142,10 +142,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    if args.points < 1:
-        raise _CliError(f"--points must be >= 1, got {args.points}")
-    if args.dim < 1:
-        raise _CliError(f"--dim must be >= 1, got {args.dim}")
+    _at_least("--points", args.points, 1)
+    _at_least("--dim", args.dim, 1)
     g = generate_digraph(args.nodes, args.topology, args.seed, args.edge_prob)
     rng = np.random.default_rng([args.seed, 2])
     sets = [rng.random((args.points, args.dim)) for _ in range(g.n)]
@@ -171,36 +169,28 @@ def _cmd_hull(args) -> int:
 
 
 def _load_dataset(path):
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if first and first.lower() not in ("x,y",):
-            a, b = first.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-    return np.asarray(xs), np.asarray(ys)
+    """x and y arrays of a csv: an optional x,y header in any case, blank
+    lines skipped, then exactly two fields per row, each read by float()."""
+    with open(path) as fh:
+        rows = fh.readlines()
+    if rows and rows[0].strip().lower() == "x,y":
+        del rows[0]
+    rows = [row for row in rows if row.strip()]
+    if not rows:
+        raise _CliError("dataset is empty")
+    xs, ys = np.loadtxt(rows, delimiter=",", ndmin=2, unpack=True, comments=None,
+                        converters=float)
+    return xs, ys
 
 
 def _cmd_lse(args) -> int:
-    if args.degree < 0:
-        raise _CliError(f"--degree must be >= 0, got {args.degree}")
-    if args.nodes < 1:
-        raise _CliError(f"--nodes must be >= 1, got {args.nodes}")
-    if args.k_max < 0:
-        raise _CliError(f"--k-max must be >= 0, got {args.k_max}")
+    _at_least("--degree", args.degree, 0)
+    _at_least("--nodes", args.nodes, 1)
+    _at_least("--k-max", args.k_max, 0)
     basis = polynomial_basis(args.degree)
     M = len(basis)
     if args.data is not None:
         xs, ys = _load_dataset(args.data)
-        if xs.size < 1:
-            raise _CliError("dataset is empty")
         design = _design(xs, basis)
     else:
         rng = np.random.default_rng([args.seed, 3])
@@ -243,8 +233,7 @@ def _cmd_lse(args) -> int:
 def _cmd_funccalc(args) -> int:
     if not args.rho > 0:
         raise _CliError(f"funccalc needs --rho > 0, got {args.rho}")
-    if args.k_max < 1:  # with no step the run cannot halt
-        raise _CliError(f"--k-max must be >= 1, got {args.k_max}")
+    _at_least("--k-max", args.k_max, 1)  # with no step the run cannot halt
     n = args.nodes
     f, C, alpha = registered_function(args.function, n)
     rng = np.random.default_rng([args.seed, 4])
@@ -252,11 +241,12 @@ def _cmd_funccalc(args) -> int:
     state0 = funccalc_init(u)
     g = generate_digraph(n, args.topology, args.seed, args.edge_prob)
     W = make_weights(g, "column")
+    p = float(args.norm)
     rho = args.rho
     if args.rho_relative:
-        rho = args.rho * float(vector_norm(u, _norm_value(args)))
-    trace = run_radius_stopping(g, W, state0.x, rho, Dbound=args.d_bound,
-                                p=_norm_value(args), k_max=args.k_max, history=True)
+        rho = args.rho * float(vector_norm(u, p))
+    trace = run_radius_stopping(g, W, state0.x, rho, Dbound=args.d_bound, p=p,
+                                k_max=args.k_max, history=True)
     r_bar = consensus_limit(state0.x, W)
 
     cert = C * (2.0 * rho) ** alpha
@@ -302,8 +292,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # every subcommand seeds default_rng with it, which rejects a negative
-        if args.seed < 0:
-            raise _CliError(f"--seed must be >= 0, got {args.seed}")
+        _at_least("--seed", args.seed, 0)
         return _HANDLERS[args.command](args)
     except InvariantViolation as exc:  # before RuntimeError, its base class
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -505,8 +505,6 @@ def extreme_points(S, verdicts: _Verdicts | None = None) -> PointSet:
     """
     pts = _as_points(S)
     m = pts.shape[0]
-    if m == 1:
-        return PointSet(pts)
     # unique coordinate extremes can never be convex combinations of others
     lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
     definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)

@@ -237,6 +237,14 @@ def test_extreme_points_exact_duplicates():
     assert np.array_equal(extreme_points(pts).points, [[0.0, 0.0], [1.0, 0.0]])
 
 
+def test_extreme_points_single_point():
+    # a lone point is the unique extreme of every coordinate, so it is kept
+    for pts in ([[0.5, -1.0, 2.0]], [[3.0]], [[1.0, 2.0], [1.0, 2.0]]):
+        want = np.unique(pts, axis=0)
+        assert np.array_equal(extreme_points(pts).points, want)
+        assert np.array_equal(extreme_points(pts, verdicts=geometry._Verdicts()).points, want)
+
+
 # --- diameter / nesting ---
 
 

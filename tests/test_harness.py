@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -278,6 +280,28 @@ def test_cli_exit_code_invariant_violation(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--nodes", "4", "--dim", "1"], 0),
+    (["run", "--frobnicate"], 1),
+    (["run", "--nodes", "5", "--k-max", "1"], 2),
+], ids=["ok", "config-error", "no-halt"])
+def test_cli_runs_as_a_module(tmp_path, argv, code):
+    # README calls `python -m hullstop.cli` equivalent to the `hullstop` script
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hullstop.cli", *argv,
+                           "--out-dir", str(tmp_path / "o")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 1:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("configuration error: ")
+    else:
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 1
+        assert json.loads(proc.stdout)["halted"] is (code == 0)
+
+
 def test_cli_compare(tmp_path, capsys):
     out = str(tmp_path / "c")
     rc = cli.main(["compare", "--nodes", "7", "--dim", "3", "--seed", "2",
@@ -340,18 +364,22 @@ def test_cli_lse_dataset_without_header_or_with_blank_lines(tmp_path):
     xs = np.random.default_rng(5).uniform(-1, 1, 7).tolist()
     rows = [f"{a!r},{1.0 - 0.5 * a!r}\n" for a in xs]
     texts = {"header": "x,y\n" + "".join(rows),
-             "bare": rows[0] + "\n" + "".join(rows[1:4]) + "\n\n" + "".join(rows[4:])}
+             "bare": rows[0] + "\n" + "".join(rows[1:4]) + "\n\n" + "".join(rows[4:]),
+             "crlf": "x,y\r\n" + "".join(rows).replace("\n", "\r\n"),
+             "upper": "X,Y\n" + "".join(rows),
+             "padded": "x,y\n" + "".join(f" {a!r} ,\t{1.0 - 0.5 * a!r} \n" for a in xs)}
     written = {}
     for name, text in texts.items():
         data = tmp_path / f"{name}.csv"
-        data.write_text(text)
+        data.write_text(text, newline="")
         out = tmp_path / name
         rc = cli.main(["lse", "--data", str(data), "--degree", "1", "--k-max", "20",
                        "--seed", "3", "--out-dir", str(out)])
         assert rc == 0
         written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(written["bare"]) == ["bound.csv", "dataset.csv", "graph.json", "summary.json"]
-    assert written["bare"] == written["header"]
+    for name, files in written.items():
+        assert files == written["header"], name
 
 
 def test_cli_lse_identity_gram(tmp_path):

@@ -306,3 +306,41 @@ def test_cli_lse_rejects_a_dataset_without_rows(tmp_path, capsys, text):
     assert cli.main(["lse", "--data", str(data), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "configuration error: dataset is empty\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\n0.5\n1.0\n",
+    "x,y\n0.5,1.0,2.0\n1.0,2.0,3.0\n",
+    "x,y\n0.5,1.0\n1.0,2.0,3.0\n",
+    "x,y\n0.5,1.0\n1.0,two\n",
+    "x,y\n# a comment\n0.5,1.0\n",
+    "\nx,y\n0.5,1.0\n",
+], ids=["one-column", "three-columns", "ragged", "non-numeric", "comment", "late-header"])
+def test_cli_lse_rejects_a_malformed_dataset(tmp_path, capsys, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["lse", "--data", str(data), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--nodes", "0", "--rho", "nan", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["compare", "--nodes", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["hull", "--points", "0", "--dim", "0", "--nodes", "0", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["lse", "--degree", "-1", "--nodes", "0", "--k-max", "-1", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["funccalc", "--rho", "nan", "--k-max", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["hull", "--points", "0", "--dim", "0"], "--points must be >= 1, got 0"),
+    (["lse", "--degree", "-1", "--nodes", "0", "--k-max", "-1"], "--degree must be >= 0, got -1"),
+    (["lse", "--nodes", "0", "--k-max", "-1"], "--nodes must be >= 1, got 0"),
+    (["funccalc", "--rho", "nan", "--k-max", "0"], "funccalc needs --rho > 0, got nan"),
+], ids=["run-seed", "compare-seed", "hull-seed", "lse-seed", "funccalc-seed", "hull-points",
+        "lse-degree", "lse-nodes", "funccalc-rho"])
+def test_cli_names_the_first_bad_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
