@@ -170,22 +170,27 @@ def _cmd_hull(args) -> int:
 
 def _load_dataset(path):
     """x and y arrays of a csv: an optional x,y header in any case, blank
-    lines skipped, then exactly two fields per row, each read by float()."""
+    lines skipped, then exactly two fields per row, each read by float()
+    and finite."""
     with open(path) as fh:
         rows = fh.readlines()
-    if rows and rows[0].strip().lower() == "x,y":
-        del rows[0]
-    rows = [row for row in rows if row.strip()]
-    if not rows:
+    first = 1 if rows and rows[0].strip().lower() == "x,y" else 0
+    lines = [i for i in range(first, len(rows)) if rows[i].strip()]
+    if not lines:
         raise _CliError("dataset is empty")
-    xs, ys = np.loadtxt(rows, delimiter=",", ndmin=2, unpack=True, comments=None,
-                        converters=float)
+    xs, ys = np.loadtxt([rows[i] for i in lines], delimiter=",", ndmin=2, unpack=True,
+                        comments=None, converters=float)
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+    if bad.size:
+        i = lines[bad[0]]
+        raise _CliError(f"{path} line {i + 1}: x and y must be finite, got {rows[i].strip()!r}")
     return xs, ys
 
 
 def _cmd_lse(args) -> int:
     _at_least("--degree", args.degree, 0)
-    _at_least("--nodes", args.nodes, 1)
+    if args.data is None:  # else the node count follows the file
+        _at_least("--nodes", args.nodes, 1)
     _at_least("--k-max", args.k_max, 0)
     basis = polynomial_basis(args.degree)
     M = len(basis)

@@ -1,13 +1,18 @@
 """Push-sum (ratio) and row-averaging consensus engines over R^d states.
 
 Every per-node sum is one graph._in_sum call per step over one (n, c) array
-of all coordinates, stacked once (push-sum's y is one more column). It adds
-each receiver's terms in ascending sender order over the graph's slot-major
+of all coordinates (push-sum's y is one more column). It adds each
+receiver's terms in ascending sender order over the graph's slot-major
 in-layout (graph's module docstring), so repeated runs are bit-identical,
 and a d-dimensional run matches d independent scalar runs coordinate for
 coordinate, exactly; the states come out C-ordered. The row engine's limit
 is per edge too: perron_left sums each node's out-edges in ascending
 receiver order.
+
+The public ratio_step and row_step check their input, then run the same
+kernels as _Engine, which checks x0 once and then steps bare: _push_sum on
+the stacked (n, d+1) [x | y] array it carries from step to step, _in_sum on
+the row engine's z. So every run takes one arithmetic path.
 """
 
 from __future__ import annotations
@@ -90,11 +95,18 @@ def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     x, y = state.x, state.y
     if x.ndim != 2 or x.shape[0] != n or y.shape != (n,):
         raise ValueError(f"state shapes {x.shape}, {y.shape} do not match n={n}")
-    xy = _in_sum(W, np.column_stack((x, y)))
-    xn, yn = xy[:, :-1], xy[:, -1]
-    if np.minimum.reduce(yn) <= 0.0:
-        raise InvariantViolation(f"nonpositive denominator at k={state.k + 1}")
-    return RatioState(xn, yn, xn / yn[:, None], state.k + 1)
+    xy, r = _push_sum(W, np.column_stack((x, y)), state.k + 1)
+    return RatioState(xy[:, :-1], xy[:, -1], r, state.k + 1)
+
+
+def _push_sum(W, xy, k):
+    """The push-sum round that makes step k from the stacked (n, d+1) array
+    [x | y]: the next stacked array and its ratio r = x / y."""
+    xy = _in_sum(W, xy)
+    y = xy[:, -1]
+    if np.minimum.reduce(y) <= 0.0:
+        raise InvariantViolation(f"nonpositive denominator at k={k}")
+    return xy, xy[:, :-1] / y[:, None]
 
 
 def row_step(state: RowState, A: StochasticMatrix) -> RowState:
@@ -127,34 +139,34 @@ class ConsensusTrace:
 class _Engine:
     """The one place that maps W.kind to a consensus step: the ratio engine
     for column-stochastic weights, the row engine otherwise. x0 is checked
-    here, before any step runs."""
+    here, before any step runs; the steps run the kernels unchecked. cur is
+    the current state r (ratio) or z (row), k the step count, and the ratio
+    engine carries x and y stacked as xy = [x | y]."""
 
     def __init__(self, W: StochasticMatrix, x0):
         self.W = W
-        if W.kind == "column":
-            self.name = "ratio"
-            self.state: RatioState | RowState = make_ratio_state(x0)
-        else:
-            self.name = "row"
-            self.state = RowState(_finite_states(x0))
-        if self.cur.shape[0] != W.graph.n:
-            raise ValueError(f"initial states must be ({W.graph.n}, d), got {self.cur.shape}")
-
-    @property
-    def cur(self) -> np.ndarray:
-        return self.state.r if self.name == "ratio" else self.state.z
+        x = _finite_states(x0)
+        if x.shape[0] != W.graph.n:
+            raise ValueError(f"initial states must be ({W.graph.n}, d), got {x.shape}")
+        self.k = 0
+        self.name = "ratio" if W.kind == "column" else "row"
+        if self.name == "ratio":
+            self.xy = np.column_stack((x, np.ones(len(x))))
+        self.cur = x
 
     def step(self):
+        self.k += 1
         if self.name == "ratio":
-            self.state = ratio_step(self.state, self.W)
+            self.xy, self.cur = _push_sum(self.W, self.xy, self.k)
         else:
-            self.state = row_step(self.state, self.W)
+            self.cur = _in_sum(self.W, self.cur)
 
     def record(self) -> dict:
-        """What a step records: rs, plus xs and ys on the ratio engine."""
+        """What a step records: rs, plus xs and ys (views of xy) on the
+        ratio engine."""
         if self.name == "ratio":
-            return {"rs": self.state.r, "xs": self.state.x, "ys": self.state.y}
-        return {"rs": self.state.z}
+            return {"rs": self.cur, "xs": self.xy[:, :-1], "ys": self.xy[:, -1]}
+        return {"rs": self.cur}
 
 
 def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:

@@ -15,13 +15,15 @@ complete graphs). Slot k lists the (k+1)-th smallest sender of each of the
 first m_k ranked receivers, the ones with more than k senders; every
 receiver has its self-loop, so slot 0 covers all of them. Two kernels use
 it: _in_sum for weighted sums of the rows of an (n, c) array and _in_reduce
-for maximum, minimum and bitwise_or. Each gathers slot 0 into a fresh
-accumulator and the later slots with one ndarray.take, combines slot k into
-the accumulator's first m_k rows in place, and undoes the ranking with one
-more take. So each receiver combines its senders in ascending order from
-its first term, with no pad slots; the sum's closing + 0.0 turns a -0.0
-total into +0.0 and changes nothing else, which gives the bytes of a sum
-started at 0.0.
+for maximum, minimum and bitwise_or. _in_sum gathers every slot with one
+ndarray.take and scales it with one in-place multiply by the slot weights,
+whose first n rows are its accumulator; _in_reduce gathers slot 0 into a
+fresh accumulator and the later slots with one more take. Both combine
+slot k into the accumulator's first m_k rows in place and undo the ranking
+with one more take. So each receiver combines its senders in ascending
+order from its first term, with no pad slots; the sum's closing + 0.0
+turns a -0.0 total into +0.0 and changes nothing else, which gives the
+bytes of a sum started at 0.0.
 Every traversal (the diameter, m-hop in-neighborhoods) is one packed-bit
 flood, _flood: each node holds a row of np.packbits bits and each round
 ORs into it the rows of its senders through _in_reduce.
@@ -130,15 +132,18 @@ def _fold(ufunc, head, tail, layout):
 
 def _in_sum(W, X):
     """Per receiver, the sum over its senders of W's weight times the
-    sender's row of the (n, c) array X, as a C-ordered (n, c) array. Terms
-    are added in ascending sender order from the first, and the closing
-    + 0.0 gives the bytes of a sum started at 0.0 (the module docstring)."""
-    layout, wk = W.graph.in_layout, W.slot_weights
-    n = len(X)
-    head, tail = _slots(X, layout)
-    head *= wk[:n, None]
-    tail *= wk[n:, None]
-    out = _fold(np.add, head, tail, layout)
+    sender's row of the (n, c) array X, as a fresh C-ordered (n, c) array.
+    Terms are added in ascending sender order from the first, and the
+    closing + 0.0 gives the bytes of a sum started at 0.0 (the module
+    docstring). Under the identity ranking the fold returns a view of the
+    (E, c) terms, so there the + 0.0 makes a new array: a returned view
+    would keep the terms alive."""
+    layout, n = W.graph.in_layout, len(X)
+    terms = X.take(layout.send, axis=0)
+    terms *= W.slot_weights[:, None]
+    out = _fold(np.add, terms[:n], terms[n:], layout)
+    if layout.rank is None:
+        return out + 0.0
     out += 0.0
     return out
 

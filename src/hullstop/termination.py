@@ -20,15 +20,21 @@ per-step update and its boundary decision. No rule reads a state older
 than its window start, so a run keeps only step 0 and the last step
 unless history=True asks for all.
 
-The per-step maxima and minima (radius_step, bit_step, the box envelopes)
-run over the graph's slot-major in-layout (graph._in_reduce, or graph._fold
-on radius_step's per-edge candidates), each receiver taking its senders in
-ascending order. Rows are gathered with ndarray.take from the engines'
-C-ordered states; radius_step subtracts them from the ranked receiver rows
-slot by slot, in place, so it holds one (E, d) array at its peak. bit_step
-returns a copy of its input when all bits are 0 (every window before the
-first detection) or all are 1: every node has its self-loop, so an OR over
-equal bits changes none of them.
+The per-step maxima and minima (the radius and bit steps, the box
+envelopes) run over the graph's slot-major in-layout (graph._in_reduce, or
+graph._fold on the radius step's per-edge candidates), each receiver taking
+its senders in ascending order. Rows are gathered with ndarray.take from
+the engines' C-ordered states; the radius step subtracts them from the
+ranked receiver rows slot by slot, in place, so it holds one (E, d) array
+at its peak. The bit step is the identity when all bits are 0 (every
+window before the first detection) or all are 1: every node has its
+self-loop, so an OR over equal bits changes none of them.
+
+The public radius_step and bit_step check their input, then run the
+kernels _radius and _bits. _run_windows checks rho and p once, and its
+rules call the kernels directly on the engine's states. _bits returns its
+own input when the bits are equal, which is safe because no rule writes
+into its bits in place; bit_step returns a copy.
 """
 
 from __future__ import annotations
@@ -72,9 +78,15 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
     if r_new.shape != r_old.shape or r_new.shape[0] != g.n or R_old.shape != (g.n,):
         raise ValueError(
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
-    cand = vector_norm(_edge_gaps(g.in_layout, r_new, r_old), p)
-    cand += R_old.take(g.in_layout.send)
-    return _fold(np.maximum, cand[:g.n].copy(), cand[g.n:], g.in_layout)
+    return _radius(g.in_layout, r_new, r_old, R_old, p)
+
+
+def _radius(layout, r_new, r_old, R_old, p) -> np.ndarray:
+    """radius_step's arithmetic on float arrays of checked shapes."""
+    cand = vector_norm(_edge_gaps(layout, r_new, r_old), p)
+    cand += R_old.take(layout.send)
+    n = len(R_old)
+    return _fold(np.maximum, cand[:n].copy(), cand[n:], layout)
 
 
 def _edge_gaps(layout, r_new, r_old) -> np.ndarray:
@@ -91,11 +103,18 @@ def bit_step(g: DiGraph, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (g.n,):
         raise ValueError(f"bit vector shape {b.shape} does not match n={g.n}")
+    out = _bits(g.in_layout, b)
+    return out.copy() if out is b else out
+
+
+def _bits(layout, b) -> np.ndarray:
+    """bit_step's arithmetic on a checked uint8 vector b; b itself when all
+    its bits are equal."""
     ones = np.count_nonzero(b)
-    if ones == 0 or (ones == g.n and np.maximum.reduce(b) == 1):
+    if ones == 0 or (ones == len(b) and np.maximum.reduce(b) == 1):
         # equal bits everywhere: with every self-loop, the OR is the identity
-        return b.copy()
-    return _in_reduce(np.maximum, b, g.in_layout)
+        return b
+    return _in_reduce(np.maximum, b, layout)
 
 
 class MinMaxEnvelope(NamedTuple):
@@ -186,7 +205,7 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     """
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")
-    _norm_order(rule.p)
+    rule.p = _norm_order(rule.p)
     k_max = _integer("k_max", k_max, 0)
     D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
@@ -271,8 +290,9 @@ class _RadiusRule(_Rule):
         self.bs = np.zeros(g.n, dtype=np.uint8)
 
     def step(self, prev, cur):
-        self.Rs = radius_step(self.g, cur, prev, self.Rs, self.p)
-        self.bs = bit_step(self.g, self.bs)
+        layout = self.g.in_layout
+        self.Rs = _radius(layout, cur, prev, self.Rs, self.p)
+        self.bs = _bits(layout, self.bs)
 
     def boundary(self, index, start_t, t):
         if self.bs.any():
@@ -305,7 +325,7 @@ class _PlainRadiusRule(_Rule):
         self.R = np.zeros(self.g.n)
 
     def step(self, prev, cur):
-        self.R = radius_step(self.g, cur, prev, self.R, self.p)
+        self.R = _radius(self.g.in_layout, cur, prev, self.R, self.p)
 
     def boundary(self, index, start_t, t):
         end = ((self.eps is not None and self.R.max() < self.eps)

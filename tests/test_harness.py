@@ -360,6 +360,20 @@ def test_cli_lse_reads_dataset(tmp_path):
     assert summary["n"] == 12
 
 
+def test_cli_lse_with_data_ignores_nodes(tmp_path):
+    # the node count follows the file, so --nodes is not checked
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n0.5,1.0\n-0.5,2.0\n")
+    written = []
+    for extra in ([], ["--nodes", "0"], ["--nodes", "-3"]):
+        out = tmp_path / f"o{len(written)}"
+        rc = cli.main(["lse", "--data", str(data), "--degree", "1", "--k-max", "5",
+                       "--out-dir", str(out)] + extra)
+        assert rc == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[1] == written[0] and written[2] == written[0]
+
+
 def test_cli_lse_dataset_without_header_or_with_blank_lines(tmp_path):
     xs = np.random.default_rng(5).uniform(-1, 1, 7).tolist()
     rows = [f"{a!r},{1.0 - 0.5 * a!r}\n" for a in xs]

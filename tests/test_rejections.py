@@ -325,6 +325,21 @@ def test_cli_lse_rejects_a_malformed_dataset(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["nan,2", "inf,2", "0.5,-inf", " NaN , 2 "],
+                         ids=["nan-x", "inf-x", "inf-y", "padded-nan"])
+def test_cli_lse_rejects_a_non_finite_row_by_file_and_line(tmp_path, capsys, row):
+    # before any step runs: a non-finite x used to surface only in the
+    # solve, as "SVD did not converge"
+    data = tmp_path / "data.csv"
+    data.write_text(f"x,y\n0.5,1.0\n\n{row}\n1.0,2.0\n")
+    out = tmp_path / "o"
+    assert cli.main(["lse", "--data", str(data), "--degree", "1", "--k-max", "5",
+                     "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {data} line 4: x and y must be finite, got {row.strip()!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--nodes", "0", "--rho", "nan", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["compare", "--nodes", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),

@@ -7,17 +7,22 @@ from hullstop import (
     ConsensusTrace,
     DiGraph,
     InvariantViolation,
+    RowState,
     bandwidth_accounting,
     bit_step,
     box_criterion,
+    consensus_limit,
     extreme_points,
     generate_digraph,
     hull_diameter,
     m_in_neighborhood,
+    make_ratio_state,
     make_weights,
     minmax_envelope,
     pairwise_spread,
     radius_step,
+    ratio_step,
+    row_step,
     run_box_stopping,
     run_consensus,
     run_hull_stopping,
@@ -507,3 +512,112 @@ def test_non_halting_run_keeps_memory_bounded():
         tracemalloc.stop()
     assert not tr.halted and sorted(tr.rs) == [0, 20_000]
     assert peak < 10e6
+
+
+def _public_step_radius_run(g, W, x0, rho, p, D, k_max):
+    """run_radius_stopping spelled out on the public steps: ratio_step or
+    row_step, radius_step and bit_step, with _RadiusRule's boundary
+    bookkeeping. Returns the halt step and every step's records."""
+    ratio = W.kind == "column"
+    state = make_ratio_state(x0) if ratio else RowState(np.array(x0, dtype=float))
+    R, b = np.zeros(g.n), np.zeros(g.n, dtype=np.uint8)
+
+    def cur():
+        return state.r if ratio else state.z
+
+    def record():
+        rows["rs"].append(cur())
+        rows["Rs"].append(R)
+        rows["bs"].append(b)
+        if ratio:
+            rows["xs"].append(state.x)
+            rows["ys"].append(state.y)
+
+    rows = {name: [] for name in ("rs", "Rs", "bs") + (("xs", "ys") if ratio else ())}
+    record()
+    halt_t = None
+    for t in range(1, k_max + 1):
+        prev = cur()
+        state = ratio_step(state, W) if ratio else row_step(state, W)
+        R = radius_step(g, cur(), prev, R, p)
+        b = bit_step(g, b)
+        if t > 1 and (t - 1) % D == 0:
+            if b.any():
+                assert b.all()
+                halt_t = t
+            else:
+                det = R < rho
+                b = det.astype(np.uint8)
+                R = np.where(det, R, 0.0)
+        record()
+        if halt_t is not None:
+            break
+    return halt_t, {name: np.stack(v) for name, v in rows.items()}
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("g", [generate_digraph(9, "ring"), er(12, seed=3, p=0.3)],
+                         ids=["ring", "ragged"])
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf], ids=["p1", "p2", "pinf"])
+def test_public_steps_reproduce_the_radius_run_byte_for_byte(g, kind, p):
+    # the stopping loop runs unchecked step kernels; the checked public
+    # steps must give the same bytes, under the identity ranking (ring)
+    # and a ranked one (ragged in-degrees)
+    assert (g.in_layout.rank is None) == (g.model == "ring")
+    W = make_weights(g, kind)
+    x0 = np.random.default_rng(g.n).normal(size=(g.n, 3))
+    x0[0, 0] = -0.0
+    tr = run_radius_stopping(g, W, x0, 1e-6, p=p, history=True)
+    assert tr.halted
+    halt_t, rows = _public_step_radius_run(g, W, x0, 1e-6, p, tr.Dbound, tr.halt_t)
+    assert halt_t == tr.halt_t
+    assert sorted(rows) == sorted(n for n in ("rs", "xs", "ys", "Rs", "bs")
+                                  if getattr(tr, n) is not None)
+    for name, want in rows.items():
+        got = getattr(tr, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _sweep_config(seed):
+    """One seeded stopping config: model, n, d, weight kind, norm, states
+    (scale 1e-3 to 1e3, sometimes a common offset) and rho."""
+    rng = np.random.default_rng([seed, 99])
+    model = ("erdos_renyi", "ring", "complete")[rng.integers(3)]
+    n, d = int(rng.integers(2, 16)), int(rng.integers(1, 6))
+    kind = ("column", "row")[rng.integers(2)]
+    p = (1.0, 2.0, np.inf)[rng.integers(3)]
+    scale = 10.0 ** rng.uniform(-3, 3)
+    x0 = scale * rng.normal(size=(n, d))
+    if rng.random() < 0.5:
+        x0 += scale * rng.uniform(-10, 10)
+    rho = scale * 10.0 ** rng.uniform(-10, -1)
+    g = generate_digraph(n, model, seed, 0.5)
+    return g, make_weights(g, kind), x0, rho, p
+
+
+def _sweep_id(seed):
+    g, W, x0, rho, p = _sweep_config(seed)
+    return (f"s{seed}-{g.model}-n{g.n}-d{x0.shape[1]}-{W.kind}-p{p:g}"
+            f"-scale{np.abs(x0).max():.0e}-rho{rho:.0e}")
+
+
+_SWEEP_SEEDS = list(range(0, 100)) + list(range(1000, 1100))
+
+
+@pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping],
+                         ids=["radius", "box"])
+@pytest.mark.parametrize("seed", _SWEEP_SEEDS, ids=map(_sweep_id, _SWEEP_SEEDS))
+def test_seeded_sweep_halts_within_2rho_of_the_limit(seed, run):
+    # the halting contract over models, sizes, engines, norms and scales:
+    # every node halts in the same step within 2 rho of consensus_limit,
+    # with a rounding allowance of 64 eps times the largest initial entry,
+    # at the step that the run with history reports too
+    g, W, x0, rho, p = _sweep_config(seed)
+    tr = run(g, W, x0, rho, p=p)
+    assert tr.halted
+    dev = vector_norm(tr.rs[tr.halt_t] - consensus_limit(x0, W), p, axis=-1)
+    assert dev.max() <= 2 * rho + 64 * np.finfo(float).eps * np.abs(x0).max()
+    full = run(g, W, x0, rho, p=p, history=True)
+    assert full.halt_t == tr.halt_t
+    assert np.array_equal(full.rs[tr.halt_t], tr.rs[tr.halt_t])
