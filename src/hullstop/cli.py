@@ -23,13 +23,13 @@ import numpy as np
 from .applications import (_design, _payloads, _solve_gram, funccalc_error,
                            funccalc_init, lse_error_bound_blocks, polynomial_basis,
                            registered_function, unflatten_payload)
-from .consensus import ConsensusTrace, _csv_table, consensus_limit, run_consensus, write_state_csv
+from .consensus import _StateRows, _csv_table, consensus_limit, run_consensus
 from .errors import InvariantViolation
 from .geometry import extreme_points, vector_norm
 from .graph import MODELS, generate_digraph, make_weights
 from .harness import ExperimentConfig, artifact_dir, compare_criteria, run_experiment, write_json
 from .hull import encode_extreme_set, run_hull_consensus
-from .termination import run_radius_stopping
+from .termination import _resolve_window, _stream
 
 
 class _CliError(Exception):
@@ -151,9 +151,8 @@ def _cmd_hull(args) -> int:
     central = extreme_points(np.vstack(sets))
     if any(e != central for e in final):
         raise InvariantViolation("hull protocol did not reach the centralized extreme set")
-    with artifact_dir(args.out_dir, g) as summary:
-        with _csv_table(os.path.join(args.out_dir, "hull_rounds.csv"), "round,node,message",
-                        "%d,%d,%s") as write:
+    with artifact_dir(args.out_dir, g) as (path, summary):
+        with _csv_table(path("hull_rounds.csv"), "round,node,message", "%d,%d,%s") as write:
             for t, snapshot in enumerate(history):
                 msgs = [";".join(f"{v:.17g}" for v in encode_extreme_set(e)) for e in snapshot]
                 # as objects: a numpy str array would pad every message to the longest
@@ -211,13 +210,13 @@ def _cmd_lse(args) -> int:
     steps = args.k_max
     trace = run_consensus(W, payloads, steps)
 
-    with artifact_dir(args.out_dir, g) as summary:
-        with _csv_table(os.path.join(args.out_dir, "dataset.csv"), "x,y", "%.17g,%.17g") as write:
+    with artifact_dir(args.out_dir, g) as (path, summary):
+        with _csv_table(path("dataset.csv"), "x,y", "%.17g,%.17g") as write:
             write(xs, ys)
         # row s of the flattened states is step s // n, node s % n
         states = trace.states.reshape(-1, M * M + M)
         lhs = np.empty(len(states))
-        with _csv_table(os.path.join(args.out_dir, "bound.csv"), "n,node,lhs,bound,holds",
+        with _csv_table(path("bound.csv"), "n,node,lhs,bound,holds",
                         "%d,%d,%.17g,%.17g,%s") as write:
             for s, eb in lse_error_bound_blocks(states, G_true, z_true):
                 k, node = np.divmod(np.arange(s, s + len(eb.m)), n)
@@ -250,22 +249,27 @@ def _cmd_funccalc(args) -> int:
     rho = args.rho
     if args.rho_relative:
         rho = args.rho * float(vector_norm(u, p))
-    trace = run_radius_stopping(g, W, state0.x, rho, Dbound=args.d_bound, p=p,
-                                k_max=args.k_max, history=True)
+    D = _resolve_window(g, args.d_bound)  # before the output directory is made
     r_bar = consensus_limit(state0.x, W)
 
     cert = C * (2.0 * rho) ** alpha
-    holder_ok = True
-    with artifact_dir(args.out_dir, g) as summary:
-        write_state_csv(ConsensusTrace("ratio", trace.rs, trace.xs, trace.ys),
-                        os.path.join(args.out_dir, "states.csv"))
-        with _csv_table(os.path.join(args.out_dir, "holder.csv"), "k,node,lhs,rhs,holds",
-                        "%d,%d,%.17g,%.17g,%d") as write:
-            for k in range(trace.rs.shape[0]):
+    holder_ok, lhs = True, None  # over every step; the last step's errors
+    with artifact_dir(args.out_dir, g) as (path, summary):
+        with (open(path("states.csv"), "w", newline="") as fh,
+              _csv_table(path("holder.csv"), "k,node,lhs,rhs,holds", "%d,%d,%.17g,%.17g,%d")
+              as write):
+            states = _StateRows(fh)
+
+            def sink(k, row, halt):
+                # states.csv and holder.csv rows of each step as the run makes it
+                nonlocal holder_ok, lhs
+                states(k, row["rs"], row["xs"], row["ys"])
                 lhs, rhs, ok = np.array(
-                    [funccalc_error(f, C, alpha, r, r_bar) for r in trace.rs[k]]).T
+                    [funccalc_error(f, C, alpha, r, r_bar) for r in row["rs"]]).T
                 holder_ok = holder_ok and bool(ok.all())
                 write(k, np.arange(n), lhs, rhs, ok)
+
+            trace = _stream("radius", g, W, state0.x, rho, D, p, args.k_max, sink)
         worst = float(lhs.max())
         summary.update({
             "function": args.function,

@@ -13,6 +13,12 @@ The public ratio_step and row_step check their input, then run the same
 kernels as _Engine, which checks x0 once and then steps bare: _push_sum on
 the stacked (n, d+1) [x | y] array it carries from step to step, _in_sum on
 the row engine's z. So every run takes one arithmetic path.
+
+states.csv has one per-step formatter, _StateRows: write_state_csv loops it
+over a whole trace, and the harness and the CLI call it from the stopping
+loop's per-step hook as each step is made. It has one reader, _state_blocks,
+which reads whole steps in blocks and checks each; read_state_csv stacks
+the blocks, harness.verify_states_file keeps only the last step.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ __all__ = [
 
 _STATE_HEADER = "k,node,coord,x,y,r"
 _CHUNK_ROWS = 256
+# _state_blocks reads whole steps of at least this many rows per np.loadtxt call
+_READ_ROWS = 4096
 # power iteration in perron_left: stop once an iterate moves by at most
 # _PERRON_TOL in l1; _PERRON_MAX_ITER iterations without that is an error
 _PERRON_TOL = 1e-12
@@ -256,60 +264,112 @@ def _every_step(rows, what: str) -> np.ndarray:
     return rows
 
 
-def write_state_csv(trace: ConsensusTrace, path):
-    """Rows (k, node, coord, x, y, r) at 17 significant digits, which is
-    enough to round-trip float64 exactly. The row engine stores z in both
-    x and r with y = 1.
+class _StateRows:
+    """states.csv's one per-step formatter. It writes the header to fh; each
+    call (k, r, x, y) then writes step k's rows (k, node, coord, x, y, r) at
+    17 significant digits, which is enough to round-trip float64 exactly.
+    With x None (the row engine) x is r; with y None, y is 1.
 
     Each value the layout repeats is formatted once: the "node,coord,"
-    prefixes once per file, written into one %-template per chunk of
-    _CHUNK_ROWS rows; y once per node and step, not once per coordinate;
-    and on the row engine, where x and r are the same array, that array
-    once per step. The bytes are those of one "%d,%d,%d,%.17g,%.17g,%.17g"
-    row format, which the tests keep as the reference."""
-    states = _every_step(trace.states, "write_state_csv")
-    T, n, d = states.shape
-    same = trace.xs is None
-    xs = states if same else trace.xs
-    # x and r go in as preformatted strings when they are the same array
-    cell = "%s" if same else "%.17g"
-    rows = n * d
-    templates = ["".join(f"%s,{j // d},{j % d},{cell},%s,{cell}\n"
-                         for j in range(s, min(s + _CHUNK_ROWS, rows)))
-                 for s in range(0, rows, _CHUNK_ROWS)]
-    with open(path, "w", newline="") as fh:
+    prefixes once per file, written at the first call into one %-template
+    per chunk of _CHUNK_ROWS rows; y once per node and step, not once per
+    coordinate; and where x is r, that array once per step. The bytes are
+    those of one "%d,%d,%d,%.17g,%.17g,%.17g" row format, which the tests
+    keep as the reference."""
+
+    def __init__(self, fh):
         fh.write(_STATE_HEADER + "\n")
-        for k in range(T):
-            ys = trace.ys[k].tolist() if trace.ys is not None else [1.0] * n
-            y = [g for g in map("%.17g".__mod__, ys) for _ in range(d)]
-            x_k, r_k = xs[k].ravel(), states[k].ravel()
-            for s, template in zip(range(0, rows, _CHUNK_ROWS), templates):
-                x = x_k[s:s + _CHUNK_ROWS].tolist()
-                if same:
-                    x = r = list(map("%.17g".__mod__, x))
-                else:
-                    r = r_k[s:s + _CHUNK_ROWS].tolist()
-                fh.write(template % tuple(chain.from_iterable(
-                    zip(repeat(str(k)), x, y[s:s + _CHUNK_ROWS], r))))
+        self.fh = fh
+        self.templates = None
+
+    def __call__(self, k, r, x=None, y=None):
+        n, d = r.shape
+        rows = n * d
+        if self.templates is None:
+            # x and r go in as preformatted strings when they are the same array
+            cell = "%s" if x is None else "%.17g"
+            self.templates = ["".join(f"%s,{j // d},{j % d},{cell},%s,{cell}\n"
+                                      for j in range(s, min(s + _CHUNK_ROWS, rows)))
+                              for s in range(0, rows, _CHUNK_ROWS)]
+        ys = [1.0] * n if y is None else y.tolist()
+        ys = [g for g in map("%.17g".__mod__, ys) for _ in range(d)]
+        x_k, r_k = (r if x is None else x).ravel(), r.ravel()
+        for s, template in zip(range(0, rows, _CHUNK_ROWS), self.templates):
+            xc = x_k[s:s + _CHUNK_ROWS].tolist()
+            if x is None:
+                xc = rc = list(map("%.17g".__mod__, xc))
+            else:
+                rc = r_k[s:s + _CHUNK_ROWS].tolist()
+            self.fh.write(template % tuple(chain.from_iterable(
+                zip(repeat(str(k)), xc, ys[s:s + _CHUNK_ROWS], rc))))
 
 
-def read_state_csv(path) -> ConsensusTrace:
-    """Exact inverse of write_state_csv (engine label is not stored). Raises
-    ValueError unless every (k, node, coord) cell appears exactly once.
-    T, n and d are the largest indices found, so a file cut at a step
-    boundary reads back as a shorter trace: a caller must compare the step
-    count with the one it knows."""
+def write_state_csv(trace: ConsensusTrace, path):
+    """Every step of trace through _StateRows. The row engine stores z in
+    both x and r with y = 1."""
+    states = _every_step(trace.states, "write_state_csv")
+    with open(path, "w", newline="") as fh:
+        rows = _StateRows(fh)
+        for k in range(states.shape[0]):
+            rows(k, states[k], None if trace.xs is None else trace.xs[k],
+                 None if trace.ys is None else trace.ys[k])
+
+
+def _state_blocks(path, fields=("x", "y", "r")):
+    """states.csv's one reader, behind read_state_csv and
+    harness.verify_states_file: yields a tuple with the named fields' arrays,
+    x and r of shape (s, n, d) and y (s, n), for consecutive blocks of s
+    whole steps, at least _READ_ROWS rows each, so that a small n * d does
+    not pay one np.loadtxt call per step; columns not named are not parsed,
+    since parsing floats is most of the read. The k = 0 rows at the head of
+    the file fix the rows per step. Each block must hold every (k, node,
+    coord) of its steps exactly once and in step-major order, as _StateRows
+    writes them, else ValueError; so is a file that ends inside a step. A
+    file cut at a step boundary reads as a shorter trace: a caller must
+    compare the step count with the one it knows.
+
+    Each block is one np.loadtxt(max_rows=...) call on the open file, which
+    leaves it just past the block's last row; one line is read ahead so that
+    numpy never sees an empty input at the end."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != _STATE_HEADER:
             raise ValueError(f"unexpected state csv header {header!r}")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
-            ("k", int), ("node", int), ("coord", int), ("x", float), ("y", float), ("r", float)])
-    k, node, coord = rows["k"], rows["node"], rows["coord"]
-    T, n, d = int(k.max()) + 1, int(node.max()) + 1, int(coord.max()) + 1
-    cell = (k * n + node) * d + coord
-    order = np.argsort(cell)
-    if min(node.min(), coord.min()) < 0 or not np.array_equal(cell[order], np.arange(T * n * d)):
-        raise ValueError(f"state csv {path} does not hold each (k, node, coord) exactly once")
-    xs, rs = (rows[name][order].reshape(T, n, d) for name in ("x", "r"))
-    return ConsensusTrace("unknown", rs, xs, rows["y"][order[::d]].reshape(T, n))
+        head = fh.tell()
+        size = 0
+        while fh.readline().partition(",")[0] == "0":
+            size += 1
+        fh.seek(head)
+        bad = ValueError(f"state csv {path} does not hold each (k, node, coord) exactly once")
+        if size == 0:
+            raise bad
+        max_rows = -(-_READ_ROWS // size) * size
+        names = ("k", "node", "coord", *fields)
+        columns = [_STATE_HEADER.split(",").index(name) for name in names]
+        dtype = [(name, float if name in fields else int) for name in names]
+        n = d = None
+        k0 = 0
+        for line in iter(fh.readline, ""):
+            if line.isspace():
+                continue
+            block = np.loadtxt(chain([line], fh), delimiter=",", ndmin=1, max_rows=max_rows,
+                               usecols=columns, dtype=dtype)
+            k, node, coord = block["k"], block["node"], block["coord"]
+            if n is None:
+                n, d = int(node[:size].max()) + 1, int(coord[:size].max()) + 1
+            steps, rest = divmod(len(block), size)
+            cell = np.arange(k0 * size, (k0 + steps) * size)
+            if (n * d != size or rest or not np.array_equal(k, cell // size)
+                    or not np.array_equal(node, cell // d % n)
+                    or not np.array_equal(coord, cell % d)):
+                raise bad
+            yield tuple(block[name][::d].reshape(steps, n) if name == "y"
+                        else block[name].reshape(steps, n, d) for name in fields)
+            k0 += steps
+
+
+def read_state_csv(path) -> ConsensusTrace:
+    """Exact inverse of write_state_csv (engine label is not stored): the
+    blocks of _state_blocks, whose checks raise ValueError, stacked."""
+    xs, ys, rs = (np.concatenate(part) for part in zip(*_state_blocks(path)))
+    return ConsensusTrace("unknown", rs, xs, ys)

@@ -5,30 +5,36 @@ the applications into reproducible end-to-end runs: a config plus its seed
 determines every emitted byte. Guarantee fields in the summary are
 recomputed from the written trace files by a verification pass rather than
 copied from the in-memory run.
+
+A run keeps no history to write its artifacts: states.csv and
+termination.csv are streamed from the stopping loop's per-step hook
+(termination._stream) as each step is made, and the verification pass
+reads states.csv back in blocks of whole steps, keeping only the last one.
+Every artifact is written under a temporary name and renamed once the run
+and its verification have ended (artifact_dir), so a run that raises
+leaves none of them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, asdict, replace
+from contextlib import ExitStack, contextmanager, suppress
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .consensus import (ConsensusTrace, consensus_limit, read_state_csv, run_consensus,
-                        write_state_csv)
+from .consensus import _StateRows, _state_blocks, consensus_limit
 from .errors import InvariantViolation
 from .geometry import _norm_order, pairwise_spread, vector_norm
 from .graph import MODELS, DiGraph, _integer, generate_digraph, graph_to_json, make_weights
-from .termination import (StopTrace, bandwidth_accounting, run_box_stopping,
-                          run_hull_stopping, run_radius_stopping,
-                          write_termination_csv)
+from .termination import (_RULES, _TerminationRows, _resolve_window, _stream,
+                          bandwidth_accounting, run_box_stopping, run_hull_stopping,
+                          run_radius_stopping)
 
 __all__ = ["ExperimentConfig", "RunResult", "run_experiment", "compare_criteria",
            "verify_states_file"]
 
-_STOPPINGS = ("radius", "box", "hull", "none")
 # bits per transmitted float in the bandwidth figures
 _WORD_BITS = 32
 
@@ -68,7 +74,7 @@ class ExperimentConfig:
         self.seed = _integer("seed", self.seed, 0)
         if self.engine not in ("ratio", "row"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.stopping not in _STOPPINGS:
+        if self.stopping not in _RULES:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.stopping != "none":
             if self.rho is None or not self.rho > 0:
@@ -104,14 +110,33 @@ def write_json(path, obj):
 
 @contextmanager
 def artifact_dir(out_dir, graph: DiGraph):
-    """Create out_dir with graph.json and yield a dict for the caller to fill
-    while it writes its files; the dict becomes summary.json unless they raise."""
+    """Create out_dir and yield (path, summary): path(name) is the file the
+    caller writes artifact name into, a temporary name in out_dir, and
+    summary a dict that becomes summary.json. graph.json is written first.
+    Once the caller's block has ended, every file is renamed to its name;
+    if the block raises, every temporary file is removed instead, so a
+    failing run leaves no artifact and never half-overwrites a previous
+    run's set."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "graph.json"), "w") as fh:
-        fh.write(graph_to_json(graph) + "\n")
-    summary: dict = {}
-    yield summary
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    staged: dict = {}
+
+    def path(name):
+        staged[name] = os.path.join(out_dir, f".{name}.part")
+        return staged[name]
+
+    try:
+        with open(path("graph.json"), "w") as fh:
+            fh.write(graph_to_json(graph) + "\n")
+        summary: dict = {}
+        yield path, summary
+        write_json(path("summary.json"), summary)
+    except BaseException:
+        for tmp in staged.values():
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for name, tmp in staged.items():
+        os.replace(tmp, os.path.join(out_dir, name))
 
 
 @dataclass
@@ -145,19 +170,16 @@ def _resolve_rho(cfg: ExperimentConfig, x0, W) -> float | None:
     return float(cfg.rho) * float(vector_norm(limit, cfg.norm))
 
 
-def _stopping_trace(cfg, g, W, x0, rho_abs, history: bool = False) -> StopTrace:
-    run = {"radius": run_radius_stopping, "box": run_box_stopping,
-           "hull": run_hull_stopping}[cfg.stopping]
-    return run(g, W, x0, rho_abs, Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max,
-               history=history)
-
-
 def verify_states_file(path, p: float) -> dict:
-    """Recompute the guarantee quantities from a written state CSV."""
-    trace = read_state_csv(path)
-    final = trace.states[-1]
+    """Recompute the guarantee quantities from a written state CSV: its r
+    column, read in blocks of whole steps (consensus._state_blocks) of
+    which only the last step is kept."""
+    steps = 0
+    for rs, in _state_blocks(path, ("r",)):
+        steps += len(rs)
+        final = rs[-1].copy()
     return {
-        "k_steps": int(trace.states.shape[0] - 1),
+        "k_steps": steps - 1,
         "final_spread": pairwise_spread(final, p),
     }
 
@@ -165,43 +187,50 @@ def verify_states_file(path, p: float) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """End-to-end deterministic run; writes graph.json, config.json,
     states.csv, termination.csv (radius stopping only) and summary.json
-    into cfg.out_dir."""
+    into cfg.out_dir, streaming the two CSVs from the run. trace is the
+    run's StopTrace without history ("none" takes all k_max steps)."""
     cfg.validate()
     g, W, x0 = _build(cfg)
     rho_abs = _resolve_rho(cfg, x0, W)
-    if cfg.stopping == "none":
-        trace = states = run_consensus(W, x0, cfg.k_max)
-        stop, bits = None, 0
-    else:
-        trace = stop = _stopping_trace(cfg, g, W, x0, rho_abs, history=True)
-        states = ConsensusTrace(cfg.engine, stop.rs, stop.xs, stop.ys)
-        bits = bandwidth_accounting(cfg.stopping, _WORD_BITS, cfg.dim, stop.max_points)
-    halt_t = stop.halt_t if stop else None
+    radius, stopped = cfg.stopping == "radius", cfg.stopping != "none"
+    # resolved before out_dir is made; "none" has no window to check it against
+    D = _resolve_window(g, cfg.dbound) if stopped else None
 
     paths = {name: os.path.join(cfg.out_dir, name) for name in
              ("graph.json", "config.json", "states.csv", "termination.csv",
               "summary.json")}
-    with artifact_dir(cfg.out_dir, g) as summary:
-        with open(paths["config.json"], "w") as fh:
+    if not radius:
+        paths.pop("termination.csv")
+    with artifact_dir(cfg.out_dir, g) as (path, summary):
+        with open(path("config.json"), "w") as fh:
             fh.write(cfg.to_json())
-        write_state_csv(states, paths["states.csv"])
-        if cfg.stopping == "radius":
-            write_termination_csv(stop, paths["termination.csv"])
-        else:
-            paths.pop("termination.csv")
+        with ExitStack() as files:
+            states = _StateRows(files.enter_context(open(path("states.csv"), "w", newline="")))
+            if radius:
+                term = _TerminationRows(files.enter_context(
+                    open(path("termination.csv"), "w", newline="")), g.n, D)
+
+            def sink(k, row, halt):
+                # a record without xs (row engine, box and hull) writes x = r, y = 1
+                states(k, row["rs"], row.get("xs"), row.get("ys"))
+                if radius:
+                    term(k, row["Rs"], row["bs"], halt)
+
+            trace = _stream(cfg.stopping, g, W, x0, rho_abs, D, cfg.norm, cfg.k_max, sink)
+        halt_t = trace.halt_t
 
         # verification pass: guarantee fields come from the files, not the run
-        checked = verify_states_file(paths["states.csv"], cfg.norm)
-        if checked["k_steps"] != states.steps:
+        checked = verify_states_file(path("states.csv"), cfg.norm)
+        if checked["k_steps"] != trace.steps:
             raise InvariantViolation(
-                f"trace length mismatch: file {checked['k_steps']}, run {states.steps}")
+                f"trace length mismatch: file {checked['k_steps']}, run {trace.steps}")
         if halt_t is not None and halt_t != checked["k_steps"]:
             raise InvariantViolation(
                 f"halt iteration {halt_t} does not close the written trace")
 
         summary.update({
             "halt_k": halt_t,
-            "windows": len(stop.windows) if stop else 0,
+            "windows": len(trace.windows),
             "final_spread": checked["final_spread"],
             "rho": rho_abs,
             "guarantee_2rho_ok": (checked["final_spread"] <= 2.0 * rho_abs
@@ -214,8 +243,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "dim": cfg.dim,
             "seed": cfg.seed,
             "norm": _norm_json(cfg.norm),
-            "dbound": stop.Dbound if stop else None,
-            "bandwidth_bits": bits,
+            "dbound": trace.Dbound if stopped else None,
+            "bandwidth_bits": (bandwidth_accounting(cfg.stopping, _WORD_BITS, cfg.dim,
+                                                    trace.max_points) if stopped else 0),
         })
     return RunResult(cfg, g, trace, rho_abs, summary, paths)
 
@@ -230,9 +260,9 @@ def compare_criteria(cfg: ExperimentConfig) -> list:
     g, W, x0 = _build(cfg)
     rho_abs = _resolve_rho(cfg, x0, W)
     rows = []
-    for method in ("radius", "box", "hull"):
-        sub = replace(cfg, stopping=method)
-        trace = _stopping_trace(sub, g, W, x0, rho_abs)
+    for method, run in (("radius", run_radius_stopping), ("box", run_box_stopping),
+                        ("hull", run_hull_stopping)):
+        trace = run(g, W, x0, rho_abs, Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max)
         spread = pairwise_spread(trace.rs[trace.halt_t], cfg.norm) if trace.halted else None
         bits = bandwidth_accounting(method, _WORD_BITS, cfg.dim, trace.max_points)
         rows.append({

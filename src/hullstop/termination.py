@@ -17,8 +17,15 @@ consensus._Engine (the one place that maps the weights to a ratio or row
 step, shared with run_consensus), schedules the windows, records the
 history and returns one StopTrace; a rule holds only its own state, its
 per-step update and its boundary decision. No rule reads a state older
-than its window start, so a run keeps only step 0 and the last step
-unless history=True asks for all.
+than its window start, so a run keeps only step 0 and the last step.
+
+The loop has one per-step hook, a sink called with each step's record
+(step 0 included) and whether that step is the halt. history=True is one
+such sink, the list recorder _History; the harness and the CLI reach the
+hook through _stream, and their sinks write each step's artifact rows as
+the run makes them (write_termination_csv and the streaming sinks share
+one per-step termination.csv formatter), so no run holds its history to
+write a file.
 
 The per-step maxima and minima (the radius and bit steps, the box
 envelopes) run over the graph's slot-major in-layout (graph._in_reduce, or
@@ -40,12 +47,13 @@ into its bits in place; bit_step returns a copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
-from .consensus import _Engine, _csv_table, _every_step, ratio_step  # noqa: F401
+from .consensus import _CHUNK_ROWS, _Engine, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm_order, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _fold, _in_reduce, _integer
@@ -164,11 +172,12 @@ class HullWindow(NamedTuple):
 class StopTrace:
     """One stopping run of T steps. rs holds the states; only the radius rule
     records Rs and bs, the (n,) accumulators and halt bits after the boundary
-    bookkeeping, and on the ratio engine xs and ys. Each is indexed by step.
-    With history=True it is a (T+1, ...) array with every step; without, it
-    is a dict {0: ..., T: ...} holding step 0 and the last step only, so
-    rs[0], rs[halt_t] and bs[halt_t] read the same in both forms. Unrecorded
-    fields are None, as is rho for the plain trace; only the hull rule sets
+    bookkeeping, and it and the "none" run of _stream record xs and ys on
+    the ratio engine. Each is indexed by step. With history=True it is a
+    (T+1, ...) array with every step; without, it is a dict {0: ..., T: ...}
+    holding step 0 and the last step only, so rs[0], rs[halt_t] and
+    bs[halt_t] read the same in both forms. Unrecorded fields are None, as
+    is rho for the plain and the "none" trace; only the hull rule sets
     max_points."""
 
     engine: str
@@ -185,6 +194,11 @@ class StopTrace:
     bs: np.ndarray | dict | None = None
     max_points: int | None = None
 
+    @property
+    def steps(self) -> int:
+        """T, the number of steps the run made."""
+        return max(self.rs) if isinstance(self.rs, dict) else self.rs.shape[0] - 1
+
 
 def _resolve_window(g: DiGraph, Dbound) -> int:
     D = max(1, g.diameter) if Dbound is None else _integer("Dbound", Dbound, 1)
@@ -193,15 +207,33 @@ def _resolve_window(g: DiGraph, Dbound) -> int:
     return D
 
 
+class _History:
+    """The list recorder behind history=True: a sink for _run_windows that
+    keeps every step's record, one list per field, stacked once at the end."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def __call__(self, k, row, halt):
+        for name, v in row.items():
+            self.rows.setdefault(name, []).append(v)
+
+    def stacked(self) -> dict:
+        return {name: np.stack(v) for name, v in self.rows.items()}
+
+
 def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
-                 history: bool) -> StopTrace:
+                 history: bool = False, sink=None) -> StopTrace:
     """The one step loop behind every stopping rule (see _Rule).
 
     Window boundaries fall every D = _resolve_window(g, Dbound) steps after
     the rule's lag, so its first window has D + lag steps. A run that a
-    boundary ends halts there, unless the rule never halts. With history
-    the loop reads rs and the rule's records (see StopTrace) after every
-    step, else only at step 0 and at the end.
+    boundary ends halts there, unless the rule never halts. sink(k, row,
+    halt), if given, is called at step 0 and after each step's boundary
+    bookkeeping with that step's record: rs and the rule's records (see
+    StopTrace), and whether step k is the halt. history=True makes the sink
+    _History, whose lists become the trace's fields; else the trace keeps
+    step 0 and the last step only.
     """
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")
@@ -217,8 +249,11 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
         rec = eng.record()
         return {name: rec[name] if name in rec else getattr(rule, name) for name in names}
 
+    if history:
+        sink = _History()
     first = row()
-    rows = {name: [v] for name, v in first.items()} if history else None
+    if sink is not None:
+        sink(0, first, False)
     windows: list = []
     start_t = T = 0
     halt_t = None
@@ -236,14 +271,13 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
                 rule.begin(eng.cur)
             start_t = t
         T = t
-        if rows is not None:
-            for name, v in row().items():
-                rows[name].append(v)
+        if sink is not None:
+            sink(t, row(), end and rule.halts)
         if end:
             halt_t = t if rule.halts else None
             break
-    if rows is not None:
-        fields = {name: np.stack(v) for name, v in rows.items()}
+    if history:
+        fields = sink.stacked()
     else:
         fields = {name: {0: first[name], T: v} for name, v in row().items()}
     return StopTrace(eng.name, windows=windows, halted=halt_t is not None, halt_t=halt_t,
@@ -377,6 +411,32 @@ class _HullRule(_Rule):
         return HullWindow(index, start_t, t, diam), diam < self.rho
 
 
+class _NoStop(_Rule):
+    """No stopping rule: the run takes all k_max steps, and its boundaries
+    record nothing. It records xs and ys as run_consensus does."""
+
+    halts = False
+    records = ("xs", "ys")
+
+    def step(self, prev, cur):
+        pass
+
+    def boundary(self, index, start_t, t):
+        return None, False
+
+
+_RULES = {"radius": _RadiusRule, "box": _BoxRule, "hull": _HullRule, "none": _NoStop}
+
+
+def _stream(stopping: str, g: DiGraph, W: StochasticMatrix, x0, rho, Dbound, p, k_max,
+            sink) -> StopTrace:
+    """The run of the named rule in _RULES ("none": all k_max steps) without
+    history, calling sink(k, row, halt) at every step (see _run_windows).
+    This is how the harness and the CLI write their per-step artifacts while
+    the run makes them."""
+    return _run_windows(_RULES[stopping](g, rho, p), g, W, x0, Dbound, k_max, sink=sink)
+
+
 def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
                         Dbound: int | None = None, p: float = 2.0,
                         k_max: int = 100_000, history: bool = False) -> StopTrace:
@@ -455,16 +515,45 @@ def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,
     raise ValueError(f"unknown method {method!r}")
 
 
+_TERMINATION_HEADER = "k,node,R,b,window_l,halt_flag"
+
+
+class _TerminationRows:
+    """termination.csv's one per-step formatter. It writes the header to fh;
+    each call (k, R, b, halt) then writes step k's row (k, node, R, b,
+    window_l, halt_flag) for each of the n nodes, R at 17 significant
+    digits. window_l counts the window step k belongs to (D steps each, the
+    first one step longer), and halt_flag marks the halt step.
+
+    As in consensus._StateRows, the "node," prefixes are formatted once per
+    file into one %-template per chunk of _CHUNK_ROWS rows, and k and the
+    closing "window_l,halt_flag" once per step; the bytes are those of one
+    "%d,%d,%.17g,%d,%d,%d" row format."""
+
+    def __init__(self, fh, n: int, D: int):
+        fh.write(_TERMINATION_HEADER + "\n")
+        self.fh, self.D = fh, D
+        self.starts = range(0, n, _CHUNK_ROWS)
+        self.templates = ["".join(f"%s,{i},%.17g,%d,%s\n"
+                                  for i in range(s, min(s + _CHUNK_ROWS, n)))
+                          for s in self.starts]
+
+    def __call__(self, k, R, b, halt):
+        head = str(k)
+        tail = f"{0 if k == 0 else (k - 1) // self.D + 1},{int(halt)}"
+        R, b = R.tolist(), b.tolist()
+        for s, template in zip(self.starts, self.templates):
+            self.fh.write(template % tuple(chain.from_iterable(
+                zip(repeat(head), R[s:s + _CHUNK_ROWS], b[s:s + _CHUNK_ROWS], repeat(tail)))))
+
+
 def write_termination_csv(trace: StopTrace, path):
-    """Rows (k, node, R, b, window_l, halt_flag); window_l counts the
-    window each iteration belongs to, halt_flag marks the halt iteration.
-    Needs a radius-rule trace with history."""
+    """Rows (k, node, R, b, window_l, halt_flag) of a radius-rule trace with
+    history, through _TerminationRows."""
     if trace.Rs is None:
         raise ValueError("termination.csv needs a radius-rule trace")
     T, n = _every_step(trace.Rs, "write_termination_csv").shape
-    D = trace.Dbound
-    with _csv_table(path, "k,node,R,b,window_l,halt_flag", "%d,%d,%.17g,%d,%d,%d") as write:
+    with open(path, "w", newline="") as fh:
+        rows = _TerminationRows(fh, n, trace.Dbound)
         for k in range(T):
-            wl = 0 if k == 0 else (k - 1) // D + 1
-            hf = 1 if (trace.halted and k == trace.halt_t) else 0
-            write(k, np.arange(n), trace.Rs[k], trace.bs[k], wl, hf)
+            rows(k, trace.Rs[k], trace.bs[k], trace.halted and k == trace.halt_t)

@@ -304,6 +304,39 @@ def test_read_state_csv_rejects_duplicated_row(tmp_path):
         read_state_csv(tmp_path / "dup.csv")
 
 
+def test_read_state_csv_rejects_rows_out_of_step_major_order(tmp_path):
+    lines = _state_csv_lines(tmp_path)
+    lines[40], lines[41] = lines[41], lines[40]
+    path = tmp_path / "swapped.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="does not hold each"):
+        read_state_csv(path)
+
+
+# (T, n, d): many steps of a tiny n * d in few reader blocks, a step longer
+# than one block, and steps that fill a block exactly
+@pytest.mark.filterwarnings("error")  # numpy's empty-input UserWarning included
+@pytest.mark.parametrize("T, n, d", [(3001, 2, 1), (3, 1100, 4), (5, 2048, 1), (1, 3, 2)])
+def test_state_csv_reads_back_in_blocks_of_whole_steps(tmp_path, monkeypatch, T, n, d):
+    rng = np.random.default_rng([T, n, d])
+    tr = ConsensusTrace("ratio", *(rng.normal(size=s) for s in [(T, n, d), (T, n, d), (T, n)]))
+    write_state_csv(tr, tmp_path / "s.csv")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kw):
+        calls.append(kw["max_rows"])
+        return loadtxt(*args, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    back = read_state_csv(tmp_path / "s.csv")
+    for got, want in zip((back.states, back.xs, back.ys), (tr.states, tr.xs, tr.ys)):
+        assert np.array_equal(got, want)
+    size = n * d
+    per_block = max(1, -(-4096 // size))
+    assert calls == [per_block * size] * -(-T // per_block)
+
+
 def test_read_state_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")

@@ -2,15 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hullstop.applications as applications
 import hullstop.cli as cli
+import hullstop.consensus as consensus
 import hullstop.harness as harness
+import hullstop.termination as termination
 from hullstop import (
-    ConsensusTrace,
     ExperimentConfig,
     InvariantViolation,
     compare_criteria,
@@ -129,31 +131,76 @@ def test_verify_states_file_matches_run(tmp_path):
 def test_states_file_cut_at_a_step_boundary_is_a_length_mismatch(tmp_path, monkeypatch):
     # read_state_csv reads a file missing its last step's rows as a valid
     # shorter trace; the run's own step count is what catches it
-    write = harness.write_state_csv
+    real = harness._stream
 
-    def drop_last_step(trace, path):
-        cut = [None if a is None else a[:-1] for a in (trace.states, trace.xs, trace.ys)]
-        write(ConsensusTrace(trace.engine, *cut), path)
+    def drop_last_step(*args):
+        *head, sink = args
 
-    monkeypatch.setattr(harness, "write_state_csv", drop_last_step)
+        def short(k, row, halt):
+            if not halt:
+                sink(k, row, halt)
+        return real(*head, short)
+
+    monkeypatch.setattr(harness, "_stream", drop_last_step)
     with pytest.raises(InvariantViolation, match="trace length mismatch"):
         run_experiment(cfg_for(tmp_path))
 
 
 def test_halt_before_the_end_of_the_written_trace_is_an_invariant_violation(tmp_path,
                                                                              monkeypatch):
-    # a stopping run whose halt step is not its last recorded step
-    real = harness._stopping_trace
+    # a stopping run whose halt step is not its last written step
+    real = harness._stream
 
-    def early_halt(*args, **kw):
-        trace = real(*args, **kw)
+    def early_halt(*args):
+        trace = real(*args)
         trace.halt_t -= 1
         return trace
 
-    monkeypatch.setattr(harness, "_stopping_trace", early_halt)
+    monkeypatch.setattr(harness, "_stream", early_halt)
     with pytest.raises(InvariantViolation, match="^halt iteration .* does not close the "
                                                  "written trace$"):
         run_experiment(cfg_for(tmp_path))
+
+
+def test_failed_run_leaves_no_artifact_and_keeps_the_previous_set(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["run", "--nodes", "7", "--seed", "5", "--rho", "1e-3", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = termination._RadiusRule.boundary
+    calls = []
+
+    def second_boundary_fails(self, index, start_t, t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise InvariantViolation(f"forced at boundary t={t}")
+        return real(self, index, start_t, t)
+
+    monkeypatch.setattr(termination._RadiusRule, "boundary", second_boundary_fails)
+    assert cli.main(argv) == 3
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    calls.clear()
+    fresh = tmp_path / "fresh"
+    assert cli.main(argv[:-1] + [str(fresh)]) == 3
+    assert len(calls) == 2 and list(fresh.iterdir()) == []
+
+
+def test_non_halting_experiment_keeps_memory_flat(tmp_path):
+    # no history and a read-back in step blocks: only the windows list grows
+    def peak(k_max):
+        cfg = cfg_for(tmp_path, n=8, dim=1, topology="ring", rho=1e-300, k_max=k_max)
+        tracemalloc.start()
+        try:
+            res = run_experiment(cfg)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not res.summary["halted"] and res.summary["k_steps"] == k_max
+        return top
+
+    run_experiment(cfg_for(tmp_path, n=8, dim=1, topology="ring", k_max=5))  # warm-up
+    assert peak(4000) - peak(500) < 1e6
 
 
 def test_row_engine_experiment(tmp_path):
@@ -211,6 +258,27 @@ def test_cli_out_dir_on_a_file_is_config_error(tmp_path, capsys):
     rc = cli.main(["hull", "--nodes", "4", "--out-dir", str(blocker)])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "funccalc"])
+def test_cli_out_dir_on_a_file_is_rejected_before_any_step(tmp_path, capsys, spy_calls,
+                                                           command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    steps = spy_calls(consensus._Engine, "step")
+    assert cli.main([command, "--nodes", "6", "--out-dir", str(blocker)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert steps == []
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--stopping", "box"], ["funccalc"]],
+                         ids=" ".join)
+def test_cli_window_below_the_diameter_is_rejected_before_the_out_dir(tmp_path, argv):
+    out = tmp_path / "o"
+    rc = cli.main(argv + ["--nodes", "8", "--topology", "ring", "--d-bound", "3",
+                          "--out-dir", str(out)])
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_cli_graph_draw_budget_exhausted_is_config_error(tmp_path, capsys):
