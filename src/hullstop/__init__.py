@@ -10,32 +10,18 @@ Applications: decentralized least squares with a computable error bound and
 distributed function evaluation with Holder error control.
 """
 
+from . import applications, consensus, geometry, graph, harness, hull, termination
 from .errors import InvariantViolation
-from .graph import (DiGraph, StochasticMatrix, generate_digraph,
-                    graph_from_json, graph_to_json, m_in_neighborhood,
-                    make_weights)
-from .geometry import (PointSet, canonicalize_points, extreme_points,
-                       hull_diameter, hull_membership, is_convex_decreasing,
-                       pairwise_spread, support_function, vector_norm)
-from .consensus import (ConsensusTrace, RatioState, RowState, consensus_limit,
-                        make_ratio_state, perron_left, ratio_step,
-                        read_state_csv, row_step, run_consensus,
-                        scalar_vector_equivalence_check, write_state_csv)
-from .hull import (HullNodeState, decode_extreme_set,
-                   distance_from_convergence_bound, encode_extreme_set,
-                   hull_round, run_hull_consensus)
-from .termination import (MinMaxEnvelope, StopTrace, bandwidth_accounting,
-                          bit_step, box_criterion, minmax_envelope,
-                          radius_step, run_box_stopping, run_hull_stopping,
-                          run_radius_stopping, windowed_radius_trace,
-                          write_termination_csv)
-from .applications import (ErrorBound, LseBounds, flatten_payload, funccalc_error,
-                           funccalc_init, lse_batch, lse_consensus_estimate,
-                           lse_error_bound, lse_error_bound_blocks, lse_error_bounds,
-                           lse_gram, lse_local_payload, lse_payload_states, operator_norm,
-                           polynomial_basis, registered_function,
-                           unflatten_payload)
-from .harness import (ExperimentConfig, RunResult, compare_criteria,
-                      run_experiment, verify_states_file)
+from .graph import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .consensus import *  # noqa: F403
+from .hull import *  # noqa: F403
+from .termination import *  # noqa: F403
+from .applications import *  # noqa: F403
+from .harness import *  # noqa: F403
+
+# the union of the modules' export lists is the package's
+__all__ = ["InvariantViolation", *graph.__all__, *geometry.__all__, *consensus.__all__,
+           *hull.__all__, *termination.__all__, *applications.__all__, *harness.__all__]
 
 __version__ = "0.1.0"

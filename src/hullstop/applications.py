@@ -22,10 +22,8 @@ from .geometry import vector_norm
 
 __all__ = [
     "polynomial_basis",
-    "lse_local_payload",
     "lse_gram",
     "lse_batch",
-    "flatten_payload",
     "unflatten_payload",
     "lse_payload_states",
     "lse_consensus_estimate",
@@ -74,12 +72,6 @@ def _payloads(design: np.ndarray, ys: np.ndarray) -> np.ndarray:
                            design * ys[:, None]], axis=1)
 
 
-def lse_local_payload(x_j, y_j, basis):
-    """One node's contribution: (g g^T, g y) for its sample."""
-    payload = _payloads(_design([x_j], basis), np.array([float(y_j)]))
-    return unflatten_payload(payload[0], len(basis))
-
-
 def lse_gram(xs, ys, basis):
     """Averaged Gram matrix and moment vector over the whole dataset."""
     xs, ys = _dataset(xs, ys)
@@ -101,14 +93,6 @@ def _solve_gram(G: np.ndarray, z: np.ndarray) -> np.ndarray:
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(f"Gram matrix condition number {cond:.3e} exceeds 1e12")
     return np.linalg.solve(G, z)
-
-
-def flatten_payload(Mj: np.ndarray, zj: np.ndarray) -> np.ndarray:
-    """Pack (M, z) into one consensus payload of dimension M*M + M."""
-    M = zj.shape[0]
-    if Mj.shape != (M, M):
-        raise ValueError(f"matrix shape {Mj.shape} does not match vector length {M}")
-    return np.concatenate([Mj.ravel(), zj])
 
 
 def unflatten_payload(v: np.ndarray, M: int):

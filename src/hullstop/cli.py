@@ -147,11 +147,11 @@ def _cmd_hull(args) -> int:
     g = generate_digraph(args.nodes, args.topology, args.seed, args.edge_prob)
     rng = np.random.default_rng([args.seed, 2])
     sets = [rng.random((args.points, args.dim)) for _ in range(g.n)]
-    final, history = run_hull_consensus(sets, g, return_history=True)
-    central = extreme_points(np.vstack(sets))
-    if any(e != central for e in final):
-        raise InvariantViolation("hull protocol did not reach the centralized extreme set")
     with artifact_dir(args.out_dir, g) as (path, summary):
+        final, history = run_hull_consensus(sets, g, return_history=True)
+        central = extreme_points(np.vstack(sets))
+        if any(e != central for e in final):
+            raise InvariantViolation("hull protocol did not reach the centralized extreme set")
         with _csv_table(path("hull_rounds.csv"), "round,node,message", "%d,%d,%s") as write:
             for t, snapshot in enumerate(history):
                 msgs = [";".join(f"{v:.17g}" for v in encode_extreme_set(e)) for e in snapshot]
@@ -208,9 +208,9 @@ def _cmd_lse(args) -> int:
     G_true, z_true = unflatten_payload(payloads.mean(axis=0), M)
     theta_hat = _solve_gram(G_true, z_true)
     steps = args.k_max
-    trace = run_consensus(W, payloads, steps)
 
     with artifact_dir(args.out_dir, g) as (path, summary):
+        trace = run_consensus(W, payloads, steps)
         with _csv_table(path("dataset.csv"), "x,y", "%.17g,%.17g") as write:
             write(xs, ys)
         # row s of the flattened states is step s // n, node s % n

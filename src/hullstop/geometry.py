@@ -31,7 +31,6 @@ __all__ = [
     "PointSet",
     "canonicalize_points",
     "vector_norm",
-    "support_function",
     "hull_membership",
     "extreme_points",
     "pairwise_spread",
@@ -120,15 +119,6 @@ def vector_norm(a, p: float = 2.0, axis: int = -1):
     else:
         acc = ufunc.reduce(term(a), axis=axis)
     return np.sqrt(acc) if p == 2.0 else acc
-
-
-def support_function(S, u) -> float:
-    """max over points of <x, u>; identical for a set and its convex hull."""
-    pts = _as_points(S)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != pts.shape[1]:
-        raise ValueError(f"direction has dim {u.shape[0]}, points have dim {pts.shape[1]}")
-    return float(np.max(pts @ u))
 
 
 _EPS = np.finfo(float).eps

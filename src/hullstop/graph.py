@@ -1,10 +1,10 @@
 """Directed communication graphs, structural queries, and stochastic weights.
 
 Edge convention: the ordered pair (i, j) is an edge meaning node j can send
-to node i. in_adj[i] therefore lists the senders feeding node i and
-out_adj[j] lists the receivers fed by node j. Self-loops are mandatory at
-every node and every graph must be strongly connected; both properties are
-checked at construction time, strong connectivity by the diameter's flood.
+to node i. in_adj[i] therefore lists the senders feeding node i.
+Self-loops are mandatory at every node and every graph must be strongly
+connected; both properties are checked at construction time, strong
+connectivity by the diameter's flood.
 
 Every per-node reduction over senders goes through the graph's in-layout
 (_InLayout), built once at construction in the jagged-diagonal form (Saad,
@@ -24,9 +24,9 @@ with one more take. So each receiver combines its senders in ascending
 order from its first term, with no pad slots; the sum's closing + 0.0
 turns a -0.0 total into +0.0 and changes nothing else, which gives the
 bytes of a sum started at 0.0.
-Every traversal (the diameter, m-hop in-neighborhoods) is one packed-bit
-flood, _flood: each node holds a row of np.packbits bits and each round
-ORs into it the rows of its senders through _in_reduce.
+The diameter is one packed-bit flood, _flood: each node holds a row of
+np.packbits bits and each round ORs into it the rows of its senders
+through _in_reduce.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "DiGraph",
     "StochasticMatrix",
     "generate_digraph",
-    "m_in_neighborhood",
     "make_weights",
     "graph_to_json",
     "graph_from_json",
@@ -62,13 +61,6 @@ def _integer(name, value, low=None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
-
-
-def _reversed(dst, src):
-    """The receiver-sorted (dst, src) arrays of the graph with every edge
-    turned around, i.e. the edges sorted by (sender, receiver)."""
-    back = np.argsort(src, kind="stable")
-    return src[back], dst[back]
 
 
 class _InLayout(NamedTuple):
@@ -154,7 +146,7 @@ def _in_reduce(ufunc, values, layout):
     return _fold(ufunc, *_slots(values, layout), layout)
 
 
-def _flood(layout, seeds, limit=None):
+def _flood(layout, seeds) -> int:
     """OR-flood seed bits along the edges of layout until every node holds
     every bit.
 
@@ -163,22 +155,19 @@ def _flood(layout, seeds, limit=None):
     heard by v so far, and each round ORs the rows of v's senders into it.
     Every receiver hears its own self-loop, so a node never loses a bit.
     The bits stay packed: an unpacked per-edge gather would cost n bytes per
-    edge. Returns (rounds, reach): rounds is the number of rounds until every
-    bit is set, or -1 when a round changes nothing first or `limit` rounds
-    have run.
+    edge. Returns the number of rounds until every bit is set, or -1 when a
+    round changes nothing first.
     """
     reach = np.packbits(seeds, axis=1)
     full = np.packbits(np.ones(seeds.shape[1], dtype=bool))
     rounds = 0
     while not (reach == full).all():
-        if rounds == limit:
-            return -1, reach
         nxt = _in_reduce(np.bitwise_or, reach, layout)
         if np.array_equal(nxt, reach):
-            return -1, reach
+            return -1
         reach = nxt
         rounds += 1
-    return rounds, reach
+    return rounds
 
 
 def _adjacency(recv, send, n):
@@ -248,27 +237,12 @@ class DiGraph:
         return _adjacency(dst, src, self.n)
 
     @cached_property
-    def out_adj(self) -> tuple:
-        """out_adj[j] = ascending receivers i with an edge j -> i."""
-        return _adjacency(*_reversed(*self.edge_arrays), self.n)
-
-    @cached_property
     def diameter(self) -> int:
         """Longest shortest directed path over all ordered node pairs: the
         rounds until every node has heard every other, flooding from the
         identity; -1, which construction rejects, when the flood stalls
         because the graph is not strongly connected."""
-        return _flood(self.in_layout, np.eye(self.n, dtype=bool))[0]
-
-
-def m_in_neighborhood(g: DiGraph, i: int, m: int) -> frozenset:
-    """Nodes from which i is reachable in at most m hops (including i)."""
-    i, m = _integer("i", i), _integer("m", m, 0)
-    if not (0 <= i < g.n):
-        raise ValueError(f"node {i} out of range for n={g.n}")
-    seed = np.arange(g.n)[:, None] == i
-    reach = _flood(_in_layout(g.n, *_reversed(*g.edge_arrays)), seed, limit=m)[1]
-    return frozenset(np.flatnonzero(np.unpackbits(reach, axis=1, count=1)).tolist())
+        return _flood(self.in_layout, np.eye(self.n, dtype=bool))
 
 
 def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,

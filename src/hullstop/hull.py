@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, _Verdicts, extreme_points, hull_diameter, vector_norm
-from .graph import DiGraph, _integer
+from .geometry import PointSet, _Verdicts, extreme_points
+from .graph import DiGraph
 
 __all__ = [
     "HullNodeState",
     "hull_round",
     "run_hull_consensus",
-    "distance_from_convergence_bound",
     "encode_extreme_set",
     "decode_extreme_set",
 ]
@@ -53,9 +52,8 @@ def hull_round(states, g: DiGraph):
     return out
 
 
-def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
-                       return_history: bool = False):
-    """Run the protocol for the given number of rounds (default: diameter).
+def run_hull_consensus(sets, g: DiGraph, return_history: bool = False):
+    """Run the protocol for diameter-many rounds.
 
     Returns the per-node extreme sets after the final round; with
     return_history=True also the list of per-round snapshots, round 0 being
@@ -63,29 +61,15 @@ def run_hull_consensus(sets, g: DiGraph, rounds: int | None = None,
     """
     if len(sets) != g.n:
         raise ValueError(f"got {len(sets)} point sets for {g.n} nodes")
-    rounds = g.diameter if rounds is None else _integer("rounds", rounds, 0)
     states = [HullNodeState(extreme_points(s)) for s in sets]
     history = [[s.ext for s in states]]
-    for _ in range(rounds):
+    for _ in range(g.diameter):
         states = hull_round(states, g)
         history.append([s.ext for s in states])
     final = [s.ext for s in states]
     if return_history:
         return final, history
     return final
-
-
-def distance_from_convergence_bound(E_k, later_states, limit, p: float = 2.0) -> bool:
-    """Check that every later state stays within hull_diameter(E_k) of the
-    limit, the guarantee a node can evaluate once it knows the global
-    extreme set at some time k."""
-    bound = hull_diameter(E_k, p) + 1e-9  # slack for rounding in the deviations
-    states = np.asarray(later_states, dtype=float)
-    if states.ndim == 2:
-        states = states[None]
-    limit = np.asarray(limit, dtype=float)
-    devs = vector_norm(states - limit, p, axis=-1)
-    return bool(devs.max() <= bound)
 
 
 def encode_extreme_set(ps: PointSet) -> list:

@@ -64,7 +64,6 @@ __all__ = [
     "radius_step",
     "bit_step",
     "minmax_envelope",
-    "box_criterion",
     "RadiusWindow",
     "BoxWindow",
     "HullWindow",
@@ -128,22 +127,13 @@ def _bits(layout, b) -> np.ndarray:
 class MinMaxEnvelope(NamedTuple):
     M: np.ndarray
     m: np.ndarray
-    k: int
 
 
-def minmax_envelope(states, k: int = 0) -> MinMaxEnvelope:
+def minmax_envelope(states) -> MinMaxEnvelope:
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected (n, d) states, got shape {arr.shape}")
-    return MinMaxEnvelope(arr.max(axis=0), arr.min(axis=0), k)
-
-
-def box_criterion(states, rho: float, p: float = 2.0) -> bool:
-    """True when the envelope spread ||M - m||_p drops below rho."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    env = minmax_envelope(states)
-    return bool(vector_norm(env.M - env.m, p, axis=-1) < rho)
+    return MinMaxEnvelope(arr.max(axis=0), arr.min(axis=0))
 
 
 class RadiusWindow(NamedTuple):
@@ -500,18 +490,18 @@ def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,
     """Extra bits per neighbor interaction on top of the consensus payload:
     radius = B + 1 (one float plus the halt bit), box = 2*B*d (two
     envelope vectors), hull = B*d*hull_size (a full extreme set)."""
-    if B < 1:
-        raise ValueError(f"need B >= 1, got {B}")
+    B = _integer("B", B, 1)
     if method == "radius":
         return B + 1
-    if d is None or d < 1:
+    if d is None:
         raise ValueError(f"method {method!r} needs a dimension d >= 1")
+    d = _integer("d", d, 1)
     if method == "box":
         return 2 * B * d
     if method == "hull":
-        if hull_size is None or hull_size < 1:
+        if hull_size is None:
             raise ValueError("hull accounting needs the message size in points")
-        return B * d * hull_size
+        return B * d * _integer("hull_size", hull_size, 1)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -1,10 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately written with different algorithms than the library: reachability
-by set saturation, diameter by Floyd-Warshall, planar hulls by the monotone
-chain construction, in-neighbour sums by a plain loop over the dense weight
-view, in-neighbour maxima and minima by a fold one edge at a time, so
-agreement is meaningful. The writers, the membership decider, Wolfe's loop
+by set saturation, m-hop senders by m rounds of it, out-adjacency by one pass
+over the edge pairs, diameter by Floyd-Warshall, planar hulls by the monotone
+chain construction, support values by one matrix product, a sample's
+least-squares payload by np.outer, in-neighbour sums by a plain loop over the
+dense weight view, in-neighbour maxima and minima by a fold one edge at a
+time, so agreement is meaningful. The writers, the membership decider, Wolfe's loop
 and its corral step, the per-item least-squares bound and the extreme-point
 loop are the earlier forms of library code, kept to show that a faster form
 gives the same result. The dense n x n weight view lives only here, with the
@@ -34,6 +36,36 @@ def reach_set(adj, start):
                     nxt.add(v)
         frontier = nxt
     return seen
+
+
+def m_hop_senders(g, i, m):
+    """The nodes that reach node i in at most m hops, i included: m rounds
+    of expansion over g.in_adj from {i}."""
+    seen = {i}
+    frontier = {i}
+    for _ in range(m):
+        frontier = {j for v in frontier for j in g.in_adj[v]} - seen
+        seen |= frontier
+    return frozenset(seen)
+
+
+def out_adjacency(g):
+    """out_adj[j]: the receivers i of the edges (i, j) of g, ascending."""
+    out = [[] for _ in range(g.n)]
+    for i, j in sorted(g.edges):
+        out[j].append(i)
+    return tuple(map(tuple, out))
+
+
+def support_function(points, u):
+    """max over the points x of <x, u>."""
+    return float(np.max(np.asarray(points, dtype=float) @ np.asarray(u, dtype=float)))
+
+
+def lse_local_payload(x, y, basis):
+    """One sample's least-squares payload (g g^T, g y), g the basis at x."""
+    g = np.array([f(x) for f in basis], dtype=float)
+    return np.outer(g, g), g * y
 
 
 def dense_weights(W):

@@ -12,7 +12,6 @@ from hullstop import (
     StochasticMatrix,
     consensus_limit,
     generate_digraph,
-    m_in_neighborhood,
     make_ratio_state,
     make_weights,
     pairwise_spread,
@@ -24,8 +23,8 @@ from hullstop import (
     scalar_vector_equivalence_check,
     write_state_csv,
 )
-from oracles import (dense_weights, in_sum_reference, perron_left_dense_reference,
-                     write_state_csv_rows_reference)
+from oracles import (dense_weights, in_sum_reference, m_hop_senders,
+                     perron_left_dense_reference, write_state_csv_rows_reference)
 
 
 def ring(n):
@@ -203,8 +202,8 @@ def test_information_respects_graph_distance():
     x0 = rng.random((6, 2))
     i, j = 0, 3  # dist(j -> i) on the ring is 3
     L = 3
-    assert j not in m_in_neighborhood(g, i, L - 1)
-    assert j in m_in_neighborhood(g, i, L)
+    assert j not in m_hop_senders(g, i, L - 1)
+    assert j in m_hop_senders(g, i, L)
     x1 = x0.copy()
     x1[j] += 1.0
     ta = run_consensus(W, x0, L)

