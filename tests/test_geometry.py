@@ -101,6 +101,28 @@ def test_vector_norms():
         vector_norm(v, 3)
 
 
+def test_support_function_square():
+    # the extreme set of the unit square is its four corners, and it keeps
+    # the square's support values
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ext = extreme_points(sq).points
+    assert {tuple(v) for v in ext} == {tuple(v) for v in sq}
+    assert support_function(ext, np.array([1.0, 0.0])) == 1.0
+    assert support_function(ext, np.array([-1.0, -1.0])) == 0.0
+    assert support_function(ext, np.array([1.0, 1.0])) == 2.0
+
+
+def test_support_function_ignores_interior_points():
+    # an interior point leaves the extreme set, and no support value moves
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with_mid = np.vstack([sq, [[0.5, 0.5]]])
+    ext = extreme_points(with_mid).points
+    assert {tuple(v) for v in ext} == {tuple(v) for v in sq}
+    for theta in np.linspace(0, 2 * np.pi, 17):
+        d = np.array([np.cos(theta), np.sin(theta)])
+        assert support_function(ext, d) == support_function(with_mid, d)
+
+
 # --- membership ---
 
 

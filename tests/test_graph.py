@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hullstop import (
     DiGraph,
@@ -14,7 +15,7 @@ from hullstop import (
     graph_to_json,
     make_weights,
 )
-from oracles import dense_weights, floyd_warshall_diameter, out_adjacency, reach_set
+from oracles import dense_weights, floyd_warshall_diameter, m_hop_senders, out_adjacency, reach_set
 
 
 def ring(n):
@@ -174,6 +175,26 @@ def test_edge_prob_validated():
 def test_unknown_model():
     with pytest.raises(ValueError):
         generate_digraph(4, "torus", seed=0)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_m_in_neighborhood_matches_bfs_depth(n, m):
+    # the diameter is the BFS depth at which the m-hop sender sets saturate:
+    # below it some node still misses a sender, from it on none does
+    g = generate_digraph(max(n, 2), "erdos_renyi", seed=n * 7 + m, edge_prob=0.3)
+    full = frozenset(range(g.n))
+    saturated = all(m_hop_senders(g, i, m) == full for i in range(g.n))
+    assert saturated == (m >= g.diameter)
+
+
+def test_m_neighborhood_saturates_at_diameter():
+    g = generate_digraph(8, "erdos_renyi", seed=1, edge_prob=0.3)
+    d = g.diameter
+    full = frozenset(range(g.n))
+    for i in range(g.n):
+        assert m_hop_senders(g, i, d) == full
+    assert any(m_hop_senders(g, i, d - 1) != full for i in range(g.n))
 
 
 # --- weights ---

@@ -84,6 +84,14 @@ def test_fixed_point_after_agreement():
     assert all(a.ext == b.ext for a, b in zip(nxt, states))
 
 
+def test_zero_rounds_returns_own_extremes():
+    # round 0 of the history is each node's own extreme set
+    g = ring(3)
+    sets = corner_sets()
+    _, hist = run_hull_consensus(sets, g, return_history=True)
+    assert hist[0] == [extreme_points(s) for s in sets]
+
+
 def test_input_validation():
     g = ring(3)
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from hullstop import (
     write_state_csv,
     write_termination_csv,
 )
-from hullstop.termination import _BoxRule, _RadiusRule
+from hullstop.termination import _BoxRule, _RadiusRule, _stream
 
 from oracles import m_hop_senders
 
@@ -245,6 +245,17 @@ def test_stopping_rejects_bad_input_at_entry(run, kw, match):
     g = ring(8)
     with pytest.raises(ValueError, match=match):
         run(g, make_weights(g, "column"), np.zeros((8, 2)), **{"k_max": 0, **kw})
+
+
+def test_box_criterion_rejects_nan_rho():
+    # the streamed box rule, which the harness and the CLI run, rejects a
+    # NaN rho before step 0 reaches the sink
+    g = ring(4)
+    rows = []
+    with pytest.raises(ValueError, match="rho must be positive"):
+        _stream("box", g, make_weights(g, "column"), np.zeros((4, 2)), float("nan"),
+                None, np.inf, 50, lambda *row: rows.append(row))
+    assert rows == []
 
 
 def test_radius_row_engine_halts():
