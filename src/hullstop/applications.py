@@ -259,18 +259,30 @@ def funccalc_init(u) -> RatioState:
     return make_ratio_state(x0)
 
 
+def _by_row(reduce):
+    """reduce over the last axis: a float for one vector, an array of one
+    value per row for a stack of them. A C-ordered row is reduced as numpy
+    reduces a 1-D array (pairwise for a sum), so each value is that row's
+    own call bit for bit."""
+    def f(v):
+        out = reduce(v, axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
+    return f
+
+
 def registered_function(name: str, N: int):
     """Built-in target functions with Holder constants under the 2-norm.
 
     max: largest coordinate, C=1, alpha=1. mean: C=N^-1/2. sum: C=N^1/2,
-    both by Cauchy-Schwarz. Returns (f, C, alpha).
+    both by Cauchy-Schwarz. Returns (f, C, alpha); f takes one vector, or
+    a stack of them whose rows it maps (see funccalc_error).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     table = {
-        "max": (lambda v: float(np.max(v)), 1.0, 1.0),
-        "mean": (lambda v: float(np.mean(v)), 1.0 / np.sqrt(N), 1.0),
-        "sum": (lambda v: float(np.sum(v)), float(np.sqrt(N)), 1.0),
+        "max": (_by_row(np.max), 1.0, 1.0),
+        "mean": (_by_row(np.mean), 1.0 / np.sqrt(N), 1.0),
+        "sum": (_by_row(np.sum), float(np.sqrt(N)), 1.0),
     }
     if name not in table:
         raise ValueError(f"unknown function {name!r}, expected one of {sorted(table)}")
@@ -279,13 +291,22 @@ def registered_function(name: str, N: int):
 
 def funccalc_error(f, C: float, alpha: float, r_i, r_bar):
     """Holder error check: returns (lhs, rhs, holds) for
-    |f(r_i) - f(r_bar)| <= C ||r_i - r_bar||_2^alpha."""
+    |f(r_i) - f(r_bar)| <= C ||r_i - r_bar||_2^alpha.
+
+    r_i is one state, giving floats and a bool, or an (n, N) stack of them,
+    giving (n,) arrays equal to the per-row calls bit for bit; f must then
+    map the rows, as registered_function's do. The power is Python's scalar
+    one per row: numpy's vectorised power can round differently."""
     if C < 0:
         raise ValueError(f"C must be >= 0, got {C}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    r_i = np.asarray(r_i, dtype=float)
+    r_i = np.ascontiguousarray(r_i, dtype=float)
     r_bar = np.asarray(r_bar, dtype=float)
-    lhs = abs(float(f(r_i)) - float(f(r_bar)))
-    rhs = C * float(vector_norm(r_i - r_bar, 2.0)) ** alpha
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
+    lhs = np.abs(np.asarray(f(r_i), dtype=float) - float(f(r_bar)))
+    dist = np.atleast_1d(vector_norm(r_i - r_bar, 2.0)).tolist()
+    rhs = np.array([C * v ** alpha for v in dist])
+    holds = lhs <= rhs + 1e-12
+    if r_i.ndim < 2:
+        return float(lhs), float(rhs[0]), bool(holds[0])
+    return lhs, rhs, holds

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 no halt within k_max,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -23,7 +24,7 @@ import numpy as np
 from .applications import (_design, _payloads, _solve_gram, funccalc_error,
                            funccalc_init, lse_error_bound_blocks, polynomial_basis,
                            registered_function, unflatten_payload)
-from .consensus import _StateRows, _csv_table, consensus_limit, run_consensus
+from .consensus import _CHUNK_ROWS, _StateRows, _csv_table, consensus_limit
 from .errors import InvariantViolation
 from .geometry import extreme_points, vector_norm
 from .graph import MODELS, generate_digraph, make_weights
@@ -124,10 +125,26 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _no_file_on_the_way(out_dir):
+    """Raise, making nothing, the OSError os.makedirs(out_dir, exist_ok=True)
+    would raise for a file at out_dir (File exists) or above it (Not a
+    directory). compare makes its directory only after its runs, so that a
+    run rejected on its config (a --d-bound below the diameter, say) leaves
+    none; this rejects an unusable out_dir before the first step."""
+    head = out_dir
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        at = os.path.normpath(head) == os.path.normpath(out_dir)
+        code = errno.EEXIST if at else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out_dir)
+
+
 def _cmd_compare(args) -> int:
     if args.rho is None:
         raise _CliError("compare requires --rho")
     cfg = _config_from(args)
+    _no_file_on_the_way(args.out_dir)
     rows = compare_criteria(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     write_json(os.path.join(args.out_dir, "compare.json"), rows)
@@ -210,19 +227,41 @@ def _cmd_lse(args) -> int:
     steps = args.k_max
 
     with artifact_dir(args.out_dir, g) as (path, summary):
-        trace = run_consensus(W, payloads, steps)
         with _csv_table(path("dataset.csv"), "x,y", "%.17g,%.17g") as write:
             write(xs, ys)
-        # row s of the flattened states is step s // n, node s % n
-        states = trace.states.reshape(-1, M * M + M)
-        lhs = np.empty(len(states))
+        final_lhs = np.empty(n)
         with _csv_table(path("bound.csv"), "n,node,lhs,bound,holds",
                         "%d,%d,%.17g,%.17g,%s") as write:
-            for s, eb in lse_error_bound_blocks(states, G_true, z_true):
-                k, node = np.divmod(np.arange(s, s + len(eb.m)), n)
-                lhs[s:s + len(eb.m)] = eb.lhs
-                write(k, node, eb.lhs, eb.bound, np.where(eb.applicable, eb.holds.astype(int), "na"))
-        final_err = float(np.nanmax(lhs[-n:], initial=0.0))
+            # row s of bound.csv is step s // n, node s % n. Step rows gather
+            # in one _CHUNK_ROWS-row block, bounded and written once full, so
+            # the kernel gets the blocks it would over the whole history
+            block = np.empty((_CHUNK_ROWS, M * M + M))
+            done = held = 0  # rows written; rows waiting in block
+
+            def flush():
+                nonlocal done, held
+                (_, eb), = lse_error_bound_blocks(block[:held], G_true, z_true)
+                k, node = np.divmod(np.arange(done, done + held), n)
+                last = k == steps
+                final_lhs[node[last]] = eb.lhs[last]
+                write(k, node, eb.lhs, eb.bound,
+                      np.where(eb.applicable, eb.holds.astype(int), "na"))
+                done, held = done + held, 0
+
+            def sink(k, row, halt):
+                nonlocal held
+                rs, i = row["rs"], 0
+                while i < n:
+                    fit = min(n - i, _CHUNK_ROWS - held)
+                    block[held:held + fit] = rs[i:i + fit]
+                    held, i = held + fit, i + fit
+                    if held == _CHUNK_ROWS:
+                        flush()
+
+            _stream("none", g, W, payloads, None, None, 2.0, steps, sink)
+            if held:
+                flush()
+        final_err = float(np.nanmax(final_lhs, initial=0.0))
         summary.update({
             "theta_hat": [float(v) for v in theta_hat],
             "n": int(n),
@@ -264,8 +303,7 @@ def _cmd_funccalc(args) -> int:
                 # states.csv and holder.csv rows of each step as the run makes it
                 nonlocal holder_ok, lhs
                 states(k, row["rs"], row["xs"], row["ys"])
-                lhs, rhs, ok = np.array(
-                    [funccalc_error(f, C, alpha, r, r_bar) for r in row["rs"]]).T
+                lhs, rhs, ok = funccalc_error(f, C, alpha, row["rs"], r_bar)
                 holder_ok = holder_ok and bool(ok.all())
                 write(k, np.arange(n), lhs, rhs, ok)
 

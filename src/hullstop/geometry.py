@@ -107,9 +107,16 @@ def vector_norm(a, p: float = 2.0, axis: int = -1):
     """p-norm along an axis for p in {1, 2, inf}. A last axis of 1 to 7
     entries is folded column by column: below 8 terms numpy's pairwise sum
     adds left to right, so this gives ufunc.reduce's bytes in either memory
-    order without its per-row cost. Other cases keep ufunc.reduce."""
-    a = np.asarray(a, dtype=float)
-    p = _norm_order(p)
+    order without its per-row cost. Other cases keep ufunc.reduce. a is
+    never written."""
+    return _norm(np.asarray(a, dtype=float), _norm_order(p), axis)
+
+
+def _norm(a, p, axis=-1, scratch=False):
+    """vector_norm on a float array a and a checked order p. scratch=True
+    hands a over to be overwritten: ufunc.reduce's branch then squares (or
+    takes the abs of) a in place instead of into a second array of a's size,
+    which gives the same bytes."""
     term = np.square if p == 2.0 else np.abs
     ufunc = np.maximum if p == np.inf else np.add
     if a.ndim > 1 and axis in (-1, a.ndim - 1) and 0 < a.shape[-1] < 8:
@@ -117,7 +124,7 @@ def vector_norm(a, p: float = 2.0, axis: int = -1):
         for c in range(1, a.shape[-1]):
             ufunc(acc, term(a[..., c]), out=acc)
     else:
-        acc = ufunc.reduce(term(a), axis=axis)
+        acc = ufunc.reduce(term(a, out=a) if scratch else term(a), axis=axis)
     return np.sqrt(acc) if p == 2.0 else acc
 
 

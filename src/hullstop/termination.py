@@ -32,10 +32,12 @@ envelopes) run over the graph's slot-major in-layout (graph._in_reduce, or
 graph._fold on the radius step's per-edge candidates), each receiver taking
 its senders in ascending order. Rows are gathered with ndarray.take from
 the engines' C-ordered states; the radius step subtracts them from the
-ranked receiver rows slot by slot, in place, so it holds one (E, d) array
-at its peak. The bit step is the identity when all bits are 0 (every
-window before the first detection) or all are 1: every node has its
-self-loop, so an OR over equal bits changes none of them.
+ranked receiver rows slot by slot, in place, and squares (or takes the abs
+of) that difference in place for its norm, so it holds one (E, d) array at
+its peak; the public radius_step never writes its inputs. The bit step is
+the identity when all bits are 0 (every window before the first detection)
+or all are 1: every node has its self-loop, so an OR over equal bits
+changes none of them.
 
 The public radius_step and bit_step check their input, then run the
 kernels _radius and _bits. _run_windows checks rho and p once, and its
@@ -55,7 +57,7 @@ import numpy as np
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
 from .consensus import _CHUNK_ROWS, _Engine, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
-from .geometry import PointSet, _norm_order, hull_diameter, vector_norm
+from .geometry import PointSet, _norm, _norm_order, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _fold, _in_reduce, _integer
 from .hull import hull_round, HullNodeState
 
@@ -85,12 +87,13 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
     if r_new.shape != r_old.shape or r_new.shape[0] != g.n or R_old.shape != (g.n,):
         raise ValueError(
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
-    return _radius(g.in_layout, r_new, r_old, R_old, p)
+    return _radius(g.in_layout, r_new, r_old, R_old, _norm_order(p))
 
 
 def _radius(layout, r_new, r_old, R_old, p) -> np.ndarray:
-    """radius_step's arithmetic on float arrays of checked shapes."""
-    cand = vector_norm(_edge_gaps(layout, r_new, r_old), p)
+    """radius_step's arithmetic on float arrays of checked shapes and a
+    checked order p. The norm overwrites the gaps, this step's own array."""
+    cand = _norm(_edge_gaps(layout, r_new, r_old), p, scratch=True)
     cand += R_old.take(layout.send)
     n = len(R_old)
     return _fold(np.maximum, cand[:n].copy(), cand[n:], layout)

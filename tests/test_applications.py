@@ -348,6 +348,31 @@ def test_registered_functions_and_holder():
             assert ok and lhs <= rhs + 1e-12
 
 
+def test_funccalc_error_on_stacked_rows_equals_the_row_loop():
+    # one call over the (n, N) states of a step, as funccalc makes it, gives
+    # each row's own call bit for bit: 10 N x 4 scales x 3 functions x 2
+    # memory orders x 2 alphas = 480 cases; from N = 8 numpy sums a row
+    # pairwise, both in a 1-D call and along the last axis of C-ordered rows
+    rng = np.random.default_rng(29)
+    cases = 0
+    for N in (1, 2, 7, 8, 9, 16, 17, 64, 129, 200):
+        for scale in (1e-8, 1e-2, 1e3, 1e8):
+            u = rng.normal(size=N) * scale
+            R = u + rng.normal(size=(6, N)) * scale * 10.0 ** rng.integers(-9, 1, (6, 1))
+            for name in ("max", "mean", "sum"):
+                f, C, _ = registered_function(name, N)
+                for order in ("C", "F"):
+                    for alpha in (1.0, 0.37):
+                        stacked = funccalc_error(f, C, alpha, np.asarray(R, order=order), u)
+                        rows = [funccalc_error(f, C, alpha, r, u) for r in R]
+                        assert all(type(v) is float for row in rows for v in row[:2])
+                        loop = [np.array(col) for col in zip(*rows)]
+                        for got, want in zip(stacked, loop):
+                            assert got.shape == (6,) and got.tobytes() == want.tobytes()
+                        cases += 1
+    assert cases == 480
+
+
 def test_funccalc_error_validation():
     f, C, a = registered_function("max", 3)
     with pytest.raises(ValueError):

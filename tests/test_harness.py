@@ -17,9 +17,17 @@ from hullstop import (
     ExperimentConfig,
     InvariantViolation,
     compare_criteria,
+    generate_digraph,
+    lse_batch,
+    lse_gram,
+    lse_payload_states,
+    make_weights,
+    polynomial_basis,
+    run_consensus,
     run_experiment,
     verify_states_file,
 )
+from oracles import lse_error_bound_reference, write_bound_reference
 
 
 def cfg_for(tmp_path, **kw):
@@ -266,7 +274,8 @@ def test_cli_out_dir_on_a_file_is_config_error(tmp_path, capsys):
     (["funccalc"], consensus._Engine, "step"),
     (["lse", "--k-max", "3000"], consensus._Engine, "step"),
     (["hull", "--dim", "3", "--points", "6"], hull, "hull_round"),
-], ids=["run", "funccalc", "lse", "hull"])
+    (["compare", "--rho", "0.01"], consensus._Engine, "step"),
+], ids=["run", "funccalc", "lse", "hull", "compare"])
 def test_cli_out_dir_on_a_file_is_rejected_before_any_step(tmp_path, capsys, spy_calls,
                                                            argv, module, step):
     blocker = tmp_path / "blocker"
@@ -277,8 +286,25 @@ def test_cli_out_dir_on_a_file_is_rejected_before_any_step(tmp_path, capsys, spy
     assert steps == []
 
 
-@pytest.mark.parametrize("argv", [["run"], ["run", "--stopping", "box"], ["funccalc"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper/"], ids=["file", "sub", "deeper"])
+def test_cli_compare_out_dir_under_a_file_fails_as_makedirs_would(tmp_path, capsys, spy_calls,
+                                                                  below):
+    # compare makes its directory only after its runs, so it checks the
+    # path first for the error os.makedirs would raise there
+    out = tmp_path / "blocker"
+    out.write_text("")
+    out = os.path.join(out, below)
+    with pytest.raises(OSError) as made:
+        os.makedirs(out, exist_ok=True)
+    steps = spy_calls(consensus._Engine, "step")
+    assert cli.main(["compare", "--rho", "0.01", "--nodes", "6", "--out-dir", out]) == 1
+    assert f"configuration error: [Errno {made.value.errno}] {made.value.strerror}: " in \
+        capsys.readouterr().err
+    assert steps == []
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--stopping", "box"], ["funccalc"],
+                                  ["compare", "--rho", "0.01"]], ids=" ".join)
 def test_cli_window_below_the_diameter_is_rejected_before_the_out_dir(tmp_path, argv):
     out = tmp_path / "o"
     rc = cli.main(argv + ["--nodes", "8", "--topology", "ring", "--d-bound", "3",
@@ -418,6 +444,69 @@ def test_cli_lse_makes_one_kernel_call_per_block(tmp_path, spy_calls):
     assert per_item == [] and "lse_error_bound" not in vars(cli)
     # 61 steps x 10 nodes = 610 (step, node) items, in blocks of 256
     assert [len(args[0]) for args, _ in blocks] == [256, 256, 98]
+
+
+# (argv, bound.csv rows): one step, two steps, a step of 300 rows (longer
+# than a 256-row block), 378 rows (no multiple of 256) and a degree-5 basis
+# whose early rows are singular or out of the bound's reach
+LSE_STREAMED = {
+    "k0": (["--k-max", "0"], 10),
+    "k1": (["--k-max", "1", "--seed", "4"], 20),
+    "n300": (["--nodes", "300", "--k-max", "2", "--edge-prob", "0.05"], 900),
+    "n7": (["--nodes", "7", "--k-max", "53", "--seed", "2"], 378),
+    "deg5": (["--nodes", "9", "--degree", "5", "--k-max", "30", "--seed", "1"], 279),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LSE_STREAMED))
+def test_cli_lse_streamed_bounds_match_the_whole_run(tmp_path, name):
+    # bound.csv and summary.json from the whole run_consensus history, one
+    # reference bound per (step, node)
+    extra, count = LSE_STREAMED[name]
+    out = tmp_path / "l"
+    assert cli.main(["lse", *extra, "--out-dir", str(out)]) == 0
+    args = cli.build_parser().parse_args(["lse", *extra])
+    xs, ys = np.loadtxt(out / "dataset.csv", delimiter=",", skiprows=1, unpack=True, ndmin=2)
+    basis = polynomial_basis(args.degree)
+    M, n = len(basis), len(xs)
+    g = generate_digraph(n, args.topology, args.seed, args.edge_prob)
+    trace = run_consensus(make_weights(g, "column"), lse_payload_states(xs, ys, basis).x,
+                          args.k_max)
+    G, z = lse_gram(xs, ys, basis)
+    rows = []
+    for k, step in enumerate(trace.states):
+        for i, payload in enumerate(step):
+            try:
+                eb = lse_error_bound_reference(payload[:M * M].reshape(M, M), payload[M * M:],
+                                               G, z)
+            except np.linalg.LinAlgError:
+                rows.append((k, i, np.nan, np.nan, None))
+                continue
+            rows.append((k, i, np.nan if eb.lhs is None else eb.lhs, eb.bound, eb.holds))
+    assert len(rows) == count
+    if name == "deg5":
+        assert rows[n][4] is None and rows[-1][4] is not None
+    write_bound_reference(rows, tmp_path / "ref.csv")
+    assert (out / "bound.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    last = np.array([row[2] for row in rows[-n:]])
+    assert json.loads((out / "summary.json").read_text()) == {
+        "theta_hat": lse_batch(xs, ys, basis).tolist(), "n": n, "k_steps": args.k_max,
+        "final_max_error": float(np.nanmax(last, initial=0.0)), "basis_size": M}
+
+
+def test_cli_lse_memory_is_flat_in_the_step_count(tmp_path):
+    # the run streams its bound rows a block at a time; a whole history of
+    # 3001 steps had added 12.6 MB over that of 301
+    def peak(k_max):
+        tracemalloc.start()
+        try:
+            assert cli.main(["lse", "--k-max", str(k_max), "--out-dir", str(tmp_path / "l")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cli.main(["lse", "--k-max", "5", "--out-dir", str(tmp_path / "l")])  # warm-up
+    assert peak(3000) - peak(300) < 0.5e6
 
 
 def test_cli_lse_reads_dataset(tmp_path):

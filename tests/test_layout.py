@@ -22,6 +22,7 @@ from hullstop import (
     radius_step,
     ratio_step,
     row_step,
+    vector_norm,
 )
 from hullstop.termination import _BoxRule
 from oracles import (
@@ -247,6 +248,41 @@ def test_radius_step_peak_memory_on_the_edge_layout():
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * E * d * 8
+
+
+def test_radius_step_norms_its_gaps_in_place_from_eight_columns():
+    # from d = 8 the norm reduces the gathered (E, d) difference with
+    # ufunc.reduce; squaring it in place holds one (E, d) array at the peak,
+    # where squares into a second one reached about 2.02
+    n, d = 50, 50
+    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=0.3)
+    E = len(g.edges)
+    rng = np.random.default_rng(1)
+    r_new, r_old, R_old = rng.random((n, d)), rng.random((n, d)), rng.random(n)
+    radius_step(g, r_new, r_old, R_old)
+    tracemalloc.start()
+    try:
+        radius_step(g, r_new, r_old, R_old)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * E * d * 8
+
+
+@pytest.mark.parametrize("d", [4, 8, 50])
+def test_radius_step_and_vector_norm_leave_their_inputs_unwritten(d):
+    g = generate_digraph(30, "erdos_renyi", seed=2, edge_prob=0.3)
+    rng = np.random.default_rng(d)
+    for order in ("C", "F"):
+        r_new, r_old = (np.asarray(rng.normal(size=(g.n, d)), order=order) for _ in range(2))
+        R_old = rng.random(g.n)
+        before = [a.tobytes() for a in (r_new, r_old, R_old)]
+        for p in (1.0, 2.0, np.inf):
+            radius_step(g, r_new, r_old, R_old, p)
+            for a in (r_new, r_old):
+                vector_norm(a, p)
+                vector_norm(a, p, axis=0)
+            assert [a.tobytes() for a in (r_new, r_old, R_old)] == before
 
 
 def test_box_step_peak_memory_on_the_edge_layout():
