@@ -533,8 +533,10 @@ def pairwise_spread(states, p: float = 2.0) -> float:
     if arr.ndim != 2:
         raise ValueError(f"expected (n, d) states, got shape {arr.shape}")
     n, d = arr.shape
+    p = _norm_order(p)
     rows = max(1, (1 << 16) // max(1, n * d))
-    return max(float(vector_norm(arr[s:s + rows, None, :] - arr, p, axis=-1).max())
+    # each block difference is its own array, so its norm may overwrite it
+    return max(float(_norm(arr[s:s + rows, None, :] - arr, p, scratch=True).max())
                for s in range(0, n, rows))
 
 

@@ -13,17 +13,22 @@ Every per-node reduction over senders goes through the graph's in-layout
 so the ranking is the identity when every in-degree is equal (rings,
 complete graphs). Slot k lists the (k+1)-th smallest sender of each of the
 first m_k ranked receivers, the ones with more than k senders; every
-receiver has its self-loop, so slot 0 covers all of them. Two kernels use
-it: _in_sum for weighted sums of the rows of an (n, c) array and _in_reduce
-for maximum, minimum and bitwise_or. _in_sum gathers every slot with one
-ndarray.take and scales it with one in-place multiply by the slot weights,
-whose first n rows are its accumulator; _in_reduce gathers slot 0 into a
-fresh accumulator and the later slots with one more take. Both combine
-slot k into the accumulator's first m_k rows in place and undo the ranking
-with one more take. So each receiver combines its senders in ascending
-order from its first term, with no pad slots; the sum's closing + 0.0
-turns a -0.0 total into +0.0 and changes nothing else, which gives the
-bytes of a sum started at 0.0.
+receiver has its self-loop, so slot 0 covers all of them. The slots are
+cut into groups, runs of whole consecutive slots of at most
+max(n, _GATHER_ROWS) rows, and one helper, _in_fold, gathers and folds
+them one group at a time, so a step holds one group's rows at a time,
+never one row per edge: a graph of at most _GATHER_ROWS edges (a ring up
+to 2048 nodes) is one group. Per group it gathers each input's rows at the group's
+senders with one ndarray.take and turns them into the group's terms;
+slot 0's terms start a fresh accumulator and each later slot k is folded
+into its first m_k rows in place, and one more take undoes the ranking.
+Three kernels use it: _in_sum for weighted sums of the rows of an (n, c)
+array (its terms are the rows scaled in place by the slot weights),
+_in_reduce for maximum, minimum and bitwise_or, and the radius step in
+termination. So each receiver combines its senders in ascending order from
+its first term, with no pad slots, whatever the groups; the sum's closing
++ 0.0 turns a -0.0 total into +0.0 and changes nothing else, which gives
+the bytes of a sum started at 0.0.
 The diameter is one packed-bit flood, _flood: each node holds a row of
 np.packbits bits and each round ORs into it the rows of its senders
 through _in_reduce.
@@ -49,6 +54,8 @@ __all__ = [
 ]
 
 MODELS = ("erdos_renyi", "ring", "complete")
+# edge pairs graph_to_json formats per %-template
+_JSON_EDGES = 4096
 
 
 def _integer(name, value, low=None) -> int:
@@ -63,17 +70,33 @@ def _integer(name, value, low=None) -> int:
     return value
 
 
+# the most slot rows one gather of _in_fold holds, unless a slot is longer
+_GATHER_ROWS = 4096
+
+
+class _Group(NamedTuple):
+    """A run of whole consecutive slots of an in-layout: rows is its slice
+    of the slot rows, send the senders at those rows (a read-only view) and
+    slots the (offset, m) of each of its slots within the run."""
+
+    rows: slice
+    send: np.ndarray
+    slots: tuple
+
+
 class _InLayout(NamedTuple):
     """A graph's in-adjacency slot by slot (the module docstring). Slot k is
     send[start:start + m] for (start, m) = blocks[k]: the (k+1)-th smallest
-    sender of each of the first m ranked receivers. ranked lists the
-    receivers by rank and rank gives each receiver's rank; both are None
-    when the ranking is the identity. The arrays are read-only."""
+    sender of each of the first m ranked receivers. groups cuts the slots
+    into _Group runs for _in_fold. ranked lists the receivers by rank and
+    rank gives each receiver's rank; both are None when the ranking is the
+    identity. The arrays are read-only."""
 
     send: np.ndarray
     ranked: np.ndarray | None
     rank: np.ndarray | None
     blocks: tuple
+    groups: tuple
 
 
 def _slot_order(n, recv):
@@ -97,29 +120,62 @@ def _slot_order(n, recv):
     return order, ranked, rank, tuple(zip(starts.tolist(), m.tolist()))
 
 
+def _groups(n, send, blocks) -> tuple:
+    """The slots of blocks in runs of whole consecutive slots, each run as
+    long as the next slot keeps it within max(n, _GATHER_ROWS) rows; a slot
+    has at most n rows, so every run holds at least one."""
+    cap = max(n, _GATHER_ROWS)
+    runs = [[]]
+    for start, m in blocks:
+        if runs[-1] and start + m - runs[-1][0][0] > cap:
+            runs.append([])
+        runs[-1].append((start, m))
+    groups = []
+    for run in runs:
+        a, b = run[0][0], run[-1][0] + run[-1][1]
+        groups.append(_Group(slice(a, b), send[a:b], tuple((s - a, m) for s, m in run)))
+    return tuple(groups)
+
+
 def _in_layout(n, recv, send) -> _InLayout:
     """The in-layout of the receiver-sorted edge arrays (recv, send) that
     include every self-loop."""
-    order, *ranking = _slot_order(n, recv)
+    order, ranked, rank, blocks = _slot_order(n, recv)
     send = send[order]
     send.setflags(write=False)
-    return _InLayout(send, *ranking)
+    return _InLayout(send, ranked, rank, blocks, _groups(n, send, blocks))
 
 
-def _slots(values, layout):
-    """The rows of the (n, ...) values at slot 0, a fresh (n, ...)
-    accumulator in rank order, and at every later slot, in slot order."""
-    n = len(values)
-    return values.take(layout.send[:n], axis=0), values.take(layout.send[n:], axis=0)
-
-
-def _fold(ufunc, head, tail, layout):
-    """Fold each later slot of tail into the rows of head in place, then
-    return head in node order: head itself under the identity ranking."""
-    n = len(head)
-    for start, m in layout.blocks[1:]:
-        ufunc(head[:m], tail[start - n:start - n + m], out=head[:m])
-    return head if layout.rank is None else head.take(layout.rank, axis=0)
+def _in_fold(ufunc, layout, terms, *values):
+    """ufunc (add, maximum, minimum, bitwise_or) folded over each
+    receiver's per-sender terms in ascending sender order from the first,
+    as a fresh array in node order. Group by group, each of the (n, ...)
+    values is gathered at the group's senders with one take, and
+    terms(group, *rows) returns the group's terms, an array of its own
+    that the fold may write; with terms None the one value's rows are the
+    terms. The accumulator starts as the group itself when it is slot 0
+    alone, else as a fresh array, so no group outlives its fold: ufunc of
+    slots 0 and 1 when slot 1 holds every receiver, as on every strongly
+    connected graph of two or more nodes, else a copy of slot 0."""
+    n = len(values[0])
+    acc = None
+    for group in layout.groups:
+        if terms is None:
+            t = values[0].take(group.send, axis=0)
+        else:
+            t = terms(group, *[v.take(group.send, axis=0) for v in values])
+        slots = group.slots
+        if acc is None:
+            if len(t) == n:
+                acc, slots = t, ()
+            elif slots[1][1] == n:
+                acc, slots = ufunc(t[:n], t[n:2 * n]), slots[2:]
+            else:
+                acc, slots = t[:n].copy(), slots[1:]
+        for start, m in slots:
+            ufunc(acc[:m], t[start:start + m], out=acc[:m])
+        del t  # before the next group's gather
+    return acc if layout.rank is None else acc.take(layout.rank, axis=0)
 
 
 def _in_sum(W, X):
@@ -127,15 +183,12 @@ def _in_sum(W, X):
     sender's row of the (n, c) array X, as a fresh C-ordered (n, c) array.
     Terms are added in ascending sender order from the first, and the
     closing + 0.0 gives the bytes of a sum started at 0.0 (the module
-    docstring). Under the identity ranking the fold returns a view of the
-    (E, c) terms, so there the + 0.0 makes a new array: a returned view
-    would keep the terms alive."""
-    layout, n = W.graph.in_layout, len(X)
-    terms = X.take(layout.send, axis=0)
-    terms *= W.slot_weights[:, None]
-    out = _fold(np.add, terms[:n], terms[n:], layout)
-    if layout.rank is None:
-        return out + 0.0
+    docstring)."""
+    def scaled(group, rows):
+        rows *= W.slot_weights[group.rows, None]
+        return rows
+
+    out = _in_fold(np.add, W.graph.in_layout, scaled, X)
     out += 0.0
     return out
 
@@ -143,7 +196,7 @@ def _in_sum(W, X):
 def _in_reduce(ufunc, values, layout):
     """ufunc (maximum, minimum, bitwise_or) over the rows of the (n, ...)
     values at each receiver's senders, in ascending sender order."""
-    return _fold(ufunc, *_slots(values, layout), layout)
+    return _in_fold(ufunc, layout, None, values)
 
 
 def _flood(layout, seeds) -> int:
@@ -339,13 +392,15 @@ def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:
 
 
 def graph_to_json(g: DiGraph) -> str:
-    """Serialize as {n, edges, seed, model}; edges in lexicographic order."""
-    return json.dumps({
-        "n": g.n,
-        "edges": np.column_stack(g.edge_arrays).tolist(),
-        "seed": g.seed,
-        "model": g.model,
-    })
+    """Serialize as {n, edges, seed, model}; edges in lexicographic order.
+    The bytes are json.dumps's of that dict, with the edges formatted a
+    chunk of _JSON_EDGES pairs at a time instead of as one list of lists."""
+    pairs = np.column_stack(g.edge_arrays)
+    edges = ", ".join(
+        ", ".join(["[%d, %d]"] * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in (pairs[s:s + _JSON_EDGES] for s in range(0, len(pairs), _JSON_EDGES)))
+    return (f'{{"n": {json.dumps(g.n)}, "edges": [{edges}], '
+            f'"seed": {json.dumps(g.seed)}, "model": {json.dumps(g.model)}}}')
 
 
 def graph_from_json(text: str) -> DiGraph:

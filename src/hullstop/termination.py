@@ -28,16 +28,18 @@ one per-step termination.csv formatter), so no run holds its history to
 write a file.
 
 The per-step maxima and minima (the radius and bit steps, the box
-envelopes) run over the graph's slot-major in-layout (graph._in_reduce, or
-graph._fold on the radius step's per-edge candidates), each receiver taking
-its senders in ascending order. Rows are gathered with ndarray.take from
-the engines' C-ordered states; the radius step subtracts them from the
-ranked receiver rows slot by slot, in place, and squares (or takes the abs
-of) that difference in place for its norm, so it holds one (E, d) array at
-its peak; the public radius_step never writes its inputs. The bit step is
-the identity when all bits are 0 (every window before the first detection)
-or all are 1: every node has its self-loop, so an OR over equal bits
-changes none of them.
+envelopes) run over the graph's slot-major in-layout through its one
+gather-and-fold helper (graph._in_fold, graph._in_reduce), each receiver
+taking its senders in ascending order. The helper gathers rows with
+ndarray.take from the engines' C-ordered states one group of slots at a
+time; the radius step subtracts each group's rows from the ranked receiver
+rows slot by slot, in place, and squares (or takes the abs of) that
+difference in place for its norm, so it holds about one group's (rows, d)
+array at its peak, however many edges the graph has; the public
+radius_step never writes its inputs. The bit step is the identity when
+all bits are 0 (every window before the first detection) or all are 1:
+every node has its self-loop, so an OR over equal bits changes none of
+them.
 
 The public radius_step and bit_step check their input, then run the
 kernels _radius and _bits. _run_windows checks rho and p once, and its
@@ -58,7 +60,7 @@ import numpy as np
 from .consensus import _CHUNK_ROWS, _Engine, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm, _norm_order, hull_diameter, vector_norm
-from .graph import DiGraph, StochasticMatrix, _fold, _in_reduce, _integer
+from .graph import DiGraph, StochasticMatrix, _in_fold, _in_reduce, _integer
 from .hull import hull_round, HullNodeState
 
 __all__ = [
@@ -92,20 +94,19 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
 
 def _radius(layout, r_new, r_old, R_old, p) -> np.ndarray:
     """radius_step's arithmetic on float arrays of checked shapes and a
-    checked order p. The norm overwrites the gaps, this step's own array."""
-    cand = _norm(_edge_gaps(layout, r_new, r_old), p, scratch=True)
-    cand += R_old.take(layout.send)
-    n = len(R_old)
-    return _fold(np.maximum, cand[:n].copy(), cand[n:], layout)
-
-
-def _edge_gaps(layout, r_new, r_old) -> np.ndarray:
-    """r_new at each slot's receiver minus r_old at its sender, in slot order."""
+    checked order p, through graph._in_fold: per group, r_new at each
+    slot's receiver minus the gathered r_old rows, in place, normed in
+    place, plus the gathered R_old."""
     own = r_new if layout.ranked is None else r_new.take(layout.ranked, axis=0)
-    gaps = r_old.take(layout.send, axis=0)
-    for start, m in layout.blocks:
-        np.subtract(own[:m], gaps[start:start + m], out=gaps[start:start + m])
-    return gaps
+
+    def candidates(group, gaps, R):
+        for start, m in group.slots:
+            np.subtract(own[:m], gaps[start:start + m], out=gaps[start:start + m])
+        cand = _norm(gaps, p, scratch=True)
+        cand += R
+        return cand
+
+    return _in_fold(np.maximum, layout, candidates, r_old, R_old)
 
 
 def bit_step(g: DiGraph, b) -> np.ndarray:

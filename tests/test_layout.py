@@ -1,7 +1,8 @@
 """The slot-major in-layout behind every per-step sum and max
 (graph._InLayout): what its slots and blocks hold, which graphs keep the
-identity ranking, and that it gives the references' bytes on regular and
-ragged graphs alike."""
+identity ranking, that it gives the references' bytes on regular and
+ragged graphs alike, with its slots gathered in one group or in many, and
+that a step's memory is bounded by its groups, not by the edge count."""
 
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from hullstop import (
     row_step,
     vector_norm,
 )
+from hullstop import graph
 from hullstop.termination import _BoxRule
 from oracles import (
     bit_step_reference,
@@ -41,6 +43,34 @@ def _ranked(g):
 
 def _full_slots(g):
     return all(m == g.n for _, m in g.in_layout.blocks)
+
+
+def _check_groups(g, cap):
+    """g's groups are runs of whole consecutive slots that tile the slot
+    rows in order, each of at most cap rows, cut only where the next slot
+    would not fit."""
+    layout = g.in_layout
+    groups = layout.groups
+    assert tuple((gr.rows.start + s, m) for gr in groups for s, m in gr.slots) == layout.blocks
+    assert groups[0].rows.start == 0 and groups[-1].rows.stop == len(layout.send)
+    for gr, nxt in zip(groups, groups[1:] + (None,)):
+        s, m = gr.slots[-1]
+        assert gr.rows.stop == gr.rows.start + s + m <= gr.rows.start + cap
+        assert gr.send.tolist() == layout.send[gr.rows].tolist()
+        if nxt is not None:
+            assert nxt.rows.start == gr.rows.stop
+            assert nxt.rows.start + nxt.slots[0][1] > gr.rows.start + cap
+
+
+def at_floor(g):
+    """g rebuilt with the gather budget at its floor, so that a group of
+    slots holds at most n rows: one full slot, or a run of short ones."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_GATHER_ROWS", 1)
+        floor = DiGraph(g.n, np.column_stack(g.edge_arrays), seed=g.seed, model=g.model)
+    _check_groups(floor, g.n)
+    assert (len(floor.in_layout.groups) > 1) == (len(g.edges) > g.n)
+    return floor
 
 
 def complete_minus(n, drop, seed):
@@ -65,7 +95,8 @@ def circulant(n, offsets):
 def graphs(draw):
     """A ring, a complete graph or a circulant, whose slots are all full and
     whose ranking is the identity, or a complete-minus-a-few graph or a
-    sparse ER graph, whose in-degrees differ."""
+    sparse ER graph, whose in-degrees differ; any of them with its slots in
+    one group or, built with the gather budget at its floor, in many."""
     family = draw(st.sampled_from(["ring", "complete", "circulant", "ragged", "er"]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     if family == "ring":
@@ -83,7 +114,8 @@ def graphs(draw):
     if family != "er":
         assert _full_slots(g) == (family != "ragged")
         assert _ranked(g) <= (family == "ragged")
-    return g
+    assert len(g.in_layout.groups) == 1
+    return at_floor(g) if draw(st.booleans()) else g
 
 
 def test_equal_in_degrees_give_the_identity_ranking():
@@ -107,6 +139,7 @@ def test_equal_in_degrees_give_the_identity_ranking():
         assert sum(ms) == len(g.edges) == len(layout.send)
         for k, m in enumerate(ms):
             assert (deg[layout.ranked[:m]] > k).all() and (deg[layout.ranked[m:]] <= k).all()
+        _check_groups(g, max(g.n, graph._GATHER_ROWS))
 
 
 @pytest.mark.parametrize("kind", ["column", "row"])
@@ -158,7 +191,7 @@ def test_table_step_makes_one_in_sum(spy_calls):
     assert len(calls) == 2
 
 
-@given(graphs(), st.integers(min_value=1, max_value=3),
+@given(graphs(), st.integers(min_value=1, max_value=3) | st.sampled_from([8, 11]),
        st.integers(min_value=0, max_value=10_000), st.data())
 @settings(max_examples=60, deadline=None)
 def test_both_layouts_sum_like_in_sum_reference_byte_for_byte(g, d, seed, data):
@@ -230,10 +263,11 @@ def test_bit_step_of_equal_bits_is_a_fresh_copy_of_the_reference(g, bit):
 
 
 def test_radius_step_peak_memory_on_the_edge_layout():
-    # radius_step fills one gathered (E, d) difference in place and folds
-    # it into (E,) columns: about 1.5 (E, d) float arrays at the peak. A
-    # receiver-side (E, d) gather bound to a name kept one more alive and
-    # reached about 3.25
+    # radius_step fills each group's gathered (rows, d) difference in place
+    # and folds it into (rows,) columns, one group of at most 4096 of the
+    # 28.5k slot rows at a time: about 0.29 (E, d) float arrays at the
+    # peak. One (E, d) gather of every slot, filled in place, reached about
+    # 1.5, and a receiver-side (E, d) gather bound to a name about 3.25
     n, d = 1000, 4
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
     E = len(g.edges)
@@ -251,9 +285,11 @@ def test_radius_step_peak_memory_on_the_edge_layout():
 
 
 def test_radius_step_norms_its_gaps_in_place_from_eight_columns():
-    # from d = 8 the norm reduces the gathered (E, d) difference with
-    # ufunc.reduce; squaring it in place holds one (E, d) array at the peak,
-    # where squares into a second one reached about 2.02
+    # from d = 8 the norm reduces the gathered difference with
+    # ufunc.reduce; its 791 edges are one group, so squaring that (E, d)
+    # array in place holds one (E, d) array at the peak (about 1.13 with
+    # the group's (E,) columns), where squares into a second one reached
+    # about 2.02
     n, d = 50, 50
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=0.3)
     E = len(g.edges)
@@ -288,9 +324,11 @@ def test_radius_step_and_vector_norm_leave_their_inputs_unwritten(d):
 def test_box_step_peak_memory_on_the_edge_layout():
     # the envelopes start from the engine's own state, and ndarray.take
     # copies a source that is not C-contiguous whole before it gathers, so
-    # ratio_step must hand out r in C order. One step holds the (E, d) slot
-    # gathers, the intp copy take makes of the read-only sender array
-    # and one (n, d) envelope; a copied source adds one more (n, d) array
+    # ratio_step must hand out r in C order. One step holds a group's
+    # (rows, d) slot gather, the intp copy take makes of the group's
+    # read-only senders and the (n, d) envelopes, about 0.22 MB at the
+    # peak here against the 1.17 of one (E, d) gather of every slot, which
+    # this bound was set for; a copied source adds one more (n, d) array
     n, d = 1000, 4
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
     E = len(g.edges)
@@ -310,11 +348,44 @@ def test_box_step_peak_memory_on_the_edge_layout():
     assert peak < E * d * 8 + E * 8 + n * d * 8 + n * d * 8 // 2
 
 
+def test_step_memory_is_bounded_by_the_gather_groups_not_the_edge_count():
+    # complete(300) has E = 90,000 slot rows in 24 groups of at most 3,900.
+    # A ratio step, a radius step and a box step each peak near one group's
+    # (rows, d + 1) float array, about 1.3 of the unit below at most; one
+    # gather of every slot reached 22 to 24 units
+    n, d = 300, 10
+    g = generate_digraph(n, "complete")
+    assert len(g.edges) == n * n and len(g.in_layout.groups) > 1
+    unit = max(n, graph._GATHER_ROWS) * (d + 1) * 8
+    W = make_weights(g, "column")
+    s0 = make_ratio_state(np.random.default_rng(0).random((n, d)))
+    s1 = ratio_step(s0, W)
+    R = np.random.default_rng(1).random(n)
+    rule = _BoxRule(g, 1.0, 2.0)
+
+    def box_step():
+        rule.begin(s1.r)
+        rule.step(None, None)
+
+    for step in (lambda: ratio_step(s1, W), lambda: radius_step(g, s1.r, s0.r, R), box_step):
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * unit
+
+
 @pytest.mark.parametrize("d", [1, 4, 7, 8, 10, 50])
 @pytest.mark.parametrize("g", [circulant(11, (0, 1, 4)), complete_minus(8, 4, seed=2),
                                generate_digraph(16, "erdos_renyi", seed=5, edge_prob=0.25),
-                               generate_digraph(200, "erdos_renyi", seed=1, edge_prob=0.1)],
-                         ids=["table", "ragged", "er", "wide"])
+                               generate_digraph(200, "erdos_renyi", seed=1, edge_prob=0.1),
+                               at_floor(circulant(11, (0, 1, 4))),
+                               at_floor(generate_digraph(200, "erdos_renyi", seed=1,
+                                                         edge_prob=0.1))],
+                         ids=["table", "ragged", "er", "wide", "table-floor", "wide-floor"])
 def test_engine_states_reduce_like_the_references_in_either_memory_order(g, d):
     # the states the stopping rules really get: make_ratio_state's r (with
     # -0.0 entries, so maxima and minima tie +0.0 against -0.0) and then
@@ -329,6 +400,7 @@ def test_engine_states_reduce_like_the_references_in_either_memory_order(g, d):
             states = [make_ratio_state(x0)]
             for _ in range(3):
                 states.append(ratio_step(states[-1], W))
+                assert _same_bytes(states[-1].x, in_sum_reference(W, states[-2].x))
             rs = [s.r for s in states]
             rule = _BoxRule(g, 1.0, 2.0)
             rule.begin(rs[0])

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from hullstop import graph
 from hullstop import (generate_digraph, make_weights, run_box_stopping,
                       run_consensus, run_hull_stopping, run_radius_stopping,
                       windowed_radius_trace)
@@ -154,6 +155,13 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_digest(name):
+# each case as it runs, and the ER1000 radius run again on graphs built with
+# the gather budget at its floor (graph._GATHER_ROWS): the layout's slots then
+# gather in 31 groups of at most n rows instead of 8, and the bytes must not move
+@pytest.mark.parametrize("name, gather_rows",
+                         [pytest.param(name, None, id=name) for name in sorted(CASES)]
+                         + [pytest.param("er1000_radius", 1, id="er1000_radius-gather_floor")])
+def test_trace_digest(name, gather_rows, monkeypatch):
+    if gather_rows is not None:
+        monkeypatch.setattr(graph, "_GATHER_ROWS", gather_rows)
     assert trace_digest(CASES[name]()) == GOLDEN[name]
