@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import _CHUNK_ROWS, RatioState, make_ratio_state
+from .consensus import RatioState, make_ratio_state
 from .geometry import vector_norm
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "lse_error_bound",
     "LseBounds",
     "lse_error_bounds",
-    "lse_error_bound_blocks",
     "operator_norm",
     "funccalc_init",
     "registered_function",
@@ -166,8 +165,8 @@ def lse_error_bounds(Ms, zs, M_true, z_true) -> LseBounds:
 
     theta_hat = M_true^{-1} z_true is solved once. A singular item fails the
     whole stack, which is then split in halves down to the failing items;
-    callers keep B bounded so that this stays cheap (see
-    lse_error_bound_blocks)."""
+    callers keep B bounded so that this stays cheap (cli's lse hands it at
+    most consensus._CHUNK_ROWS items a call)."""
     Ms = np.asarray(Ms, dtype=float)
     zs = np.asarray(zs, dtype=float)
     M_true = np.asarray(M_true, dtype=float)
@@ -196,18 +195,6 @@ def _split_bounds(Ms, zs, M_true, z_true, theta_hat) -> LseBounds:
     parts = (_split_bounds(Ms[:h], zs[:h], M_true, z_true, theta_hat),
              _split_bounds(Ms[h:], zs[h:], M_true, z_true, theta_hat))
     return LseBounds(*(np.concatenate(field) for field in zip(*parts)))
-
-
-def lse_error_bound_blocks(payloads, M_true, z_true):
-    """lse_error_bounds over flattened (M_i, z_i) payload rows, one call per
-    block of at most _CHUNK_ROWS rows, which bounds the temporaries and what
-    a singular item costs. Yields (first row, LseBounds) per block."""
-    payloads = np.asarray(payloads, dtype=float)
-    M = np.shape(z_true)[0]
-    for s in range(0, len(payloads), _CHUNK_ROWS):
-        block = payloads[s:s + _CHUNK_ROWS]
-        yield s, lse_error_bounds(block[:, :M * M].reshape(-1, M, M), block[:, M * M:],
-                                  M_true, z_true)
 
 
 def lse_error_bound(M_i, z_i, M_true, z_true) -> ErrorBound:

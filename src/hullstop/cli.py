@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .applications import (_design, _payloads, _solve_gram, funccalc_error,
-                           funccalc_init, lse_error_bound_blocks, polynomial_basis,
+                           funccalc_init, lse_error_bounds, polynomial_basis,
                            registered_function, unflatten_payload)
 from .consensus import _CHUNK_ROWS, _StateRows, _csv_table, consensus_limit
 from .errors import InvariantViolation
@@ -233,14 +233,16 @@ def _cmd_lse(args) -> int:
         with _csv_table(path("bound.csv"), "n,node,lhs,bound,holds",
                         "%d,%d,%.17g,%.17g,%s") as write:
             # row s of bound.csv is step s // n, node s % n. Step rows gather
-            # in one _CHUNK_ROWS-row block, bounded and written once full, so
-            # the kernel gets the blocks it would over the whole history
+            # in one _CHUNK_ROWS-row block, bounded and written once full: one
+            # kernel call per block, which bounds the temporaries and what a
+            # singular item costs
             block = np.empty((_CHUNK_ROWS, M * M + M))
             done = held = 0  # rows written; rows waiting in block
 
             def flush():
                 nonlocal done, held
-                (_, eb), = lse_error_bound_blocks(block[:held], G_true, z_true)
+                eb = lse_error_bounds(block[:held, :M * M].reshape(-1, M, M),
+                                      block[:held, M * M:], G_true, z_true)
                 k, node = np.divmod(np.arange(done, done + held), n)
                 last = k == steps
                 final_lhs[node[last]] = eb.lhs[last]

@@ -9,10 +9,11 @@ coordinate, exactly; the states come out C-ordered. The row engine's limit
 is per edge too: perron_left sums each node's out-edges in ascending
 receiver order.
 
-The public ratio_step and row_step check their input, then run the same
-kernels as _Engine, which checks x0 once and then steps bare: _push_sum on
-the stacked (n, d+1) [x | y] array it carries from step to step, _in_sum on
-the row engine's z. So every run takes one arithmetic path.
+The public ratio_step checks its input, then runs the same kernel as
+_Engine, which checks x0 once and then steps bare: _push_sum on the stacked
+(n, d+1) [x | y] array it carries from step to step, _in_sum on the row
+engine's z. So every run takes one arithmetic path, and every run that
+keeps its history records it through one recorder, _History.
 
 states.csv has one per-step formatter, _StateRows: write_state_csv loops it
 over a whole trace, and the harness and the CLI call it from the stopping
@@ -34,11 +35,9 @@ from .graph import StochasticMatrix, _in_sum, _integer
 
 __all__ = [
     "RatioState",
-    "RowState",
     "ConsensusTrace",
     "make_ratio_state",
     "ratio_step",
-    "row_step",
     "run_consensus",
     "consensus_limit",
     "perron_left",
@@ -64,12 +63,6 @@ class RatioState:
     x: np.ndarray
     y: np.ndarray
     r: np.ndarray
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class RowState:
-    z: np.ndarray
     k: int = 0
 
 
@@ -115,17 +108,6 @@ def _push_sum(W, xy, k):
     if np.minimum.reduce(y) <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={k}")
     return xy, xy[:, :-1] / y[:, None]
-
-
-def row_step(state: RowState, A: StochasticMatrix) -> RowState:
-    """One synchronous averaging round: z_i <- sum_j a[i, j] z_j over senders."""
-    if A.kind != "row":
-        raise ValueError(f"row updates need row-stochastic weights, got kind {A.kind!r}")
-    n = A.graph.n
-    z = state.z
-    if z.ndim != 2 or z.shape[0] != n:
-        raise ValueError(f"state shape {z.shape} does not match n={n}")
-    return RowState(_in_sum(A, z), state.k + 1)
 
 
 @dataclass
@@ -177,16 +159,32 @@ class _Engine:
         return {"rs": self.cur}
 
 
+class _History:
+    """The one history recorder: a per-step sink, called as sink(k, row,
+    halt) by termination._run_windows and by run_consensus, that keeps
+    every step's record, one list per field, stacked once at the end."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def __call__(self, k, row, halt):
+        for name, v in row.items():
+            self.rows.setdefault(name, []).append(v)
+
+    def stacked(self) -> dict:
+        return {name: np.stack(v) for name, v in self.rows.items()}
+
+
 def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
     """Run the engine matching W.kind for a fixed number of rounds."""
     steps = _integer("steps", steps, 0)
     eng = _Engine(W, x0)
-    rows = {name: [v] for name, v in eng.record().items()}
-    for _ in range(steps):
+    history = _History()
+    history(0, eng.record(), False)
+    for k in range(1, steps + 1):
         eng.step()
-        for name, v in eng.record().items():
-            rows[name].append(v)
-    fields = {name: np.stack(v) for name, v in rows.items()}
+        history(k, eng.record(), False)
+    fields = history.stacked()
     return ConsensusTrace(eng.name, fields["rs"], fields.get("xs"), fields.get("ys"))
 
 

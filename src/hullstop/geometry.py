@@ -31,7 +31,6 @@ __all__ = [
     "PointSet",
     "canonicalize_points",
     "vector_norm",
-    "hull_membership",
     "extreme_points",
     "pairwise_spread",
     "hull_diameter",
@@ -406,17 +405,6 @@ def _member(pts: np.ndarray, p: np.ndarray) -> bool:
     if lower > margin:
         return False
     return _phase_one_feasible(pts, p)
-
-
-def hull_membership(p, S) -> bool:
-    """True when p lies in the convex hull of S within _TOL."""
-    pts = _as_points(S)
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.shape[0] != pts.shape[1]:
-        raise ValueError(f"point has dim {p.shape[0]}, set has dim {pts.shape[1]}")
-    if not np.isfinite(p).all():
-        raise ValueError("query point must be finite")
-    return _member(pts, p)
 
 
 _N_DIRECTIONS = 256

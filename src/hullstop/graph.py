@@ -50,7 +50,6 @@ __all__ = [
     "generate_digraph",
     "make_weights",
     "graph_to_json",
-    "graph_from_json",
 ]
 
 MODELS = ("erdos_renyi", "ring", "complete")
@@ -85,17 +84,17 @@ class _Group(NamedTuple):
 
 
 class _InLayout(NamedTuple):
-    """A graph's in-adjacency slot by slot (the module docstring). Slot k is
-    send[start:start + m] for (start, m) = blocks[k]: the (k+1)-th smallest
-    sender of each of the first m ranked receivers. groups cuts the slots
-    into _Group runs for _in_fold. ranked lists the receivers by rank and
-    rank gives each receiver's rank; both are None when the ranking is the
-    identity. The arrays are read-only."""
+    """A graph's in-adjacency slot by slot (the module docstring). Slot k
+    holds the (k+1)-th smallest sender of each of the first m_k ranked
+    receivers; send lists the slots one after another, and groups cuts them
+    into _Group runs for _in_fold, each slot at (offset, m_k) within its
+    run. ranked lists the receivers by rank and rank gives each receiver's
+    rank; both are None when the ranking is the identity. The arrays are
+    read-only."""
 
     send: np.ndarray
     ranked: np.ndarray | None
     rank: np.ndarray | None
-    blocks: tuple
     groups: tuple
 
 
@@ -143,7 +142,7 @@ def _in_layout(n, recv, send) -> _InLayout:
     order, ranked, rank, blocks = _slot_order(n, recv)
     send = send[order]
     send.setflags(write=False)
-    return _InLayout(send, ranked, rank, blocks, _groups(n, send, blocks))
+    return _InLayout(send, ranked, rank, _groups(n, send, blocks))
 
 
 def _in_fold(ufunc, layout, terms, *values):
@@ -401,9 +400,3 @@ def graph_to_json(g: DiGraph) -> str:
         for chunk in (pairs[s:s + _JSON_EDGES] for s in range(0, len(pairs), _JSON_EDGES)))
     return (f'{{"n": {json.dumps(g.n)}, "edges": [{edges}], '
             f'"seed": {json.dumps(g.seed)}, "model": {json.dumps(g.model)}}}')
-
-
-def graph_from_json(text: str) -> DiGraph:
-    obj = json.loads(text)
-    return DiGraph(obj["n"], obj["edges"],
-                   seed=obj.get("seed"), model=obj.get("model"))

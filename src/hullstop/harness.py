@@ -90,13 +90,6 @@ class ExperimentConfig:
         obj["norm"] = _norm_json(self.norm)
         return _json_text(obj)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
-        if obj.get("norm") == "inf":
-            obj["norm"] = float("inf")
-        return cls(**obj)
-
 
 def _json_text(obj) -> str:
     """The JSON artifact format: two-space indent and a closing newline."""

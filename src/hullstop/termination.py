@@ -21,11 +21,11 @@ than its window start, so a run keeps only step 0 and the last step.
 
 The loop has one per-step hook, a sink called with each step's record
 (step 0 included) and whether that step is the halt. history=True is one
-such sink, the list recorder _History; the harness and the CLI reach the
-hook through _stream, and their sinks write each step's artifact rows as
-the run makes them (write_termination_csv and the streaming sinks share
-one per-step termination.csv formatter), so no run holds its history to
-write a file.
+such sink, consensus._History, which run_consensus records through too;
+the harness and the CLI reach the hook through _stream, and their sinks
+write each step's artifact rows as the run makes them
+(write_termination_csv and the streaming sinks share one per-step
+termination.csv formatter), so no run holds its history to write a file.
 
 The per-step maxima and minima (the radius and bit steps, the box
 envelopes) run over the graph's slot-major in-layout through its one
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
-from .consensus import _CHUNK_ROWS, _Engine, _every_step, ratio_step  # noqa: F401
+from .consensus import _CHUNK_ROWS, _Engine, _History, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm, _norm_order, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _in_fold, _in_reduce, _integer
@@ -199,21 +199,6 @@ def _resolve_window(g: DiGraph, Dbound) -> int:
     if D < g.diameter:
         raise ValueError(f"window length {D} is below the graph diameter {g.diameter}")
     return D
-
-
-class _History:
-    """The list recorder behind history=True: a sink for _run_windows that
-    keeps every step's record, one list per field, stacked once at the end."""
-
-    def __init__(self):
-        self.rows: dict = {}
-
-    def __call__(self, k, row, halt):
-        for name, v in row.items():
-            self.rows.setdefault(name, []).append(v)
-
-    def stacked(self) -> dict:
-        return {name: np.stack(v) for name, v in self.rows.items()}
 
 
 def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,

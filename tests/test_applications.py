@@ -10,7 +10,6 @@ from hullstop import (
     lse_batch,
     lse_consensus_estimate,
     lse_error_bound,
-    lse_error_bound_blocks,
     lse_error_bounds,
     lse_gram,
     lse_payload_states,
@@ -241,16 +240,16 @@ def test_error_bounds_equal_one_call_per_item(M, kinds, seed):
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_error_bound_blocks_keep_a_singular_item_to_its_block(M, kinds, seed):
-    # a singular item on each side of the first block boundary
+    # a singular item on each side of the first block boundary, in the
+    # blocks of _CHUNK_ROWS items that cli's lse hands the kernel
     kinds[_CHUNK_ROWS - 1] = kinds[_CHUNK_ROWS] = "zero"
     Ms, zs, M_true, z_true = _lse_problem(M, kinds, seed)
-    payloads = np.concatenate([Ms.reshape(len(kinds), M * M), zs], axis=1)
-    starts = []
-    for s, eb in lse_error_bound_blocks(payloads, M_true, z_true):
-        starts.append(s)
+    for s in (0, _CHUNK_ROWS):
+        block = slice(s, s + _CHUNK_ROWS)
+        eb = lse_error_bounds(Ms[block], zs[block], M_true, z_true)
+        assert len(eb.m) == len(Ms[block])
         for j in range(len(eb.m)):
             _assert_matches_reference(eb, j, Ms[s + j], zs[s + j], M_true, z_true)
-    assert starts == [0, _CHUNK_ROWS]
 
 
 def test_error_bounds_with_a_singular_true_gram_apply_to_no_item():

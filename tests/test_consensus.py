@@ -8,7 +8,6 @@ from hullstop import (
     DiGraph,
     InvariantViolation,
     RatioState,
-    RowState,
     StochasticMatrix,
     consensus_limit,
     generate_digraph,
@@ -18,11 +17,12 @@ from hullstop import (
     perron_left,
     ratio_step,
     read_state_csv,
-    row_step,
     run_consensus,
     scalar_vector_equivalence_check,
     write_state_csv,
 )
+from hullstop.consensus import _Engine
+from hullstop.graph import _in_sum
 from oracles import (dense_weights, in_sum_reference, m_hop_senders,
                      perron_left_dense_reference, write_state_csv_rows_reference)
 
@@ -51,11 +51,13 @@ def test_ring_step_by_hand():
     assert st1.x.sum() == 9.0
 
 
-def test_row_step_by_hand():
+def test_row_sum_by_hand():
     g = ring(3)
     A = make_weights(g, "row")
-    st1 = row_step(RowState(np.array([[0.0], [3.0], [6.0]])), A)
-    assert np.array_equal(st1.z, [[3.0], [1.5], [4.5]])
+    z = np.array([[0.0], [3.0], [6.0]])
+    z1 = _in_sum(A, z)
+    assert np.array_equal(z1, [[3.0], [1.5], [4.5]])
+    assert _same_bytes(z1, in_sum_reference(A, z))
 
 
 def _random_weights(g, kind, rng):
@@ -90,7 +92,7 @@ def test_steps_match_in_sum_reference_byte_for_byte(n, d, seed, data):
         assert _same_bytes(nxt.y, y_ref)
         assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
         A = _random_weights(g, "row", rng)
-        assert _same_bytes(row_step(RowState(x), A).z, in_sum_reference(A, x))
+        assert _same_bytes(_in_sum(A, x), in_sum_reference(A, x))
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4),
@@ -344,13 +346,9 @@ def test_read_state_csv_rejects_bad_header(tmp_path):
 
 
 def test_engine_kind_mismatch_rejected():
-    g = ring(3)
-    Wc = make_weights(g, "column")
-    Ar = make_weights(g, "row")
+    Ar = make_weights(ring(3), "row")
     with pytest.raises(ValueError):
         ratio_step(make_ratio_state(np.zeros((3, 1))), Ar)
-    with pytest.raises(ValueError):
-        row_step(RowState(np.zeros((3, 1))), Wc)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -396,7 +394,7 @@ def test_each_step_makes_one_edge_sum(spy_calls):
     calls = spy_calls(consensus, "_in_sum")
     ratio_step(make_ratio_state(x0), make_weights(g, "column"))
     assert len(calls) == 1
-    row_step(RowState(x0), make_weights(g, "row"))
+    _Engine(make_weights(g, "row"), x0).step()
     assert len(calls) == 2
 
 

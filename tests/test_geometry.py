@@ -11,7 +11,6 @@ from hullstop import (
     canonicalize_points,
     extreme_points,
     hull_diameter,
-    hull_membership,
     is_convex_decreasing,
     pairwise_spread,
     vector_norm,
@@ -19,8 +18,11 @@ from hullstop import (
 import hullstop.geometry as geometry
 from oracles import extreme_points_reference, member_reference, monotone_chain, support_function
 
+
 def hull_membership_set(S, q):
-    return hull_membership(q, S)
+    """Whether q lies in the hull of S within _TOL: the library's one
+    membership decider, on S canonicalized as extreme_points takes it."""
+    return geometry._member(geometry._as_points(S), np.asarray(q, dtype=float))
 
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=64)
@@ -149,8 +151,8 @@ def test_membership_examples():
 
 def test_membership_single_point():
     p = np.array([[2.0, 3.0]])
-    assert hull_membership(np.array([2.0, 3.0]), p)
-    assert not hull_membership(np.array([2.0, 3.1]), p)
+    assert hull_membership_set(p, np.array([2.0, 3.0]))
+    assert not hull_membership_set(p, np.array([2.0, 3.1]))
 
 
 def test_membership_degenerate_segment_in_3d():
@@ -170,7 +172,7 @@ def test_membership_matches_scipy(seed):
             q = (lam / lam.sum()) @ pts  # inside by construction
         else:
             q = rng.normal(size=d) * 1.5
-        assert hull_membership(q, pts) == _membership_oracle(pts, q)
+        assert hull_membership_set(pts, q) == _membership_oracle(pts, q)
 
 
 def test_membership_tiny_cloud_contains_itself():
@@ -178,7 +180,7 @@ def test_membership_tiny_cloud_contains_itself():
     base = np.array([0.3712, -1.529, 0.07])
     pts = base + 1e-10 * np.random.default_rng(7).normal(size=(6, 3))
     for q in pts:
-        assert hull_membership(q, pts)
+        assert hull_membership_set(pts, q)
 
 
 # --- extreme points ---
@@ -231,7 +233,7 @@ def test_extreme_points_preserve_hull():
     ext = extreme_points(pts)
     # every original point is in the hull of the extreme set
     for q in pts:
-        assert hull_membership(q, ext)
+        assert hull_membership_set(ext, q)
     # support function unchanged in sampled directions
     for _ in range(20):
         d = rng.normal(size=3)
@@ -336,7 +338,7 @@ def test_membership_of_convex_combinations_in_flat_clouds(monkeypatch):
         m = int(rng.integers(10, 40))
         pts = rng.normal(size=(m, d)) * np.logspace(0, -8, d)
         w = rng.dirichlet(np.ones(m))
-        assert hull_membership(w @ pts, pts), (seed, m, d)
+        assert hull_membership_set(pts, w @ pts), (seed, m, d)
     assert len(calls) >= 1
 
 
@@ -359,7 +361,7 @@ def test_tableau_false_positive_on_flat_cloud_is_outside(seed, vertex):
     q = c + (1.0 + 1e-9) * (pts[vertex] - c)
     tol = geometry._TOL
     assert member_reference(pts, q, tol)
-    assert not hull_membership(q, pts)
+    assert not hull_membership_set(pts, q)
     assert _wolfe_lower_bound(pts, q) > tol
 
 
@@ -402,7 +404,7 @@ def test_membership_matches_reference_order_or_certifies_outside():
         pts = _stress_cloud(rng, kind, 10.0 ** rng.uniform(-8, 6))
         for q in _stress_queries(rng, pts, tol):
             queries += 1
-            new = hull_membership(q, pts)
+            new = hull_membership_set(pts, q)
             if new != member_reference(pts, q, tol):
                 flipped += 1
                 assert not new and _wolfe_lower_bound(pts, q) > tol, (seed, kind, q)
@@ -445,7 +447,7 @@ def test_unique_coordinate_skip_keeps_a_point_within_tol_of_the_hull():
     # the unique maximum of y, kept though a query calls it a member; the
     # result is the reference loop's, not that of querying every point
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]]
-    assert hull_membership(pts[2], pts[:2])
+    assert hull_membership_set(pts[:2], pts[2])
     got = extreme_points(pts)
     assert len(got.points) == 3
     _assert_reference_bytes(got, pts)

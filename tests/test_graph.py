@@ -11,7 +11,6 @@ from hullstop import (
     StochasticMatrix,
     consensus_limit,
     generate_digraph,
-    graph_from_json,
     graph_to_json,
     make_weights,
 )
@@ -345,7 +344,7 @@ def test_graph_json_round_trip(tmp_path):
     g = generate_digraph(8, "erdos_renyi", seed=11, edge_prob=0.3)
     path = tmp_path / "g.json"
     path.write_text(graph_to_json(g))
-    g2 = graph_from_json(path.read_text())
+    g2 = DiGraph(**json.loads(path.read_text()))
     assert g2 == g
     assert g2.seed == g.seed and g2.model == g.model
 

@@ -1,5 +1,5 @@
 """The slot-major in-layout behind every per-step sum and max
-(graph._InLayout): what its slots and blocks hold, which graphs keep the
+(graph._InLayout): what its slots and groups hold, which graphs keep the
 identity ranking, that it gives the references' bytes on regular and
 ragged graphs alike, with its slots gathered in one group or in many, and
 that a step's memory is bounded by its groups, not by the edge count."""
@@ -15,17 +15,17 @@ from hypothesis.extra import numpy as hnp
 from hullstop import (
     DiGraph,
     RatioState,
-    RowState,
     bit_step,
     generate_digraph,
     make_ratio_state,
     make_weights,
     radius_step,
     ratio_step,
-    row_step,
     vector_norm,
 )
 from hullstop import graph
+from hullstop.consensus import _Engine
+from hullstop.graph import _in_sum
 from hullstop.termination import _BoxRule
 from oracles import (
     bit_step_reference,
@@ -41,8 +41,13 @@ def _ranked(g):
     return g.in_layout.rank is not None
 
 
+def _blocks(layout):
+    """The (start, m) of each slot of layout, read off its groups."""
+    return tuple((gr.rows.start + s, m) for gr in layout.groups for s, m in gr.slots)
+
+
 def _full_slots(g):
-    return all(m == g.n for _, m in g.in_layout.blocks)
+    return all(m == g.n for _, m in _blocks(g.in_layout))
 
 
 def _check_groups(g, cap):
@@ -51,7 +56,8 @@ def _check_groups(g, cap):
     would not fit."""
     layout = g.in_layout
     groups = layout.groups
-    assert tuple((gr.rows.start + s, m) for gr in groups for s, m in gr.slots) == layout.blocks
+    starts, ms = zip(*_blocks(layout))
+    assert list(starts) == np.cumsum((0,) + ms[:-1]).tolist()
     assert groups[0].rows.start == 0 and groups[-1].rows.stop == len(layout.send)
     for gr, nxt in zip(groups, groups[1:] + (None,)):
         s, m = gr.slots[-1]
@@ -69,6 +75,7 @@ def at_floor(g):
         mp.setattr(graph, "_GATHER_ROWS", 1)
         floor = DiGraph(g.n, np.column_stack(g.edge_arrays), seed=g.seed, model=g.model)
     _check_groups(floor, g.n)
+    assert _blocks(floor.in_layout) == _blocks(g.in_layout)
     assert (len(floor.in_layout.groups) > 1) == (len(g.edges) > g.n)
     return floor
 
@@ -124,7 +131,7 @@ def test_equal_in_degrees_give_the_identity_ranking():
         layout = g.in_layout
         assert layout.ranked is None and layout.rank is None
         K = len(g.edges) // g.n
-        assert layout.blocks == tuple((k * g.n, g.n) for k in range(K))
+        assert _blocks(layout) == tuple((k * g.n, g.n) for k in range(K))
     n = 1000
     for g in (complete_minus(7, 5, seed=1),
               generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)):
@@ -134,7 +141,7 @@ def test_equal_in_degrees_give_the_identity_ranking():
         assert layout.rank[layout.ranked].tolist() == list(range(g.n))
         # the blocks tile the slots, and block k is the prefix of the
         # ranking with more than k senders
-        starts, ms = zip(*layout.blocks)
+        starts, ms = zip(*_blocks(layout))
         assert list(starts) == np.cumsum((0,) + ms[:-1]).tolist()
         assert sum(ms) == len(g.edges) == len(layout.send)
         for k, m in enumerate(ms):
@@ -152,7 +159,7 @@ def test_table_holds_each_receivers_senders_and_weights(kind):
         assert W.slot_weights.shape == layout.send.shape
         for i, senders in enumerate(g.in_adj):
             rank = i if layout.rank is None else layout.rank[i]
-            slots = [start + rank for start, _ in layout.blocks[:len(senders)]]
+            slots = [start + rank for start, _ in _blocks(layout)[:len(senders)]]
             assert layout.send[slots].tolist() == list(senders)
             assert _same_bytes(W.slot_weights[slots], w[i, list(senders)])
 
@@ -177,8 +184,10 @@ def test_engine_states_are_c_ordered(g):
     # copies a source that is not C-contiguous
     x0 = np.random.default_rng(1).random((g.n, 3))
     assert ratio_step(make_ratio_state(x0), make_weights(g, "column")).r.flags.c_contiguous
-    assert row_step(RowState(x0), make_weights(g, "row")).z.flags.c_contiguous
-    assert row_step(RowState(np.asfortranarray(x0)), make_weights(g, "row")).z.flags.c_contiguous
+    for start in (x0, np.asfortranarray(x0)):
+        eng = _Engine(make_weights(g, "row"), start)
+        eng.step()
+        assert eng.cur.flags.c_contiguous
 
 
 def test_table_step_makes_one_in_sum(spy_calls):
@@ -187,7 +196,7 @@ def test_table_step_makes_one_in_sum(spy_calls):
     x0 = np.random.default_rng(3).random((6, 3))
     calls = spy_calls(consensus, "_in_sum")
     ratio_step(RatioState(x0, np.ones(6), x0, 0), make_weights(g, "column"))
-    row_step(RowState(x0), make_weights(g, "row"))
+    _Engine(make_weights(g, "row"), x0).step()
     assert len(calls) == 2
 
 
@@ -208,7 +217,7 @@ def test_both_layouts_sum_like_in_sum_reference_byte_for_byte(g, d, seed, data):
         assert _same_bytes(nxt.y, y_ref)
         assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
         A = _random_weights(g, "row", rng)
-        assert _same_bytes(row_step(RowState(x), A).z, in_sum_reference(A, x))
+        assert _same_bytes(_in_sum(A, x), in_sum_reference(A, x))
 
 
 @given(graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([1.0, 2.0, np.inf]),
@@ -248,7 +257,7 @@ def test_both_layouts_sum_non_finite_and_overflowing_states_like_the_reference(g
     with np.errstate(over="ignore", invalid="ignore"):
         assert _same_bytes(ratio_step(RatioState(x, np.ones(n), x, 0), W).x,
                            in_sum_reference(W, x))
-        assert _same_bytes(row_step(RowState(x), A).z, in_sum_reference(A, x))
+        assert _same_bytes(_in_sum(A, x), in_sum_reference(A, x))
 
 
 @pytest.mark.parametrize("g", [generate_digraph(9, "ring"), complete_minus(7, 5, seed=1)],

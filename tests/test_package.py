@@ -1,11 +1,33 @@
-"""The package's export list is the union of its modules' export lists."""
+"""The package's export list is the union of its modules' export lists, and
+every exported name is used by code outside the test suite."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import hullstop
 import hullstop.errors
 
 _MODULES = ("graph", "geometry", "consensus", "hull", "termination", "applications", "harness")
+_ROOT = Path(__file__).resolve().parent.parent
+
+_EXPORTS = [
+    "BoxWindow", "ConsensusTrace", "DiGraph", "ErrorBound", "ExperimentConfig",
+    "HullNodeState", "HullWindow", "InvariantViolation", "LseBounds", "MinMaxEnvelope",
+    "PointSet", "RadiusWindow", "RatioState", "RunResult", "StochasticMatrix", "StopTrace",
+    "bandwidth_accounting", "bit_step", "canonicalize_points", "compare_criteria",
+    "consensus_limit", "decode_extreme_set", "encode_extreme_set", "extreme_points",
+    "funccalc_error", "funccalc_init", "generate_digraph", "graph_to_json", "hull_diameter",
+    "hull_round", "is_convex_decreasing", "lse_batch", "lse_consensus_estimate",
+    "lse_error_bound", "lse_error_bounds", "lse_gram", "lse_payload_states",
+    "make_ratio_state", "make_weights", "minmax_envelope", "operator_norm",
+    "pairwise_spread", "perron_left", "polynomial_basis", "radius_step", "ratio_step",
+    "read_state_csv", "registered_function", "run_box_stopping", "run_consensus",
+    "run_experiment", "run_hull_consensus", "run_hull_stopping", "run_radius_stopping",
+    "scalar_vector_equivalence_check", "unflatten_payload", "vector_norm",
+    "verify_states_file", "windowed_radius_trace", "write_state_csv",
+    "write_termination_csv",
+]
 
 
 def test_package_exports_the_union_of_the_module_export_lists():
@@ -18,3 +40,45 @@ def test_package_exports_the_union_of_the_module_export_lists():
         for name in module.__all__:
             assert getattr(hullstop, name) is getattr(module, name)
     assert hullstop.InvariantViolation is hullstop.errors.InvariantViolation
+
+
+def test_package_exports_are_pinned():
+    assert sorted(hullstop.__all__) == sorted(_EXPORTS)
+
+
+def _references(path, imports: bool, strings: bool):
+    """The names path refers to, each outside the top-level definition of
+    that name: ast.Name ids and ast.Attribute attrs, plus imported names
+    when imports is set and string constants when strings is set."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif imports and isinstance(node, ast.alias):
+                name = node.name
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_export_is_reached_outside_the_tests():
+    # the library itself (not through its imports), the demos, the
+    # acceptance gate (through its imports too), and the bench, whose
+    # tracing targets name functions by string
+    used = set()
+    for path in sorted((_ROOT / "src" / "hullstop").glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _references(path, imports=False, strings=False)
+    for path in [*sorted((_ROOT / "demos").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]:
+        used |= _references(path, imports=True, strings=False)
+    for path in sorted((_ROOT / "bench").glob("*.py")):
+        used |= _references(path, imports=True, strings=True)
+    assert sorted(set(hullstop.__all__) - used) == []

@@ -7,20 +7,16 @@ from hullstop import (
     ConsensusTrace,
     DiGraph,
     InvariantViolation,
-    RowState,
     bandwidth_accounting,
     bit_step,
     consensus_limit,
     extreme_points,
     generate_digraph,
     hull_diameter,
-    make_ratio_state,
     make_weights,
     minmax_envelope,
     pairwise_spread,
     radius_step,
-    ratio_step,
-    row_step,
     run_box_stopping,
     run_consensus,
     run_hull_stopping,
@@ -32,7 +28,7 @@ from hullstop import (
 )
 from hullstop.termination import _BoxRule, _RadiusRule, _stream
 
-from oracles import m_hop_senders
+from oracles import bit_step_reference, in_sum_reference, m_hop_senders, radius_step_reference
 
 
 def ring(n):
@@ -515,33 +511,38 @@ def test_non_halting_run_keeps_memory_bounded():
     assert peak < 10e6
 
 
-def _public_step_radius_run(g, W, x0, rho, p, D, k_max):
-    """run_radius_stopping spelled out on the public steps: ratio_step or
-    row_step, radius_step and bit_step, with _RadiusRule's boundary
-    bookkeeping. Returns the halt step and every step's records."""
+def _reference_radius_run(g, W, x0, rho, p, D, k_max):
+    """run_radius_stopping spelled out on the edge-list references: the
+    ratio engine's step is in_sum_reference over the stacked [x | y], then
+    r = x / y, the row engine's is in_sum_reference over z; then
+    radius_step_reference and bit_step_reference, with _RadiusRule's
+    boundary bookkeeping. Returns the halt step and every step's records."""
     ratio = W.kind == "column"
-    state = make_ratio_state(x0) if ratio else RowState(np.array(x0, dtype=float))
+    x = np.array(x0, dtype=float)
+    xy = np.column_stack((x, np.ones(g.n)))
+    r = x
     R, b = np.zeros(g.n), np.zeros(g.n, dtype=np.uint8)
 
-    def cur():
-        return state.r if ratio else state.z
-
     def record():
-        rows["rs"].append(cur())
+        rows["rs"].append(r)
         rows["Rs"].append(R)
         rows["bs"].append(b)
         if ratio:
-            rows["xs"].append(state.x)
-            rows["ys"].append(state.y)
+            rows["xs"].append(xy[:, :-1])
+            rows["ys"].append(xy[:, -1])
 
     rows = {name: [] for name in ("rs", "Rs", "bs") + (("xs", "ys") if ratio else ())}
     record()
     halt_t = None
     for t in range(1, k_max + 1):
-        prev = cur()
-        state = ratio_step(state, W) if ratio else row_step(state, W)
-        R = radius_step(g, cur(), prev, R, p)
-        b = bit_step(g, b)
+        prev = r
+        if ratio:
+            xy = in_sum_reference(W, xy)
+            r = xy[:, :-1] / xy[:, -1][:, None]
+        else:
+            r = in_sum_reference(W, r)
+        R = radius_step_reference(g, r, prev, R, p)
+        b = bit_step_reference(g, b)
         if t > 1 and (t - 1) % D == 0:
             if b.any():
                 assert b.all()
@@ -560,17 +561,17 @@ def _public_step_radius_run(g, W, x0, rho, p, D, k_max):
 @pytest.mark.parametrize("g", [generate_digraph(9, "ring"), er(12, seed=3, p=0.3)],
                          ids=["ring", "ragged"])
 @pytest.mark.parametrize("p", [1.0, 2.0, np.inf], ids=["p1", "p2", "pinf"])
-def test_public_steps_reproduce_the_radius_run_byte_for_byte(g, kind, p):
-    # the stopping loop runs unchecked step kernels; the checked public
-    # steps must give the same bytes, under the identity ranking (ring)
-    # and a ranked one (ragged in-degrees)
+def test_edge_list_references_reproduce_the_radius_run_byte_for_byte(g, kind, p):
+    # the stopping loop runs the slot-major kernels; the references, one
+    # edge at a time in ascending sender order, must give the same bytes,
+    # under the identity ranking (ring) and a ranked one (ragged in-degrees)
     assert (g.in_layout.rank is None) == (g.model == "ring")
     W = make_weights(g, kind)
     x0 = np.random.default_rng(g.n).normal(size=(g.n, 3))
     x0[0, 0] = -0.0
     tr = run_radius_stopping(g, W, x0, 1e-6, p=p, history=True)
     assert tr.halted
-    halt_t, rows = _public_step_radius_run(g, W, x0, 1e-6, p, tr.Dbound, tr.halt_t)
+    halt_t, rows = _reference_radius_run(g, W, x0, 1e-6, p, tr.Dbound, tr.halt_t)
     assert halt_t == tr.halt_t
     assert sorted(rows) == sorted(n for n in ("rs", "xs", "ys", "Rs", "bs")
                                   if getattr(tr, n) is not None)
