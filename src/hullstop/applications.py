@@ -165,8 +165,9 @@ def lse_error_bounds(Ms, zs, M_true, z_true) -> LseBounds:
 
     theta_hat = M_true^{-1} z_true is solved once. A singular item fails the
     whole stack, which is then split in halves down to the failing items;
-    callers keep B bounded so that this stays cheap (cli's lse hands it at
-    most consensus._CHUNK_ROWS items a call)."""
+    callers keep B bounded so that this stays cheap (cli's lse hands it
+    whole steps gathered until they reach consensus._CHUNK_ROWS rows, or
+    one longer step, a call)."""
     Ms = np.asarray(Ms, dtype=float)
     zs = np.asarray(zs, dtype=float)
     M_true = np.asarray(M_true, dtype=float)

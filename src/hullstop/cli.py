@@ -224,50 +224,43 @@ def _cmd_lse(args) -> int:
     payloads = _payloads(design, ys)
     G_true, z_true = unflatten_payload(payloads.mean(axis=0), M)
     theta_hat = _solve_gram(G_true, z_true)
-    steps = args.k_max
 
     with artifact_dir(args.out_dir, g) as (path, summary):
         with _csv_table(path("dataset.csv"), "x,y", "%.17g,%.17g") as write:
             write(xs, ys)
-        final_lhs = np.empty(n)
         with _csv_table(path("bound.csv"), "n,node,lhs,bound,holds",
                         "%d,%d,%.17g,%.17g,%s") as write:
-            # row s of bound.csv is step s // n, node s % n. Step rows gather
-            # in one _CHUNK_ROWS-row block, bounded and written once full: one
-            # kernel call per block, which bounds the temporaries and what a
-            # singular item costs
-            block = np.empty((_CHUNK_ROWS, M * M + M))
-            done = held = 0  # rows written; rows waiting in block
+            # row s of bound.csv is step s // n, node s % n. Whole steps wait
+            # until they hold _CHUNK_ROWS rows (a longer step goes alone), then
+            # are bounded and written in one kernel call, which bounds the
+            # temporaries and what a singular item costs. The engine makes a
+            # fresh state each step, so the waiting ones stay as they were
+            held, done, lhs = [], 0, None  # waiting steps' states; rows written
 
             def flush():
-                nonlocal done, held
-                eb = lse_error_bounds(block[:held, :M * M].reshape(-1, M, M),
-                                      block[:held, M * M:], G_true, z_true)
-                k, node = np.divmod(np.arange(done, done + held), n)
-                last = k == steps
-                final_lhs[node[last]] = eb.lhs[last]
+                nonlocal done, lhs
+                rs = np.concatenate(held)
+                held.clear()
+                eb = lse_error_bounds(rs[:, :M * M].reshape(-1, M, M), rs[:, M * M:],
+                                      G_true, z_true)
+                k, node = np.divmod(np.arange(done, done + len(rs)), n)
                 write(k, node, eb.lhs, eb.bound,
                       np.where(eb.applicable, eb.holds.astype(int), "na"))
-                done, held = done + held, 0
+                done, lhs = done + len(rs), eb.lhs
 
             def sink(k, row, halt):
-                nonlocal held
-                rs, i = row["rs"], 0
-                while i < n:
-                    fit = min(n - i, _CHUNK_ROWS - held)
-                    block[held:held + fit] = rs[i:i + fit]
-                    held, i = held + fit, i + fit
-                    if held == _CHUNK_ROWS:
-                        flush()
+                held.append(row["rs"])
+                if len(held) * n >= _CHUNK_ROWS:
+                    flush()
 
-            _stream("none", g, W, payloads, None, None, 2.0, steps, sink)
+            _stream("none", g, W, payloads, None, None, 2.0, args.k_max, sink)
             if held:
                 flush()
-        final_err = float(np.nanmax(final_lhs, initial=0.0))
+        final_err = float(np.nanmax(lhs[-n:], initial=0.0))
         summary.update({
             "theta_hat": [float(v) for v in theta_hat],
             "n": int(n),
-            "k_steps": steps,
+            "k_steps": args.k_max,
             "final_max_error": final_err,
             "basis_size": M,
         })

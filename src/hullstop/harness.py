@@ -35,9 +35,6 @@ from .termination import (_RULES, _TerminationRows, _resolve_window, _stream,
 __all__ = ["ExperimentConfig", "RunResult", "run_experiment", "compare_criteria",
            "verify_states_file"]
 
-# bits per transmitted float in the bandwidth figures
-_WORD_BITS = 32
-
 
 def _norm_json(norm):
     """The norm order as JSON: "inf" or a float."""
@@ -237,8 +234,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "seed": cfg.seed,
             "norm": _norm_json(cfg.norm),
             "dbound": trace.Dbound if stopped else None,
-            "bandwidth_bits": (bandwidth_accounting(cfg.stopping, _WORD_BITS, cfg.dim,
-                                                    trace.max_points) if stopped else 0),
+            "bandwidth_bits": (bandwidth_accounting(cfg.stopping, d=cfg.dim,
+                                                    hull_size=trace.max_points)
+                               if stopped else 0),
         })
     return RunResult(cfg, g, trace, rho_abs, summary, paths)
 
@@ -257,7 +255,7 @@ def compare_criteria(cfg: ExperimentConfig) -> list:
                         ("hull", run_hull_stopping)):
         trace = run(g, W, x0, rho_abs, Dbound=cfg.dbound, p=cfg.norm, k_max=cfg.k_max)
         spread = pairwise_spread(trace.rs[trace.halt_t], cfg.norm) if trace.halted else None
-        bits = bandwidth_accounting(method, _WORD_BITS, cfg.dim, trace.max_points)
+        bits = bandwidth_accounting(method, d=cfg.dim, hull_size=trace.max_points)
         rows.append({
             "method": method,
             "halted": trace.halted,

@@ -17,7 +17,8 @@ consensus._Engine (the one place that maps the weights to a ratio or row
 step, shared with run_consensus), schedules the windows, records the
 history and returns one StopTrace; a rule holds only its own state, its
 per-step update and its boundary decision. No rule reads a state older
-than its window start, so a run keeps only step 0 and the last step.
+than its window start, so a run keeps only step 0 and the last step of
+its states; its windows list still gains one record per window.
 
 The loop has one per-step hook, a sink called with each step's record
 (step 0 included) and whether that step is the halt. history=True is one
@@ -234,7 +235,7 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     if sink is not None:
         sink(0, first, False)
     windows: list = []
-    start_t = T = 0
+    start_t = 0
     halt_t = None
     for t in range(1, k_max + 1):
         prev = eng.cur
@@ -249,7 +250,6 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
             if not end:
                 rule.begin(eng.cur)
             start_t = t
-        T = t
         if sink is not None:
             sink(t, row(), end and rule.halts)
         if end:
@@ -258,7 +258,7 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     if history:
         fields = sink.stacked()
     else:
-        fields = {name: {0: first[name], T: v} for name, v in row().items()}
+        fields = {name: {0: first[name], eng.k: v} for name, v in row().items()}
     return StopTrace(eng.name, windows=windows, halted=halt_t is not None, halt_t=halt_t,
                      rho=rule.rho, Dbound=D, p=rule.p, max_points=rule.max_points, **fields)
 

@@ -240,8 +240,8 @@ def test_error_bounds_equal_one_call_per_item(M, kinds, seed):
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_error_bound_blocks_keep_a_singular_item_to_its_block(M, kinds, seed):
-    # a singular item on each side of the first block boundary, in the
-    # blocks of _CHUNK_ROWS items that cli's lse hands the kernel
+    # a singular item on each side of the first block boundary, in two
+    # blocks of _CHUNK_ROWS items, about the size of cli's lse calls
     kinds[_CHUNK_ROWS - 1] = kinds[_CHUNK_ROWS] = "zero"
     Ms, zs, M_true, z_true = _lse_problem(M, kinds, seed)
     for s in (0, _CHUNK_ROWS):

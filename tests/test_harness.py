@@ -439,12 +439,18 @@ def test_cli_lse(tmp_path):
 
 def test_cli_lse_makes_one_kernel_call_per_block(tmp_path, spy_calls):
     per_item = spy_calls(applications, "lse_error_bound")
-    blocks = spy_calls(cli, "lse_error_bounds")
+    calls = spy_calls(cli, "lse_error_bounds")
     rc = cli.main(["lse", "--nodes", "10", "--k-max", "60", "--out-dir", str(tmp_path / "l")])
     assert rc == 0
     assert per_item == [] and "lse_error_bound" not in vars(cli)
-    # 61 steps x 10 nodes = 610 (step, node) items, in blocks of 256
-    assert [len(args[0]) for args, _ in blocks] == [256, 256, 98]
+    # 61 steps of 10 rows: whole steps gather until they reach _CHUNK_ROWS
+    # rows (26 steps, 260 rows), and the last 9 steps go at the end
+    assert [len(args[0]) for args, _ in calls] == [260, 260, 90]
+    # a step longer than _CHUNK_ROWS is a call of its own
+    calls.clear()
+    extra, _ = LSE_STREAMED["n300"]
+    assert cli.main(["lse", *extra, "--out-dir", str(tmp_path / "n300")]) == 0
+    assert [len(args[0]) for args, _ in calls] == [300, 300, 300]
 
 
 # (argv, bound.csv rows): one step, two steps, a step of 300 rows (longer

@@ -614,7 +614,9 @@ def test_seeded_sweep_halts_within_2rho_of_the_limit(seed, run):
     # the halting contract over models, sizes, engines, norms and scales:
     # every node halts in the same step within 2 rho of consensus_limit,
     # with a rounding allowance of 64 eps times the largest initial entry,
-    # at the step that the run with history reports too
+    # at the step that the run with history reports too: one window after
+    # the first detection (radius), or the first boundary whose window-start
+    # states span less than rho (box)
     g, W, x0, rho, p = _sweep_config(seed)
     tr = run(g, W, x0, rho, p=p)
     assert tr.halted
@@ -623,3 +625,11 @@ def test_seeded_sweep_halts_within_2rho_of_the_limit(seed, run):
     full = run(g, W, x0, rho, p=p, history=True)
     assert full.halt_t == tr.halt_t
     assert np.array_equal(full.rs[tr.halt_t], tr.rs[tr.halt_t])
+    D = full.Dbound
+    if run is run_radius_stopping:
+        first = next(w for w in full.windows if (w.rbar < rho).any())
+        assert full.halt_t == first.record_t + D
+    else:
+        assert full.halt_t == next((t for t in range(D, len(full.rs) + D, D)
+                                    if vector_norm(np.ptp(full.rs[t - D], axis=0), p) < rho),
+                                   None)
