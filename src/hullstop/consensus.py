@@ -18,8 +18,9 @@ keeps its history records it through one recorder, _History.
 states.csv has one per-step formatter, _StateRows: write_state_csv loops it
 over a whole trace, and the harness and the CLI call it from the stopping
 loop's per-step hook as each step is made. It has one reader, _state_blocks,
-which reads whole steps in blocks and checks each; read_state_csv stacks
-the blocks, harness.verify_states_file keeps only the last step.
+which reads whole steps in blocks of graph._BLOCK_BYTES and checks each;
+read_state_csv stacks the blocks, harness.verify_states_file keeps only the
+last step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import StochasticMatrix, _in_sum, _integer
+from .graph import _BLOCK_BYTES, StochasticMatrix, _in_sum, _integer
 
 __all__ = [
     "RatioState",
@@ -48,8 +49,6 @@ __all__ = [
 
 _STATE_HEADER = "k,node,coord,x,y,r"
 _CHUNK_ROWS = 256
-# _state_blocks reads whole steps of at least this many rows per np.loadtxt call
-_READ_ROWS = 4096
 # power iteration in perron_left: stop once an iterate moves by at most
 # _PERRON_TOL in l1; _PERRON_MAX_ITER iterations without that is an error
 _PERRON_TOL = 1e-12
@@ -96,14 +95,16 @@ def ratio_step(state: RatioState, W: StochasticMatrix) -> RatioState:
     x, y = state.x, state.y
     if x.ndim != 2 or x.shape[0] != n or y.shape != (n,):
         raise ValueError(f"state shapes {x.shape}, {y.shape} do not match n={n}")
-    xy, r = _push_sum(W, np.column_stack((x, y)), state.k + 1)
+    xy = np.column_stack((x, y))
+    xy, r = _push_sum(W, W.graph.in_layout.cut(xy), xy, state.k + 1)
     return RatioState(xy[:, :-1], xy[:, -1], r, state.k + 1)
 
 
-def _push_sum(W, xy, k):
+def _push_sum(W, cut, xy, k):
     """The push-sum round that makes step k from the stacked (n, d+1) array
-    [x | y]: the next stacked array and its ratio r = x / y."""
-    xy = _in_sum(W, xy)
+    [x | y], gathered by cut: the next stacked array and its ratio
+    r = x / y."""
+    xy = _in_sum(W, xy, cut)
     y = xy[:, -1]
     if np.minimum.reduce(y) <= 0.0:
         raise InvariantViolation(f"nonpositive denominator at k={k}")
@@ -129,8 +130,9 @@ class ConsensusTrace:
 class _Engine:
     """The one place that maps W.kind to a consensus step: the ratio engine
     for column-stochastic weights, the row engine otherwise. x0 is checked
-    here, before any step runs; the steps run the kernels unchecked. cur is
-    the current state r (ratio) or z (row), k the step count, and the ratio
+    here, before any step runs, and the layout cut for the array each step
+    sums is resolved; the steps run the kernels unchecked. cur is the
+    current state r (ratio) or z (row), k the step count, and the ratio
     engine carries x and y stacked as xy = [x | y]."""
 
     def __init__(self, W: StochasticMatrix, x0):
@@ -143,13 +145,14 @@ class _Engine:
         if self.name == "ratio":
             self.xy = np.column_stack((x, np.ones(len(x))))
         self.cur = x
+        self.cut = W.graph.in_layout.cut(self.xy if self.name == "ratio" else x)
 
     def step(self):
         self.k += 1
         if self.name == "ratio":
-            self.xy, self.cur = _push_sum(self.W, self.xy, self.k)
+            self.xy, self.cur = _push_sum(self.W, self.cut, self.xy, self.k)
         else:
-            self.cur = _in_sum(self.W, self.cur)
+            self.cur = _in_sum(self.W, self.cur, self.cut)
 
     def record(self) -> dict:
         """What a step records: rs, plus xs and ys (views of xy) on the
@@ -317,14 +320,17 @@ def _state_blocks(path, fields=("x", "y", "r")):
     """states.csv's one reader, behind read_state_csv and
     harness.verify_states_file: yields a tuple with the named fields' arrays,
     x and r of shape (s, n, d) and y (s, n), for consecutive blocks of s
-    whole steps, at least _READ_ROWS rows each, so that a small n * d does
-    not pay one np.loadtxt call per step; columns not named are not parsed,
-    since parsing floats is most of the read. The k = 0 rows at the head of
-    the file fix the rows per step. Each block must hold every (k, node,
-    coord) of its steps exactly once and in step-major order, as _StateRows
-    writes them, else ValueError; so is a file that ends inside a step. A
-    file cut at a step boundary reads as a shorter trace: a caller must
-    compare the step count with the one it knows.
+    whole steps: as many as keep the parsed block within _BLOCK_BYTES, so
+    that a small n * d does not pay one np.loadtxt call per step, and at
+    least one. Columns not named are not parsed, since parsing floats is
+    most of the read. The reader drops its own references to a block before
+    it parses the next; a caller that drops its view of the block too, as
+    harness.verify_states_file does, holds one block at a time. The k = 0
+    rows at the head of the file fix the rows per step. Each block must hold
+    every (k, node, coord) of its steps exactly once and in step-major
+    order, as _StateRows writes them, else ValueError; so is a file that
+    ends inside a step. A file cut at a step boundary reads as a shorter
+    trace: a caller must compare the step count with the one it knows.
 
     Each block is one np.loadtxt(max_rows=...) call on the open file, which
     leaves it just past the block's last row; one line is read ahead so that
@@ -341,10 +347,10 @@ def _state_blocks(path, fields=("x", "y", "r")):
         bad = ValueError(f"state csv {path} does not hold each (k, node, coord) exactly once")
         if size == 0:
             raise bad
-        max_rows = -(-_READ_ROWS // size) * size
         names = ("k", "node", "coord", *fields)
         columns = [_STATE_HEADER.split(",").index(name) for name in names]
-        dtype = [(name, float if name in fields else int) for name in names]
+        dtype = np.dtype([(name, float if name in fields else int) for name in names])
+        max_rows = max(1, _BLOCK_BYTES // (size * dtype.itemsize)) * size
         n = d = None
         k0 = 0
         for line in iter(fh.readline, ""):
@@ -363,6 +369,7 @@ def _state_blocks(path, fields=("x", "y", "r")):
                 raise bad
             yield tuple(block[name][::d].reshape(steps, n) if name == "y"
                         else block[name].reshape(steps, n, d) for name in fields)
+            del block, k, node, coord, cell
             k0 += steps
 
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _BLOCK_BYTES
+
 __all__ = [
     "PointSet",
     "canonicalize_points",
@@ -514,15 +516,19 @@ def extreme_points(S, verdicts: _Verdicts | None = None) -> PointSet:
 
 
 def pairwise_spread(states, p: float = 2.0) -> float:
-    """Largest pairwise p-norm distance among the rows of an (n, d) array, in
-    row blocks of about 2^16 differences: memory stays flat in n, and each
-    pair's arithmetic, so the result, is that of one (n, n, d) broadcast."""
+    """Largest pairwise p-norm distance among the rows of an (n, d) array,
+    n >= 1, in row blocks whose (rows, n, d) differences keep within
+    graph._BLOCK_BYTES, and at least one row: memory stays flat in n, and
+    each pair's arithmetic, so the result, is that of one (n, n, d)
+    broadcast."""
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected (n, d) states, got shape {arr.shape}")
     n, d = arr.shape
+    if n == 0:
+        raise ValueError(f"expected (n, d) states with n >= 1, got shape {arr.shape}")
     p = _norm_order(p)
-    rows = max(1, (1 << 16) // max(1, n * d))
+    rows = max(1, _BLOCK_BYTES // max(1, n * d * arr.itemsize))
     # each block difference is its own array, so its norm may overwrite it
     return max(float(_norm(arr[s:s + rows, None, :] - arr, p, scratch=True).max())
                for s in range(0, n, rows))

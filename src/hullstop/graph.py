@@ -13,12 +13,21 @@ Every per-node reduction over senders goes through the graph's in-layout
 so the ranking is the identity when every in-degree is equal (rings,
 complete graphs). Slot k lists the (k+1)-th smallest sender of each of the
 first m_k ranked receivers, the ones with more than k senders; every
-receiver has its self-loop, so slot 0 covers all of them. The slots are
-cut into groups, runs of whole consecutive slots of at most
-max(n, _GATHER_ROWS) rows, and one helper, _in_fold, gathers and folds
-them one group at a time, so a step holds one group's rows at a time,
-never one row per edge: a graph of at most _GATHER_ROWS edges (a ring up
-to 2048 nodes) is one group. Per group it gathers each input's rows at the group's
+receiver has its self-loop, so slot 0 covers all of them.
+
+Every transient block takes its size from one byte budget, _BLOCK_BYTES
+(128 KiB): the gather groups here, the row blocks of generate_digraph's
+Erdos-Renyi draw and of geometry.pairwise_spread, and the read blocks of
+consensus._state_blocks. A block holds at least one whole unit (a slot, a
+row, a step), so memory stays flat in the edge count, the node count and
+the step count. The layout is cut (_InLayout.cut) for the row width a
+gather takes, the bytes per node of the arrays it gathers, into groups:
+runs of whole consecutive slots whose gathered rows keep within the
+budget, and at least one slot. A run resolves its cuts when its engine and
+its rule are set up, so a step looks nothing up. One helper, _in_fold,
+gathers and folds a cut one group at a time, so a step holds one group's
+rows at a time, never one row per edge: a ring of up to 744 nodes and
+d = 10 is one group. Per group it gathers each input's rows at the group's
 senders with one ndarray.take and turns them into the group's terms;
 slot 0's terms start a fresh accumulator and each later slot k is folded
 into its first m_k rows in place, and one more take undoes the ranking.
@@ -30,8 +39,11 @@ its first term, with no pad slots, whatever the groups; the sum's closing
 + 0.0 turns a -0.0 total into +0.0 and changes nothing else, which gives
 the bytes of a sum started at 0.0.
 The diameter is one packed-bit flood, _flood: each node holds a row of
-np.packbits bits and each round ORs into it the rows of its senders
-through _in_reduce.
+np.packbits bits, starting from a packed identity, and each round ORs into
+it the rows of its senders through _in_reduce. So only a complete graph,
+whose n * n edges it is, makes an (n, n) array at set-up: the Erdos-Renyi
+draw is made in row blocks, and the flood's seeds are packed from the
+start.
 """
 
 from __future__ import annotations
@@ -69,8 +81,12 @@ def _integer(name, value, low=None) -> int:
     return value
 
 
-# the most slot rows one gather of _in_fold holds, unless a slot is longer
-_GATHER_ROWS = 4096
+# the bytes one transient block may hold: a gather group of _in_fold, a row
+# block of generate_digraph's draw, of geometry.pairwise_spread's
+# differences and a read block of consensus._state_blocks. A block holds at
+# least one whole unit (a slot, a row, a step), so a unit larger than the
+# budget is a block of its own.
+_BLOCK_BYTES = 128 * 1024
 
 
 class _Group(NamedTuple):
@@ -83,19 +99,53 @@ class _Group(NamedTuple):
     slots: tuple
 
 
+class _Cut(NamedTuple):
+    """An in-layout cut for gathers of one row width: groups lists its
+    _Group runs in slot order, and ranked and rank are the layout's."""
+
+    groups: tuple
+    ranked: np.ndarray | None
+    rank: np.ndarray | None
+
+
 class _InLayout(NamedTuple):
     """A graph's in-adjacency slot by slot (the module docstring). Slot k
     holds the (k+1)-th smallest sender of each of the first m_k ranked
-    receivers; send lists the slots one after another, and groups cuts them
-    into _Group runs for _in_fold, each slot at (offset, m_k) within its
-    run. ranked lists the receivers by rank and rank gives each receiver's
-    rank; both are None when the ranking is the identity. The arrays are
-    read-only."""
+    receivers; send lists the slots one after another, and blocks gives
+    each slot's (start, m_k) there. ranked lists the receivers by rank and
+    rank gives each receiver's rank; both are None when the ranking is the
+    identity. The arrays are read-only. budget is _BLOCK_BYTES as it was
+    when the layout was built, and cuts keeps each _Cut that cut() made."""
 
     send: np.ndarray
     ranked: np.ndarray | None
     rank: np.ndarray | None
-    groups: tuple
+    blocks: tuple
+    budget: int
+    cuts: dict
+
+    def cut(self, *values) -> _Cut:
+        """The layout cut for gathering the rows of the (n, ...) arrays
+        values together: runs of whole consecutive slots, each as long as
+        the next slot keeps its rows' bytes within budget, and at least one
+        slot. Each width is cut once; a run resolves its cuts when it sets
+        up, not per step."""
+        width = sum(v.nbytes for v in values) // len(values[0])
+        cut = self.cuts.get(width)
+        if cut is None:
+            cap = self.budget // max(1, width)
+            runs = [[]]
+            for start, m in self.blocks:
+                if runs[-1] and start + m - runs[-1][0][0] > cap:
+                    runs.append([])
+                runs[-1].append((start, m))
+            groups = []
+            for run in runs:
+                a, b = run[0][0], run[-1][0] + run[-1][1]
+                groups.append(_Group(slice(a, b), self.send[a:b],
+                                     tuple((s - a, m) for s, m in run)))
+            cut = self.cuts[width] = _Cut(tuple(groups), self.ranked, self.rank)
+        return cut
 
 
 def _slot_order(n, recv):
@@ -119,46 +169,30 @@ def _slot_order(n, recv):
     return order, ranked, rank, tuple(zip(starts.tolist(), m.tolist()))
 
 
-def _groups(n, send, blocks) -> tuple:
-    """The slots of blocks in runs of whole consecutive slots, each run as
-    long as the next slot keeps it within max(n, _GATHER_ROWS) rows; a slot
-    has at most n rows, so every run holds at least one."""
-    cap = max(n, _GATHER_ROWS)
-    runs = [[]]
-    for start, m in blocks:
-        if runs[-1] and start + m - runs[-1][0][0] > cap:
-            runs.append([])
-        runs[-1].append((start, m))
-    groups = []
-    for run in runs:
-        a, b = run[0][0], run[-1][0] + run[-1][1]
-        groups.append(_Group(slice(a, b), send[a:b], tuple((s - a, m) for s, m in run)))
-    return tuple(groups)
-
-
 def _in_layout(n, recv, send) -> _InLayout:
     """The in-layout of the receiver-sorted edge arrays (recv, send) that
     include every self-loop."""
     order, ranked, rank, blocks = _slot_order(n, recv)
     send = send[order]
     send.setflags(write=False)
-    return _InLayout(send, ranked, rank, _groups(n, send, blocks))
+    return _InLayout(send, ranked, rank, blocks, _BLOCK_BYTES, {})
 
 
-def _in_fold(ufunc, layout, terms, *values):
+def _in_fold(ufunc, cut, terms, *values):
     """ufunc (add, maximum, minimum, bitwise_or) folded over each
     receiver's per-sender terms in ascending sender order from the first,
-    as a fresh array in node order. Group by group, each of the (n, ...)
-    values is gathered at the group's senders with one take, and
-    terms(group, *rows) returns the group's terms, an array of its own
-    that the fold may write; with terms None the one value's rows are the
-    terms. The accumulator starts as the group itself when it is slot 0
-    alone, else as a fresh array, so no group outlives its fold: ufunc of
-    slots 0 and 1 when slot 1 holds every receiver, as on every strongly
-    connected graph of two or more nodes, else a copy of slot 0."""
+    as a fresh array in node order. Group by group of cut, the layout cut
+    for the values (_InLayout.cut), each of the (n, ...) values is gathered
+    at the group's senders with one take, and terms(group, *rows) returns
+    the group's terms, an array of its own that the fold may write; with
+    terms None the one value's rows are the terms. The accumulator starts
+    as the group itself when it is slot 0 alone, else as a fresh array, so
+    no group outlives its fold: ufunc of slots 0 and 1 when slot 1 holds
+    every receiver, as on every strongly connected graph of two or more
+    nodes, else a copy of slot 0."""
     n = len(values[0])
     acc = None
-    for group in layout.groups:
+    for group in cut.groups:
         if terms is None:
             t = values[0].take(group.send, axis=0)
         else:
@@ -172,49 +206,54 @@ def _in_fold(ufunc, layout, terms, *values):
             else:
                 acc, slots = t[:n].copy(), slots[1:]
         for start, m in slots:
-            ufunc(acc[:m], t[start:start + m], out=acc[:m])
+            head = acc[:m]
+            ufunc(head, t[start:start + m], out=head)
         del t  # before the next group's gather
-    return acc if layout.rank is None else acc.take(layout.rank, axis=0)
+    return acc if cut.rank is None else acc.take(cut.rank, axis=0)
 
 
-def _in_sum(W, X):
+def _in_sum(W, X, cut):
     """Per receiver, the sum over its senders of W's weight times the
-    sender's row of the (n, c) array X, as a fresh C-ordered (n, c) array.
-    Terms are added in ascending sender order from the first, and the
-    closing + 0.0 gives the bytes of a sum started at 0.0 (the module
-    docstring)."""
+    sender's row of the (n, c) array X, as a fresh C-ordered (n, c) array,
+    gathered by cut, W's graph's layout cut for X. Terms are added in
+    ascending sender order from the first, and the closing + 0.0 gives the
+    bytes of a sum started at 0.0 (the module docstring)."""
     def scaled(group, rows):
         rows *= W.slot_weights[group.rows, None]
         return rows
 
-    out = _in_fold(np.add, W.graph.in_layout, scaled, X)
+    out = _in_fold(np.add, cut, scaled, X)
     out += 0.0
     return out
 
 
-def _in_reduce(ufunc, values, layout):
+def _in_reduce(ufunc, values, cut):
     """ufunc (maximum, minimum, bitwise_or) over the rows of the (n, ...)
-    values at each receiver's senders, in ascending sender order."""
-    return _in_fold(ufunc, layout, None, values)
+    values at each receiver's senders, in ascending sender order, gathered
+    by cut, the layout cut for values."""
+    return _in_fold(ufunc, cut, None, values)
 
 
-def _flood(layout, seeds) -> int:
-    """OR-flood seed bits along the edges of layout until every node holds
-    every bit.
+def _flood(layout, n) -> int:
+    """OR-flood each node's own bit along the edges of layout until every
+    node holds every bit.
 
-    seeds is an (n, k) bool matrix; it is packed into reach, an
-    (n, ceil(k/8)) np.packbits matrix whose row v holds the seed columns
-    heard by v so far, and each round ORs the rows of v's senders into it.
-    Every receiver hears its own self-loop, so a node never loses a bit.
-    The bits stay packed: an unpacked per-edge gather would cost n bytes per
-    edge. Returns the number of rounds until every bit is set, or -1 when a
-    round changes nothing first.
+    reach is an (n, ceil(n/8)) np.packbits matrix whose row v holds the
+    bits of the nodes heard by v so far, built as the packed identity, and
+    each round ORs the rows of v's senders into it. Every receiver hears
+    its own self-loop, so a node never loses a bit. The bits stay packed:
+    an unpacked per-edge gather would cost n bytes per edge, and an
+    unpacked identity n bytes per node. Returns the number of rounds until
+    every bit is set, or -1 when a round changes nothing first.
     """
-    reach = np.packbits(seeds, axis=1)
-    full = np.packbits(np.ones(seeds.shape[1], dtype=bool))
+    v = np.arange(n)
+    reach = np.zeros((n, -(-n // 8)), dtype=np.uint8)
+    reach[v, v >> 3] = 0x80 >> (v & 7)  # np.packbits puts bit 0 highest
+    full = np.packbits(np.ones(n, dtype=bool))
+    cut = layout.cut(reach)
     rounds = 0
     while not (reach == full).all():
-        nxt = _in_reduce(np.bitwise_or, reach, layout)
+        nxt = _in_reduce(np.bitwise_or, reach, cut)
         if np.array_equal(nxt, reach):
             return -1
         reach = nxt
@@ -294,7 +333,7 @@ class DiGraph:
         rounds until every node has heard every other, flooding from the
         identity; -1, which construction rejects, when the flood stalls
         because the graph is not strongly connected."""
-        return _flood(self.in_layout, np.eye(self.n, dtype=bool))
+        return _flood(self.in_layout, self.n)
 
 
 def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
@@ -325,11 +364,8 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
-        # mask[a, b] True means a sends to b, i.e. edge pair (b, a)
-        mask = rng.random((n, n)) < edge_prob
-        np.fill_diagonal(mask, True)
         try:
-            return DiGraph(n, np.argwhere(mask.T), seed=seed, model=model)
+            return DiGraph(n, _er_draw(rng, n, edge_prob), seed=seed, model=model)
         except ValueError:
             # a draw's edges are in range and include every self-loop, so
             # only the strong-connectivity check can reject it
@@ -337,6 +373,24 @@ def generate_digraph(n: int, model: str = "erdos_renyi", seed: int = 0,
     raise RuntimeError(
         f"no strongly connected draw in 1000 attempts (n={n}, edge_prob={edge_prob}); "
         "raise edge_prob")
+
+
+def _er_draw(rng, n, edge_prob) -> np.ndarray:
+    """One Erdos-Renyi draw as (receiver, sender) pairs, self-loops
+    included: a sends to b when entry [a, b] of the draw rng.random((n, n))
+    is below edge_prob. The draw is made in row blocks of at most
+    _BLOCK_BYTES, which gives the same numbers, leaves rng in the same
+    state, and takes each block's edges as it is drawn, so no (n, n) array
+    is made."""
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    pairs = []
+    for s in range(0, n, rows):
+        mask = rng.random((min(rows, n - s), n)) < edge_prob
+        i = np.arange(len(mask))
+        mask[i, s + i] = True
+        a, b = np.nonzero(mask)
+        pairs.append(np.column_stack((b, a + s)))
+    return np.concatenate(pairs)
 
 
 @dataclass(frozen=True)
@@ -347,12 +401,14 @@ class StochasticMatrix:
     graph.edge_arrays; off the edges the weight is zero. kind "column"
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
     each receiver's (averaging); there is no dense view. slot_weights, the
-    weights in the graph's in-layout slot order, is built on first use.
+    weights in the graph's in-layout slot order, is built here, before any
+    step: the graph keeps no edge-length slot order to build it from.
     """
 
     kind: str
     edge_weights: np.ndarray
     graph: DiGraph
+    slot_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("column", "row"):
@@ -372,13 +428,9 @@ class StochasticMatrix:
             raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
         ew.setflags(write=False)
         object.__setattr__(self, "edge_weights", ew)
-
-    @cached_property
-    def slot_weights(self) -> np.ndarray:
-        """edge_weights in the in-layout's slot order, read-only."""
-        w = self.edge_weights[_slot_order(self.graph.n, self.graph.edge_arrays[0])[0]]
-        w.setflags(write=False)
-        return w
+        slot = ew[_slot_order(self.graph.n, dst)[0]]
+        slot.setflags(write=False)
+        object.__setattr__(self, "slot_weights", slot)
 
 
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:

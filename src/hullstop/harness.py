@@ -168,6 +168,7 @@ def verify_states_file(path, p: float) -> dict:
     for rs, in _state_blocks(path, ("r",)):
         steps += len(rs)
         final = rs[-1].copy()
+        del rs  # before the next block is parsed
     return {
         "k_steps": steps - 1,
         "final_spread": pairwise_spread(final, p),

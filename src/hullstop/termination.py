@@ -44,7 +44,9 @@ them.
 
 The public radius_step and bit_step check their input, then run the
 kernels _radius and _bits. _run_windows checks rho and p once, and its
-rules call the kernels directly on the engine's states. _bits returns its
+rules call the kernels directly on the engine's states, by the layout cuts
+(graph._InLayout.cut) each rule resolves for its arrays when it is made or
+a window begins, never per step. _bits returns its
 own input when the bits are equal, which is safe because no rule writes
 into its bits in place; bit_step returns a copy.
 """
@@ -90,24 +92,26 @@ def radius_step(g: DiGraph, r_new, r_old, R_old, p: float = 2.0) -> np.ndarray:
     if r_new.shape != r_old.shape or r_new.shape[0] != g.n or R_old.shape != (g.n,):
         raise ValueError(
             f"shape mismatch: r_new {r_new.shape}, r_old {r_old.shape}, R_old {R_old.shape}")
-    return _radius(g.in_layout, r_new, r_old, R_old, _norm_order(p))
+    return _radius(g.in_layout.cut(r_old, R_old), r_new, r_old, R_old, _norm_order(p))
 
 
-def _radius(layout, r_new, r_old, R_old, p) -> np.ndarray:
+def _radius(cut, r_new, r_old, R_old, p) -> np.ndarray:
     """radius_step's arithmetic on float arrays of checked shapes and a
-    checked order p, through graph._in_fold: per group, r_new at each
-    slot's receiver minus the gathered r_old rows, in place, normed in
-    place, plus the gathered R_old."""
-    own = r_new if layout.ranked is None else r_new.take(layout.ranked, axis=0)
+    checked order p, through graph._in_fold by cut, the layout cut for
+    r_old and R_old: per group, r_new at each slot's receiver minus the
+    gathered r_old rows, in place, normed in place, plus the gathered
+    R_old."""
+    own = r_new if cut.ranked is None else r_new.take(cut.ranked, axis=0)
 
     def candidates(group, gaps, R):
         for start, m in group.slots:
-            np.subtract(own[:m], gaps[start:start + m], out=gaps[start:start + m])
+            slot = gaps[start:start + m]
+            np.subtract(own[:m], slot, out=slot)
         cand = _norm(gaps, p, scratch=True)
         cand += R
         return cand
 
-    return _in_fold(np.maximum, layout, candidates, r_old, R_old)
+    return _in_fold(np.maximum, cut, candidates, r_old, R_old)
 
 
 def bit_step(g: DiGraph, b) -> np.ndarray:
@@ -115,18 +119,18 @@ def bit_step(g: DiGraph, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (g.n,):
         raise ValueError(f"bit vector shape {b.shape} does not match n={g.n}")
-    out = _bits(g.in_layout, b)
+    out = _bits(g.in_layout.cut(b), b)
     return out.copy() if out is b else out
 
 
-def _bits(layout, b) -> np.ndarray:
-    """bit_step's arithmetic on a checked uint8 vector b; b itself when all
-    its bits are equal."""
+def _bits(cut, b) -> np.ndarray:
+    """bit_step's arithmetic on a checked uint8 vector b, gathered by cut,
+    the layout cut for b; b itself when all its bits are equal."""
     ones = np.count_nonzero(b)
     if ones == 0 or (ones == len(b) and np.maximum.reduce(b) == 1):
         # equal bits everywhere: with every self-loop, the OR is the identity
         return b
-    return _in_reduce(np.maximum, b, layout)
+    return _in_reduce(np.maximum, b, cut)
 
 
 class MinMaxEnvelope(NamedTuple):
@@ -301,11 +305,14 @@ class _RadiusRule(_Rule):
         super().__init__(g, rho, p)
         self.Rs = np.zeros(g.n)
         self.bs = np.zeros(g.n, dtype=np.uint8)
+        self.bits_cut = g.in_layout.cut(self.bs)
+
+    def begin(self, cur):
+        self.cut = self.g.in_layout.cut(cur, self.Rs)
 
     def step(self, prev, cur):
-        layout = self.g.in_layout
-        self.Rs = _radius(layout, cur, prev, self.Rs, self.p)
-        self.bs = _bits(layout, self.bs)
+        self.Rs = _radius(self.cut, cur, prev, self.Rs, self.p)
+        self.bs = _bits(self.bits_cut, self.bs)
 
     def boundary(self, index, start_t, t):
         if self.bs.any():
@@ -336,9 +343,10 @@ class _PlainRadiusRule(_Rule):
 
     def begin(self, cur):
         self.R = np.zeros(self.g.n)
+        self.cut = self.g.in_layout.cut(cur, self.R)
 
     def step(self, prev, cur):
-        self.R = _radius(self.g.in_layout, cur, prev, self.R, self.p)
+        self.R = _radius(self.cut, cur, prev, self.R, self.p)
 
     def boundary(self, index, start_t, t):
         end = ((self.eps is not None and self.R.max() < self.eps)
@@ -352,11 +360,11 @@ class _BoxRule(_Rule):
 
     def begin(self, cur):
         self.M = self.m = cur
+        self.cut = self.g.in_layout.cut(cur)
 
     def step(self, prev, cur):
-        layout = self.g.in_layout
-        self.M = _in_reduce(np.maximum, self.M, layout)
-        self.m = _in_reduce(np.minimum, self.m, layout)
+        self.M = _in_reduce(np.maximum, self.M, self.cut)
+        self.m = _in_reduce(np.minimum, self.m, self.cut)
 
     def boundary(self, index, start_t, t):
         spreads = vector_norm(self.M - self.m, self.p, axis=-1)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -44,3 +45,33 @@ def spy_calls(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
         return calls
     return spy
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(op, warm_up=None): the tracemalloc peak, in bytes, of one
+    call of op, after one untraced call of warm_up (op itself when None)
+    has made the imports and filled the caches that the peak should not
+    count. Pass warm_up=False to trace op's first call. Tracing stops even
+    when op raises."""
+    def peak(op, warm_up=None):
+        if warm_up is not False:
+            (warm_up or op)()
+        tracemalloc.start()
+        try:
+            op()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture(autouse=True)
+def _tracemalloc_stopped():
+    """Fail any test that leaves tracemalloc tracing: every later test's
+    allocations would be traced, and its memory bounds read too high."""
+    tracing = tracemalloc.is_tracing()
+    yield
+    if tracemalloc.is_tracing() and not tracing:
+        tracemalloc.stop()
+        pytest.fail("the test left tracemalloc tracing")

@@ -2,7 +2,8 @@
 
 Deliberately written with different algorithms than the library: reachability
 by set saturation, m-hop senders by m rounds of it, out-adjacency by one pass
-over the edge pairs, diameter by Floyd-Warshall, planar hulls by the monotone
+over the edge pairs, diameter by Floyd-Warshall, Erdos-Renyi graphs by one
+(n, n) draw per attempt judged by set saturation, planar hulls by the monotone
 chain construction, support values by one matrix product, a sample's
 least-squares payload by np.outer, in-neighbour sums by a plain loop over the
 dense weight view, in-neighbour maxima and minima by a fold one edge at a
@@ -36,6 +37,32 @@ def reach_set(adj, start):
                     nxt.add(v)
         frontier = nxt
     return seen
+
+
+def er_draw_reference(rng, n, edge_prob):
+    """One Erdos-Renyi draw made whole: a sends to b when entry [a, b] of
+    rng.random((n, n)) is below edge_prob, self-loops included, as the
+    sorted (receiver, sender) pairs."""
+    mask = rng.random((n, n)) < edge_prob
+    np.fill_diagonal(mask, True)
+    return np.argwhere(mask.T)
+
+
+def generate_er_reference(n, seed, edge_prob):
+    """generate_digraph's Erdos-Renyi model from whole draws: the sorted
+    edge pairs of the first strongly connected draw, node 0 reaching every
+    node and every node reaching it, and the number of draws made."""
+    rng = np.random.default_rng(seed)
+    draws = 0
+    while True:
+        pairs = er_draw_reference(rng, n, edge_prob).tolist()
+        draws += 1
+        out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+        for recv, snd in pairs:
+            out[snd].append(recv)
+            into[recv].append(snd)
+        if len(reach_set(out, 0)) == len(reach_set(into, 0)) == n:
+            return tuple(map(tuple, pairs)), draws
 
 
 def m_hop_senders(g, i, m):

@@ -21,6 +21,7 @@ from hullstop import (
     scalar_vector_equivalence_check,
     write_state_csv,
 )
+from hullstop import graph
 from hullstop.consensus import _Engine
 from hullstop.graph import _in_sum
 from oracles import (dense_weights, in_sum_reference, m_hop_senders,
@@ -55,7 +56,7 @@ def test_row_sum_by_hand():
     g = ring(3)
     A = make_weights(g, "row")
     z = np.array([[0.0], [3.0], [6.0]])
-    z1 = _in_sum(A, z)
+    z1 = _in_sum(A, z, g.in_layout.cut(z))
     assert np.array_equal(z1, [[3.0], [1.5], [4.5]])
     assert _same_bytes(z1, in_sum_reference(A, z))
 
@@ -92,7 +93,7 @@ def test_steps_match_in_sum_reference_byte_for_byte(n, d, seed, data):
         assert _same_bytes(nxt.y, y_ref)
         assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
         A = _random_weights(g, "row", rng)
-        assert _same_bytes(_in_sum(A, x), in_sum_reference(A, x))
+        assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4),
@@ -180,8 +181,8 @@ def test_equivalence_check_fails_when_the_vector_run_differs(monkeypatch, fault)
     import hullstop.consensus as consensus
     real = consensus._in_sum
 
-    def faulty(W, values):
-        out = real(W, values)
+    def faulty(W, values, cut):
+        out = real(W, values, cut)
         if values.shape[1] > 2:
             if fault == "perturbed":
                 out[0, 0] += 1e-3
@@ -315,7 +316,8 @@ def test_read_state_csv_rejects_rows_out_of_step_major_order(tmp_path):
 
 
 # (T, n, d): many steps of a tiny n * d in few reader blocks, a step longer
-# than one block, and steps that fill a block exactly
+# than one block's bytes, steps of one block each that end the file at a
+# block's end, and a single step
 @pytest.mark.filterwarnings("error")  # numpy's empty-input UserWarning included
 @pytest.mark.parametrize("T, n, d", [(3001, 2, 1), (3, 1100, 4), (5, 2048, 1), (1, 3, 2)])
 def test_state_csv_reads_back_in_blocks_of_whole_steps(tmp_path, monkeypatch, T, n, d):
@@ -333,8 +335,9 @@ def test_state_csv_reads_back_in_blocks_of_whole_steps(tmp_path, monkeypatch, T,
     back = read_state_csv(tmp_path / "s.csv")
     for got, want in zip((back.states, back.xs, back.ys), (tr.states, tr.xs, tr.ys)):
         assert np.array_equal(got, want)
+    # a parsed row is 48 bytes: k, node and coord as int64, x, y and r
     size = n * d
-    per_block = max(1, -(-4096 // size))
+    per_block = max(1, graph._BLOCK_BYTES // (48 * size))
     assert calls == [per_block * size] * -(-T // per_block)
 
 

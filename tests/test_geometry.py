@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +14,7 @@ from hullstop import (
     vector_norm,
 )
 import hullstop.geometry as geometry
+import hullstop.graph as graph
 from oracles import extreme_points_reference, member_reference, monotone_chain, support_function
 
 
@@ -285,16 +284,12 @@ def test_pairwise_spread_matches_full_broadcast(p):
         assert pairwise_spread(pts, p) == full
 
 
-def test_pairwise_spread_memory_is_bounded():
-    # the (n, n, d) broadcast alone would take 32 MB here
+def test_pairwise_spread_memory_is_bounded(traced_peak):
+    # the (n, n, d) broadcast alone would take 32 MB, 256 budgets, here.
+    # Each row block's differences keep within the byte budget; the peak,
+    # about 2 budgets, is one block and the column fold's (rows, n) norms
     pts = np.random.default_rng(15).normal(size=(1000, 4))
-    tracemalloc.start()
-    try:
-        pairwise_spread(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert traced_peak(lambda: pairwise_spread(pts)) < 3 * graph._BLOCK_BYTES
 
 def test_is_convex_decreasing():
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])

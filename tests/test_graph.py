@@ -14,7 +14,9 @@ from hullstop import (
     graph_to_json,
     make_weights,
 )
-from oracles import dense_weights, floyd_warshall_diameter, m_hop_senders, out_adjacency, reach_set
+import hullstop.graph as graph
+from oracles import (dense_weights, er_draw_reference, floyd_warshall_diameter,
+                     generate_er_reference, m_hop_senders, out_adjacency, reach_set)
 
 
 def ring(n):
@@ -147,7 +149,6 @@ def test_generation_deterministic_in_seed():
 def test_accepted_draw_checks_connectivity_once(spy_calls):
     # construction decides strong connectivity by the diameter's flood and
     # keeps the result: reading g.diameter floods nothing more
-    import hullstop.graph as graph
     calls = spy_calls(graph, "_flood")
     g = generate_digraph(8, "erdos_renyi", seed=0, edge_prob=0.5)
     # the first draw was accepted: the graph holds exactly its edges
@@ -275,25 +276,50 @@ def test_stochastic_matrix_rejects_unknown_kind():
         make_weights(g, "rows")
 
 
-def test_make_weights_allocates_no_dense_matrix():
+def test_make_weights_allocates_no_dense_matrix(traced_peak):
     # n^2 floats would be 32 MB here; the per-edge arrays are about 0.5 MB.
     # consensus_limit on the row weights runs the Perron iteration per edge
     n = 2000
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * np.log(n) / n)
     x0 = np.random.default_rng(0).random((n, 2))
     for kind in ("column", "row"):
-        tracemalloc.start()
-        try:
-            W = make_weights(g, kind)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            consensus_limit(x0, W)
-            limit_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        made = []
+        peak = traced_peak(lambda: made.append(make_weights(g, kind)), warm_up=False)
+        W, = made
+        limit_peak = traced_peak(lambda: consensus_limit(x0, W), warm_up=False)
         assert peak < 4 * 2**20, (kind, peak)
         assert limit_peak < 4 * 2**20, (kind, limit_peak)
         assert not hasattr(W, "w")
+
+
+def test_generation_allocates_no_n_by_n_array(traced_peak):
+    # the whole (n, n) float draw alone is 32 MB here, and the set-up had
+    # peaked at 36 MB with it and the (n, n) identity of the diameter's
+    # flood. Drawn in row blocks of the byte budget and flooded from a
+    # packed identity, it peaks at about 5 MB, most of it edge arrays and
+    # the flood's packed bits
+    n = 2000
+    assert traced_peak(lambda: generate_digraph(n, "erdos_renyi", 0, 4 * math.log(n) / n)) < 8e6
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300, 1000])
+def test_row_block_draw_is_the_whole_draw(n):
+    # the draw is made in row blocks of the byte budget (a 1000-node draw in
+    # 63 of them): each must give the whole draw's edges and leave the
+    # generator where the whole draw does. At edge probability ln(n) / n
+    # (0.3 for one node) draws are rejected, and each rejected draw must
+    # have used the same numbers too
+    p = max(math.log(n), 0.3) / n
+    draws = 0
+    for seed in range(3):
+        blocks, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = graph._er_draw(blocks, n, p)
+        assert sorted(pairs.tolist()) == er_draw_reference(whole, n, p).tolist()
+        assert blocks.random() == whole.random()
+        edges, tries = generate_er_reference(n, seed, p)
+        assert generate_digraph(n, "erdos_renyi", seed, p).edges == edges
+        draws += tries
+    assert draws > 3 or n == 1
 
 
 def test_graph_keeps_its_edges_as_arrays():

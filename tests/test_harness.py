@@ -1,8 +1,8 @@
 import json
+import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,21 +196,30 @@ def test_failed_run_leaves_no_artifact_and_keeps_the_previous_set(tmp_path, monk
     assert len(calls) == 2 and list(fresh.iterdir()) == []
 
 
-def test_non_halting_experiment_keeps_memory_flat(tmp_path):
+def test_non_halting_experiment_keeps_memory_flat(tmp_path, traced_peak):
     # no history and a read-back in step blocks: only the windows list grows
+    warm_up = cfg_for(tmp_path, n=8, dim=1, topology="ring", k_max=5)
+
     def peak(k_max):
         cfg = cfg_for(tmp_path, n=8, dim=1, topology="ring", rho=1e-300, k_max=k_max)
-        tracemalloc.start()
-        try:
-            res = run_experiment(cfg)
-            top = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not res.summary["halted"] and res.summary["k_steps"] == k_max
+        runs = []
+        top = traced_peak(lambda: runs.append(run_experiment(cfg)),
+                          warm_up=lambda: run_experiment(warm_up))
+        assert not runs[0].summary["halted"] and runs[0].summary["k_steps"] == k_max
         return top
 
-    run_experiment(cfg_for(tmp_path, n=8, dim=1, topology="ring", k_max=5))  # warm-up
     assert peak(4000) - peak(500) < 1e6
+
+
+def test_bench_experiment_peaks_below_one_megabyte(tmp_path, traced_peak):
+    # run_experiment at the bench's config (n=300, d=10, edge probability
+    # 4 ln n / n, radius rule), after a warm-up run. Each transient block
+    # keeps within the byte budget, the weights' slot order is made before
+    # the first step, and the states.csv read-back holds one block at a
+    # time: about 0.78 MB, where row-counted blocks had peaked at 1.25 MB
+    cfg = cfg_for(tmp_path, n=300, dim=10, edge_prob=4 * math.log(300) / 300, seed=41,
+                  rho=0.01)
+    assert traced_peak(lambda: run_experiment(cfg)) < 1.0e6
 
 
 def test_row_engine_experiment(tmp_path):
@@ -501,18 +510,15 @@ def test_cli_lse_streamed_bounds_match_the_whole_run(tmp_path, name):
         "final_max_error": float(np.nanmax(last, initial=0.0)), "basis_size": M}
 
 
-def test_cli_lse_memory_is_flat_in_the_step_count(tmp_path):
+def test_cli_lse_memory_is_flat_in_the_step_count(tmp_path, traced_peak):
     # the run streams its bound rows a block at a time; a whole history of
     # 3001 steps had added 12.6 MB over that of 301
-    def peak(k_max):
-        tracemalloc.start()
-        try:
-            assert cli.main(["lse", "--k-max", str(k_max), "--out-dir", str(tmp_path / "l")]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def lse(k_max):
+        assert cli.main(["lse", "--k-max", str(k_max), "--out-dir", str(tmp_path / "l")]) == 0
 
-    cli.main(["lse", "--k-max", "5", "--out-dir", str(tmp_path / "l")])  # warm-up
+    def peak(k_max):
+        return traced_peak(lambda: lse(k_max), warm_up=lambda: lse(5))
+
     assert peak(3000) - peak(300) < 0.5e6
 
 

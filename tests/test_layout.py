@@ -1,11 +1,11 @@
 """The slot-major in-layout behind every per-step sum and max
-(graph._InLayout): what its slots and groups hold, which graphs keep the
-identity ranking, that it gives the references' bytes on regular and
-ragged graphs alike, with its slots gathered in one group or in many, and
-that a step's memory is bounded by its groups, not by the edge count."""
+(graph._InLayout): what its slots and the groups of its cuts hold, which
+graphs keep the identity ranking, that it gives the references' bytes on
+regular and ragged graphs alike, with its slots gathered in one group or in
+many, and that a step's memory is bounded by the byte budget of its groups,
+not by the edge count."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,27 +41,31 @@ def _ranked(g):
     return g.in_layout.rank is not None
 
 
-def _blocks(layout):
-    """The (start, m) of each slot of layout, read off its groups."""
-    return tuple((gr.rows.start + s, m) for gr in layout.groups for s, m in gr.slots)
+def _groups(g, width):
+    """The groups of g's layout cut for gathers of width bytes a row."""
+    return g.in_layout.cut(np.empty((g.n, width), dtype=np.uint8)).groups
 
 
 def _full_slots(g):
-    return all(m == g.n for _, m in _blocks(g.in_layout))
+    return all(m == g.n for _, m in g.in_layout.blocks)
 
 
-def _check_groups(g, cap):
-    """g's groups are runs of whole consecutive slots that tile the slot
-    rows in order, each of at most cap rows, cut only where the next slot
+def _check_groups(g, width):
+    """The groups of g's layout cut for rows of width bytes are runs of
+    whole consecutive slots that tile the slot rows in order, each within
+    the layout's byte budget or a single slot, cut only where the next slot
     would not fit."""
     layout = g.in_layout
-    groups = layout.groups
-    starts, ms = zip(*_blocks(layout))
+    groups = _groups(g, width)
+    cap = layout.budget // width
+    starts, ms = zip(*layout.blocks)
     assert list(starts) == np.cumsum((0,) + ms[:-1]).tolist()
+    assert tuple((gr.rows.start + s, m) for gr in groups for s, m in gr.slots) == layout.blocks
     assert groups[0].rows.start == 0 and groups[-1].rows.stop == len(layout.send)
     for gr, nxt in zip(groups, groups[1:] + (None,)):
         s, m = gr.slots[-1]
-        assert gr.rows.stop == gr.rows.start + s + m <= gr.rows.start + cap
+        assert gr.rows.stop == gr.rows.start + s + m
+        assert (gr.rows.stop - gr.rows.start) * width <= layout.budget or len(gr.slots) == 1
         assert gr.send.tolist() == layout.send[gr.rows].tolist()
         if nxt is not None:
             assert nxt.rows.start == gr.rows.stop
@@ -69,14 +73,16 @@ def _check_groups(g, cap):
 
 
 def at_floor(g):
-    """g rebuilt with the gather budget at its floor, so that a group of
-    slots holds at most n rows: one full slot, or a run of short ones."""
+    """g rebuilt with the byte budget at its floor, one byte, so that every
+    group of every cut is a single slot."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_GATHER_ROWS", 1)
+        mp.setattr(graph, "_BLOCK_BYTES", 1)
         floor = DiGraph(g.n, np.column_stack(g.edge_arrays), seed=g.seed, model=g.model)
-    _check_groups(floor, g.n)
-    assert _blocks(floor.in_layout) == _blocks(g.in_layout)
-    assert (len(floor.in_layout.groups) > 1) == (len(g.edges) > g.n)
+    assert floor.in_layout.budget == 1 and floor.in_layout.blocks == g.in_layout.blocks
+    for width in (1, 8, 96):
+        _check_groups(floor, width)
+        assert len(_groups(floor, width)) == len(g.in_layout.blocks)
+    assert (len(_groups(floor, 1)) > 1) == (len(g.edges) > g.n)
     return floor
 
 
@@ -121,7 +127,8 @@ def graphs(draw):
     if family != "er":
         assert _full_slots(g) == (family != "ragged")
         assert _ranked(g) <= (family == "ragged")
-    assert len(g.in_layout.groups) == 1
+    # one group for the widest rows the tests below gather: 12 floats
+    assert len(_groups(g, 96)) == 1
     return at_floor(g) if draw(st.booleans()) else g
 
 
@@ -131,7 +138,7 @@ def test_equal_in_degrees_give_the_identity_ranking():
         layout = g.in_layout
         assert layout.ranked is None and layout.rank is None
         K = len(g.edges) // g.n
-        assert _blocks(layout) == tuple((k * g.n, g.n) for k in range(K))
+        assert layout.blocks == tuple((k * g.n, g.n) for k in range(K))
     n = 1000
     for g in (complete_minus(7, 5, seed=1),
               generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)):
@@ -141,12 +148,13 @@ def test_equal_in_degrees_give_the_identity_ranking():
         assert layout.rank[layout.ranked].tolist() == list(range(g.n))
         # the blocks tile the slots, and block k is the prefix of the
         # ranking with more than k senders
-        starts, ms = zip(*_blocks(layout))
+        starts, ms = zip(*layout.blocks)
         assert list(starts) == np.cumsum((0,) + ms[:-1]).tolist()
         assert sum(ms) == len(g.edges) == len(layout.send)
         for k, m in enumerate(ms):
             assert (deg[layout.ranked[:m]] > k).all() and (deg[layout.ranked[m:]] <= k).all()
-        _check_groups(g, max(g.n, graph._GATHER_ROWS))
+        for width in (1, 40, 88, 1000):
+            _check_groups(g, width)
 
 
 @pytest.mark.parametrize("kind", ["column", "row"])
@@ -159,7 +167,7 @@ def test_table_holds_each_receivers_senders_and_weights(kind):
         assert W.slot_weights.shape == layout.send.shape
         for i, senders in enumerate(g.in_adj):
             rank = i if layout.rank is None else layout.rank[i]
-            slots = [start + rank for start, _ in _blocks(layout)[:len(senders)]]
+            slots = [start + rank for start, _ in layout.blocks[:len(senders)]]
             assert layout.send[slots].tolist() == list(senders)
             assert _same_bytes(W.slot_weights[slots], w[i, list(senders)])
 
@@ -217,7 +225,7 @@ def test_both_layouts_sum_like_in_sum_reference_byte_for_byte(g, d, seed, data):
         assert _same_bytes(nxt.y, y_ref)
         assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
         A = _random_weights(g, "row", rng)
-        assert _same_bytes(_in_sum(A, x), in_sum_reference(A, x))
+        assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
 
 
 @given(graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([1.0, 2.0, np.inf]),
@@ -235,6 +243,7 @@ def test_both_layouts_reduce_like_the_sender_fold_reference(g, d, p, data):
                        radius_step_reference(g, r_new, r_old, R_old, p))
     assert _same_bytes(bit_step(g, b), bit_step_reference(g, b))
     rule = _BoxRule(g, 1.0, 2.0)
+    rule.begin(M)
     rule.M, rule.m = M, m
     rule.step(None, None)
     M_ref, m_ref = envelope_step_reference(g, M, m)
@@ -257,7 +266,7 @@ def test_both_layouts_sum_non_finite_and_overflowing_states_like_the_reference(g
     with np.errstate(over="ignore", invalid="ignore"):
         assert _same_bytes(ratio_step(RatioState(x, np.ones(n), x, 0), W).x,
                            in_sum_reference(W, x))
-        assert _same_bytes(_in_sum(A, x), in_sum_reference(A, x))
+        assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
 
 
 @pytest.mark.parametrize("g", [generate_digraph(9, "ring"), complete_minus(7, 5, seed=1)],
@@ -271,47 +280,38 @@ def test_bit_step_of_equal_bits_is_a_fresh_copy_of_the_reference(g, bit):
     assert out is not b and not np.shares_memory(out, b)
 
 
-def test_radius_step_peak_memory_on_the_edge_layout():
+def test_radius_step_peak_memory_on_the_edge_layout(traced_peak):
     # radius_step fills each group's gathered (rows, d) difference in place
-    # and folds it into (rows,) columns, one group of at most 4096 of the
-    # 28.5k slot rows at a time: about 0.29 (E, d) float arrays at the
-    # peak. One (E, d) gather of every slot, filled in place, reached about
-    # 1.5, and a receiver-side (E, d) gather bound to a name about 3.25
+    # and folds it into (rows,) columns, one group of at most the byte
+    # budget's rows at a time (10 groups of the 28.5k slot rows here):
+    # about 0.24 (E, d) float arrays at the peak. One (E, d) gather of
+    # every slot, filled in place, reached about 1.5, and a receiver-side
+    # (E, d) gather bound to a name about 3.25
     n, d = 1000, 4
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
     E = len(g.edges)
     assert _ranked(g) and E == 28_538
     rng = np.random.default_rng(0)
     r_new, r_old, R_old = rng.random((n, d)), rng.random((n, d)), rng.random(n)
-    radius_step(g, r_new, r_old, R_old)
-    tracemalloc.start()
-    try:
-        radius_step(g, r_new, r_old, R_old)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.75 * E * d * 8
+    assert traced_peak(lambda: radius_step(g, r_new, r_old, R_old)) < 2.75 * E * d * 8
 
 
-def test_radius_step_norms_its_gaps_in_place_from_eight_columns():
+def test_radius_step_norms_its_gaps_in_place_from_eight_columns(traced_peak):
     # from d = 8 the norm reduces the gathered difference with
-    # ufunc.reduce; its 791 edges are one group, so squaring that (E, d)
+    # ufunc.reduce. Built with a budget that holds its 791 edges' gathered
+    # rows, the graph gathers them as one group, so squaring that (E, d)
     # array in place holds one (E, d) array at the peak (about 1.13 with
     # the group's (E,) columns), where squares into a second one reached
     # about 2.02
     n, d = 50, 50
-    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=0.3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_BYTES", 1 << 20)
+        g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=0.3)
     E = len(g.edges)
     rng = np.random.default_rng(1)
     r_new, r_old, R_old = rng.random((n, d)), rng.random((n, d)), rng.random(n)
-    radius_step(g, r_new, r_old, R_old)
-    tracemalloc.start()
-    try:
-        radius_step(g, r_new, r_old, R_old)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * E * d * 8
+    assert len(g.in_layout.cut(r_old, R_old).groups) == 1
+    assert traced_peak(lambda: radius_step(g, r_new, r_old, R_old)) < 1.25 * E * d * 8
 
 
 @pytest.mark.parametrize("d", [4, 8, 50])
@@ -330,7 +330,7 @@ def test_radius_step_and_vector_norm_leave_their_inputs_unwritten(d):
             assert [a.tobytes() for a in (r_new, r_old, R_old)] == before
 
 
-def test_box_step_peak_memory_on_the_edge_layout():
+def test_box_step_peak_memory_on_the_edge_layout(traced_peak):
     # the envelopes start from the engine's own state, and ndarray.take
     # copies a source that is not C-contiguous whole before it gathers, so
     # ratio_step must hand out r in C order. One step holds a group's
@@ -345,31 +345,29 @@ def test_box_step_peak_memory_on_the_edge_layout():
     W = make_weights(g, "column")
     r = ratio_step(make_ratio_state(np.random.default_rng(0).random((n, d))), W).r
     rule = _BoxRule(g, 1.0, 2.0)
-    rule.begin(r)
-    rule.step(None, None)
-    rule.begin(r)
-    tracemalloc.start()
-    try:
+
+    def box_step():
+        rule.begin(r)
         rule.step(None, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < E * d * 8 + E * 8 + n * d * 8 + n * d * 8 // 2
+
+    assert traced_peak(box_step) < E * d * 8 + E * 8 + n * d * 8 + n * d * 8 // 2
 
 
-def test_step_memory_is_bounded_by_the_gather_groups_not_the_edge_count():
-    # complete(300) has E = 90,000 slot rows in 24 groups of at most 3,900.
-    # A ratio step, a radius step and a box step each peak near one group's
-    # (rows, d + 1) float array, about 1.3 of the unit below at most; one
-    # gather of every slot reached 22 to 24 units
+def test_step_memory_is_bounded_by_the_gather_groups_not_the_edge_count(traced_peak):
+    # complete(300) has E = 90,000 slot rows; a ratio step gathers them in
+    # 75 groups of 4 slots (1,200 rows of d + 1 floats) within the byte
+    # budget, a box step in 60 groups of 5. A ratio step, a radius step and
+    # a box step each peak at one group's gather plus their own (n, d + 1)
+    # arrays, 1.0 to 1.75 budgets; one gather of every slot reached about
+    # 60 budgets
     n, d = 300, 10
     g = generate_digraph(n, "complete")
-    assert len(g.edges) == n * n and len(g.in_layout.groups) > 1
-    unit = max(n, graph._GATHER_ROWS) * (d + 1) * 8
+    unit = graph._BLOCK_BYTES
     W = make_weights(g, "column")
     s0 = make_ratio_state(np.random.default_rng(0).random((n, d)))
     s1 = ratio_step(s0, W)
     R = np.random.default_rng(1).random(n)
+    assert len(g.edges) == n * n and len(g.in_layout.cut(s1.r, R).groups) == 75
     rule = _BoxRule(g, 1.0, 2.0)
 
     def box_step():
@@ -377,14 +375,7 @@ def test_step_memory_is_bounded_by_the_gather_groups_not_the_edge_count():
         rule.step(None, None)
 
     for step in (lambda: ratio_step(s1, W), lambda: radius_step(g, s1.r, s0.r, R), box_step):
-        step()
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * unit
+        assert traced_peak(step) < 2 * unit
 
 
 @pytest.mark.parametrize("d", [1, 4, 7, 8, 10, 50])

@@ -252,6 +252,8 @@ _HULL_STATE = HullNodeState(PointSet(_SQUARE))
     (lambda: is_convex_decreasing(_SQUARE, [[0.5, np.nan]]), "points must be finite"),
     (lambda: is_convex_decreasing(_SQUARE, [[np.inf, 0.5]]), "points must be finite"),
     (lambda: pairwise_spread(np.zeros(3)), "expected (n, d) states, got shape (3,)"),
+    (lambda: pairwise_spread(np.zeros((0, 3))),
+     "expected (n, d) states with n >= 1, got shape (0, 3)"),
     (lambda: canonicalize_points(np.zeros((0, 2))),
      "expected a nonempty (m, d) point array, got shape (0, 2)"),
     (lambda: minmax_envelope(np.zeros((2, 2, 2))), "expected (n, d) states, got shape (2, 2, 2)"),
@@ -274,7 +276,7 @@ _HULL_STATE = HullNodeState(PointSet(_SQUARE))
      "initial states must be (5, d), got (7, 2)"),
 ], ids=["unflatten_payload", "funccalc_init", "registered_function",
         "is_convex_decreasing", "is_convex_decreasing-nan",
-        "is_convex_decreasing-inf", "pairwise_spread",
+        "is_convex_decreasing-inf", "pairwise_spread", "pairwise_spread-empty",
         "canonicalize_points", "minmax_envelope", "generate_digraph", "DiGraph",
         "edge_prob-0", "edge_prob-1.5", "bit_step",
         "row_engine-n", "row_engine-ndim",

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,17 +495,15 @@ def test_stopping_history_equals_run_consensus(kind):
     assert _bits(box.rs) == _bits(run_consensus(W, x0, box.halt_t).states)
 
 
-def test_non_halting_run_keeps_memory_bounded():
+def test_non_halting_run_keeps_memory_bounded(traced_peak):
     # keeping every step of this run took about 700 MB
     g = er(50, seed=0, p=0.1)
     W = make_weights(g, "column")
     x0 = np.random.default_rng(0).random((50, 20))
-    tracemalloc.start()
-    try:
-        tr = run_radius_stopping(g, W, x0, rho=1e-300, k_max=20_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    runs = []
+    peak = traced_peak(lambda: runs.append(run_radius_stopping(g, W, x0, rho=1e-300,
+                                                               k_max=20_000)), warm_up=False)
+    tr, = runs
     assert not tr.halted and sorted(tr.rs) == [0, 20_000]
     assert peak < 10e6
 

@@ -156,12 +156,13 @@ GOLDEN = {
 
 
 # each case as it runs, and the ER1000 radius run again on graphs built with
-# the gather budget at its floor (graph._GATHER_ROWS): the layout's slots then
-# gather in 31 groups of at most n rows instead of 8, and the bytes must not move
-@pytest.mark.parametrize("name, gather_rows",
+# the byte budget at its floor (graph._BLOCK_BYTES = 1): the layout's slots
+# then gather one slot per group, 45 groups where the budget gives the run's
+# sums and radius steps 10, and the bytes must not move
+@pytest.mark.parametrize("name, budget",
                          [pytest.param(name, None, id=name) for name in sorted(CASES)]
                          + [pytest.param("er1000_radius", 1, id="er1000_radius-gather_floor")])
-def test_trace_digest(name, gather_rows, monkeypatch):
-    if gather_rows is not None:
-        monkeypatch.setattr(graph, "_GATHER_ROWS", gather_rows)
+def test_trace_digest(name, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", budget)
     assert trace_digest(CASES[name]()) == GOLDEN[name]
