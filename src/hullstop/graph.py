@@ -13,7 +13,9 @@ Every per-node reduction over senders goes through the graph's in-layout
 so the ranking is the identity when every in-degree is equal (rings,
 complete graphs). Slot k lists the (k+1)-th smallest sender of each of the
 first m_k ranked receivers, the ones with more than k senders; every
-receiver has its self-loop, so slot 0 covers all of them.
+receiver has its self-loop, so slot 0 covers all of them. One map,
+_InLayout.slotted, puts the senders and every StochasticMatrix's weights
+in slot order a whole slot at a time, with no edge-length permutation.
 
 Every transient block takes its size from one byte budget, _BLOCK_BYTES
 (128 KiB): the gather groups here, the row blocks of generate_digraph's
@@ -31,16 +33,16 @@ d = 10 is one group. Per group it gathers each input's rows at the group's
 senders with one ndarray.take and turns them into the group's terms;
 slot 0's terms start a fresh accumulator and each later slot k is folded
 into its first m_k rows in place, and one more take undoes the ranking.
-Three kernels use it: _in_sum for weighted sums of the rows of an (n, c)
-array (its terms are the rows scaled in place by the slot weights),
-_in_reduce for maximum, minimum and bitwise_or, and the radius step in
-termination. So each receiver combines its senders in ascending order from
-its first term, with no pad slots, whatever the groups; the sum's closing
-+ 0.0 turns a -0.0 total into +0.0 and changes nothing else, which gives
-the bytes of a sum started at 0.0.
+_in_sum, the weighted sum of the rows of an (n, c) array, scales the
+gathered rows in place by the slot weights, the radius step in termination
+makes its own terms, and every maximum, minimum and bitwise_or folds the
+gathered rows themselves. So each receiver combines its senders in
+ascending order from its first term, with no pad slots, whatever the
+groups; the sum's closing + 0.0 turns a -0.0 total into +0.0 and changes
+nothing else, which gives the bytes of a sum started at 0.0.
 The diameter is one packed-bit flood, _flood: each node holds a row of
 np.packbits bits, starting from a packed identity, and each round ORs into
-it the rows of its senders through _in_reduce. So only a complete graph,
+it the rows of its senders through _in_fold. So only a complete graph,
 whose n * n edges it is, makes an (n, n) array at set-up: the Erdos-Renyi
 draw is made in row blocks, and the flood's seeds are packed from the
 start.
@@ -114,15 +116,28 @@ class _InLayout(NamedTuple):
     receivers; send lists the slots one after another, and blocks gives
     each slot's (start, m_k) there. ranked lists the receivers by rank and
     rank gives each receiver's rank; both are None when the ranking is the
-    identity. The arrays are read-only. budget is _BLOCK_BYTES as it was
-    when the layout was built, and cuts keeps each _Cut that cut() made."""
+    identity. heads gives each ranked receiver's first edge in the
+    receiver-sorted edge arrays. The arrays are read-only. budget is
+    _BLOCK_BYTES as it was when the layout was built, and cuts keeps each
+    _Cut that cut() made."""
 
     send: np.ndarray
     ranked: np.ndarray | None
     rank: np.ndarray | None
+    heads: np.ndarray
     blocks: tuple
     budget: int
     cuts: dict
+
+    def slotted(self, values) -> np.ndarray:
+        """The receiver-sorted per-edge array values in slot order, read-only,
+        filled a whole slot at a time: slot k of the i-th ranked receiver
+        is edge heads[i] + k."""
+        out = np.empty_like(values)
+        for k, (start, m) in enumerate(self.blocks):
+            values.take(self.heads[:m] + k, out=out[start:start + m])
+        out.setflags(write=False)
+        return out
 
     def cut(self, *values) -> _Cut:
         """The layout cut for gathering the rows of the (n, ...) arrays
@@ -148,34 +163,23 @@ class _InLayout(NamedTuple):
         return cut
 
 
-def _slot_order(n, recv):
-    """For receiver-sorted edge receivers recv that include every self-loop:
-    the edge at each slot of the in-layout, the ranked receivers, each
-    receiver's rank (both None for the identity) and the (start, m) blocks."""
+def _in_layout(n, recv, send) -> _InLayout:
+    """The in-layout of the receiver-sorted edge arrays (recv, send) that
+    include every self-loop."""
     deg = np.bincount(recv, minlength=n)
     ranked = np.argsort(-deg, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[ranked] = np.arange(n)
+    heads = (np.cumsum(deg) - deg)[ranked]
     # m[k]: the receivers with more than k senders, the first m[k] ranked
     m = n - np.cumsum(np.bincount(deg))[:-1]
-    starts = np.cumsum(m) - m
-    pos = np.arange(len(recv)) - (np.cumsum(deg) - deg)[recv]
-    order = np.empty(len(recv), dtype=np.intp)
-    order[starts[pos] + rank[recv]] = np.arange(len(recv))
-    for a in (ranked, rank):
+    blocks = tuple(zip((np.cumsum(m) - m).tolist(), m.tolist()))
+    for a in (ranked, rank, heads):
         a.setflags(write=False)
     if (deg[1:] <= deg[:-1]).all():
         ranked = rank = None
-    return order, ranked, rank, tuple(zip(starts.tolist(), m.tolist()))
-
-
-def _in_layout(n, recv, send) -> _InLayout:
-    """The in-layout of the receiver-sorted edge arrays (recv, send) that
-    include every self-loop."""
-    order, ranked, rank, blocks = _slot_order(n, recv)
-    send = send[order]
-    send.setflags(write=False)
-    return _InLayout(send, ranked, rank, blocks, _BLOCK_BYTES, {})
+    layout = _InLayout(None, ranked, rank, heads, blocks, _BLOCK_BYTES, {})
+    return layout._replace(send=layout.slotted(send))
 
 
 def _in_fold(ufunc, cut, terms, *values):
@@ -189,7 +193,8 @@ def _in_fold(ufunc, cut, terms, *values):
     as the group itself when it is slot 0 alone, else as a fresh array, so
     no group outlives its fold: ufunc of slots 0 and 1 when slot 1 holds
     every receiver, as on every strongly connected graph of two or more
-    nodes, else a copy of slot 0."""
+    nodes, else a copy of slot 0, which only _flood reaches: on Erdos-Renyi
+    draws that are not strongly connected."""
     n = len(values[0])
     acc = None
     for group in cut.groups:
@@ -227,13 +232,6 @@ def _in_sum(W, X, cut):
     return out
 
 
-def _in_reduce(ufunc, values, cut):
-    """ufunc (maximum, minimum, bitwise_or) over the rows of the (n, ...)
-    values at each receiver's senders, in ascending sender order, gathered
-    by cut, the layout cut for values."""
-    return _in_fold(ufunc, cut, None, values)
-
-
 def _flood(layout, n) -> int:
     """OR-flood each node's own bit along the edges of layout until every
     node holds every bit.
@@ -253,7 +251,7 @@ def _flood(layout, n) -> int:
     cut = layout.cut(reach)
     rounds = 0
     while not (reach == full).all():
-        nxt = _in_reduce(np.bitwise_or, reach, cut)
+        nxt = _in_fold(np.bitwise_or, cut, None, reach)
         if np.array_equal(nxt, reach):
             return -1
         reach = nxt
@@ -301,11 +299,11 @@ class DiGraph:
         if bad.any():
             i, j = min(map(tuple, pairs[bad].tolist()))
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
-        missing = np.setdiff1d(np.arange(n) * (n + 1), codes, assume_unique=True)
-        if missing.size:
-            raise ValueError(f"node {missing[0] // (n + 1)} is missing its self-loop")
-        dst, src = np.divmod(codes, n)
+        dst, src = np.divmod(np.unique(pairs[:, 0] * n + pairs[:, 1]), n)
+        looped = np.zeros(n, dtype=bool)
+        looped[dst[dst == src]] = True
+        if not looped.all():
+            raise ValueError(f"node {looped.argmin()} is missing its self-loop")
         dst.setflags(write=False)
         src.setflags(write=False)
         object.__setattr__(self, "edge_arrays", (dst, src))
@@ -402,7 +400,8 @@ class StochasticMatrix:
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
     each receiver's (averaging); there is no dense view. slot_weights, the
     weights in the graph's in-layout slot order, is built here, before any
-    step: the graph keeps no edge-length slot order to build it from.
+    step, by the layout's own map (_InLayout.slotted), the one that put the
+    layout's senders in slot order.
     """
 
     kind: str
@@ -428,9 +427,7 @@ class StochasticMatrix:
             raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
         ew.setflags(write=False)
         object.__setattr__(self, "edge_weights", ew)
-        slot = ew[_slot_order(self.graph.n, dst)[0]]
-        slot.setflags(write=False)
-        object.__setattr__(self, "slot_weights", slot)
+        object.__setattr__(self, "slot_weights", self.graph.in_layout.slotted(ew))
 
 
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:

@@ -30,17 +30,17 @@ termination.csv formatter), so no run holds its history to write a file.
 
 The per-step maxima and minima (the radius and bit steps, the box
 envelopes) run over the graph's slot-major in-layout through its one
-gather-and-fold helper (graph._in_fold, graph._in_reduce), each receiver
-taking its senders in ascending order. The helper gathers rows with
-ndarray.take from the engines' C-ordered states one group of slots at a
-time; the radius step subtracts each group's rows from the ranked receiver
-rows slot by slot, in place, and squares (or takes the abs of) that
-difference in place for its norm, so it holds about one group's (rows, d)
-array at its peak, however many edges the graph has; the public
-radius_step never writes its inputs. The bit step is the identity when
-all bits are 0 (every window before the first detection) or all are 1:
-every node has its self-loop, so an OR over equal bits changes none of
-them.
+gather-and-fold helper, graph._in_fold, each receiver taking its senders
+in ascending order; the bit step and the envelopes fold the gathered rows
+themselves. The helper gathers rows with ndarray.take from the engines'
+C-ordered states one group of slots at a time; the radius step subtracts
+each group's rows from the ranked receiver rows slot by slot, in place,
+and squares (or takes the abs of) that difference in place for its norm,
+so it holds about one group's (rows, d) array at its peak, however many
+edges the graph has; the public radius_step never writes its inputs. The
+bit step is the identity when all bits are 0 (every window before the
+first detection) or all are 1: every node has its self-loop, so an OR
+over equal bits changes none of them.
 
 The public radius_step and bit_step check their input, then run the
 kernels _radius and _bits. _run_windows checks rho and p once, and its
@@ -63,7 +63,7 @@ import numpy as np
 from .consensus import _CHUNK_ROWS, _Engine, _History, _every_step, ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm, _norm_order, hull_diameter, vector_norm
-from .graph import DiGraph, StochasticMatrix, _in_fold, _in_reduce, _integer
+from .graph import DiGraph, StochasticMatrix, _in_fold, _integer
 from .hull import hull_round, HullNodeState
 
 __all__ = [
@@ -130,7 +130,7 @@ def _bits(cut, b) -> np.ndarray:
     if ones == 0 or (ones == len(b) and np.maximum.reduce(b) == 1):
         # equal bits everywhere: with every self-loop, the OR is the identity
         return b
-    return _in_reduce(np.maximum, b, cut)
+    return _in_fold(np.maximum, cut, None, b)
 
 
 class MinMaxEnvelope(NamedTuple):
@@ -363,8 +363,8 @@ class _BoxRule(_Rule):
         self.cut = self.g.in_layout.cut(cur)
 
     def step(self, prev, cur):
-        self.M = _in_reduce(np.maximum, self.M, self.cut)
-        self.m = _in_reduce(np.minimum, self.m, self.cut)
+        self.M = _in_fold(np.maximum, self.cut, None, self.M)
+        self.m = _in_fold(np.minimum, self.cut, None, self.m)
 
     def boundary(self, index, start_t, t):
         spreads = vector_norm(self.M - self.m, self.p, axis=-1)

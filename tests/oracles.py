@@ -7,7 +7,8 @@ over the edge pairs, diameter by Floyd-Warshall, Erdos-Renyi graphs by one
 chain construction, support values by one matrix product, a sample's
 least-squares payload by np.outer, in-neighbour sums by a plain loop over the
 dense weight view, in-neighbour maxima and minima by a fold one edge at a
-time, so agreement is meaningful. The writers, the membership decider, Wolfe's loop
+time, so agreement is meaningful. The in-layout's edge-length slot
+permutation, the writers, the membership decider, Wolfe's loop
 and its corral step, the per-item least-squares bound and the extreme-point
 loop are the earlier forms of library code, kept to show that a faster form
 gives the same result. The dense n x n weight view lives only here, with the
@@ -135,6 +136,27 @@ def in_sum_reference(W, values):
                 acc += w[i, j] * cols[j, c]
             out[i, c] = acc
     return out.reshape(values.shape)
+
+
+def slot_order_reference(n, recv):
+    """For receiver-sorted edge receivers recv that include every self-loop:
+    the edge at each slot of the in-layout, the ranked receivers, each
+    receiver's rank (both None for the identity) and the (start, m) blocks."""
+    deg = np.bincount(recv, minlength=n)
+    ranked = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[ranked] = np.arange(n)
+    # m[k]: the receivers with more than k senders, the first m[k] ranked
+    m = n - np.cumsum(np.bincount(deg))[:-1]
+    starts = np.cumsum(m) - m
+    pos = np.arange(len(recv)) - (np.cumsum(deg) - deg)[recv]
+    order = np.empty(len(recv), dtype=np.intp)
+    order[starts[pos] + rank[recv]] = np.arange(len(recv))
+    for a in (ranked, rank):
+        a.setflags(write=False)
+    if (deg[1:] <= deg[:-1]).all():
+        ranked = rank = None
+    return order, ranked, rank, tuple(zip(starts.tolist(), m.tolist()))
 
 
 def _fold_senders(g, ufunc, per_edge):

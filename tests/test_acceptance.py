@@ -5,6 +5,7 @@ line per criterion (see conftest.py)."""
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,18 +267,18 @@ def test_c11_byte_identical_reruns(tmp_path):
         cfg = ExperimentConfig(topology="erdos_renyi", edge_prob=0.4,
                                out_dir=out, **kw)
         res1 = run_experiment(cfg)
-        blobs = {name: open(p, "rb").read() for name, p in res1.paths.items()}
+        blobs = {name: Path(p).read_bytes() for name, p in res1.paths.items()}
         res2 = run_experiment(ExperimentConfig(topology="erdos_renyi",
                                                edge_prob=0.4, out_dir=out, **kw))
         assert res1.paths.keys() == res2.paths.keys()
         for name, p in res2.paths.items():
-            assert open(p, "rb").read() == blobs[name], f"{name} differed on rerun"
+            assert Path(p).read_bytes() == blobs[name], f"{name} differed on rerun"
     # the command line wrapper is deterministic too
     out = str(tmp_path / "detcli")
     args = ["run", "--nodes", "7", "--dim", "2", "--seed", "11",
             "--rho", "0.001", "--out-dir", out]
     assert cli.main(args) == 0
-    blobs = {n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)}
+    blobs = {n: Path(out, n).read_bytes() for n in os.listdir(out)}
     assert cli.main(args) == 0
     for name, blob in blobs.items():
-        assert open(os.path.join(out, name), "rb").read() == blob, name
+        assert Path(out, name).read_bytes() == blob, name

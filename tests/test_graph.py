@@ -292,6 +292,18 @@ def test_make_weights_allocates_no_dense_matrix(traced_peak):
         assert not hasattr(W, "w")
 
 
+def test_make_weights_peaks_at_a_few_edge_length_arrays(traced_peak):
+    # the bench's stop_er1000 graph, 28 538 edges. The given weights, their
+    # float copy and the slot-ordered weights are 24 bytes an edge; building
+    # the slot order as an edge-length permutation had made it 64.9
+    n = 1000
+    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
+    assert len(g.edges) == 28_538
+    for kind in ("column", "row"):
+        peak = traced_peak(lambda: make_weights(g, kind))
+        assert peak < 32 * len(g.edges), (kind, peak / len(g.edges))
+
+
 def test_generation_allocates_no_n_by_n_array(traced_peak):
     # the whole (n, n) float draw alone is 32 MB here, and the set-up had
     # peaked at 36 MB with it and the (n, n) identity of the diameter's

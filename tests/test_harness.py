@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,17 +85,17 @@ def test_run_experiment_radius_outputs(tmp_path):
     assert s["bandwidth_bits"] == 33
     assert s["dbound"] >= 1
     # summary on disk matches the returned one
-    on_disk = json.loads(open(res.paths["summary.json"]).read())
+    on_disk = json.loads(Path(res.paths["summary.json"]).read_text())
     assert on_disk == json.loads(json.dumps(s))
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = cfg_for(tmp_path, stopping="box", dim=3)
     res1 = run_experiment(cfg)
-    blobs = {n: open(p, "rb").read() for n, p in res1.paths.items()}
+    blobs = {n: Path(p).read_bytes() for n, p in res1.paths.items()}
     res2 = run_experiment(cfg_for(tmp_path, stopping="box", dim=3))
     for name, path in res2.paths.items():
-        assert open(path, "rb").read() == blobs[name], name
+        assert Path(path).read_bytes() == blobs[name], name
 
 
 def test_run_experiment_none_stopping(tmp_path):
@@ -253,7 +254,7 @@ def test_cli_run_and_artifacts(tmp_path, capsys):
     rc = cli.main(["run", "--nodes", "8", "--dim", "2", "--seed", "3",
                    "--rho", "0.001", "--out-dir", out])
     assert rc == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["halted"] is True
     assert capsys.readouterr().out.strip() != ""
 
@@ -417,7 +418,7 @@ def test_cli_compare(tmp_path, capsys):
     rc = cli.main(["compare", "--nodes", "7", "--dim", "3", "--seed", "2",
                    "--rho", "0.001", "--out-dir", out])
     assert rc == 0
-    rows = json.loads(open(os.path.join(out, "compare.json")).read())
+    rows = json.loads(Path(out, "compare.json").read_text())
     assert [r["method"] for r in rows] == ["radius", "box", "hull"]
     text = capsys.readouterr().out
     assert "radius" in text and "box" in text and "hull" in text
@@ -428,9 +429,9 @@ def test_cli_hull(tmp_path):
     rc = cli.main(["hull", "--nodes", "6", "--dim", "2", "--seed", "4",
                    "--points", "3", "--out-dir", out])
     assert rc == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["agreement"] is True
-    lines = open(os.path.join(out, "hull_rounds.csv")).read().splitlines()
+    lines = Path(out, "hull_rounds.csv").read_text().splitlines()
     assert lines[0] == "round,node,message"
     assert len(lines) > 6
 
@@ -440,7 +441,7 @@ def test_cli_lse(tmp_path):
     rc = cli.main(["lse", "--nodes", "10", "--degree", "2", "--seed", "1",
                    "--out-dir", out])
     assert rc == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["final_max_error"] < 1e-6
     assert os.path.exists(os.path.join(out, "bound.csv"))
     assert os.path.exists(os.path.join(out, "dataset.csv"))
@@ -532,7 +533,7 @@ def test_cli_lse_reads_dataset(tmp_path):
     rc = cli.main(["lse", "--degree", "1", "--data", str(data), "--seed", "2",
                    "--out-dir", out])
     assert rc == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["n"] == 12
 
 
@@ -593,7 +594,7 @@ def test_cli_funccalc(tmp_path):
     rc = cli.main(["funccalc", "--nodes", "5", "--function", "max",
                    "--seed", "6", "--out-dir", out])
     assert rc == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["certificate_ok"] is True
     assert summary["holder_ok_every_step"] is True
 
@@ -616,7 +617,7 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert cli.main(args) == 0
     blobs = {}
     for name in os.listdir(out):
-        blobs[name] = open(os.path.join(out, name), "rb").read()
+        blobs[name] = Path(out, name).read_bytes()
     assert cli.main(args) == 0
     for name, blob in blobs.items():
-        assert open(os.path.join(out, name), "rb").read() == blob, name
+        assert Path(out, name).read_bytes() == blob, name

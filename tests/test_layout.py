@@ -33,6 +33,7 @@ from oracles import (
     envelope_step_reference,
     in_sum_reference,
     radius_step_reference,
+    slot_order_reference,
 )
 from test_consensus import _random_weights, _same_bytes
 
@@ -172,12 +173,35 @@ def test_table_holds_each_receivers_senders_and_weights(kind):
             assert _same_bytes(W.slot_weights[slots], w[i, list(senders)])
 
 
+@pytest.mark.parametrize("g", [generate_digraph(12, "ring"), generate_digraph(9, "complete"),
+                               circulant(9, (0, 2, 5)), complete_minus(7, 5, seed=1),
+                               generate_digraph(200, "erdos_renyi", seed=3, edge_prob=0.1),
+                               DiGraph(1, [(0, 0)])],
+                         ids=["ring", "complete", "circulant", "complete-minus", "er", "one-node"])
+def test_slot_map_matches_the_edge_length_permutation(g):
+    """_InLayout.slotted, filling slot by slot from heads, puts the senders
+    and both kinds of weights where the vectorised permutation it replaced
+    put them, bit for bit."""
+    dst, src = g.edge_arrays
+    order, ranked, rank, blocks = slot_order_reference(g.n, dst)
+    layout = g.in_layout
+    assert blocks == layout.blocks
+    for ours, ref in ((layout.ranked, ranked), (layout.rank, rank)):
+        assert (ours is None) == (ref is None)
+        assert ours is None or ours.tolist() == ref.tolist()
+    assert layout.send.tolist() == src[order].tolist()
+    for kind in ("column", "row"):
+        W = make_weights(g, kind)
+        assert _same_bytes(W.slot_weights, W.edge_weights[order])
+
+
 def test_tables_are_read_only():
     ragged = complete_minus(7, 5, seed=1)
     assert _ranked(ragged)
     for g in (generate_digraph(5, "ring"), ragged):
         W = make_weights(g, "column")
-        for table in (g.in_layout.send, g.in_layout.ranked, g.in_layout.rank, W.slot_weights):
+        layout = g.in_layout
+        for table in (layout.send, layout.ranked, layout.rank, layout.heads, W.slot_weights):
             if table is None:
                 continue
             with pytest.raises(ValueError):
