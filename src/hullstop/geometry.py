@@ -115,15 +115,22 @@ def vector_norm(a, p: float = 2.0, axis: int = -1):
 
 def _norm(a, p, axis=-1, scratch=False):
     """vector_norm on a float array a and a checked order p. scratch=True
-    hands a over to be overwritten: ufunc.reduce's branch then squares (or
-    takes the abs of) a in place instead of into a second array of a's size,
-    which gives the same bytes."""
+    hands a over to be overwritten: a is squared (or its abs taken) in place
+    in one call instead of into a second array of a's size, or of each
+    column's, which gives the same bytes. A single column keeps the
+    per-column path, so the result never views a."""
     term = np.square if p == 2.0 else np.abs
     ufunc = np.maximum if p == np.inf else np.add
     if a.ndim > 1 and axis in (-1, a.ndim - 1) and 0 < a.shape[-1] < 8:
-        acc = term(a[..., 0])
-        for c in range(1, a.shape[-1]):
-            ufunc(acc, term(a[..., c]), out=acc)
+        if scratch and a.shape[-1] > 1:
+            term(a, out=a)
+            acc = ufunc(a[..., 0], a[..., 1])
+            for c in range(2, a.shape[-1]):
+                ufunc(acc, a[..., c], out=acc)
+        else:
+            acc = term(a[..., 0])
+            for c in range(1, a.shape[-1]):
+                ufunc(acc, term(a[..., c]), out=acc)
     else:
         acc = ufunc.reduce(term(a, out=a) if scratch else term(a), axis=axis)
     return np.sqrt(acc) if p == 2.0 else acc

@@ -33,8 +33,12 @@ d = 10 is one group. Per group it gathers each input's rows at the group's
 senders with one ndarray.take and turns them into the group's terms;
 slot 0's terms start a fresh accumulator and each later slot k is folded
 into its first m_k rows in place, and one more take undoes the ranking.
-_in_sum, the weighted sum of the rows of an (n, c) array, scales the
-gathered rows in place by the slot weights, the radius step in termination
+_in_sum, the weighted sum of the rows of an (n, c) array, scales the (n, c)
+rows once by the per-sender weights when every sender gives all its
+out-edges one weight (push-sum's equal split, Kempe, Dobra and Gehrke,
+FOCS 2003) and folds the gathered products, and otherwise scales the
+gathered rows in place by the slot weights; either way each term is the
+same product of the same two doubles. The radius step in termination
 makes its own terms, and every maximum, minimum and bitwise_or folds the
 gathered rows themselves. So each receiver combines its senders in
 ascending order from its first term, with no pad slots, whatever the
@@ -93,8 +97,11 @@ _BLOCK_BYTES = 128 * 1024
 
 class _Group(NamedTuple):
     """A run of whole consecutive slots of an in-layout: rows is its slice
-    of the slot rows, send the senders at those rows (a read-only view) and
-    slots the (offset, m) of each of its slots within the run."""
+    of the slot rows, send the senders at those rows and slots the
+    (offset, m) of each of its slots within the run. send views the
+    writeable array behind the layout's read-only send, because
+    ndarray.take copies an index that is not writeable before it gathers;
+    no step writes it."""
 
     rows: slice
     send: np.ndarray
@@ -117,7 +124,8 @@ class _InLayout(NamedTuple):
     each slot's (start, m_k) there. ranked lists the receivers by rank and
     rank gives each receiver's rank; both are None when the ranking is the
     identity. heads gives each ranked receiver's first edge in the
-    receiver-sorted edge arrays. The arrays are read-only. budget is
+    receiver-sorted edge arrays. The arrays are read-only; send is a view of
+    a writeable array, its base, which the groups of a cut view. budget is
     _BLOCK_BYTES as it was when the layout was built, and cuts keeps each
     _Cut that cut() made."""
 
@@ -130,14 +138,15 @@ class _InLayout(NamedTuple):
     cuts: dict
 
     def slotted(self, values) -> np.ndarray:
-        """The receiver-sorted per-edge array values in slot order, read-only,
-        filled a whole slot at a time: slot k of the i-th ranked receiver
-        is edge heads[i] + k."""
+        """The receiver-sorted per-edge array values in slot order, as a
+        read-only view of a fresh array, filled a whole slot at a time:
+        slot k of the i-th ranked receiver is edge heads[i] + k."""
         out = np.empty_like(values)
         for k, (start, m) in enumerate(self.blocks):
             values.take(self.heads[:m] + k, out=out[start:start + m])
-        out.setflags(write=False)
-        return out
+        view = out.view()
+        view.setflags(write=False)
+        return view
 
     def cut(self, *values) -> _Cut:
         """The layout cut for gathering the rows of the (n, ...) arrays
@@ -155,9 +164,10 @@ class _InLayout(NamedTuple):
                     runs.append([])
                 runs[-1].append((start, m))
             groups = []
+            send = self.send.base
             for run in runs:
                 a, b = run[0][0], run[-1][0] + run[-1][1]
-                groups.append(_Group(slice(a, b), self.send[a:b],
+                groups.append(_Group(slice(a, b), send[a:b],
                                      tuple((s - a, m) for s, m in run)))
             cut = self.cuts[width] = _Cut(tuple(groups), self.ranked, self.rank)
         return cut
@@ -220,14 +230,20 @@ def _in_fold(ufunc, cut, terms, *values):
 def _in_sum(W, X, cut):
     """Per receiver, the sum over its senders of W's weight times the
     sender's row of the (n, c) array X, as a fresh C-ordered (n, c) array,
-    gathered by cut, W's graph's layout cut for X. Terms are added in
-    ascending sender order from the first, and the closing + 0.0 gives the
-    bytes of a sum started at 0.0 (the module docstring)."""
-    def scaled(group, rows):
-        rows *= W.slot_weights[group.rows, None]
-        return rows
+    gathered by cut, W's graph's layout cut for X. With W's per-sender
+    weights, X is scaled once, row by row, and the products gathered;
+    without them each group's gathered rows are scaled in place by their
+    slot weights. Terms are added in ascending sender order from the first,
+    and the closing + 0.0 gives the bytes of a sum started at 0.0 (the
+    module docstring)."""
+    if W.sender_weights is not None:
+        out = _in_fold(np.add, cut, None, X * W.sender_weights[:, None])
+    else:
+        def scaled(group, rows):
+            rows *= W.slot_weights[group.rows, None]
+            return rows
 
-    out = _in_fold(np.add, cut, scaled, X)
+        out = _in_fold(np.add, cut, scaled, X)
     out += 0.0
     return out
 
@@ -398,15 +414,22 @@ class StochasticMatrix:
     edge_weights[e] is the weight src[e] gives dst[e], for (dst, src) =
     graph.edge_arrays; off the edges the weight is zero. kind "column"
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
-    each receiver's (averaging); there is no dense view. slot_weights, the
-    weights in the graph's in-layout slot order, is built here, before any
-    step, by the layout's own map (_InLayout.slotted), the one that put the
-    layout's senders in slot order.
+    each receiver's (averaging); there is no dense view. Two read-only
+    forms of the weights are built here, before any step. sender_weights
+    holds, per sender, the one weight it gives every out-edge when that
+    holds bit for bit, as for make_weights' column kind, or for its row
+    kind when every in-degree is equal; else it is None. slot_weights
+    holds the weights in the graph's in-layout slot order, put there by
+    the layout's own map (_InLayout.slotted), the one that put the
+    layout's senders in slot order. A matrix is a record, like its graph:
+    two are equal, and hash alike, when their kind, graph and edge weight
+    bytes are; the derived forms take no part.
     """
 
     kind: str
     edge_weights: np.ndarray
     graph: DiGraph
+    sender_weights: np.ndarray | None = field(init=False, repr=False, compare=False)
     slot_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -427,7 +450,25 @@ class StochasticMatrix:
             raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
         ew.setflags(write=False)
         object.__setattr__(self, "edge_weights", ew)
+        # the weights are positive and finite, so equal values are equal bits
+        lo = np.full(self.graph.n, np.inf)
+        hi = np.zeros(self.graph.n)
+        np.minimum.at(lo, src, ew)
+        np.maximum.at(hi, src, ew)
+        lo.setflags(write=False)
+        object.__setattr__(self, "sender_weights", lo if np.array_equal(lo, hi) else None)
         object.__setattr__(self, "slot_weights", self.graph.in_layout.slotted(ew))
+
+    def _record(self):
+        return self.kind, self.graph, self.edge_weights.tobytes()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._record() == other._record()
+
+    def __hash__(self):
+        return hash(self._record())
 
 
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:

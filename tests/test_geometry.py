@@ -47,6 +47,26 @@ def test_vector_norm_matches_numpys_reduce_in_either_memory_order(lead, d, p, or
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+@pytest.mark.parametrize("lead", [(40,), (5, 6)])
+def test_norm_in_scratch_gives_the_bytes_of_the_copying_norm(lead, d, p):
+    # scratch=True squares (or takes the abs of) its block in place in one
+    # call and then folds the columns; without it each column is squared
+    # into its own array. A single column keeps the copying path, so no
+    # result views the scratch
+    rng = np.random.default_rng(d)
+    entries = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.25, 1e200, -1e-200])
+    a = np.where(rng.random((*lead, d)) < 0.5, entries[rng.integers(0, 8, (*lead, d))],
+                 rng.normal(size=(*lead, d)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ref = geometry._norm(a, p)
+        scratch = a.copy()
+        out = geometry._norm(scratch, p, scratch=True)
+    assert out.shape == lead and out.tobytes() == ref.tobytes()
+    assert not np.shares_memory(out, scratch)
+
+
 def test_canonicalize_sorts_lexicographically():
     pts = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
     out = canonicalize_points(pts)

@@ -368,6 +368,32 @@ def test_graph_equality_hash_and_repr_are_those_of_its_record():
         g.edges = ()
 
 
+def test_weights_equality_hash_and_repr_are_those_of_their_record():
+    # like its graph, a matrix is its record: kind, graph and the bytes of
+    # its edge weights; the sender and slot forms derived from them take
+    # no part in equality, hashing or the repr
+    g = generate_digraph(6, "erdos_renyi", seed=1, edge_prob=0.4)
+    W = make_weights(g, "column")
+    twin = DiGraph(g.n, np.column_stack(g.edge_arrays), seed=g.seed, model=g.model)
+    same = StochasticMatrix("column", W.edge_weights.copy(), twin)
+    assert W == make_weights(g, "column") == same
+    assert hash(W) == hash(same) == hash(("column", g, W.edge_weights.tobytes()))
+    assert len({W, same, make_weights(g, "column")}) == 1
+    nudged = W.edge_weights.copy()
+    nudged[0] = np.nextafter(nudged[0], 1.0)
+    A = make_weights(g, "row")
+    assert A.edge_weights.tobytes() != W.edge_weights.tobytes()
+    for other in (StochasticMatrix("column", nudged, g), A,
+                  StochasticMatrix("column", W.edge_weights, DiGraph(g.n, twin.edges, seed=9)),
+                  ("column", g, W.edge_weights.tobytes())):
+        assert W != other
+    assert repr(W).startswith("StochasticMatrix(kind='column', edge_weights=array([")
+    assert repr(W).endswith(f", graph={g!r})")
+    assert "slot" not in repr(W) and "sender" not in repr(W)
+    with pytest.raises(AttributeError):
+        W.kind = "row"
+
+
 def test_edge_weights_align_with_edge_arrays():
     g = generate_digraph(5, "erdos_renyi", seed=4, edge_prob=0.5)
     W = make_weights(g, "column")

@@ -195,6 +195,21 @@ def test_slot_map_matches_the_edge_length_permutation(g):
         assert _same_bytes(W.slot_weights, W.edge_weights[order])
 
 
+def test_groups_gather_at_a_writeable_view_of_the_senders(traced_peak):
+    # ndarray.take copies an index that is not writeable before it
+    # gathers, so the groups view the writeable array behind the layout's
+    # read-only send: a gather holds its own rows and no copy of the index
+    n = 1000
+    g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
+    layout = g.in_layout
+    assert not layout.send.flags.writeable
+    x = np.random.default_rng(0).random((n, 4))
+    for gr in layout.cut(x).groups:
+        assert gr.send.flags.writeable and np.shares_memory(gr.send, layout.send)
+        rows = len(gr.send)
+        assert traced_peak(lambda: x.take(gr.send, axis=0)) < rows * 4 * 8 + rows * 8 // 2
+
+
 def test_tables_are_read_only():
     ragged = complete_minus(7, 5, seed=1)
     assert _ranked(ragged)
@@ -242,14 +257,17 @@ def test_both_layouts_sum_like_in_sum_reference_byte_for_byte(g, d, seed, data):
     drawn = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
     y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=0.01, max_value=10.0)))
     for x in (drawn, np.full((n, d), -0.0)):
-        W = _random_weights(g, "column", rng)
-        nxt = ratio_step(RatioState(x, y, x / y[:, None], 0), W)
-        x_ref, y_ref = in_sum_reference(W, x), in_sum_reference(W, y)
-        assert _same_bytes(nxt.x, x_ref)
-        assert _same_bytes(nxt.y, y_ref)
-        assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
-        A = _random_weights(g, "row", rng)
-        assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
+        # unequal weights scale each gathered slot row, make_weights' column
+        # kind (and its row kind on a graph of equal in-degrees) each
+        # sender's row once
+        for W in (_random_weights(g, "column", rng), make_weights(g, "column")):
+            nxt = ratio_step(RatioState(x, y, x / y[:, None], 0), W)
+            x_ref, y_ref = in_sum_reference(W, x), in_sum_reference(W, y)
+            assert _same_bytes(nxt.x, x_ref)
+            assert _same_bytes(nxt.y, y_ref)
+            assert _same_bytes(nxt.r, x_ref / y_ref[:, None])
+        for A in (_random_weights(g, "row", rng), make_weights(g, "row")):
+            assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
 
 
 @given(graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([1.0, 2.0, np.inf]),
@@ -286,11 +304,65 @@ def test_both_layouts_sum_non_finite_and_overflowing_states_like_the_reference(g
     rng = np.random.default_rng(seed)
     values = st.sampled_from([np.inf, -np.inf, 1.7e308, -1.7e308, 1.0, 0.0, -0.0])
     x = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
-    W, A = _random_weights(g, "column", rng), _random_weights(g, "row", rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _same_bytes(ratio_step(RatioState(x, np.ones(n), x, 0), W).x,
-                           in_sum_reference(W, x))
-        assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
+        for W in (_random_weights(g, "column", rng), make_weights(g, "column")):
+            assert _same_bytes(ratio_step(RatioState(x, np.ones(n), x, 0), W).x,
+                               in_sum_reference(W, x))
+        for A in (_random_weights(g, "row", rng), make_weights(g, "row")):
+            assert _same_bytes(_in_sum(A, x, g.in_layout.cut(x)), in_sum_reference(A, x))
+
+
+@given(graphs(), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_equal_split_weights_keep_one_weight_per_sender(g, seed):
+    # make_weights' column kind gives each sender's out-edges one weight,
+    # 1 / out-degree; its row kind does so only where each sender's
+    # receivers have equal in-degrees, and unequal weights never (with two
+    # or more nodes every sender has two or more out-edges)
+    rng = np.random.default_rng(seed)
+    dst, src = g.edge_arrays
+    W = make_weights(g, "column")
+    assert _same_bytes(W.sender_weights, 1.0 / np.bincount(src, minlength=g.n))
+    assert _same_bytes(W.sender_weights[src], W.edge_weights)
+    with pytest.raises(ValueError):
+        W.sender_weights[0] = 1.0
+    A = make_weights(g, "row")
+    per_sender = {}
+    for w, j in zip(A.edge_weights.tolist(), src.tolist()):
+        per_sender.setdefault(j, set()).add(w)
+    assert (A.sender_weights is None) == any(len(ws) > 1 for ws in per_sender.values())
+    if len(set(np.bincount(dst).tolist())) == 1:
+        assert A.sender_weights is not None
+    for kind in ("column", "row"):
+        assert (_random_weights(g, kind, rng).sender_weights is None) == (g.n > 1)
+
+
+class _Unindexable:
+    def __getitem__(self, key):
+        raise AssertionError("the slot weights were read")
+
+
+@pytest.mark.parametrize("g", [generate_digraph(9, "ring"), complete_minus(7, 5, seed=1),
+                               generate_digraph(200, "erdos_renyi", seed=1, edge_prob=0.1),
+                               at_floor(generate_digraph(200, "erdos_renyi", seed=1,
+                                                         edge_prob=0.1))],
+                         ids=["ring", "ragged", "er", "er-floor"])
+def test_per_sender_weights_step_without_the_slot_weights(g):
+    # with one weight per sender a step scales each sender's row once and
+    # never reads the slot weights; the bytes are the reference's still
+    rng = np.random.default_rng(g.n)
+    x0 = np.where(rng.random((g.n, 3)) < 0.3, -0.0, rng.normal(size=(g.n, 3)))
+    weights = [make_weights(g, "column")]
+    if g.in_layout.ranked is None:
+        weights.append(make_weights(g, "row"))
+    for W in weights:
+        object.__setattr__(W, "slot_weights", _Unindexable())
+        eng = _Engine(W, x0)
+        for _ in range(3):
+            prev = eng.xy if eng.name == "ratio" else eng.cur
+            eng.step()
+            now = eng.xy if eng.name == "ratio" else eng.cur
+            assert _same_bytes(now, in_sum_reference(W, prev))
 
 
 @pytest.mark.parametrize("g", [generate_digraph(9, "ring"), complete_minus(7, 5, seed=1)],
@@ -358,8 +430,7 @@ def test_box_step_peak_memory_on_the_edge_layout(traced_peak):
     # the envelopes start from the engine's own state, and ndarray.take
     # copies a source that is not C-contiguous whole before it gathers, so
     # ratio_step must hand out r in C order. One step holds a group's
-    # (rows, d) slot gather, the intp copy take makes of the group's
-    # read-only senders and the (n, d) envelopes, about 0.22 MB at the
+    # (rows, d) slot gather and the (n, d) envelopes, about 0.2 MB at the
     # peak here against the 1.17 of one (E, d) gather of every slot, which
     # this bound was set for; a copied source adds one more (n, d) array
     n, d = 1000, 4
