@@ -416,12 +416,12 @@ class StochasticMatrix:
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
     each receiver's (averaging); there is no dense view. Two read-only
     forms of the weights are built here, before any step. sender_weights
-    holds, per sender, the one weight it gives every out-edge when that
-    holds bit for bit, as for make_weights' column kind, or for its row
-    kind when every in-degree is equal; else it is None. slot_weights
-    holds the weights in the graph's in-layout slot order, put there by
-    the layout's own map (_InLayout.slotted), the one that put the
-    layout's senders in slot order. A matrix is a record, like its graph:
+    holds, per sender, the one weight it gives every out-edge, its
+    self-loop's, when that holds bit for bit, as for make_weights' column
+    kind, or for its row kind when every in-degree is equal; else it is
+    None. slot_weights holds the weights in the graph's in-layout slot
+    order, put there by the layout's own map (_InLayout.slotted), the one
+    that put the layout's senders in slot order. A matrix is a record, like its graph:
     two are equal, and hash alike, when their kind, graph and edge weight
     bytes are; the derived forms take no part.
     """
@@ -450,13 +450,13 @@ class StochasticMatrix:
             raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
         ew.setflags(write=False)
         object.__setattr__(self, "edge_weights", ew)
-        # the weights are positive and finite, so equal values are equal bits
-        lo = np.full(self.graph.n, np.inf)
-        hi = np.zeros(self.graph.n)
-        np.minimum.at(lo, src, ew)
-        np.maximum.at(hi, src, ew)
-        lo.setflags(write=False)
-        object.__setattr__(self, "sender_weights", lo if np.array_equal(lo, hi) else None)
+        # the edges are sorted by receiver and every node has one self-loop,
+        # so these are the senders' self-loop weights in node order; the
+        # weights are positive and finite, so equal values are equal bits
+        own = ew[dst == src]
+        own.setflags(write=False)
+        object.__setattr__(self, "sender_weights",
+                           own if np.array_equal(own[src], ew) else None)
         object.__setattr__(self, "slot_weights", self.graph.in_layout.slotted(ew))
 
     def _record(self):

@@ -175,6 +175,27 @@ def verify_states_file(path, p: float) -> dict:
     }
 
 
+def _write_run(cfg: ExperimentConfig, g: DiGraph, W, x0, rho_abs, D, path):
+    """Run cfg's stopping rule, streaming states.csv and, for the radius
+    rule, termination.csv into path(name) as each step is made; returns the
+    run's StopTrace. The row formatters, with their per-file templates, end
+    with this call."""
+    radius = cfg.stopping == "radius"
+    with ExitStack() as files:
+        states = _StateRows(files.enter_context(open(path("states.csv"), "w", newline="")))
+        if radius:
+            term = _TerminationRows(files.enter_context(
+                open(path("termination.csv"), "w", newline="")), g.n, D)
+
+        def sink(k, row, halt):
+            # a record without xs (row engine, box and hull) writes x = r, y = 1
+            states(k, row["rs"], row.get("xs"), row.get("ys"))
+            if radius:
+                term(k, row["Rs"], row["bs"], halt)
+
+        return _stream(cfg.stopping, g, W, x0, rho_abs, D, cfg.norm, cfg.k_max, sink)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """End-to-end deterministic run; writes graph.json, config.json,
     states.csv, termination.csv (radius stopping only) and summary.json
@@ -195,19 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     with artifact_dir(cfg.out_dir, g) as (path, summary):
         with open(path("config.json"), "w") as fh:
             fh.write(cfg.to_json())
-        with ExitStack() as files:
-            states = _StateRows(files.enter_context(open(path("states.csv"), "w", newline="")))
-            if radius:
-                term = _TerminationRows(files.enter_context(
-                    open(path("termination.csv"), "w", newline="")), g.n, D)
-
-            def sink(k, row, halt):
-                # a record without xs (row engine, box and hull) writes x = r, y = 1
-                states(k, row["rs"], row.get("xs"), row.get("ys"))
-                if radius:
-                    term(k, row["Rs"], row["bs"], halt)
-
-            trace = _stream(cfg.stopping, g, W, x0, rho_abs, D, cfg.norm, cfg.k_max, sink)
+        trace = _write_run(cfg, g, W, x0, rho_abs, D, path)
         halt_t = trace.halt_t
 
         # verification pass: guarantee fields come from the files, not the run
@@ -221,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
         summary.update({
             "halt_k": halt_t,
-            "windows": len(trace.windows),
+            "windows": trace.n_windows,
             "final_spread": checked["final_spread"],
             "rho": rho_abs,
             "guarantee_2rho_ok": (checked["final_spread"] <= 2.0 * rho_abs
@@ -261,7 +270,7 @@ def compare_criteria(cfg: ExperimentConfig) -> list:
             "method": method,
             "halted": trace.halted,
             "halt_k": trace.halt_t,
-            "windows": len(trace.windows),
+            "windows": trace.n_windows,
             "extra_bits": bits,
             "spread_at_halt": spread,
             "within_2rho": (spread <= 2.0 * rho_abs) if spread is not None else None,

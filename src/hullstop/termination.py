@@ -18,7 +18,8 @@ step, shared with run_consensus), schedules the windows, records the
 history and returns one StopTrace; a rule holds only its own state, its
 per-step update and its boundary decision. No rule reads a state older
 than its window start, so a run keeps only step 0 and the last step of
-its states; its windows list still gains one record per window.
+its states, and of its window records their count and the last one: its
+memory does not grow with its length unless history=True.
 
 The loop has one per-step hook, a sink called with each step's record
 (step 0 included) and whether that step is the halt. history=True is one
@@ -175,13 +176,17 @@ class StopTrace:
     the ratio engine. Each is indexed by step. With history=True it is a
     (T+1, ...) array with every step; without, it is a dict {0: ..., T: ...}
     holding step 0 and the last step only, so rs[0], rs[halt_t] and
-    bs[halt_t] read the same in both forms. Unrecorded fields are None, as
-    is rho for the plain and the "none" trace; only the hull rule sets
-    max_points."""
+    bs[halt_t] read the same in both forms. Likewise windows lists every
+    window record with history=True and the last one only (none if no
+    window was recorded) without, so windows[-1] reads the same in both;
+    n_windows counts the run's windows in both. Unrecorded fields are
+    None, as is rho for the plain and the "none" trace; only the hull rule
+    sets max_points."""
 
     engine: str
     rs: np.ndarray | dict
     windows: list
+    n_windows: int
     halted: bool
     halt_t: int | None
     rho: float | None
@@ -216,8 +221,9 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     halt), if given, is called at step 0 and after each step's boundary
     bookkeeping with that step's record: rs and the rule's records (see
     StopTrace), and whether step k is the halt. history=True makes the sink
-    _History, whose lists become the trace's fields; else the trace keeps
-    step 0 and the last step only.
+    _History, whose lists become the trace's fields, and keeps every
+    window record; else the trace keeps step 0, the last step and the last
+    window only.
     """
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")
@@ -239,6 +245,7 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
     if sink is not None:
         sink(0, first, False)
     windows: list = []
+    n_windows = 0
     start_t = 0
     halt_t = None
     for t in range(1, k_max + 1):
@@ -250,6 +257,9 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
             # windows are numbered from the lag: radius from 1, the rest from 0
             window, end = rule.boundary((t - rule.lag) // D - 1 + rule.lag, start_t, t)
             if window is not None:
+                n_windows += 1
+                if not history:
+                    windows.clear()
                 windows.append(window)
             if not end:
                 rule.begin(eng.cur)
@@ -263,8 +273,9 @@ def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
         fields = sink.stacked()
     else:
         fields = {name: {0: first[name], eng.k: v} for name, v in row().items()}
-    return StopTrace(eng.name, windows=windows, halted=halt_t is not None, halt_t=halt_t,
-                     rho=rule.rho, Dbound=D, p=rule.p, max_points=rule.max_points, **fields)
+    return StopTrace(eng.name, windows=windows, n_windows=n_windows, halted=halt_t is not None,
+                     halt_t=halt_t, rho=rule.rho, Dbound=D, p=rule.p,
+                     max_points=rule.max_points, **fields)
 
 
 class _Rule:
@@ -433,8 +444,8 @@ def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     carrying one extra step (see _RadiusRule). A non-halting run (k_max
     reached) is reported through halted=False, not an exception. Stored Rs
     and bs reflect the values carried into the next step, i.e. after any
-    boundary bookkeeping. Every runner keeps only step 0 and the last step
-    unless history=True (see StopTrace).
+    boundary bookkeeping. Every runner keeps only step 0, the last step
+    and the last window unless history=True (see StopTrace).
     """
     return _run_windows(_RadiusRule(g, rho, p), g, W, x0, Dbound, k_max, history)
 

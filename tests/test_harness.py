@@ -11,6 +11,7 @@ import pytest
 import hullstop.applications as applications
 import hullstop.cli as cli
 import hullstop.consensus as consensus
+import hullstop.graph as graph
 import hullstop.harness as harness
 import hullstop.hull as hull
 import hullstop.termination as termination
@@ -198,7 +199,7 @@ def test_failed_run_leaves_no_artifact_and_keeps_the_previous_set(tmp_path, monk
 
 
 def test_non_halting_experiment_keeps_memory_flat(tmp_path, traced_peak):
-    # no history and a read-back in step blocks: only the windows list grows
+    # no history, one kept window and a read-back in step blocks: nothing grows
     warm_up = cfg_for(tmp_path, n=8, dim=1, topology="ring", k_max=5)
 
     def peak(k_max):
@@ -209,7 +210,7 @@ def test_non_halting_experiment_keeps_memory_flat(tmp_path, traced_peak):
         assert not runs[0].summary["halted"] and runs[0].summary["k_steps"] == k_max
         return top
 
-    assert peak(4000) - peak(500) < 1e6
+    assert peak(4000) - peak(500) < graph._BLOCK_BYTES
 
 
 def test_bench_experiment_peaks_below_one_megabyte(tmp_path, traced_peak):
