@@ -35,12 +35,12 @@ print(f"fixed point of the ratio:   {target}")
 
 print("\nstep   spread          hull diameter   nested in previous hull")
 for k in (0, 5, 10, 20, 40, 60):
-    spread = pairwise_spread(tr.states[k])
-    diam = hull_diameter(PointSet(tr.states[k]))
+    spread = pairwise_spread(tr.rs[k])
+    diam = hull_diameter(PointSet(tr.rs[k]))
     nested = "-" if k == 0 else str(
-        is_convex_decreasing(tr.states[k - 1], tr.states[k]))
+        is_convex_decreasing(tr.rs[k - 1], tr.rs[k]))
     print(f"{k:4d}   {spread:.6e}    {diam:.6e}    {nested}")
 
-err = np.abs(tr.states[-1] - target).max()
+err = np.abs(tr.rs[-1] - target).max()
 print(f"\nmax deviation from the average after 60 steps: {err:.3e}")
 print("the spread contracts and every step stays inside the previous hull")

@@ -42,16 +42,16 @@ tr = run_consensus(W, state0.x, 200)
 m = len(basis)
 worst = 0.0
 for i in range(n):
-    Mi, zi = unflatten_payload(tr.states[-1, i], m)
+    Mi, zi = unflatten_payload(tr.rs[-1, i], m)
     theta_i = lse_consensus_estimate(Mi, zi)
     worst = max(worst, float(np.abs(theta_i - theta_batch).max()))
-theta_0 = lse_consensus_estimate(*unflatten_payload(tr.states[-1, 0], m))
+theta_0 = lse_consensus_estimate(*unflatten_payload(tr.rs[-1, 0], m))
 print(f"node 0 estimate at k=200: {theta_0}")
 print(f"worst node deviation from the batch fit: {worst:.3e}")
 
 # the certificate a node can check locally once consensus is tight
 M_true, z_true = lse_gram(xs, ys, basis)
-Mi, zi = unflatten_payload(tr.states[-1, 3], m)
+Mi, zi = unflatten_payload(tr.rs[-1, 3], m)
 eb = lse_error_bound(Mi, zi, M_true, z_true)
 print(f"\nlocal error certificate at node 3: applicable = {eb.applicable}, "
       f"bound = {eb.bound:.3e}, holds = {eb.holds}")

@@ -12,12 +12,14 @@ receiver order.
 The public ratio_step checks its input, then runs the same kernel as
 _Engine, which checks x0 once and then steps bare: _push_sum on the stacked
 (n, d+1) [x | y] array it carries from step to step, _in_sum on the row
-engine's z. So every run takes one arithmetic path, and every run that
-keeps its history records it through one recorder, _History.
+engine's z. So every run takes one arithmetic path, every run that keeps
+its history records it through one recorder, _History, and every run,
+with a stopping rule (termination) or without, returns one record,
+StopTrace.
 
 states.csv has one per-step formatter, _StateRows: write_state_csv loops it
-over a whole trace, and the harness and the CLI call it from the stopping
-loop's per-step hook as each step is made. It has one reader, _state_blocks,
+over any StopTrace with history, and the harness and the CLI call it from
+the stopping loop's per-step hook as each step is made. It has one reader, _state_blocks,
 which reads whole steps in blocks of graph._BLOCK_BYTES and checks each;
 read_state_csv stacks the blocks, harness.verify_states_file keeps only the
 last step.
@@ -26,7 +28,7 @@ last step.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
@@ -36,7 +38,7 @@ from .graph import _BLOCK_BYTES, StochasticMatrix, _in_sum, _integer
 
 __all__ = [
     "RatioState",
-    "ConsensusTrace",
+    "StopTrace",
     "make_ratio_state",
     "ratio_step",
     "run_consensus",
@@ -112,19 +114,43 @@ def _push_sum(W, cut, xy, k):
 
 
 @dataclass
-class ConsensusTrace:
-    """Stacked history of a run. states[k] holds the ratio states r(k) for
-    the ratio engine or z(k) for the row engine; xs and ys are None for the
-    row engine."""
+class StopTrace:
+    """The one record of a run of T steps. rs holds the states, r(k) on the
+    ratio engine or z(k) on the row engine. On the ratio engine
+    run_consensus, the radius rule and the "none" run of _stream record
+    xs and ys as well, the x and y that r is the ratio of, and
+    read_state_csv returns them on either engine; only the radius
+    rule records Rs and bs, the (n,) accumulators and halt bits after the
+    boundary bookkeeping. Each is indexed by step: with history a
+    (T+1, ...) array, without (a stopping run's default) a dict
+    {0: ..., T: ...} of step 0 and the last step, so rs[0], rs[halt_t] and
+    bs[halt_t] read the same in both forms. Likewise windows lists every
+    window record with history and the last one (if any) without, and
+    n_windows counts the run's windows in both. A run with no rule, from
+    run_consensus or read_state_csv, leaves windows, n_windows, halted,
+    halt_t, rho, Dbound and p at their defaults: no windows, not halted,
+    the rest None. rho is None for the plain and the "none" stopping runs
+    too; only the hull rule sets max_points."""
 
     engine: str
-    states: np.ndarray
-    xs: np.ndarray | None = None
-    ys: np.ndarray | None = None
+    rs: np.ndarray | dict
+    xs: np.ndarray | dict | None = None
+    ys: np.ndarray | dict | None = None
+    Rs: np.ndarray | dict | None = None
+    bs: np.ndarray | dict | None = None
+    windows: list = field(default_factory=list)
+    n_windows: int = 0
+    halted: bool = False
+    halt_t: int | None = None
+    rho: float | None = None
+    Dbound: int | None = None
+    p: float | None = None
+    max_points: int | None = None
 
     @property
     def steps(self) -> int:
-        return self.states.shape[0] - 1
+        """T, the number of steps the run made."""
+        return max(self.rs) if isinstance(self.rs, dict) else self.rs.shape[0] - 1
 
 
 class _Engine:
@@ -178,7 +204,7 @@ class _History:
         return {name: np.stack(v) for name, v in self.rows.items()}
 
 
-def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
+def run_consensus(W: StochasticMatrix, x0, steps: int) -> StopTrace:
     """Run the engine matching W.kind for a fixed number of rounds."""
     steps = _integer("steps", steps, 0)
     eng = _Engine(W, x0)
@@ -187,8 +213,7 @@ def run_consensus(W: StochasticMatrix, x0, steps: int) -> ConsensusTrace:
     for k in range(1, steps + 1):
         eng.step()
         history(k, eng.record(), False)
-    fields = history.stacked()
-    return ConsensusTrace(eng.name, fields["rs"], fields.get("xs"), fields.get("ys"))
+    return StopTrace(eng.name, **history.stacked())
 
 
 def perron_left(A: StochasticMatrix) -> np.ndarray:
@@ -228,7 +253,7 @@ def scalar_vector_equivalence_check(initial, W: StochasticMatrix, steps: int) ->
     trace = run_consensus(W, initial, steps)
     for c in range(initial.shape[1]):
         col = run_consensus(W, initial[:, c:c + 1], steps)
-        if not np.array_equal(col.states[..., 0], trace.states[..., c]):
+        if not np.array_equal(col.rs[..., 0], trace.rs[..., c]):
             return False
         if col.xs is not None and not (np.array_equal(col.xs[..., 0], trace.xs[..., c])
                                        and np.array_equal(col.ys, trace.ys)):
@@ -305,10 +330,10 @@ class _StateRows:
                 zip(repeat(str(k)), xc, ys[s:s + _CHUNK_ROWS], rc))))
 
 
-def write_state_csv(trace: ConsensusTrace, path):
-    """Every step of trace through _StateRows. The row engine stores z in
-    both x and r with y = 1."""
-    states = _every_step(trace.states, "write_state_csv")
+def write_state_csv(trace: StopTrace, path):
+    """Every step of trace, which needs its history, through _StateRows.
+    The row engine stores z in both x and r with y = 1."""
+    states = _every_step(trace.rs, "write_state_csv")
     with open(path, "w", newline="") as fh:
         rows = _StateRows(fh)
         for k in range(states.shape[0]):
@@ -373,8 +398,8 @@ def _state_blocks(path, fields=("x", "y", "r")):
             k0 += steps
 
 
-def read_state_csv(path) -> ConsensusTrace:
+def read_state_csv(path) -> StopTrace:
     """Exact inverse of write_state_csv (engine label is not stored): the
     blocks of _state_blocks, whose checks raise ValueError, stacked."""
     xs, ys, rs = (np.concatenate(part) for part in zip(*_state_blocks(path)))
-    return ConsensusTrace("unknown", rs, xs, ys)
+    return StopTrace("unknown", rs, xs=xs, ys=ys)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .consensus import _StateRows, _state_blocks, consensus_limit
+from .consensus import StopTrace, _StateRows, _state_blocks, consensus_limit
 from .errors import InvariantViolation
 from .geometry import _norm_order, pairwise_spread, vector_norm
 from .graph import MODELS, DiGraph, _integer, generate_digraph, graph_to_json, make_weights
@@ -133,7 +133,7 @@ def artifact_dir(out_dir, graph: DiGraph):
 class RunResult:
     cfg: ExperimentConfig
     graph: DiGraph
-    trace: object
+    trace: StopTrace
     rho_abs: float | None
     summary: dict
     paths: dict

@@ -15,7 +15,8 @@ both reach the exact global quantity after a window, at a higher per-edge
 bandwidth. All of them run in one step loop, _run_windows, which steps
 consensus._Engine (the one place that maps the weights to a ratio or row
 step, shared with run_consensus), schedules the windows, records the
-history and returns one StopTrace; a rule holds only its own state, its
+history and returns consensus.StopTrace, the one run record that
+run_consensus returns too; a rule holds only its own state, its
 per-step update and its boundary decision. No rule reads a state older
 than its window start, so a run keeps only step 0 and the last step of
 its states, and of its window records their count and the last one: its
@@ -54,14 +55,14 @@ into its bits in place; bit_step returns a copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from .consensus import _CHUNK_ROWS, StopTrace, _Engine, _History, _every_step
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
-from .consensus import _CHUNK_ROWS, _Engine, _History, _every_step, ratio_step  # noqa: F401
+from .consensus import ratio_step  # noqa: F401
 from .errors import InvariantViolation
 from .geometry import PointSet, _norm, _norm_order, hull_diameter, vector_norm
 from .graph import DiGraph, StochasticMatrix, _in_fold, _integer
@@ -75,7 +76,6 @@ __all__ = [
     "RadiusWindow",
     "BoxWindow",
     "HullWindow",
-    "StopTrace",
     "run_radius_stopping",
     "windowed_radius_trace",
     "run_box_stopping",
@@ -166,42 +166,6 @@ class HullWindow(NamedTuple):
     start_t: int
     record_t: int
     diam: float
-
-
-@dataclass
-class StopTrace:
-    """One stopping run of T steps. rs holds the states; only the radius rule
-    records Rs and bs, the (n,) accumulators and halt bits after the boundary
-    bookkeeping, and it and the "none" run of _stream record xs and ys on
-    the ratio engine. Each is indexed by step. With history=True it is a
-    (T+1, ...) array with every step; without, it is a dict {0: ..., T: ...}
-    holding step 0 and the last step only, so rs[0], rs[halt_t] and
-    bs[halt_t] read the same in both forms. Likewise windows lists every
-    window record with history=True and the last one only (none if no
-    window was recorded) without, so windows[-1] reads the same in both;
-    n_windows counts the run's windows in both. Unrecorded fields are
-    None, as is rho for the plain and the "none" trace; only the hull rule
-    sets max_points."""
-
-    engine: str
-    rs: np.ndarray | dict
-    windows: list
-    n_windows: int
-    halted: bool
-    halt_t: int | None
-    rho: float | None
-    Dbound: int
-    p: float
-    xs: np.ndarray | dict | None = None
-    ys: np.ndarray | dict | None = None
-    Rs: np.ndarray | dict | None = None
-    bs: np.ndarray | dict | None = None
-    max_points: int | None = None
-
-    @property
-    def steps(self) -> int:
-        """T, the number of steps the run made."""
-        return max(self.rs) if isinstance(self.rs, dict) else self.rs.shape[0] - 1
 
 
 def _resolve_window(g: DiGraph, Dbound) -> int:

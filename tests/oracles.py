@@ -244,7 +244,7 @@ def monotone_chain(points):
 
 def write_state_csv_reference(trace, path):
     """The per-cell f-string writer that defined the states.csv bytes."""
-    states = trace.states
+    states = trace.rs
     T, n, d = states.shape
     xs = trace.xs if trace.xs is not None else states
     with open(path, "w", newline="") as fh:
@@ -259,7 +259,7 @@ def write_state_csv_reference(trace, path):
 def write_state_csv_rows_reference(trace, path):
     """The one-format-per-row writer that formatted every cell of a row,
     repeated y and shared x = r included, with one %-format."""
-    states = trace.states
+    states = trace.rs
     T, n, d = states.shape
     xs = trace.xs if trace.xs is not None else states
     with open(path, "w", newline="") as fh:

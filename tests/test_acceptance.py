@@ -76,7 +76,7 @@ def test_c01_hull_nesting_every_step():
         x0 = np.random.default_rng([run, 1]).random((n, d))
         tr = run_consensus(W, x0, 50)
         for k in range(50):
-            assert is_convex_decreasing(tr.states[k], tr.states[k + 1]), \
+            assert is_convex_decreasing(tr.rs[k], tr.rs[k + 1]), \
                 f"hull grew at step {k} (run {run}, engine {kind})"
     assert time.perf_counter() - t0 < 30.0
 
@@ -202,7 +202,7 @@ def test_c08_least_squares_network():
     errs = np.full((251, n), np.nan)
     for k in range(251):
         for i in range(n):
-            Mi, zi = unflatten_payload(tr.states[k, i], 3)
+            Mi, zi = unflatten_payload(tr.rs[k, i], 3)
             try:
                 eb = lse_error_bound(Mi, zi, G_true, z_true)
             except np.linalg.LinAlgError:
@@ -228,7 +228,7 @@ def test_c09_function_calculation():
     # the engine's limit is the original value vector
     assert np.abs(consensus_limit(st0.x, W) - u).max() <= 1e-8
     long = run_consensus(W, st0.x, 2000)
-    assert np.abs(long.states[-1] - u).max() <= 1e-8
+    assert np.abs(long.rs[-1] - u).max() <= 1e-8
 
     f, C, alpha = registered_function("max", n)
     rho = 1e-3

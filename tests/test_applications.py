@@ -136,7 +136,7 @@ def test_consensus_estimates_converge_to_batch():
     tr = run_consensus(W, lse_payload_states(xs, ys, basis).x, 300)
     errs = []
     for i in range(n):
-        Mi, zi = unflatten_payload(tr.states[-1, i], 3)
+        Mi, zi = unflatten_payload(tr.rs[-1, i], 3)
         errs.append(np.linalg.norm(lse_consensus_estimate(Mi, zi) - theta_hat))
     assert max(errs) < 1e-10
 
@@ -323,7 +323,7 @@ def test_funccalc_consensus_reaches_u():
     g = generate_digraph(5, "erdos_renyi", seed=10, edge_prob=0.5)
     W = make_weights(g, "column")
     tr = run_consensus(W, funccalc_init(u).x, 300)
-    assert np.abs(tr.states[-1] - u).max() < 1e-10
+    assert np.abs(tr.rs[-1] - u).max() < 1e-10
 
 
 def test_registered_functions_and_holder():

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import hullstop.cli as cli
-from hullstop import (ConsensusTrace, generate_digraph, make_weights,
-                      run_radius_stopping, write_state_csv,
+from hullstop import (generate_digraph, make_weights, run_radius_stopping, write_state_csv,
                       write_termination_csv)
 from hullstop.consensus import _CHUNK_ROWS, _csv_table
 from oracles import (write_bound_reference, write_hull_rounds_reference,
@@ -46,9 +45,8 @@ def traces():
                                   "row_no_halt", "one_node", "signed_zero"])
 def test_writers_match_reference_bytes(tmp_path, traces, name):
     trace = traces[name]
-    states = ConsensusTrace(trace.engine, trace.rs, trace.xs, trace.ys)
-    write_state_csv(states, tmp_path / "s.csv")
-    write_state_csv_reference(states, tmp_path / "s_ref.csv")
+    write_state_csv(trace, tmp_path / "s.csv")
+    write_state_csv_reference(trace, tmp_path / "s_ref.csv")
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
     write_termination_csv(trace, tmp_path / "t.csv")
     write_termination_csv_reference(trace, tmp_path / "t_ref.csv")
@@ -67,9 +65,8 @@ def test_writers_match_reference_bytes_across_chunks(tmp_path, name):
     n, d, kind = CHUNKED[name]
     assert n * d > _CHUNK_ROWS
     trace = _radius_trace(kind, n, np.random.default_rng(n).normal(size=(n, d)), 1e-2, k_max=12)
-    states = ConsensusTrace(trace.engine, trace.rs, trace.xs, trace.ys)
-    write_state_csv(states, tmp_path / "s.csv")
-    write_state_csv_reference(states, tmp_path / "s_ref.csv")
+    write_state_csv(trace, tmp_path / "s.csv")
+    write_state_csv_reference(trace, tmp_path / "s_ref.csv")
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
     write_termination_csv(trace, tmp_path / "t.csv")
     write_termination_csv_reference(trace, tmp_path / "t_ref.csv")
@@ -111,7 +108,7 @@ def test_text_tables_match_reference_bytes(tmp_path):
 
 def test_signed_zero_trace_writes_negative_zero(tmp_path, traces):
     trace = traces["signed_zero"]
-    write_state_csv(ConsensusTrace("row", trace.rs), tmp_path / "s.csv")
+    write_state_csv(trace, tmp_path / "s.csv")
     assert "\n0,0,0,-0,1,-0\n" in (tmp_path / "s.csv").read_text()
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hullstop import (
-    ConsensusTrace,
+    StopTrace,
     DiGraph,
     InvariantViolation,
     RatioState,
@@ -117,7 +117,7 @@ def test_ratio_limit_is_plain_average():
     lim = consensus_limit(x0, W)
     assert np.allclose(lim, x0.mean(axis=0))
     tr = run_consensus(W, x0, 2000)
-    assert np.abs(tr.states[-1] - lim).max() < 1e-10
+    assert np.abs(tr.rs[-1] - lim).max() < 1e-10
 
 
 def test_row_limit_matches_perron_and_long_run():
@@ -130,7 +130,7 @@ def test_row_limit_matches_perron_and_long_run():
     lim = consensus_limit(x0, A)
     assert lim == pytest.approx(pi @ x0)
     tr = run_consensus(A, x0, 500)
-    assert np.abs(tr.states[-1] - lim).max() < 1e-12
+    assert np.abs(tr.rs[-1] - lim).max() < 1e-12
 
 
 def test_perron_uniform_on_complete_graph():
@@ -158,7 +158,7 @@ def test_spread_never_increases_and_vanishes():
         W = make_weights(g, kind)
         x0 = np.random.default_rng(5).normal(size=(6, 2))
         tr = run_consensus(W, x0, 800)
-        spreads = [pairwise_spread(s) for s in tr.states]
+        spreads = [pairwise_spread(s) for s in tr.rs]
         for a, b in zip(spreads, spreads[1:]):
             assert b <= a + 1e-12
         assert spreads[-1] < 1e-8
@@ -212,8 +212,8 @@ def test_information_respects_graph_distance():
     ta = run_consensus(W, x0, L)
     tb = run_consensus(W, x1, L)
     for k in range(L):
-        assert np.array_equal(ta.states[k, i], tb.states[k, i])
-    assert not np.array_equal(ta.states[L, i], tb.states[L, i])
+        assert np.array_equal(ta.rs[k, i], tb.rs[k, i])
+    assert not np.array_equal(ta.rs[L, i], tb.rs[L, i])
 
 
 def test_scalar_states_stay_in_initial_interval():
@@ -222,8 +222,8 @@ def test_scalar_states_stay_in_initial_interval():
     x0 = np.random.default_rng(3).normal(size=(9, 1))
     tr = run_consensus(W, x0, 100)
     lo, hi = x0.min(), x0.max()
-    assert tr.states.min() >= lo - 1e-12
-    assert tr.states.max() <= hi + 1e-12
+    assert tr.rs.min() >= lo - 1e-12
+    assert tr.rs.max() <= hi + 1e-12
 
 
 def test_state_csv_round_trip_exact():
@@ -237,7 +237,7 @@ def test_state_csv_round_trip_exact():
         path = fh.name
     write_state_csv(tr, path)
     back = read_state_csv(path)
-    assert np.array_equal(back.states, tr.states)
+    assert np.array_equal(back.rs, tr.rs)
     assert np.array_equal(back.xs, tr.xs)
     assert np.array_equal(back.ys, tr.ys)
 
@@ -249,7 +249,7 @@ def test_state_csv_row_engine(tmp_path):
     path = tmp_path / "s.csv"
     write_state_csv(tr, path)
     back = read_state_csv(path)
-    assert np.array_equal(back.states, tr.states)
+    assert np.array_equal(back.rs, tr.rs)
     assert np.all(back.ys == 1.0)
 
 
@@ -275,9 +275,9 @@ STATE_TRACES = [("ratio", 3, 4, 1), ("row", 3, 4, 1), ("ratio", 4, 5, 3), ("row"
 def test_state_csv_matches_row_format_reference_bytes(tmp_path, engine, T, n, d):
     rng = np.random.default_rng([T, n, d])
     if engine == "ratio":
-        tr = ConsensusTrace("ratio", *(_odd_states(rng, s) for s in [(T, n, d), (T, n, d), (T, n)]))
+        tr = StopTrace("ratio", *(_odd_states(rng, s) for s in [(T, n, d), (T, n, d), (T, n)]))
     else:
-        tr = ConsensusTrace("row", _odd_states(rng, (T, n, d)))
+        tr = StopTrace("row", _odd_states(rng, (T, n, d)))
     write_state_csv(tr, tmp_path / "s.csv")
     write_state_csv_rows_reference(tr, tmp_path / "ref.csv")
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -322,7 +322,7 @@ def test_read_state_csv_rejects_rows_out_of_step_major_order(tmp_path):
 @pytest.mark.parametrize("T, n, d", [(3001, 2, 1), (3, 1100, 4), (5, 2048, 1), (1, 3, 2)])
 def test_state_csv_reads_back_in_blocks_of_whole_steps(tmp_path, monkeypatch, T, n, d):
     rng = np.random.default_rng([T, n, d])
-    tr = ConsensusTrace("ratio", *(rng.normal(size=s) for s in [(T, n, d), (T, n, d), (T, n)]))
+    tr = StopTrace("ratio", *(rng.normal(size=s) for s in [(T, n, d), (T, n, d), (T, n)]))
     write_state_csv(tr, tmp_path / "s.csv")
     calls = []
     loadtxt = np.loadtxt
@@ -333,7 +333,7 @@ def test_state_csv_reads_back_in_blocks_of_whole_steps(tmp_path, monkeypatch, T,
 
     monkeypatch.setattr(np, "loadtxt", counted)
     back = read_state_csv(tmp_path / "s.csv")
-    for got, want in zip((back.states, back.xs, back.ys), (tr.states, tr.xs, tr.ys)):
+    for got, want in zip((back.rs, back.xs, back.ys), (tr.rs, tr.xs, tr.ys)):
         assert np.array_equal(got, want)
     # a parsed row is 48 bytes: k, node and coord as int64, x, y and r
     size = n * d
@@ -422,4 +422,4 @@ def test_zero_steps_trace():
     x0 = np.random.default_rng(0).random((3, 2))
     tr = run_consensus(W, x0, 0)
     assert tr.steps == 0
-    assert np.array_equal(tr.states[0], x0)
+    assert np.array_equal(tr.rs[0], x0)

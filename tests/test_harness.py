@@ -492,7 +492,7 @@ def test_cli_lse_streamed_bounds_match_the_whole_run(tmp_path, name):
                           args.k_max)
     G, z = lse_gram(xs, ys, basis)
     rows = []
-    for k, step in enumerate(trace.states):
+    for k, step in enumerate(trace.rs):
         for i, payload in enumerate(step):
             try:
                 eb = lse_error_bound_reference(payload[:M * M].reshape(M, M), payload[M * M:],

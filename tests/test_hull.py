@@ -123,9 +123,9 @@ def test_distance_bound_from_known_extreme_set():
     tr = run_consensus(W, x0, 60)
     bound = hull_diameter(extreme_points(x0)) + 1e-9  # slack for rounding
     limit = x0.mean(axis=0)
-    assert np.linalg.norm(tr.states - limit, axis=-1).max() <= bound
+    assert np.linalg.norm(tr.rs - limit, axis=-1).max() <= bound
     # a deliberately far point violates it
-    assert np.linalg.norm(tr.states[-1] + 100.0 - limit, axis=-1).max() > bound
+    assert np.linalg.norm(tr.rs[-1] + 100.0 - limit, axis=-1).max() > bound
 
 
 def test_hull_round_memo_shares_one_extreme_set_per_union(spy_calls):

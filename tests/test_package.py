@@ -5,6 +5,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import hullstop
 import hullstop.errors
 
@@ -12,7 +14,7 @@ _MODULES = ("graph", "geometry", "consensus", "hull", "termination", "applicatio
 _ROOT = Path(__file__).resolve().parent.parent
 
 _EXPORTS = [
-    "BoxWindow", "ConsensusTrace", "DiGraph", "ErrorBound", "ExperimentConfig",
+    "BoxWindow", "DiGraph", "ErrorBound", "ExperimentConfig",
     "HullNodeState", "HullWindow", "InvariantViolation", "LseBounds", "MinMaxEnvelope",
     "PointSet", "RadiusWindow", "RatioState", "RunResult", "StochasticMatrix", "StopTrace",
     "bandwidth_accounting", "bit_step", "canonicalize_points", "compare_criteria",
@@ -44,6 +46,22 @@ def test_package_exports_the_union_of_the_module_export_lists():
 
 def test_package_exports_are_pinned():
     assert sorted(hullstop.__all__) == sorted(_EXPORTS)
+
+
+def test_every_run_returns_one_record_type(tmp_path):
+    g = hullstop.generate_digraph(5, "erdos_renyi", 3, 0.5)
+    W = hullstop.make_weights(g, "column")
+    x0 = np.random.default_rng(3).random((5, 2))
+    tr = hullstop.run_consensus(W, x0, 4)
+    traces = [tr, hullstop.windowed_radius_trace(g, W, x0, max_windows=2)]
+    for run in (hullstop.run_radius_stopping, hullstop.run_box_stopping,
+                hullstop.run_hull_stopping):
+        traces.append(run(g, W, x0, 1e-2))
+    # the fourth stopping run: no rule, as the harness streams it
+    traces.append(hullstop.termination._stream("none", g, W, x0, None, None, 2.0, 3, None))
+    hullstop.write_state_csv(tr, tmp_path / "s.csv")
+    traces.append(hullstop.read_state_csv(tmp_path / "s.csv"))
+    assert all(type(t) is hullstop.StopTrace for t in traces)
 
 
 def _references(path, imports: bool, strings: bool):

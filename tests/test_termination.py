@@ -4,7 +4,6 @@ import pytest
 
 import hullstop.graph as graph
 from hullstop import (
-    ConsensusTrace,
     DiGraph,
     InvariantViolation,
     bandwidth_accounting,
@@ -17,6 +16,7 @@ from hullstop import (
     minmax_envelope,
     pairwise_spread,
     radius_step,
+    read_state_csv,
     run_box_stopping,
     run_consensus,
     run_hull_stopping,
@@ -26,7 +26,7 @@ from hullstop import (
     write_state_csv,
     write_termination_csv,
 )
-from hullstop.termination import _BoxRule, _RadiusRule, _stream
+from hullstop.termination import _BoxRule, _NoStop, _RadiusRule, _run_windows, _stream
 
 from oracles import bit_step_reference, in_sum_reference, m_hop_senders, radius_step_reference
 
@@ -90,8 +90,8 @@ def test_envelope_of_states_is_monotone_along_run():
     g = er(7, seed=44)
     W = make_weights(g, "column")
     tr = run_consensus(W, np.random.default_rng(0).random((7, 3)), 60)
-    Ms = tr.states.max(axis=1)
-    ms = tr.states.min(axis=1)
+    Ms = tr.rs.max(axis=1)
+    ms = tr.rs.min(axis=1)
     assert np.all(Ms[1:] <= Ms[:-1] + 1e-12)
     assert np.all(ms[1:] >= ms[:-1] - 1e-12)
 
@@ -426,11 +426,26 @@ def test_writers_need_a_trace_with_history(tmp_path):
     with pytest.raises(ValueError, match="history=True"):
         write_termination_csv(tr, tmp_path / "t.csv")
     with pytest.raises(ValueError, match="history=True"):
-        write_state_csv(ConsensusTrace(tr.engine, tr.rs, tr.xs, tr.ys), tmp_path / "s.csv")
+        write_state_csv(tr, tmp_path / "s.csv")
     with pytest.raises(ValueError, match="radius"):
         write_termination_csv(run_box_stopping(g, W, x0, rho=1e-3, history=True),
                               tmp_path / "b.csv")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("run, kind", [(run_radius_stopping, "column"),
+                                       (run_radius_stopping, "row"),
+                                       (run_box_stopping, "column")],
+                         ids=["radius_ratio", "radius_row", "box_ratio"])
+def test_state_csv_takes_a_stopping_trace_with_history(tmp_path, run, kind):
+    g = er(5, seed=29)
+    x0 = np.random.default_rng(18).random((5, 2))
+    tr = run(g, make_weights(g, kind), x0, rho=1e-3, history=True)
+    write_state_csv(tr, tmp_path / "s.csv")
+    back = read_state_csv(tmp_path / "s.csv")
+    assert _bits(back.rs) == _bits(tr.rs)
+    if tr.xs is not None:
+        assert _bits(back.xs) == _bits(tr.xs) and _bits(back.ys) == _bits(tr.ys)
 
 
 # --- history ---
@@ -487,14 +502,36 @@ def test_stopping_history_equals_run_consensus(kind):
     tr = run_radius_stopping(g, W, x0, rho=1e-3, history=True)
     ref = run_consensus(W, x0, tr.halt_t)
     assert tr.halted and tr.engine == ref.engine
-    assert _bits(tr.rs) == _bits(ref.states)
+    assert _bits(tr.rs) == _bits(ref.rs)
     if kind == "column":
         assert _bits(tr.xs) == _bits(ref.xs) and _bits(tr.ys) == _bits(ref.ys)
     else:
         assert tr.xs is tr.ys is ref.xs is ref.ys is None
     box = run_box_stopping(g, W, x0, rho=1e-3, history=True)
     assert box.halted
-    assert _bits(box.rs) == _bits(run_consensus(W, x0, box.halt_t).states)
+    assert _bits(box.rs) == _bits(run_consensus(W, x0, box.halt_t).rs)
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_consensus_equals_the_stopping_loop_without_a_rule(kind, seed):
+    # run_consensus keeps its own step loop; it must record what the
+    # stopping driver records with no rule, field by field
+    g = er(8, seed=seed)
+    W = make_weights(g, kind)
+    x0 = np.random.default_rng(seed).random((8, 3))
+    T = 30
+    ref = run_consensus(W, x0, T)
+    tr = _run_windows(_NoStop(g, None, 2.0), g, W, x0, None, T, history=True)
+    assert tr.engine == ref.engine and tr.steps == ref.steps == T
+    for name in ("rs", "xs", "ys"):
+        a, b = getattr(tr, name), getattr(ref, name)
+        if kind == "row" and name != "rs":
+            assert a is b is None, name
+        else:
+            assert _bits(a) == _bits(b), name
+    for run in (tr, ref):
+        assert (run.halted, run.halt_t, run.windows, run.n_windows) == (False, None, [], 0)
 
 
 def test_non_halting_run_keeps_memory_bounded(traced_peak):
