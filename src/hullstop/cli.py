@@ -24,13 +24,14 @@ import numpy as np
 from .applications import (_design, _payloads, _solve_gram, funccalc_error,
                            funccalc_init, lse_error_bounds, polynomial_basis,
                            registered_function, unflatten_payload)
-from .consensus import _CHUNK_ROWS, _StateRows, _csv_table, consensus_limit
+from .consensus import (_CHUNK_ROWS, _NoStop, _StateRows, _csv_table, _resolve_window,
+                        _run_windows, consensus_limit)
 from .errors import InvariantViolation
 from .geometry import extreme_points, vector_norm
 from .graph import MODELS, generate_digraph, make_weights
 from .harness import ExperimentConfig, artifact_dir, compare_criteria, run_experiment, write_json
 from .hull import encode_extreme_set, run_hull_consensus
-from .termination import _resolve_window, _stream
+from .termination import _RadiusRule
 
 
 class _CliError(Exception):
@@ -253,7 +254,7 @@ def _cmd_lse(args) -> int:
                 if len(held) * n >= _CHUNK_ROWS:
                     flush()
 
-            _stream("none", g, W, payloads, None, None, 2.0, args.k_max, sink)
+            _run_windows(_NoStop(g, None, 2.0), W, payloads, None, args.k_max, sink=sink)
             if held:
                 flush()
         final_err = float(np.nanmax(lhs[-n:], initial=0.0))
@@ -302,7 +303,7 @@ def _cmd_funccalc(args) -> int:
                 holder_ok = holder_ok and bool(ok.all())
                 write(k, np.arange(n), lhs, rhs, ok)
 
-            trace = _stream("radius", g, W, state0.x, rho, D, p, args.k_max, sink)
+            trace = _run_windows(_RadiusRule(g, rho, p), W, state0.x, D, args.k_max, sink=sink)
         worst = float(lhs.max())
         summary.update({
             "function": args.function,

@@ -12,14 +12,25 @@ receiver order.
 The public ratio_step checks its input, then runs the same kernel as
 _Engine, which checks x0 once and then steps bare: _push_sum on the stacked
 (n, d+1) [x | y] array it carries from step to step, _in_sum on the row
-engine's z. So every run takes one arithmetic path, every run that keeps
-its history records it through one recorder, _History, and every run,
-with a stopping rule (termination) or without, returns one record,
-StopTrace.
+engine's z. So every run takes one arithmetic path.
+
+Every run, with a stopping rule (termination) or without (_NoStop, which
+run_consensus runs), is one step loop, _run_windows: it steps _Engine,
+schedules the windows, records the history and returns StopTrace, the one
+run record; a rule holds only its own state, per-step update and boundary
+decision. No rule reads a state older than its window start, so a run
+keeps step 0 and the last step of its states, and its window count and
+last window: its memory does not grow with its length unless history=True.
+
+The loop's one per-step hook is a sink called with each step's record
+(step 0 included) and whether that step is the halt: _History for
+history=True; in the harness and the CLI, sinks that write each step's
+artifact rows as the run makes them, so no run holds its history to write
+a file.
 
 states.csv has one per-step formatter, _StateRows: write_state_csv loops it
 over any StopTrace with history, and the harness and the CLI call it from
-the stopping loop's per-step hook as each step is made. It has one reader, _state_blocks,
+the loop's per-step hook as each step is made. It has one reader, _state_blocks,
 which reads whole steps in blocks of graph._BLOCK_BYTES and checks each;
 read_state_csv stacks the blocks, harness.verify_states_file keeps only the
 last step.
@@ -34,7 +45,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import _BLOCK_BYTES, StochasticMatrix, _in_sum, _integer
+from .geometry import _norm_order
+from .graph import _BLOCK_BYTES, DiGraph, StochasticMatrix, _in_sum, _integer
 
 __all__ = [
     "RatioState",
@@ -116,21 +128,19 @@ def _push_sum(W, cut, xy, k):
 @dataclass
 class StopTrace:
     """The one record of a run of T steps. rs holds the states, r(k) on the
-    ratio engine or z(k) on the row engine. On the ratio engine
-    run_consensus, the radius rule and the "none" run of _stream record
-    xs and ys as well, the x and y that r is the ratio of, and
-    read_state_csv returns them on either engine; only the radius
-    rule records Rs and bs, the (n,) accumulators and halt bits after the
-    boundary bookkeeping. Each is indexed by step: with history a
-    (T+1, ...) array, without (a stopping run's default) a dict
-    {0: ..., T: ...} of step 0 and the last step, so rs[0], rs[halt_t] and
-    bs[halt_t] read the same in both forms. Likewise windows lists every
+    ratio engine or z(k) on the row engine. On the ratio engine the radius
+    rule and a run with no rule (_NoStop) record xs and ys as well, the x
+    and y that r is the ratio of, and read_state_csv returns them on either
+    engine; only the radius rule records Rs and bs, the (n,) accumulators
+    and halt bits after the boundary bookkeeping. Each is indexed by step:
+    with history a (T+1, ...) array, without (a stopping run's default) a
+    dict {0: ..., T: ...} of step 0 and the last step, so rs[0], rs[halt_t]
+    and bs[halt_t] read the same in both forms. Likewise windows lists every
     window record with history and the last one (if any) without, and
-    n_windows counts the run's windows in both. A run with no rule, from
-    run_consensus or read_state_csv, leaves windows, n_windows, halted,
-    halt_t, rho, Dbound and p at their defaults: no windows, not halted,
-    the rest None. rho is None for the plain and the "none" stopping runs
-    too; only the hull rule sets max_points."""
+    n_windows counts the run's windows in both. A run with no rule records
+    none and does not halt. Every run sets Dbound, its window length, and p;
+    only read_state_csv leaves them None. rho is None for the plain radius
+    run and a run with no rule; only the hull rule sets max_points."""
 
     engine: str
     rs: np.ndarray | dict
@@ -190,8 +200,8 @@ class _Engine:
 
 class _History:
     """The one history recorder: a per-step sink, called as sink(k, row,
-    halt) by termination._run_windows and by run_consensus, that keeps
-    every step's record, one list per field, stacked once at the end."""
+    halt) by _run_windows, that keeps every step's record, one list per
+    field, stacked once at the end."""
 
     def __init__(self):
         self.rows: dict = {}
@@ -204,16 +214,124 @@ class _History:
         return {name: np.stack(v) for name, v in self.rows.items()}
 
 
-def run_consensus(W: StochasticMatrix, x0, steps: int) -> StopTrace:
-    """Run the engine matching W.kind for a fixed number of rounds."""
-    steps = _integer("steps", steps, 0)
+def _resolve_window(g: DiGraph, Dbound) -> int:
+    D = max(1, g.diameter) if Dbound is None else _integer("Dbound", Dbound, 1)
+    if D < g.diameter:
+        raise ValueError(f"window length {D} is below the graph diameter {g.diameter}")
+    return D
+
+
+def _run_windows(rule, W: StochasticMatrix, x0, Dbound, k_max,
+                 history: bool = False, sink=None) -> StopTrace:
+    """The one step loop behind every run (see _Rule), on W's graph, which
+    must be the graph the rule was made on.
+
+    Window boundaries fall every D = _resolve_window(W.graph, Dbound) steps
+    after the rule's lag, so its first window has D + lag steps. A run that
+    a boundary ends halts there, unless the rule never halts. sink(k, row,
+    halt), if given, is called at step 0 and after each step's boundary
+    bookkeeping with that step's record: rs and the rule's records (see
+    StopTrace), and whether step k is the halt. history=True makes the sink
+    _History, whose lists become the trace's fields, and keeps every
+    window record; else the trace keeps step 0, the last step and the last
+    window only.
+    """
+    g = W.graph
+    # by edge arrays: DiGraph equality compares provenance, builds edge tuples
+    if rule.g is not g and (rule.g.n != g.n or not all(
+            map(np.array_equal, rule.g.edge_arrays, g.edge_arrays))):
+        raise ValueError("the stopping rule's graph is not the weights' graph")
+    if rule.rho is not None and not rule.rho > 0:
+        raise ValueError(f"rho must be positive, got {rule.rho}")
+    rule.p = _norm_order(rule.p)
+    k_max = _integer("k_max", k_max, 0)
+    D = _resolve_window(g, Dbound)
     eng = _Engine(W, x0)
-    history = _History()
-    history(0, eng.record(), False)
-    for k in range(1, steps + 1):
+    rule.begin(eng.cur)
+    names = ("rs",) + tuple(name for name in rule.records
+                            if eng.name == "ratio" or name not in ("xs", "ys"))
+
+    def row():
+        rec = eng.record()
+        return {name: rec[name] if name in rec else getattr(rule, name) for name in names}
+
+    if history:
+        sink = _History()
+    first = row()
+    if sink is not None:
+        sink(0, first, False)
+    windows: list = []
+    n_windows = 0
+    start_t = 0
+    halt_t = None
+    for t in range(1, k_max + 1):
+        prev = eng.cur
         eng.step()
-        history(k, eng.record(), False)
-    return StopTrace(eng.name, **history.stacked())
+        rule.step(prev, eng.cur)
+        end = False
+        if t > rule.lag and (t - rule.lag) % D == 0:
+            # windows are numbered from the lag: radius from 1, the rest from 0
+            window, end = rule.boundary((t - rule.lag) // D - 1 + rule.lag, start_t, t)
+            if window is not None:
+                n_windows += 1
+                if not history:
+                    windows.clear()
+                windows.append(window)
+            if not end:
+                rule.begin(eng.cur)
+            start_t = t
+        if sink is not None:
+            sink(t, row(), end and rule.halts)
+        if end:
+            halt_t = t if rule.halts else None
+            break
+    if history:
+        fields = sink.stacked()
+    else:
+        fields = {name: {0: first[name], eng.k: v} for name, v in row().items()}
+    return StopTrace(eng.name, windows=windows, n_windows=n_windows, halted=halt_t is not None,
+                     halt_t=halt_t, rho=rule.rho, Dbound=D, p=rule.p,
+                     max_points=rule.max_points, **fields)
+
+
+class _Rule:
+    """A stopping rule's own state for _run_windows. begin(cur) starts a
+    window from the states cur; step(prev, cur) follows one engine step;
+    boundary(index, start_t, t) returns the window record (or None) and
+    whether the run ends. records names the StopTrace fields the driver
+    reads besides rs: xs and ys from a ratio engine (skipped on the row
+    engine), any other from the rule's attribute of that name."""
+
+    lag = 0
+    halts = True
+    records: tuple = ()
+    max_points = None
+
+    def __init__(self, g: DiGraph, rho, p):
+        self.g, self.rho, self.p = g, rho, p
+
+    def begin(self, cur):
+        pass
+
+
+class _NoStop(_Rule):
+    """No stopping rule: the run takes all k_max steps, and its boundaries
+    record nothing. run_consensus is its run with history."""
+
+    halts = False
+    records = ("xs", "ys")
+
+    def step(self, prev, cur):
+        pass
+
+    def boundary(self, index, start_t, t):
+        return None, False
+
+
+def run_consensus(W: StochasticMatrix, x0, steps: int) -> StopTrace:
+    """Run the engine matching W.kind for a fixed number of rounds (_NoStop)."""
+    steps = _integer("steps", steps, 0)
+    return _run_windows(_NoStop(W.graph, None, 2.0), W, x0, None, steps, history=True)
 
 
 def perron_left(A: StochasticMatrix) -> np.ndarray:

@@ -7,8 +7,8 @@ recomputed from the written trace files by a verification pass rather than
 copied from the in-memory run.
 
 A run keeps no history to write its artifacts: states.csv and
-termination.csv are streamed from the stopping loop's per-step hook
-(termination._stream) as each step is made, and the verification pass
+termination.csv are streamed from the step loop's per-step hook
+(consensus._run_windows) as each step is made, and the verification pass
 reads states.csv back in blocks of whole steps, keeping only the last one.
 Every artifact is written under a temporary name and renamed once the run
 and its verification have ended (artifact_dir), so a run that raises
@@ -24,13 +24,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .consensus import StopTrace, _StateRows, _state_blocks, consensus_limit
+from .consensus import (StopTrace, _StateRows, _resolve_window, _run_windows, _state_blocks,
+                        consensus_limit)
 from .errors import InvariantViolation
 from .geometry import _norm_order, pairwise_spread, vector_norm
 from .graph import MODELS, DiGraph, _integer, generate_digraph, graph_to_json, make_weights
-from .termination import (_RULES, _TerminationRows, _resolve_window, _stream,
-                          bandwidth_accounting, run_box_stopping, run_hull_stopping,
-                          run_radius_stopping)
+from .termination import (_RULES, _TerminationRows, bandwidth_accounting, run_box_stopping,
+                          run_hull_stopping, run_radius_stopping)
 
 __all__ = ["ExperimentConfig", "RunResult", "run_experiment", "compare_criteria",
            "verify_states_file"]
@@ -193,7 +193,8 @@ def _write_run(cfg: ExperimentConfig, g: DiGraph, W, x0, rho_abs, D, path):
             if radius:
                 term(k, row["Rs"], row["bs"], halt)
 
-        return _stream(cfg.stopping, g, W, x0, rho_abs, D, cfg.norm, cfg.k_max, sink)
+        return _run_windows(_RULES[cfg.stopping](g, rho_abs, cfg.norm), W, x0, D, cfg.k_max,
+                            sink=sink)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

@@ -12,23 +12,8 @@ window, which makes the final halt simultaneous.
 The box protocol floods coordinatewise min/max envelopes of the window
 start states instead, and the hull protocol runs hull consensus on them;
 both reach the exact global quantity after a window, at a higher per-edge
-bandwidth. All of them run in one step loop, _run_windows, which steps
-consensus._Engine (the one place that maps the weights to a ratio or row
-step, shared with run_consensus), schedules the windows, records the
-history and returns consensus.StopTrace, the one run record that
-run_consensus returns too; a rule holds only its own state, its
-per-step update and its boundary decision. No rule reads a state older
-than its window start, so a run keeps only step 0 and the last step of
-its states, and of its window records their count and the last one: its
-memory does not grow with its length unless history=True.
-
-The loop has one per-step hook, a sink called with each step's record
-(step 0 included) and whether that step is the halt. history=True is one
-such sink, consensus._History, which run_consensus records through too;
-the harness and the CLI reach the hook through _stream, and their sinks
-write each step's artifact rows as the run makes them
-(write_termination_csv and the streaming sinks share one per-step
-termination.csv formatter), so no run holds its history to write a file.
+bandwidth. Each is a consensus._Rule run by the one step loop,
+consensus._run_windows, which returns the one run record, StopTrace.
 
 The per-step maxima and minima (the radius and bit steps, the box
 envelopes) run over the graph's slot-major in-layout through its one
@@ -45,11 +30,11 @@ first detection) or all are 1: every node has its self-loop, so an OR
 over equal bits changes none of them.
 
 The public radius_step and bit_step check their input, then run the
-kernels _radius and _bits. _run_windows checks rho and p once, and its
-rules call the kernels directly on the engine's states, by the layout cuts
-(graph._InLayout.cut) each rule resolves for its arrays when it is made or
-a window begins, never per step. _bits returns its
-own input when the bits are equal, which is safe because no rule writes
+kernels _radius and _bits. consensus._run_windows checks rho and p once,
+and the rules call the kernels directly on the engine's states, by the
+layout cuts (graph._InLayout.cut) each rule resolves for its arrays when
+it is made or a window begins, never per step. _bits returns its own
+input when the bits are equal, which is safe because no rule writes
 into its bits in place; bit_step returns a copy.
 """
 
@@ -60,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import _CHUNK_ROWS, StopTrace, _Engine, _History, _every_step
+from .consensus import _CHUNK_ROWS, StopTrace, _NoStop, _Rule, _every_step, _run_windows
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
 from .consensus import ratio_step  # noqa: F401
 from .errors import InvariantViolation
@@ -166,100 +151,6 @@ class HullWindow(NamedTuple):
     start_t: int
     record_t: int
     diam: float
-
-
-def _resolve_window(g: DiGraph, Dbound) -> int:
-    D = max(1, g.diameter) if Dbound is None else _integer("Dbound", Dbound, 1)
-    if D < g.diameter:
-        raise ValueError(f"window length {D} is below the graph diameter {g.diameter}")
-    return D
-
-
-def _run_windows(rule, g: DiGraph, W: StochasticMatrix, x0, Dbound, k_max,
-                 history: bool = False, sink=None) -> StopTrace:
-    """The one step loop behind every stopping rule (see _Rule).
-
-    Window boundaries fall every D = _resolve_window(g, Dbound) steps after
-    the rule's lag, so its first window has D + lag steps. A run that a
-    boundary ends halts there, unless the rule never halts. sink(k, row,
-    halt), if given, is called at step 0 and after each step's boundary
-    bookkeeping with that step's record: rs and the rule's records (see
-    StopTrace), and whether step k is the halt. history=True makes the sink
-    _History, whose lists become the trace's fields, and keeps every
-    window record; else the trace keeps step 0, the last step and the last
-    window only.
-    """
-    if rule.rho is not None and not rule.rho > 0:
-        raise ValueError(f"rho must be positive, got {rule.rho}")
-    rule.p = _norm_order(rule.p)
-    k_max = _integer("k_max", k_max, 0)
-    D = _resolve_window(g, Dbound)
-    eng = _Engine(W, x0)
-    rule.begin(eng.cur)
-    names = ("rs",) + tuple(name for name in rule.records
-                            if eng.name == "ratio" or name not in ("xs", "ys"))
-
-    def row():
-        rec = eng.record()
-        return {name: rec[name] if name in rec else getattr(rule, name) for name in names}
-
-    if history:
-        sink = _History()
-    first = row()
-    if sink is not None:
-        sink(0, first, False)
-    windows: list = []
-    n_windows = 0
-    start_t = 0
-    halt_t = None
-    for t in range(1, k_max + 1):
-        prev = eng.cur
-        eng.step()
-        rule.step(prev, eng.cur)
-        end = False
-        if t > rule.lag and (t - rule.lag) % D == 0:
-            # windows are numbered from the lag: radius from 1, the rest from 0
-            window, end = rule.boundary((t - rule.lag) // D - 1 + rule.lag, start_t, t)
-            if window is not None:
-                n_windows += 1
-                if not history:
-                    windows.clear()
-                windows.append(window)
-            if not end:
-                rule.begin(eng.cur)
-            start_t = t
-        if sink is not None:
-            sink(t, row(), end and rule.halts)
-        if end:
-            halt_t = t if rule.halts else None
-            break
-    if history:
-        fields = sink.stacked()
-    else:
-        fields = {name: {0: first[name], eng.k: v} for name, v in row().items()}
-    return StopTrace(eng.name, windows=windows, n_windows=n_windows, halted=halt_t is not None,
-                     halt_t=halt_t, rho=rule.rho, Dbound=D, p=rule.p,
-                     max_points=rule.max_points, **fields)
-
-
-class _Rule:
-    """A stopping rule's own state for _run_windows. begin(cur) starts a
-    window from the states cur; step(prev, cur) follows one engine step;
-    boundary(index, start_t, t) returns the window record (or None) and
-    whether the run ends. records names the StopTrace fields the driver
-    reads besides rs: xs and ys from a ratio engine (skipped on the row
-    engine), any other from the rule's attribute of that name."""
-
-    lag = 0
-    halts = True
-    records: tuple = ()
-    max_points = None
-
-    def __init__(self, g: DiGraph, rho, p):
-        self.g, self.rho, self.p = g, rho, p
-
-    def begin(self, cur):
-        pass
 
 
 class _RadiusRule(_Rule):
@@ -373,30 +264,7 @@ class _HullRule(_Rule):
         return HullWindow(index, start_t, t, diam), diam < self.rho
 
 
-class _NoStop(_Rule):
-    """No stopping rule: the run takes all k_max steps, and its boundaries
-    record nothing. It records xs and ys as run_consensus does."""
-
-    halts = False
-    records = ("xs", "ys")
-
-    def step(self, prev, cur):
-        pass
-
-    def boundary(self, index, start_t, t):
-        return None, False
-
-
 _RULES = {"radius": _RadiusRule, "box": _BoxRule, "hull": _HullRule, "none": _NoStop}
-
-
-def _stream(stopping: str, g: DiGraph, W: StochasticMatrix, x0, rho, Dbound, p, k_max,
-            sink) -> StopTrace:
-    """The run of the named rule in _RULES ("none": all k_max steps) without
-    history, calling sink(k, row, halt) at every step (see _run_windows).
-    This is how the harness and the CLI write their per-step artifacts while
-    the run makes them."""
-    return _run_windows(_RULES[stopping](g, rho, p), g, W, x0, Dbound, k_max, sink=sink)
 
 
 def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
@@ -409,9 +277,10 @@ def run_radius_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     reached) is reported through halted=False, not an exception. Stored Rs
     and bs reflect the values carried into the next step, i.e. after any
     boundary bookkeeping. Every runner keeps only step 0, the last step
-    and the last window unless history=True (see StopTrace).
+    and the last window unless history=True (see StopTrace), and rejects
+    a g that is not W's graph with ValueError.
     """
-    return _run_windows(_RadiusRule(g, rho, p), g, W, x0, Dbound, k_max, history)
+    return _run_windows(_RadiusRule(g, rho, p), W, x0, Dbound, k_max, history)
 
 
 def windowed_radius_trace(g: DiGraph, W: StochasticMatrix, x0,
@@ -427,7 +296,7 @@ def windowed_radius_trace(g: DiGraph, W: StochasticMatrix, x0,
     the largest recorded radius drops below eps, max_windows windows are
     recorded, or k_max iterations elapse. The windows have detected=None.
     """
-    return _run_windows(_PlainRadiusRule(g, p, eps, max_windows), g, W, x0, Dbound, k_max,
+    return _run_windows(_PlainRadiusRule(g, p, eps, max_windows), W, x0, Dbound, k_max,
                         history)
 
 
@@ -441,7 +310,7 @@ def run_box_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     envelope, so the halt decision is identical everywhere and takes
     effect at the boundary itself.
     """
-    return _run_windows(_BoxRule(g, rho, p), g, W, x0, Dbound, k_max, history)
+    return _run_windows(_BoxRule(g, rho, p), W, x0, Dbound, k_max, history)
 
 
 def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
@@ -454,7 +323,7 @@ def run_hull_stopping(g: DiGraph, W: StochasticMatrix, x0, rho: float,
     largest message size seen (in points) is tracked for bandwidth
     accounting.
     """
-    return _run_windows(_HullRule(g, rho, p), g, W, x0, Dbound, k_max, history)
+    return _run_windows(_HullRule(g, rho, p), W, x0, Dbound, k_max, history)
 
 
 def bandwidth_accounting(method: str, B: int = 32, d: int | None = None,

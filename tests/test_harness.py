@@ -143,17 +143,15 @@ def test_verify_states_file_matches_run(tmp_path):
 def test_states_file_cut_at_a_step_boundary_is_a_length_mismatch(tmp_path, monkeypatch):
     # read_state_csv reads a file missing its last step's rows as a valid
     # shorter trace; the run's own step count is what catches it
-    real = harness._stream
+    real = harness._run_windows
 
-    def drop_last_step(*args):
-        *head, sink = args
-
+    def drop_last_step(*args, sink):
         def short(k, row, halt):
             if not halt:
                 sink(k, row, halt)
-        return real(*head, short)
+        return real(*args, sink=short)
 
-    monkeypatch.setattr(harness, "_stream", drop_last_step)
+    monkeypatch.setattr(harness, "_run_windows", drop_last_step)
     with pytest.raises(InvariantViolation, match="trace length mismatch"):
         run_experiment(cfg_for(tmp_path))
 
@@ -161,14 +159,14 @@ def test_states_file_cut_at_a_step_boundary_is_a_length_mismatch(tmp_path, monke
 def test_halt_before_the_end_of_the_written_trace_is_an_invariant_violation(tmp_path,
                                                                              monkeypatch):
     # a stopping run whose halt step is not its last written step
-    real = harness._stream
+    real = harness._run_windows
 
-    def early_halt(*args):
-        trace = real(*args)
+    def early_halt(*args, **kw):
+        trace = real(*args, **kw)
         trace.halt_t -= 1
         return trace
 
-    monkeypatch.setattr(harness, "_stream", early_halt)
+    monkeypatch.setattr(harness, "_run_windows", early_halt)
     with pytest.raises(InvariantViolation, match="^halt iteration .* does not close the "
                                                  "written trace$"):
         run_experiment(cfg_for(tmp_path))

@@ -9,6 +9,8 @@ import numpy as np
 
 import hullstop
 import hullstop.errors
+from hullstop.consensus import _run_windows
+from hullstop.termination import _RULES
 
 _MODULES = ("graph", "geometry", "consensus", "hull", "termination", "applications", "harness")
 _ROOT = Path(__file__).resolve().parent.parent
@@ -58,10 +60,40 @@ def test_every_run_returns_one_record_type(tmp_path):
                 hullstop.run_hull_stopping):
         traces.append(run(g, W, x0, 1e-2))
     # the fourth stopping run: no rule, as the harness streams it
-    traces.append(hullstop.termination._stream("none", g, W, x0, None, None, 2.0, 3, None))
+    none = _run_windows(_RULES["none"](g, None, 2.0), W, x0, None, 3)
+    traces.append(none)
     hullstop.write_state_csv(tr, tmp_path / "s.csv")
-    traces.append(hullstop.read_state_csv(tmp_path / "s.csv"))
+    back = hullstop.read_state_csv(tmp_path / "s.csv")
+    traces.append(back)
     assert all(type(t) is hullstop.StopTrace for t in traces)
+    # a run with no rule records no window and does not halt; its window
+    # length and norm read as every run's, and only a read-back lacks them
+    for run in (tr, none):
+        assert (run.halted, run.halt_t, run.windows, run.n_windows) == (False, None, [], 0)
+        assert (run.Dbound, run.p) == (max(1, g.diameter), 2.0)
+    assert back.Dbound is back.p is None
+
+
+def test_one_step_loop_in_the_module_of_the_engine():
+    # every run steps the engine in consensus._run_windows: an engine step
+    # is the one argument-free .step() call, and consensus, which that loop
+    # needs, depends on no module that runs it
+    sites = []
+    for path in sorted((_ROOT / "src" / "hullstop").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "step" and not node.args and not node.keywords):
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("consensus", "_run_windows")]
+    imported = set()
+    for node in ast.walk(ast.parse((_ROOT / "src" / "hullstop" / "consensus.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert imported.isdisjoint({"termination", "hull", "harness", "cli"})
 
 
 def _references(path, imports: bool, strings: bool):

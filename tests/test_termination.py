@@ -26,7 +26,8 @@ from hullstop import (
     write_state_csv,
     write_termination_csv,
 )
-from hullstop.termination import _BoxRule, _NoStop, _RadiusRule, _run_windows, _stream
+from hullstop.consensus import _run_windows
+from hullstop.termination import _RULES, _BoxRule, _RadiusRule
 
 from oracles import bit_step_reference, in_sum_reference, m_hop_senders, radius_step_reference
 
@@ -249,8 +250,8 @@ def test_box_criterion_rejects_nan_rho():
     g = ring(4)
     rows = []
     with pytest.raises(ValueError, match="rho must be positive"):
-        _stream("box", g, make_weights(g, "column"), np.zeros((4, 2)), float("nan"),
-                None, np.inf, 50, lambda *row: rows.append(row))
+        _run_windows(_RULES["box"](g, float("nan"), np.inf), make_weights(g, "column"),
+                     np.zeros((4, 2)), None, 50, sink=lambda *row: rows.append(row))
     assert rows == []
 
 
@@ -512,26 +513,29 @@ def test_stopping_history_equals_run_consensus(kind):
     assert _bits(box.rs) == _bits(run_consensus(W, x0, box.halt_t).rs)
 
 
-@pytest.mark.parametrize("kind", ["column", "row"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_run_consensus_equals_the_stopping_loop_without_a_rule(kind, seed):
-    # run_consensus keeps its own step loop; it must record what the
-    # stopping driver records with no rule, field by field
-    g = er(8, seed=seed)
-    W = make_weights(g, kind)
-    x0 = np.random.default_rng(seed).random((8, 3))
-    T = 30
-    ref = run_consensus(W, x0, T)
-    tr = _run_windows(_NoStop(g, None, 2.0), g, W, x0, None, T, history=True)
-    assert tr.engine == ref.engine and tr.steps == ref.steps == T
-    for name in ("rs", "xs", "ys"):
+@pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping], ids=["radius", "box"])
+def test_rule_graph_must_be_the_weights_graph(run):
+    # a ring's window (its diameter, 11) on weights over an ER graph of
+    # diameter 4 ran silently and halted more than 10 steps late
+    g = er(12, seed=0)
+    W = make_weights(g, "column")
+    x0 = np.random.default_rng(0).random((12, 2))
+    with pytest.raises(ValueError, match="not the weights' graph"):
+        run(ring(12), W, x0, 1e-3)
+    # the same graph built a second time is the same graph
+    again = er(12, seed=0)
+    assert again is not g
+    ref, tr = run(g, W, x0, 1e-3, history=True), run(again, W, x0, 1e-3, history=True)
+    assert ref.halted and (tr.halt_t, tr.n_windows, tr.Dbound) == (ref.halt_t, ref.n_windows,
+                                                                   ref.Dbound)
+    for name in ("rs", "xs", "ys", "Rs", "bs"):
         a, b = getattr(tr, name), getattr(ref, name)
-        if kind == "row" and name != "rs":
-            assert a is b is None, name
+        if b is None:
+            assert a is None, name
         else:
             assert _bits(a) == _bits(b), name
-    for run in (tr, ref):
-        assert (run.halted, run.halt_t, run.windows, run.n_windows) == (False, None, [], 0)
+    for mine, theirs in zip(tr.windows, ref.windows, strict=True):
+        assert [_bits(np.asarray(v)) for v in mine] == [_bits(np.asarray(v)) for v in theirs]
 
 
 def test_non_halting_run_keeps_memory_bounded(traced_peak):
