@@ -513,6 +513,34 @@ def test_stopping_history_equals_run_consensus(kind):
     assert _bits(box.rs) == _bits(run_consensus(W, x0, box.halt_t).rs)
 
 
+@pytest.mark.parametrize("kind", ["column", "row"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_consensus_equals_the_stopping_loop_without_a_rule(kind, seed):
+    # run_consensus records the loop's history; the harness and the CLI
+    # stream the same run with no rule through a sink and keep only its
+    # ends. Both must give the same record, step by step and field by field
+    g = er(8, seed=seed)
+    W = make_weights(g, kind)
+    x0 = np.random.default_rng(seed).random((8, 3))
+    T = 30
+    ref = run_consensus(W, x0, T)
+    rows = []
+    tr = _run_windows(_RULES["none"](g, None, 2.0), W, x0, None, T,
+                      sink=lambda k, row, halt: rows.append((k, row, halt)))
+    assert tr.engine == ref.engine and tr.steps == ref.steps == T
+    assert [k for k, _, _ in rows] == list(range(T + 1))
+    assert not any(halt for _, _, halt in rows)
+    for name in ("rs", "xs", "ys"):
+        b = getattr(ref, name)
+        if kind == "row" and name != "rs":
+            assert b is None and all(name not in row for _, row, _ in rows), name
+            continue
+        assert _bits(np.stack([row[name] for _, row, _ in rows])) == _bits(b), name
+        assert _bits(np.stack([getattr(tr, name)[k] for k in (0, T)])) == _bits(b[[0, T]]), name
+    for run in (tr, ref):
+        assert (run.halted, run.halt_t, run.windows, run.n_windows) == (False, None, [], 0)
+
+
 @pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping], ids=["radius", "box"])
 def test_rule_graph_must_be_the_weights_graph(run):
     # a ring's window (its diameter, 11) on weights over an ER graph of
