@@ -237,9 +237,8 @@ def _run_windows(rule, W: StochasticMatrix, x0, Dbound, k_max,
     window only.
     """
     g = W.graph
-    # by edge arrays: DiGraph equality compares provenance, builds edge tuples
-    if rule.g is not g and (rule.g.n != g.n or not all(
-            map(np.array_equal, rule.g.edge_arrays, g.edge_arrays))):
+    # by in-layout: DiGraph equality compares provenance, builds edge tuples
+    if rule.g is not g and not rule.g.in_layout.same_edges(g.in_layout):
         raise ValueError("the stopping rule's graph is not the weights' graph")
     if rule.rho is not None and not rule.rho > 0:
         raise ValueError(f"rho must be positive, got {rule.rho}")

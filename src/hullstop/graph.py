@@ -17,6 +17,17 @@ receiver has its self-loop, so slot 0 covers all of them. One map,
 _InLayout.slotted, puts the senders and every StochasticMatrix's weights
 in slot order a whole slot at a time, with no edge-length permutation.
 
+Each edge is stored once. The layout's senders in slot order are the only
+edge-length array a graph keeps: 8 bytes an edge, about 10 with the
+layout's per-node tables. DiGraph.edge_arrays rebuilds the receiver-sorted
+(dst, src) from them on each read, dst from the in-degrees with np.repeat
+and src by _InLayout.unslotted, slotted's inverse; nothing caches them. A
+StochasticMatrix keeps its edge weights, 8 bytes an edge more (18 with its
+graph), and its per-sender weights when it has them; it builds its slot
+weights when a step first reads them, which only a weighted sum without
+per-sender weights does (_in_sum). make_weights and the matrix's checks
+rebuild one edge end at a time, never dst and src together.
+
 Every transient block takes its size from one byte budget, _BLOCK_BYTES
 (128 KiB): the gather groups here, the row blocks of generate_digraph's
 Erdos-Renyi draw and of geometry.pairwise_spread, and the read blocks of
@@ -147,6 +158,29 @@ class _InLayout(NamedTuple):
         view = out.view()
         view.setflags(write=False)
         return view
+
+    def unslotted(self, values) -> np.ndarray:
+        """The inverse of slotted: the slot-ordered per-edge array values
+        back in receiver-sorted edge order, as a fresh array, filled a
+        whole slot at a time."""
+        out = np.empty_like(values)
+        for k, (start, m) in enumerate(self.blocks):
+            out[self.heads[:m] + k] = values[start:start + m]
+        return out
+
+    def receivers(self) -> np.ndarray:
+        """The receiver of each edge in receiver-sorted edge order, as a
+        fresh array: each node repeated by its in-degree."""
+        heads = self.heads if self.rank is None else self.heads[self.rank]
+        return np.repeat(np.arange(len(heads)), np.diff(heads, append=len(self.send)))
+
+    def same_edges(self, other) -> bool:
+        """Whether the layout other holds the same edges: the same node
+        count, slot blocks, ranking and senders in slot order."""
+        return (len(self.heads) == len(other.heads) and self.blocks == other.blocks
+                and (self.ranked is None) == (other.ranked is None)
+                and (self.ranked is None or np.array_equal(self.ranked, other.ranked))
+                and np.array_equal(self.send, other.send))
 
     def cut(self, *values) -> _Cut:
         """The layout cut for gathering the rows of the (n, ...) arrays
@@ -287,22 +321,22 @@ class DiGraph:
     """Immutable, strongly connected directed graph with mandatory self-loops.
 
     edges may be given as any sequence of (receiver, sender) pairs or an
-    (E, 2) integer array, in any order and with repeats. g.edges, their
-    sorted tuple of Python int pairs and most of a graph's memory, is built
-    from edge_arrays when first read. seed and model are provenance metadata
-    kept so a graph can be serialized reproducibly; they are optional for
-    hand-built graphs. Construction computes the diameter to check
-    strong connectivity, so reading g.diameter later floods nothing.
+    (E, 2) integer array, in any order and with repeats. Built here, the
+    graph stores its edges once, as its in-layout's senders in slot order,
+    8 bytes an edge and about 10 with the per-node tables of the layout;
+    it caches no other edge-length array. edge_arrays rebuilds the (dst,
+    src) pair from the layout on each read, and g.edges, their sorted tuple
+    of Python int pairs (about 67 bytes an edge), is built from them when
+    first read. seed and model are provenance metadata kept so a graph can
+    be serialized reproducibly; they are optional for hand-built graphs.
+    Construction computes the diameter to check strong connectivity, so
+    reading g.diameter later floods nothing.
     """
 
     n: int
     edges: tuple
     seed: int | None = None
     model: str | None = None
-    # (dst, src) read-only int arrays over edges sorted by (receiver,
-    # sender). This fixed ordering is what makes every per-node reduction in
-    # the engines run over ascending sender index, the determinism contract.
-    edge_arrays: tuple = field(init=False, repr=False, compare=False)
     # how every per-node reduction gathers its senders' values (_InLayout)
     in_layout: _InLayout = field(init=False, repr=False, compare=False)
 
@@ -320,9 +354,6 @@ class DiGraph:
         looped[dst[dst == src]] = True
         if not looped.all():
             raise ValueError(f"node {looped.argmin()} is missing its self-loop")
-        dst.setflags(write=False)
-        src.setflags(write=False)
-        object.__setattr__(self, "edge_arrays", (dst, src))
         object.__setattr__(self, "in_layout", _in_layout(n, dst, src))
         if self.diameter < 0:
             raise ValueError("graph is not strongly connected")
@@ -334,6 +365,19 @@ class DiGraph:
         dst, src = self.edge_arrays
         edges = self.__dict__["edges"] = tuple(zip(dst.tolist(), src.tolist()))
         return edges
+
+    @property
+    def edge_arrays(self) -> tuple:
+        """(dst, src): fresh read-only intp arrays over the edges sorted by
+        (receiver, sender), rebuilt from the in-layout on each read, dst
+        from the in-degrees and src by un-slotting the senders. This fixed
+        ordering is what makes every per-node reduction in the engines run
+        over ascending sender index, the determinism contract."""
+        layout = self.in_layout
+        pair = layout.receivers(), layout.unslotted(layout.send)
+        for a in pair:
+            a.setflags(write=False)
+        return pair
 
     @cached_property
     def in_adj(self) -> tuple:
@@ -414,50 +458,51 @@ class StochasticMatrix:
     edge_weights[e] is the weight src[e] gives dst[e], for (dst, src) =
     graph.edge_arrays; off the edges the weight is zero. kind "column"
     normalizes each sender's weights to 1 (push-sum splitting), kind "row"
-    each receiver's (averaging); there is no dense view. Two read-only
-    forms of the weights are built here, before any step. sender_weights
-    holds, per sender, the one weight it gives every out-edge, its
-    self-loop's, when that holds bit for bit, as for make_weights' column
-    kind, or for its row kind when every in-degree is equal; else it is
-    None. slot_weights holds the weights in the graph's in-layout slot
-    order, put there by the layout's own map (_InLayout.slotted), the one
-    that put the layout's senders in slot order. A matrix is a record, like its graph:
-    two are equal, and hash alike, when their kind, graph and edge weight
-    bytes are; the derived forms take no part.
+    each receiver's (averaging); there is no dense view. Built here, before
+    any step, a matrix holds its read-only edge weights and sender_weights:
+    per sender, the one weight it gives every out-edge, its self-loop's,
+    when that holds bit for bit, as for make_weights' column kind, or for
+    its row kind when every in-degree is equal; else None. With the graph's
+    senders that is 18 bytes an edge. slot_weights, the weights in the
+    graph's in-layout slot order, put there by the layout's own map
+    (_InLayout.slotted), is built when first read, by the only step that
+    needs it: a weighted sum without sender_weights (_in_sum). A matrix is
+    a record, like its graph: two are equal, and hash alike, when their
+    kind, graph and edge weight bytes are; the derived forms take no part.
     """
 
     kind: str
     edge_weights: np.ndarray
     graph: DiGraph
     sender_weights: np.ndarray | None = field(init=False, repr=False, compare=False)
-    slot_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("column", "row"):
             raise ValueError(f"kind must be 'column' or 'row', got {self.kind!r}")
-        dst, src = self.graph.edge_arrays
+        layout = self.graph.in_layout
         ew = np.array(self.edge_weights, dtype=float)
-        if ew.shape != dst.shape:
-            raise ValueError(f"weight shape {ew.shape} does not match the {dst.size} edges")
+        if ew.shape != layout.send.shape:
+            raise ValueError(f"weight shape {ew.shape} does not match the {layout.send.size} edges")
         if not np.isfinite(ew).all():
             raise ValueError("weights must be finite")
         # every node has its self-loop, so this also makes the diagonal positive
         if (ew <= 0).any():
             raise ValueError("edge weights must be strictly positive")
-        end = src if self.kind == "column" else dst
+        end = _weight_ends(layout, self.kind)
         dev = np.abs(np.bincount(end, ew, minlength=self.graph.n) - 1.0).max()
         if dev > 1e-12:
             raise ValueError(f"{self.kind} sums deviate from 1 by {dev:.3e}")
+        if self.kind == "row":
+            del end  # the receivers go before the senders are rebuilt
+            end = layout.unslotted(layout.send)
         ew.setflags(write=False)
         object.__setattr__(self, "edge_weights", ew)
-        # the edges are sorted by receiver and every node has one self-loop,
-        # so these are the senders' self-loop weights in node order; the
-        # weights are positive and finite, so equal values are equal bits
-        own = ew[dst == src]
-        own.setflags(write=False)
-        object.__setattr__(self, "sender_weights",
-                           own if np.array_equal(own[src], ew) else None)
-        object.__setattr__(self, "slot_weights", self.graph.in_layout.slotted(ew))
+        object.__setattr__(self, "sender_weights", _sender_weights(end, ew, self.graph.n))
+
+    @cached_property
+    def slot_weights(self) -> np.ndarray:
+        """The edge weights in the graph's in-layout slot order, read-only."""
+        return self.graph.in_layout.slotted(self.edge_weights)
 
     def _record(self):
         return self.kind, self.graph, self.edge_weights.tobytes()
@@ -471,13 +516,37 @@ class StochasticMatrix:
         return hash(self._record())
 
 
+def _weight_ends(layout, kind) -> np.ndarray:
+    """The edge ends whose weights kind normalizes, in receiver-sorted edge
+    order: the senders for column weights, the receivers for row weights."""
+    return layout.unslotted(layout.send) if kind == "column" else layout.receivers()
+
+
+def _sender_weights(src, ew, n) -> np.ndarray | None:
+    """Per sender, the one weight it gives every out-edge, as a read-only
+    array, or None when some sender gives two. src and ew are the senders
+    and weights in receiver-sorted edge order, compared a block of
+    _BLOCK_BYTES weights at a time. The weights are positive and finite, so
+    equal values are equal bits, and any out-edge's weight is the
+    self-loop's."""
+    own = np.empty(n)
+    own[src] = ew
+    step = max(1, _BLOCK_BYTES // ew.itemsize)
+    for s in range(0, len(ew), step):
+        if not np.array_equal(own[src[s:s + step]], ew[s:s + step]):
+            return None
+    own.setflags(write=False)
+    return own
+
+
 def make_weights(g: DiGraph, kind: str) -> StochasticMatrix:
     """Equal-splitting weights: column kind gives each sender's out-edges
     weight 1/out_degree, row kind gives each receiver's in-edges weight
     1/in_degree. Self-loops keep every diagonal entry positive."""
-    dst, src = g.edge_arrays
-    end = src if kind == "column" else dst  # the constructor rejects another kind
-    return StochasticMatrix(kind, 1.0 / np.bincount(end, minlength=g.n)[end], g)
+    end = _weight_ends(g.in_layout, kind)  # the constructor rejects another kind
+    w = (1.0 / np.bincount(end, minlength=g.n))[end]
+    del end
+    return StochasticMatrix(kind, w, g)
 
 
 def graph_to_json(g: DiGraph) -> str:

@@ -66,6 +66,24 @@ def traced_peak():
     return peak
 
 
+@pytest.fixture
+def traced_held():
+    """traced_held(op, warm_up=None): (result, held) for one call of op,
+    held the tracemalloc current, in bytes, just after it returns: what
+    its result and whatever it cached still hold. warm_up is as for
+    traced_peak. Tracing stops even when op raises."""
+    def held(op, warm_up=None):
+        if warm_up is not False:
+            (warm_up or op)()
+        tracemalloc.start()
+        try:
+            result = op()
+            return result, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    return held
+
+
 @pytest.fixture(autouse=True)
 def _tracemalloc_stopped():
     """Fail any test that leaves tracemalloc tracing: every later test's

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,8 +293,11 @@ def test_make_weights_allocates_no_dense_matrix(traced_peak):
 
 def test_make_weights_peaks_at_a_few_edge_length_arrays(traced_peak):
     # the bench's stop_er1000 graph, 28 538 edges. The given weights, their
-    # float copy and the slot-ordered weights are 24 bytes an edge; building
-    # the slot order as an edge-length permutation had made it 64.9
+    # float copy and one edge end rebuilt from the graph's in-layout, never
+    # both ends at once, with one budget's block of the sender check, are
+    # about 29.5 bytes an edge (24.6 when the graph kept (dst, src) and the
+    # matrix built its slot-ordered weights here; 64.9 with the slot order
+    # built as an edge-length permutation)
     n = 1000
     g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
     assert len(g.edges) == 28_538
@@ -334,23 +336,38 @@ def test_row_block_draw_is_the_whole_draw(n):
     assert draws > 3 or n == 1
 
 
-def test_graph_keeps_its_edges_as_arrays():
+def test_graph_keeps_its_edges_as_arrays(traced_held):
     # a tuple of Python int pairs costs about 67 bytes an edge; the graph
-    # holds (dst, src) and the in-layout's senders, 24 bytes an edge, and
-    # builds the tuple only when g.edges is read
+    # holds only its in-layout's senders in slot order, 8 bytes an edge and
+    # about 10 with the layout's per-node tables, and builds (dst, src) on
+    # each read of edge_arrays and the tuple when g.edges is read. Holding
+    # (dst, src) as well had made it 26 bytes an edge
     n = 300
-    generate_digraph(20, "erdos_renyi", seed=0, edge_prob=0.3)
-    tracemalloc.start()
-    try:
-        g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    E = len(g.edge_arrays[0])
+    g, held = traced_held(
+        lambda: generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n),
+        warm_up=lambda: generate_digraph(20, "erdos_renyi", seed=0, edge_prob=0.3))
+    E = len(g.in_layout.send)
     assert E == 7120
-    assert held < 32 * E, held
+    assert held < 12 * E, held / E
     dst, src = g.edge_arrays
     assert g.edges == tuple(zip(dst.tolist(), src.tolist()))
+
+
+@pytest.mark.parametrize("n", [300, 4000])
+def test_graph_and_column_weights_hold_each_edge_once(n, traced_held):
+    # the graph's slotted senders and the weights, 8 bytes an edge each,
+    # with the per-node tables about 18 bytes an edge. The graph's (dst,
+    # src) and the matrix's slot-ordered weights, which no step of
+    # push-sum's equal split reads, had made it 42
+    def build():
+        g = generate_digraph(n, "erdos_renyi", seed=0, edge_prob=4 * math.log(n) / n)
+        return make_weights(g, "column")
+
+    W, held = traced_held(build, warm_up=lambda: make_weights(
+        generate_digraph(20, "erdos_renyi", seed=0, edge_prob=0.3), "column"))
+    E = len(W.edge_weights)
+    assert held < 20 * E, held / E
+    assert "slot_weights" not in W.__dict__
 
 
 def test_graph_equality_hash_and_repr_are_those_of_its_record():

@@ -21,6 +21,8 @@ from hullstop import (
     make_weights,
     radius_step,
     ratio_step,
+    run_box_stopping,
+    run_radius_stopping,
     vector_norm,
 )
 from hullstop import graph
@@ -214,13 +216,84 @@ def test_tables_are_read_only():
     ragged = complete_minus(7, 5, seed=1)
     assert _ranked(ragged)
     for g in (generate_digraph(5, "ring"), ragged):
-        W = make_weights(g, "column")
+        W, A = make_weights(g, "column"), make_weights(g, "row")
         layout = g.in_layout
-        for table in (layout.send, layout.ranked, layout.rank, layout.heads, W.slot_weights):
+        for table in (layout.send, layout.ranked, layout.rank, layout.heads,
+                      W.slot_weights, A.slot_weights):
             if table is None:
                 continue
             with pytest.raises(ValueError):
                 table[0] = 1
+
+
+@given(graphs(), st.lists(st.tuples(st.integers(0, 17), st.integers(0, 17)), max_size=30),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_edge_arrays_are_the_sorted_distinct_input_pairs(g, extra, seed):
+    # edge_arrays is rebuilt from the in-layout on each read: dst from the
+    # in-degrees, src by un-slotting the senders. Fed g's edges, more edges
+    # (more edges keep a graph strongly connected) and repeats, shuffled, a
+    # graph built with g's byte budget gives back their sorted distinct
+    # pairs, as fresh read-only intp arrays on each read
+    rng = np.random.default_rng(seed)
+    pairs = np.column_stack(g.edge_arrays)
+    extra = np.array([(i % g.n, j % g.n) for i, j in extra], dtype=np.intp).reshape(-1, 2)
+    given_pairs = np.concatenate([pairs, extra, pairs[rng.integers(0, len(pairs), 5)]])
+    rng.shuffle(given_pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_BYTES", g.in_layout.budget)
+        h = DiGraph(g.n, given_pairs)
+    assert h.in_layout.budget == g.in_layout.budget
+    want = np.unique(given_pairs, axis=0)
+    first, second = h.edge_arrays, h.edge_arrays
+    for dst, src in (first, second):
+        assert np.array_equal(np.column_stack((dst, src)), want)
+        for a in (dst, src):
+            assert a.dtype == np.intp
+            with pytest.raises(ValueError):
+                a[0] = 0
+    for a, b in zip(first, second):
+        assert a is not b and not np.shares_memory(a, b)
+    assert not np.shares_memory(first[1], h.in_layout.send)
+    assert h.edges == tuple(map(tuple, want.tolist()))
+    # the graph caches no array: its edges stay the layout's senders alone
+    assert not any(isinstance(v, np.ndarray) for v in vars(h).values())
+
+
+@pytest.mark.parametrize("g", [generate_digraph(12, "ring"), complete_minus(7, 5, seed=1),
+                               generate_digraph(200, "erdos_renyi", seed=1, edge_prob=0.1)],
+                         ids=["ring", "ragged", "er"])
+def test_equal_split_runs_never_build_the_slot_weights(g):
+    # push-sum's equal split scales each sender's row once, so a stopping
+    # run with make_weights' column weights never reads, and so never
+    # builds, their slot order
+    W = make_weights(g, "column")
+    assert W.sender_weights is not None
+    x0 = np.random.default_rng(g.n).random((g.n, 3))
+    for run in (run_radius_stopping, run_box_stopping):
+        assert run(g, W, x0, 1e-3).halted
+    assert "slot_weights" not in W.__dict__
+
+
+def test_ragged_row_weights_build_their_slot_order_at_the_first_step():
+    # row weights on unequal in-degrees differ per sender, so a step scales
+    # each gathered slot row: the first step builds the slot weights once,
+    # read-only, and later steps reuse them
+    g = complete_minus(7, 5, seed=1)
+    A = make_weights(g, "row")
+    assert _ranked(g) and A.sender_weights is None
+    assert "slot_weights" not in A.__dict__
+    x0 = np.random.default_rng(5).normal(size=(g.n, 3))
+    eng = _Engine(A, x0)
+    eng.step()
+    built = A.__dict__["slot_weights"]
+    assert not built.flags.writeable
+    assert _same_bytes(built, g.in_layout.slotted(A.edge_weights))
+    assert _same_bytes(eng.cur, in_sum_reference(A, x0))
+    prev = eng.cur
+    eng.step()
+    assert A.__dict__["slot_weights"] is built
+    assert _same_bytes(eng.cur, in_sum_reference(A, prev))
 
 
 @pytest.mark.parametrize("g", [generate_digraph(9, "ring"),

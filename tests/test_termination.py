@@ -566,6 +566,29 @@ def test_rule_graph_must_be_the_weights_graph(run):
         assert [_bits(np.asarray(v)) for v in mine] == [_bits(np.asarray(v)) for v in theirs]
 
 
+@pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping], ids=["radius", "box"])
+def test_rule_graph_check_compares_the_in_layouts(run, monkeypatch):
+    # the check reads the two in-layouts, never rebuilt edge arrays: an
+    # equal but distinct graph passes it, and the reversed ring, with the
+    # ring's node count, edge count and slot blocks, is another graph
+    def unread(self):
+        raise AssertionError("edge arrays were rebuilt")
+
+    g = ring(12)
+    W = make_weights(g, "column")
+    x0 = np.random.default_rng(1).random((12, 2))
+    ref = run(g, W, x0, 1e-3, history=True)
+    reversed_ring = DiGraph(12, [(i, j) for i in range(12) for j in (i, (i + 1) % 12)])
+    assert reversed_ring.in_layout.blocks == g.in_layout.blocks
+    assert len(reversed_ring.in_layout.send) == len(g.in_layout.send)
+    monkeypatch.setattr(DiGraph, "edge_arrays", property(unread))
+    tr = run(ring(12), W, x0, 1e-3, history=True)
+    assert ref.halted and (tr.halt_t, tr.n_windows) == (ref.halt_t, ref.n_windows)
+    assert _bits(tr.rs) == _bits(ref.rs)
+    with pytest.raises(ValueError, match="not the weights' graph"):
+        run(reversed_ring, W, x0, 1e-3)
+
+
 def test_non_halting_run_keeps_memory_bounded(traced_peak):
     # keeping every step of this run took about 700 MB, and keeping its
     # 3999 window records about 3.4 MB
