@@ -15,13 +15,19 @@ Extreme-point queries are cut. A unique coordinate extreme is kept with no
 query, exactly but blind to `_TOL`; so is a point ahead of every other along
 one of 256 fixed unit directions by more than the margin past which a query
 answers outside anyway (Dula and Helgason: frame points maximize linear
-functions), which changes no verdict. Within one hull round, a `_Verdicts`
-memo answers a repeated (point, ground set) query from the first answer.
+functions), which changes no verdict. No query removes these certified
+points. Once a query of a call answers inside, a third certificate drops
+every later point that is a strictly positive convex combination of them
+(Akl and Toussaint's inner polytope): every later ground set holds them,
+so a query would call the point a member, and this too changes no
+verdict. Within one hull round, a `_Verdicts` memo answers a repeated
+(point, ground set) query from the first answer.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -237,15 +243,17 @@ def _phase_one_feasible(pts: np.ndarray, p: np.ndarray) -> bool:
     return float(obj[ncols]) <= _tableau_threshold(s, d)
 
 
-# np.linalg.lstsq's own gufunc, resolved at import so that a numpy without
-# it (before 2.0 it was split in two) fails here rather than in a hull round
+# np.linalg.lstsq's and np.linalg.inv's own gufuncs, resolved at import so
+# that a numpy without them (before 2.0 lstsq was split in two) fails here
+# rather than in a hull round
 try:
+    from numpy.linalg._umath_linalg import inv as _inv_gufunc
     from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 except ImportError as exc:
     raise ImportError("hullstop needs numpy>=2.4: numpy.linalg._umath_linalg.lstsq "
-                      f"is missing from numpy {np.__version__}") from exc
-if "ddd->ddid" not in _lstsq_gufunc.types:
-    raise ImportError(f"numpy {np.__version__}: the lstsq gufunc has no float64 loop")
+                      f"or .inv is missing from numpy {np.__version__}") from exc
+if "ddd->ddid" not in _lstsq_gufunc.types or "d->d" not in _inv_gufunc.types:
+    raise ImportError(f"numpy {np.__version__}: the lstsq or inv gufunc has no float64 loop")
 
 
 def _raise_lstsq_error(err, flag):
@@ -458,6 +466,128 @@ def _direction_extremes(pts: np.ndarray) -> np.ndarray:
     return found
 
 
+# the interior certificate: the least barycentric weight it certifies, and
+# the most planes it enumerates before giving up
+_INNER_DELTA = 1e-9
+_INNER_MAX_PLANES = 8192
+
+
+@functools.cache
+def _wedge(d: int, r: int) -> np.ndarray:
+    """Read-only signs that take the r x r minors of a matrix's first r rows,
+    one per r-subset of its d columns, times each entry of row r + 1, to
+    the (r + 1) x (r + 1) minors of its first r + 1 rows: Laplace expansion
+    along the new row. (C(d, r) * d, C(d, r + 1)), subsets in
+    itertools.combinations order."""
+    bigger = {t: i for i, t in enumerate(itertools.combinations(range(d), r + 1))}
+    subsets = list(itertools.combinations(range(d), r))
+    W = np.zeros((len(subsets), d, len(bigger)))
+    for i, s in enumerate(subsets):
+        for j in range(d):
+            if j not in s:
+                t = tuple(sorted(s + (j,)))
+                W[i, j, bigger[t]] = (-1) ** (r + t.index(j))
+    W = W.reshape(-1, len(bigger))
+    W.setflags(write=False)
+    return W
+
+
+def _normals(E: np.ndarray) -> np.ndarray:
+    """Normals to the d - 1 rows of each (d - 1, d) matrix of the stack E:
+    the cofactors of a d-th row, from the minors of E's first rows, one row
+    at a time. Column j is (-1)^j times the minor without column j, up to
+    one sign for all."""
+    P, _, d = E.shape
+    minors = E[:, 0] if d > 1 else np.ones((P, 1))
+    for r in range(1, d - 1):
+        minors = (minors[:, :, None] * E[:, r, None, :]).reshape(P, -1) @ _wedge(d, r)
+    # the (d - 1)-subsets run from the one without column d - 1 to the one without 0
+    return minors[:, ::-1] * (-1.0) ** np.arange(d)
+
+
+@functools.lru_cache(maxsize=1)
+def _facets(key: bytes, d: int) -> np.ndarray:
+    """The d-subsets of the rows of X, the (k, d) array with bytes key and
+    its lower corner at 0, whose plane has all of X on one side, within a
+    rounding slack of 64 eps d span ||n||_1, n the plane's normal and span
+    X's largest entry: the facets of X's hull, and any plane that rounding
+    puts there too. The last answer is kept: the calls of a hull round
+    mostly certify the same extremes one after another.
+
+    The subsets are taken in blocks that keep within _BLOCK_BYTES."""
+    X = np.frombuffer(key).reshape(-1, d)
+    k = X.shape[0]
+    span = float(X.max())
+    slack = 64.0 * _EPS * d * span
+    rows = max(1, _BLOCK_BYTES // (8 * (k + 2 * d * d + d * math.comb(d, d // 2))))
+    combos = itertools.chain.from_iterable(itertools.combinations(range(k), d))
+    facets = []
+    while (block := np.fromiter(itertools.islice(combos, rows * d), dtype=np.intp)).size:
+        block = block.reshape(-1, d)
+        V = np.take(X, block, axis=0)
+        n = _normals(V[:, 1:] - V[:, :1])
+        s = X @ n.T
+        s -= np.einsum("ij,ij->i", V[:, 0], n)
+        tol = slack * np.abs(n).sum(axis=1)
+        facets.append(block[(s.max(axis=0) <= tol) | (s.min(axis=0) >= -tol)])
+    facets = np.concatenate(facets)
+    facets.setflags(write=False)
+    return facets
+
+
+def _inner_marks(pts: np.ndarray, definite: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Points of cand certified inside the hull of D = pts[definite], with no
+    query: Akl and Toussaint's inner polytope.
+
+    On coordinates shifted to D's lower corner, the simplices joining the
+    mean c of D to the facets of D's hull (`_facets`) cover it. A point x
+    is marked when x - c = sum lam_i (v_i - c) over one facet's vertices
+    v_i, with every lam_i >= delta = _INNER_DELTA and sum lam <= 1 - delta.
+    Then x is a strictly positive convex combination of c and the v_i, so
+    of points of D, and inside the hull of any ground set that holds D.
+
+    A depth check covers rounding. lam = (x - c) G, G the computed inverse
+    of M, whose rows are the v_i - c. The point p = c + lam M is that
+    convex combination exactly, and lies |r| from x, r = (x - c) - lam M.
+    No weight changes faster than g = sum |G| per unit step, so the ball of
+    radius delta / g around p stays in the simplex. x is marked only when
+    g (|r|_1 + 64 eps k span) <= delta / 2: the 64 eps k span covers the
+    rounding of c and of the v_i - c, and the half covers G for the exact
+    inverse. Soundness rests on these weights alone. The simplex of c and
+    any d points of D lies in D's hull, so a plane that rounding takes for
+    a facet only costs work, and a facet it loses only loses coverage.
+
+    Nothing is marked when D has no more than d points or C(|D|, d)
+    exceeds _INNER_MAX_PLANES.
+    """
+    D = pts[definite]
+    k, d = D.shape
+    marks = np.zeros(pts.shape[0], dtype=bool)
+    if k <= d or math.comb(k, d) > _INNER_MAX_PLANES or not cand.any():
+        return marks
+    lo = D.min(axis=0)
+    X = D - lo
+    span = float(X.max())
+    facets = _facets(X.tobytes(), d)
+    c = X.mean(axis=0)
+    Y = pts[cand] - lo - c
+    inside = np.zeros(Y.shape[0], dtype=bool)
+    rows = max(1, _BLOCK_BYTES // (8 * (3 * d * d + Y.shape[0] * (d + 1))))
+    for b in range(0, facets.shape[0], rows):
+        M = np.take(X, facets[b:b + rows], axis=0) - c
+        # a singular M inverts to NaNs, which pass no test below
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+            G = _inv_gufunc(M, signature="d->d")
+            lam = Y @ G
+            f, j = np.nonzero((lam >= _INNER_DELTA).all(axis=2)
+                              & (lam.sum(axis=2) <= 1.0 - _INNER_DELTA))
+        r = Y[j] - np.einsum("pi,pij->pj", lam[f, j], M[f])
+        g = np.abs(G[f]).sum(axis=(1, 2))
+        inside[j[g * (np.abs(r).sum(axis=1) + 64.0 * _EPS * k * span) <= 0.5 * _INNER_DELTA]] = True
+    marks[np.flatnonzero(cand)[inside]] = True
+    return marks
+
+
 class _Verdicts:
     """Membership verdicts shared by the `extreme_points` calls of one hull
     round. A query is keyed by the id of its point and the bitmask of the
@@ -481,44 +611,64 @@ class _Verdicts:
         return verdict
 
 
+def _certified_extremes(pts: np.ndarray) -> np.ndarray:
+    """The points `extreme_points` keeps with no query: the unique
+    coordinate extremes, which can never be convex combinations of the
+    others, and the direction extremes (`_direction_extremes`)."""
+    lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
+    definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)
+    if not definite.all():
+        definite |= _direction_extremes(pts)
+    return definite
+
+
 def extreme_points(S, verdicts: _Verdicts | None = None) -> PointSet:
     """Points of S not representable as convex combinations of the others.
 
     Each candidate is tested against the rest of the set; a point found
     interior is removed from the ground set immediately, which is sound
     because removing a non-extreme point leaves the hull unchanged. Two
-    certificates settle points with no query: a unique coordinate extreme,
+    certificates keep points with no query: a unique coordinate extreme,
     and a point ahead of all others along one of 256 fixed directions by
     more than the margin past which `_member` answers outside anyway
-    (`_direction_extremes`). Given verdicts, a hull round's `_Verdicts`,
-    a (point, ground set) query already answered in that round is not
-    asked again. The direction certificate and the memo change no verdict;
+    (`_direction_extremes`). No query removes these points, so they lie in
+    every ground set the loop asks about. A third drops points with no
+    query: once a query answers inside, every later candidate that is a
+    strictly positive convex combination of the points those two keep, by
+    the barycentric weights of `_inner_marks`, is removed as a query would
+    remove it. Given verdicts, a hull round's `_Verdicts`, a (point, ground
+    set) query already answered in that round is not asked again. The
+    direction and interior certificates and the memo change no verdict;
     the coordinate skip, exact but blind to `_TOL`, can keep a point a
     query would call a member. The result is tests/oracles.py's
     `extreme_points_reference`: the skip, then one query per other point.
     """
     pts = _as_points(S)
     m = pts.shape[0]
-    # unique coordinate extremes can never be convex combinations of others
-    lo, hi = pts == pts.min(axis=0), pts == pts.max(axis=0)
-    definite = ((lo & (lo.sum(axis=0) == 1)) | (hi & (hi.sum(axis=0) == 1))).any(axis=1)
-    if not definite.all():
-        definite |= _direction_extremes(pts)
+    definite = _certified_extremes(pts)
     if verdicts is None:
         verdicts = _Verdicts()
     bits = [1 << i for i in verdicts.ids(pts)]
     kept = sum(bits)
     keep = np.ones(m, dtype=bool)
+    inner = None
     for idx in range(m):
         if definite[idx]:
             continue
         keep[idx] = False
+        if inner is not None and inner[idx]:
+            kept &= ~bits[idx]
+            continue
         rest = pts[keep]
         key = (bits[idx], kept & ~bits[idx])
         if rest.shape[0] == 0 or not verdicts.member(rest, pts[idx], key):
             keep[idx] = True
         else:
             kept &= ~bits[idx]
+            if inner is None:
+                later = ~definite
+                later[:idx + 1] = False
+                inner = _inner_marks(pts, definite, later)
     return PointSet(pts[keep])
 
 

@@ -491,3 +491,66 @@ def test_hull_consensus_probes_keep_the_reference_loops_verdicts(monkeypatch, se
         _assert_reference_bytes(got, probe)
         _assert_reference_bytes(extreme_points(probe), probe)
         _assert_reference_bytes(extreme_points(probe, verdicts=geometry._Verdicts()), probe)
+
+
+def _box_cloud(rng, d):
+    """The corners of [-1, 1]^d, points inside, and on each face a pair of
+    points 1e-10 outside it: both share the face's extreme coordinate, so
+    neither is a unique coordinate extreme, and both lie within the
+    barycentric slack of the face's simplices."""
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
+    faces = []
+    for axis in range(d):
+        for side in (-1.0, 1.0):
+            face = rng.uniform(-0.9, 0.9, size=(2, d))
+            face[:, axis] = side * (1.0 + 1e-10)
+            faces.append(face)
+    return np.vstack([corners, rng.uniform(-1.0, 1.0, size=(8, d)), *faces])
+
+
+def _assert_marks_are_members(S):
+    """The number of points the interior certificate marks among all the
+    uncertified points of S, after checking that `_member` calls each a
+    member of the ground set the loop asks it against: the points kept
+    before it, and every point after it."""
+    pts = geometry._as_points(S)
+    definite = geometry._certified_extremes(pts)
+    marks = geometry._inner_marks(pts, definite, ~definite)
+    kept = (pts[:, None] == extreme_points(pts).points).all(axis=2).any(axis=1)
+    for idx in np.flatnonzero(marks):
+        ground = kept.copy()
+        ground[idx + 1:] = True
+        ground[idx] = False
+        assert geometry._member(pts[ground], pts[idx]), (pts, idx)
+    return int(marks.sum())
+
+
+def test_interior_certificate_marks_only_members(monkeypatch):
+    # random, flat, collapsed and duplicate clouds with d 1 to 8 at scales
+    # 1e-6 to 1e6, boxes with points just outside their faces, and every
+    # probe of the bench's hull command at seeds 0-9
+    import hullstop.hull as hull
+    from hullstop import generate_digraph, run_hull_consensus
+    rng = np.random.default_rng(40)
+    marked = 0
+    for d in range(1, 9):
+        for scale in 10.0 ** np.arange(-6, 7, 2):
+            for _ in range(4):
+                for kind in ("random", "flat", "collapsed", "duplicate"):
+                    marked += _assert_marks_are_members(scale * _guard_cloud(rng, kind, d))
+                if d <= 4:
+                    marked += _assert_marks_are_members(scale * _box_cloud(rng, d))
+    assert marked > 1500
+    probes = []
+    real = hull.extreme_points
+
+    def spy(S, *args, **kw):
+        probes.append(S)
+        return real(S, *args, **kw)
+
+    monkeypatch.setattr(hull, "extreme_points", spy)
+    for seed in range(10):
+        g = generate_digraph(20, "erdos_renyi", seed, float(f"{4 * np.log(20) / 20:.6g}"))
+        rng = np.random.default_rng([seed, 2])
+        run_hull_consensus([rng.random((5, 3)) for _ in range(g.n)], g)
+    assert sum(_assert_marks_are_members(probe) for probe in probes) > 5000

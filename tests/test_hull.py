@@ -167,3 +167,49 @@ def test_hull_round_asks_no_membership_query_twice(spy_calls):
 def test_decode_rejects_a_header_that_is_not_an_integer(header):
     with pytest.raises(ValueError, match="^message header d and m must be integers, got "):
         decode_extreme_set(header + [0.1, 0.2])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_interior_certificate_settles_most_hull_command_queries(spy_calls, seed):
+    # the bench's hull command (20 nodes, 5 points each in d=3, edge
+    # probability 4 ln n / n): the memo and the coordinate and direction
+    # certificates alone leave 1155 queries at seed 0 and 1081 at seed 7,
+    # the interior certificate 127 and 248
+    import hullstop.geometry as geometry
+    g = generate_digraph(20, "erdos_renyi", seed, float(f"{4 * np.log(20) / 20:.6g}"))
+    rng = np.random.default_rng([seed, 2])
+    sets = [rng.random((5, 3)) for _ in range(g.n)]
+    calls = spy_calls(geometry, "_member")
+    final = run_hull_consensus(sets, g)
+    central = extreme_points(np.vstack(sets))
+    assert len(calls) <= 400
+    assert all(e == central for e in final)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compare_command_builds_no_interior_certificate(spy_calls, tmp_path, seed, capsys):
+    # the bench's compare command (25 nodes, d=10): no query of its hull
+    # rule answers inside, so no call builds the certificate
+    import hullstop.cli as cli
+    import hullstop.geometry as geometry
+    calls = spy_calls(geometry, "_inner_marks")
+    argv = ["compare", "--nodes", "25", "--dim", "10", "--rho", "0.01",
+            "--edge-prob", f"{4 * np.log(25) / 25:.6g}", "--seed", str(seed),
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == []
+
+
+def test_hull_command_memory_stays_below_a_cli_op(traced_peak, tmp_path, capsys):
+    # the certificate's planes go in blocks of at most graph._BLOCK_BYTES,
+    # and the command peaks at 0.30 MB (0.22-0.24 MB without it); taken all
+    # at once they peaked at 0.52-2.1 MB at seeds 0, 3 and 7, above
+    # funccalc's 0.42 MB, which sets the peak of a cli op
+    import hullstop.cli as cli
+
+    def hull_command(out):
+        return lambda: cli.main(["hull", "--nodes", "20", "--dim", "3", "--points", "5",
+                                 "--edge-prob", f"{4 * np.log(20) / 20:.6g}", "--seed", "0",
+                                 "--out-dir", str(tmp_path / out)])
+
+    assert traced_peak(hull_command("traced"), warm_up=hull_command("warm")) < 0.40e6

@@ -70,23 +70,38 @@ def test_min_norm_member_matches_reference_bytes(kind):
 
 @pytest.mark.parametrize("seed", [7, 0])
 def test_min_norm_member_matches_reference_on_hull_command_queries(monkeypatch, seed):
-    # every _member query of the bench's hull command (20 nodes, 5 points
-    # each in d=3, edge probability 4 ln n / n): the consensus rounds and
-    # the centralised extreme set it is checked against
-    from hullstop import extreme_points, generate_digraph, run_hull_consensus
+    # the _member queries of the bench's hull command (20 nodes, 5 points
+    # each in d=3, edge probability 4 ln n / n) as the reference loop asks
+    # them, one per candidate, on the inputs of every extreme_points call of
+    # the consensus rounds and of the centralised extreme set: the live loop
+    # certifies most candidates interior and asks far fewer
+    import oracles
+    import hullstop.hull as hull
+    from hullstop import generate_digraph, run_hull_consensus
+    from oracles import extreme_points_reference
+    inputs = []
+    real_extreme_points = hull.extreme_points
+
+    def collect(S, *args, **kw):
+        inputs.append(S)
+        return real_extreme_points(S, *args, **kw)
+
+    monkeypatch.setattr(hull, "extreme_points", collect)
+    g = generate_digraph(20, "erdos_renyi", seed, float(f"{4 * np.log(20) / 20:.6g}"))
+    rng = np.random.default_rng([seed, 2])
+    sets = [rng.random((5, 3)) for _ in range(g.n)]
+    run_hull_consensus(sets, g)
+    inputs.append(np.vstack(sets))
     queries = []
-    real = geometry._member
+    real = oracles._member
 
     def spy(pts, p):
         queries.append((pts, p))
         return real(pts, p)
 
-    monkeypatch.setattr(geometry, "_member", spy)
-    g = generate_digraph(20, "erdos_renyi", seed, float(f"{4 * np.log(20) / 20:.6g}"))
-    rng = np.random.default_rng([seed, 2])
-    sets = [rng.random((5, 3)) for _ in range(g.n)]
-    run_hull_consensus(sets, g)
-    extreme_points(np.vstack(sets))
+    monkeypatch.setattr(oracles, "_member", spy)
+    for S in inputs:
+        extreme_points_reference(S)
     assert len(queries) > 500
     for pts, p in queries:
         _assert_same_certificate(pts, p, _member_margin(pts, p))
