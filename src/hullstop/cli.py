@@ -28,7 +28,7 @@ from .consensus import (_CHUNK_ROWS, _NoStop, _StateRows, _csv_table, _resolve_w
                         _run_windows, consensus_limit)
 from .errors import InvariantViolation
 from .geometry import extreme_points, vector_norm
-from .graph import MODELS, generate_digraph, make_weights
+from .graph import MODELS, _integer, generate_digraph, make_weights
 from .harness import ExperimentConfig, artifact_dir, compare_criteria, run_experiment, write_json
 from .hull import encode_extreme_set, run_hull_consensus
 from .termination import _RadiusRule
@@ -103,14 +103,9 @@ def build_parser() -> _Parser:
     return top
 
 
-def _at_least(flag, value, low):
-    if value < low:
-        raise _CliError(f"{flag} must be >= {low}, got {value}")
-
-
 def _config_from(args) -> ExperimentConfig:
     return ExperimentConfig(
-        n=args.nodes, dim=args.dim, topology=args.topology,
+        n=_integer("--nodes", args.nodes, 1), dim=args.dim, topology=args.topology,
         edge_prob=args.edge_prob, seed=args.seed, engine=args.engine, stopping=args.stopping,
         rho=args.rho, rho_relative=args.rho_relative, norm=float(args.norm),
         dbound=args.d_bound, k_max=args.k_max, out_dir=args.out_dir,
@@ -160,8 +155,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    _at_least("--points", args.points, 1)
-    _at_least("--dim", args.dim, 1)
+    _integer("--points", args.points, 1)
+    _integer("--dim", args.dim, 1)
+    _integer("--nodes", args.nodes, 1)
     g = generate_digraph(args.nodes, args.topology, args.seed, args.edge_prob)
     rng = np.random.default_rng([args.seed, 2])
     sets = [rng.random((args.points, args.dim)) for _ in range(g.n)]
@@ -205,10 +201,10 @@ def _load_dataset(path):
 
 
 def _cmd_lse(args) -> int:
-    _at_least("--degree", args.degree, 0)
+    _integer("--degree", args.degree, 0)
     if args.data is None:  # else the node count follows the file
-        _at_least("--nodes", args.nodes, 1)
-    _at_least("--k-max", args.k_max, 0)
+        _integer("--nodes", args.nodes, 1)
+    _integer("--k-max", args.k_max, 0)
     basis = polynomial_basis(args.degree)
     M = len(basis)
     if args.data is not None:
@@ -254,7 +250,7 @@ def _cmd_lse(args) -> int:
                 if len(held) * n >= _CHUNK_ROWS:
                     flush()
 
-            _run_windows(_NoStop(g, None, 2.0), W, payloads, None, args.k_max, sink=sink)
+            _run_windows(_NoStop(g, None, 2.0), W, payloads, None, args.k_max, sinks=(sink,))
             if held:
                 flush()
         final_err = float(np.nanmax(lhs[-n:], initial=0.0))
@@ -272,8 +268,8 @@ def _cmd_lse(args) -> int:
 def _cmd_funccalc(args) -> int:
     if not args.rho > 0:
         raise _CliError(f"funccalc needs --rho > 0, got {args.rho}")
-    _at_least("--k-max", args.k_max, 1)  # with no step the run cannot halt
-    n = args.nodes
+    _integer("--k-max", args.k_max, 1)  # with no step the run cannot halt
+    n = _integer("--nodes", args.nodes, 1)
     f, C, alpha = registered_function(args.function, n)
     rng = np.random.default_rng([args.seed, 4])
     u = rng.random(n)
@@ -293,17 +289,15 @@ def _cmd_funccalc(args) -> int:
         with (open(path("states.csv"), "w", newline="") as fh,
               _csv_table(path("holder.csv"), "k,node,lhs,rhs,holds", "%d,%d,%.17g,%.17g,%d")
               as write):
-            states = _StateRows(fh)
-
-            def sink(k, row, halt):
-                # states.csv and holder.csv rows of each step as the run makes it
+            def holder(k, row, halt):
+                # holder.csv rows of each step as the run makes it
                 nonlocal holder_ok, lhs
-                states(k, row["rs"], row["xs"], row["ys"])
                 lhs, rhs, ok = funccalc_error(f, C, alpha, row["rs"], r_bar)
                 holder_ok = holder_ok and bool(ok.all())
                 write(k, np.arange(n), lhs, rhs, ok)
 
-            trace = _run_windows(_RadiusRule(g, rho, p), W, state0.x, D, args.k_max, sink=sink)
+            trace = _run_windows(_RadiusRule(g, rho, p), W, state0.x, D, args.k_max,
+                                 sinks=(_StateRows(fh), holder))
         worst = float(lhs.max())
         summary.update({
             "function": args.function,
@@ -335,7 +329,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # every subcommand seeds default_rng with it, which rejects a negative
-        _at_least("--seed", args.seed, 0)
+        _integer("--seed", args.seed, 0)
         return _HANDLERS[args.command](args)
     except InvariantViolation as exc:  # before RuntimeError, its base class
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -22,18 +22,17 @@ decision. No rule reads a state older than its window start, so a run
 keeps step 0 and the last step of its states, and its window count and
 last window: its memory does not grow with its length unless history=True.
 
-The loop's one per-step hook is a sink called with each step's record
-(step 0 included) and whether that step is the halt: _History for
-history=True; in the harness and the CLI, sinks that write each step's
-artifact rows as the run makes them, so no run holds its history to write
-a file.
+The loop's one per-step hook is its sinks: each is called as sink(k, row,
+halt) with each step's record (step 0 included) and whether that step is
+the halt. history=True adds a _History to the caller's sinks; the harness
+and the CLI pass sinks that write each step's artifact rows as the run
+makes them, so no run holds its history to write a file.
 
-states.csv has one per-step formatter, _StateRows: write_state_csv loops it
-over any StopTrace with history, and the harness and the CLI call it from
-the loop's per-step hook as each step is made. It has one reader, _state_blocks,
-which reads whole steps in blocks of graph._BLOCK_BYTES and checks each;
-read_state_csv stacks the blocks, harness.verify_states_file keeps only the
-last step.
+states.csv has one per-step formatter, _StateRows, a sink: the harness and
+the CLI pass it to the loop, and write_state_csv replays a StopTrace with
+history through it (_replay). It has one reader, _state_blocks, which reads
+whole steps in blocks of graph._BLOCK_BYTES and checks each; read_state_csv
+stacks the blocks, harness.verify_states_file keeps only the last step.
 """
 
 from __future__ import annotations
@@ -199,9 +198,9 @@ class _Engine:
 
 
 class _History:
-    """The one history recorder: a per-step sink, called as sink(k, row,
-    halt) by _run_windows, that keeps every step's record, one list per
-    field, stacked once at the end."""
+    """The one history recorder: the sink that history=True adds to
+    _run_windows' sinks. It keeps every step's record, one list per field,
+    stacked once at the end."""
 
     def __init__(self):
         self.rows: dict = {}
@@ -222,19 +221,19 @@ def _resolve_window(g: DiGraph, Dbound) -> int:
 
 
 def _run_windows(rule, W: StochasticMatrix, x0, Dbound, k_max,
-                 history: bool = False, sink=None) -> StopTrace:
+                 history: bool = False, sinks=()) -> StopTrace:
     """The one step loop behind every run (see _Rule), on W's graph, which
     must be the graph the rule was made on.
 
     Window boundaries fall every D = _resolve_window(W.graph, Dbound) steps
     after the rule's lag, so its first window has D + lag steps. A run that
-    a boundary ends halts there, unless the rule never halts. sink(k, row,
-    halt), if given, is called at step 0 and after each step's boundary
-    bookkeeping with that step's record: rs and the rule's records (see
-    StopTrace), and whether step k is the halt. history=True makes the sink
-    _History, whose lists become the trace's fields, and keeps every
-    window record; else the trace keeps step 0, the last step and the last
-    window only.
+    a boundary ends halts there, unless the rule never halts. Each of sinks
+    is called as sink(k, row, halt) at step 0 and after each step's boundary
+    bookkeeping, in order and with the same row: that step's record, rs and
+    the rule's records (see StopTrace), and whether step k is the halt.
+    history=True adds a _History to sinks, whose lists become the trace's
+    fields, and keeps every window record; else the trace keeps step 0, the
+    last step and the last window only.
     """
     g = W.graph
     # by in-layout: DiGraph equality compares provenance, builds edge tuples
@@ -254,11 +253,17 @@ def _run_windows(rule, W: StochasticMatrix, x0, Dbound, k_max,
         rec = eng.record()
         return {name: rec[name] if name in rec else getattr(rule, name) for name in names}
 
+    def emit(k, halt):
+        # the record dies with this call, before the next step: held across
+        # it, its views would keep the previous state alive
+        rec = row()
+        for sink in sinks:
+            sink(k, rec, halt)
+        return rec
+
     if history:
-        sink = _History()
-    first = row()
-    if sink is not None:
-        sink(0, first, False)
+        sinks = (*sinks, _History())
+    first = emit(0, False)
     windows: list = []
     n_windows = 0
     start_t = 0
@@ -279,13 +284,13 @@ def _run_windows(rule, W: StochasticMatrix, x0, Dbound, k_max,
             if not end:
                 rule.begin(eng.cur)
             start_t = t
-        if sink is not None:
-            sink(t, row(), end and rule.halts)
+        if sinks:  # a run with none makes no record until its end
+            emit(t, end and rule.halts)
         if end:
             halt_t = t if rule.halts else None
             break
     if history:
-        fields = sink.stacked()
+        fields = sinks[-1].stacked()
     else:
         fields = {name: {0: first[name], eng.k: v} for name, v in row().items()}
     return StopTrace(eng.name, windows=windows, n_windows=n_windows, halted=halt_t is not None,
@@ -398,20 +403,26 @@ def _csv_table(path, header: str, fmt: str):
         yield write
 
 
-def _every_step(rows, what: str) -> np.ndarray:
-    """rows, the (T+1, ...) per-step array that the writer what needs. A
-    stopping run without history holds a dict {0: ..., T: ...} instead,
-    which is rejected here."""
-    if not isinstance(rows, np.ndarray):
+def _replay(trace: StopTrace, what: str):
+    """The records _run_windows passed its sinks, (k, row, halt) per step,
+    replayed from trace's history for the writer what. A trace without
+    history (a stopping run's default) is rejected here, before the first
+    record is made."""
+    fields = {name: v for name in ("rs", "xs", "ys", "Rs", "bs")
+              if (v := getattr(trace, name)) is not None}
+    if not all(isinstance(v, np.ndarray) for v in fields.values()):
         raise ValueError(f"{what} needs every step: run the stopping rule with history=True")
-    return rows
+    return ((k, {name: v[k] for name, v in fields.items()}, k == trace.halt_t)
+            for k in range(trace.steps + 1))
 
 
 class _StateRows:
-    """states.csv's one per-step formatter. It writes the header to fh; each
-    call (k, r, x, y) then writes step k's rows (k, node, coord, x, y, r) at
-    17 significant digits, which is enough to round-trip float64 exactly.
-    With x None (the row engine) x is r; with y None, y is 1.
+    """states.csv's one per-step formatter, a sink of _run_windows. It
+    writes the header to fh; each call (k, row, halt) then writes step k's
+    rows (k, node, coord, x, y, r) at 17 significant digits, which is enough
+    to round-trip float64 exactly: r is the record's rs, x its xs and y its
+    ys. A record without xs (the row engine, box and hull) has x = r, one
+    without ys y = 1.
 
     Each value the layout repeats is formatted once: the "node,coord,"
     prefixes once per file, written at the first call into one %-template
@@ -425,7 +436,8 @@ class _StateRows:
         self.fh = fh
         self.templates = None
 
-    def __call__(self, k, r, x=None, y=None):
+    def __call__(self, k, row, halt):
+        r, x, y = row["rs"], row.get("xs"), row.get("ys")
         n, d = r.shape
         rows = n * d
         if self.templates is None:
@@ -448,14 +460,13 @@ class _StateRows:
 
 
 def write_state_csv(trace: StopTrace, path):
-    """Every step of trace, which needs its history, through _StateRows.
-    The row engine stores z in both x and r with y = 1."""
-    states = _every_step(trace.rs, "write_state_csv")
+    """Every step of trace, which needs its history, replayed through
+    _StateRows. The row engine stores z in both x and r with y = 1."""
+    records = _replay(trace, "write_state_csv")
     with open(path, "w", newline="") as fh:
         rows = _StateRows(fh)
-        for k in range(states.shape[0]):
-            rows(k, states[k], None if trace.xs is None else trace.xs[k],
-                 None if trace.ys is None else trace.ys[k])
+        for rec in records:
+            rows(*rec)
 
 
 def _state_blocks(path, fields=("x", "y", "r")):

@@ -6,9 +6,9 @@ determines every emitted byte. Guarantee fields in the summary are
 recomputed from the written trace files by a verification pass rather than
 copied from the in-memory run.
 
-A run keeps no history to write its artifacts: states.csv and
-termination.csv are streamed from the step loop's per-step hook
-(consensus._run_windows) as each step is made, and the verification pass
+A run keeps no history to write its artifacts: their formatters are
+sinks of the step loop (consensus._run_windows), which write states.csv
+and termination.csv as each step is made, and the verification pass
 reads states.csv back in blocks of whole steps, keeping only the last one.
 Every artifact is written under a temporary name and renamed once the run
 and its verification have ended (artifact_dir), so a run that raises
@@ -180,21 +180,13 @@ def _write_run(cfg: ExperimentConfig, g: DiGraph, W, x0, rho_abs, D, path):
     rule, termination.csv into path(name) as each step is made; returns the
     run's StopTrace. The row formatters, with their per-file templates, end
     with this call."""
-    radius = cfg.stopping == "radius"
     with ExitStack() as files:
-        states = _StateRows(files.enter_context(open(path("states.csv"), "w", newline="")))
-        if radius:
-            term = _TerminationRows(files.enter_context(
-                open(path("termination.csv"), "w", newline="")), g.n, D)
-
-        def sink(k, row, halt):
-            # a record without xs (row engine, box and hull) writes x = r, y = 1
-            states(k, row["rs"], row.get("xs"), row.get("ys"))
-            if radius:
-                term(k, row["Rs"], row["bs"], halt)
-
+        sinks = [_StateRows(files.enter_context(open(path("states.csv"), "w", newline="")))]
+        if cfg.stopping == "radius":
+            sinks.append(_TerminationRows(files.enter_context(
+                open(path("termination.csv"), "w", newline="")), g.n, D))
         return _run_windows(_RULES[cfg.stopping](g, rho_abs, cfg.norm), W, x0, D, cfg.k_max,
-                            sink=sink)
+                            sinks=sinks)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

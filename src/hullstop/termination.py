@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import _CHUNK_ROWS, StopTrace, _NoStop, _Rule, _every_step, _run_windows
+from .consensus import _CHUNK_ROWS, StopTrace, _NoStop, _Rule, _replay, _run_windows
 # ratio_step stays bound here: bench/test_smoke.py patches termination.ratio_step
 from .consensus import ratio_step  # noqa: F401
 from .errors import InvariantViolation
@@ -350,11 +350,13 @@ _TERMINATION_HEADER = "k,node,R,b,window_l,halt_flag"
 
 
 class _TerminationRows:
-    """termination.csv's one per-step formatter. It writes the header to fh;
-    each call (k, R, b, halt) then writes step k's row (k, node, R, b,
-    window_l, halt_flag) for each of the n nodes, R at 17 significant
-    digits. window_l counts the window step k belongs to (D steps each, the
-    first one step longer), and halt_flag marks the halt step.
+    """termination.csv's one per-step formatter, a sink of
+    consensus._run_windows for the radius rule. It writes the header to fh;
+    each call (k, row, halt) then writes step k's row (k, node, R, b,
+    window_l, halt_flag) for each of the n nodes from the record's Rs and
+    bs, R at 17 significant digits. window_l counts the window step k
+    belongs to (D steps each, the first one step longer), and halt_flag
+    marks the halt step.
 
     As in consensus._StateRows, the "node," prefixes are formatted once per
     file into one %-template per chunk of _CHUNK_ROWS rows, and k and the
@@ -369,10 +371,10 @@ class _TerminationRows:
                                   for i in range(s, min(s + _CHUNK_ROWS, n)))
                           for s in self.starts]
 
-    def __call__(self, k, R, b, halt):
+    def __call__(self, k, row, halt):
         head = str(k)
         tail = f"{0 if k == 0 else (k - 1) // self.D + 1},{int(halt)}"
-        R, b = R.tolist(), b.tolist()
+        R, b = row["Rs"].tolist(), row["bs"].tolist()
         for s, template in zip(self.starts, self.templates):
             self.fh.write(template % tuple(chain.from_iterable(
                 zip(repeat(head), R[s:s + _CHUNK_ROWS], b[s:s + _CHUNK_ROWS], repeat(tail)))))
@@ -380,11 +382,11 @@ class _TerminationRows:
 
 def write_termination_csv(trace: StopTrace, path):
     """Rows (k, node, R, b, window_l, halt_flag) of a radius-rule trace with
-    history, through _TerminationRows."""
+    history, replayed through _TerminationRows."""
     if trace.Rs is None:
         raise ValueError("termination.csv needs a radius-rule trace")
-    T, n = _every_step(trace.Rs, "write_termination_csv").shape
+    records = _replay(trace, "write_termination_csv")
     with open(path, "w", newline="") as fh:
-        rows = _TerminationRows(fh, n, trace.Dbound)
-        for k in range(T):
-            rows(k, trace.Rs[k], trace.bs[k], trace.halted and k == trace.halt_t)
+        rows = _TerminationRows(fh, len(trace.Rs[0]), trace.Dbound)
+        for rec in records:
+            rows(*rec)

@@ -145,11 +145,12 @@ def test_states_file_cut_at_a_step_boundary_is_a_length_mismatch(tmp_path, monke
     # shorter trace; the run's own step count is what catches it
     real = harness._run_windows
 
-    def drop_last_step(*args, sink):
+    def drop_last_step(*args, sinks):
         def short(k, row, halt):
             if not halt:
-                sink(k, row, halt)
-        return real(*args, sink=short)
+                for sink in sinks:
+                    sink(k, row, halt)
+        return real(*args, sinks=(short,))
 
     monkeypatch.setattr(harness, "_run_windows", drop_last_step)
     with pytest.raises(InvariantViolation, match="trace length mismatch"):
@@ -338,6 +339,10 @@ def test_cli_funccalc_nan_rho_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--nodes", "0"],
+    ["compare", "--nodes", "0", "--rho", "0.01"],
+    ["hull", "--nodes", "0"],
+    ["funccalc", "--nodes", "-1"],
     ["lse", "--nodes", "0"],
     ["lse", "--nodes", "-2"],
     ["hull", "--dim", "0"],
@@ -388,6 +393,25 @@ def test_cli_exit_code_invariant_violation(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", boom)
     rc = cli.main(["run", "--nodes", "6", "--out-dir", str(tmp_path / "iv")])
     assert rc == 3
+
+
+def test_cli_hull_off_the_central_extreme_set_is_an_invariant_violation(tmp_path, monkeypatch,
+                                                                        capsys):
+    # one node ends on its own cloud's extreme set, not the union's
+    real = cli.run_hull_consensus
+
+    def wrong(sets, g, **kw):
+        final, history = real(sets, g, **kw)
+        return final[:-1] + [cli.extreme_points(sets[-1])], history
+
+    monkeypatch.setattr(cli, "run_hull_consensus", wrong)
+    out = tmp_path / "h"
+    rc = cli.main(["hull", "--nodes", "6", "--dim", "2", "--seed", "4", "--points", "3",
+                   "--out-dir", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("invariant violation: hull protocol did not reach the "
+                                       "centralized extreme set\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -3,11 +3,13 @@ every exported name is used by code outside the test suite."""
 
 import ast
 import importlib
+import tomllib
 from pathlib import Path
 
 import numpy as np
 
 import hullstop
+import hullstop.cli
 import hullstop.errors
 from hullstop.consensus import _run_windows
 from hullstop.termination import _RULES
@@ -132,3 +134,11 @@ def test_every_export_is_reached_outside_the_tests():
     for path in sorted((_ROOT / "bench").glob("*.py")):
         used |= _references(path, imports=True, strings=True)
     assert sorted(set(hullstop.__all__) - used) == []
+
+
+def test_console_script_is_the_cli_entry_point():
+    # README installs the package and runs its `hullstop` command
+    with open(_ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hullstop"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is hullstop.cli.main

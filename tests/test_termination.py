@@ -246,12 +246,12 @@ def test_stopping_rejects_bad_input_at_entry(run, kw, match):
 
 def test_box_criterion_rejects_nan_rho():
     # the streamed box rule, which the harness and the CLI run, rejects a
-    # NaN rho before step 0 reaches the sink
+    # NaN rho before step 0 reaches the sinks
     g = ring(4)
     rows = []
     with pytest.raises(ValueError, match="rho must be positive"):
         _run_windows(_RULES["box"](g, float("nan"), np.inf), make_weights(g, "column"),
-                     np.zeros((4, 2)), None, 50, sink=lambda *row: rows.append(row))
+                     np.zeros((4, 2)), None, 50, sinks=(lambda *row: rows.append(row),))
     assert rows == []
 
 
@@ -517,7 +517,7 @@ def test_stopping_history_equals_run_consensus(kind):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_run_consensus_equals_the_stopping_loop_without_a_rule(kind, seed):
     # run_consensus records the loop's history; the harness and the CLI
-    # stream the same run with no rule through a sink and keep only its
+    # stream the same run with no rule through their sinks and keep only its
     # ends. Both must give the same record, step by step and field by field
     g = er(8, seed=seed)
     W = make_weights(g, kind)
@@ -526,7 +526,7 @@ def test_run_consensus_equals_the_stopping_loop_without_a_rule(kind, seed):
     ref = run_consensus(W, x0, T)
     rows = []
     tr = _run_windows(_RULES["none"](g, None, 2.0), W, x0, None, T,
-                      sink=lambda k, row, halt: rows.append((k, row, halt)))
+                      sinks=(lambda k, row, halt: rows.append((k, row, halt)),))
     assert tr.engine == ref.engine and tr.steps == ref.steps == T
     assert [k for k, _, _ in rows] == list(range(T + 1))
     assert not any(halt for _, _, halt in rows)
@@ -539,6 +539,40 @@ def test_run_consensus_equals_the_stopping_loop_without_a_rule(kind, seed):
         assert _bits(np.stack([getattr(tr, name)[k] for k in (0, T)])) == _bits(b[[0, T]]), name
     for run in (tr, ref):
         assert (run.halted, run.halt_t, run.windows, run.n_windows) == (False, None, [], 0)
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_sinks_passed_with_history_see_every_step(kind):
+    # history=True adds its recorder to the caller's sinks, not in place of
+    # them: each sink sees every step, with the halt on the last one only
+    g = er(8, seed=3)
+    W = make_weights(g, kind)
+    x0 = np.random.default_rng(3).random((8, 2))
+    calls = []
+    tr = _run_windows(_RULES["radius"](g, 1e-3, 2.0), W, x0, None, 500, history=True,
+                      sinks=(lambda k, row, halt: calls.append((k, row, halt)),))
+    assert tr.halted
+    assert [(k, halt) for k, _, halt in calls] == [(k, k == tr.halt_t)
+                                                   for k in range(tr.steps + 1)]
+    for name in ("rs", "xs", "ys", "Rs", "bs"):
+        if getattr(tr, name) is None:
+            assert all(name not in row for _, row, _ in calls), name
+            continue
+        assert _bits(np.stack([row[name] for _, row, _ in calls])) == _bits(getattr(tr, name))
+
+
+@pytest.mark.parametrize("history", [False, True], ids=["streamed", "history"])
+def test_every_sink_receives_the_same_records(history):
+    g = er(8, seed=5)
+    W = make_weights(g, "column")
+    x0 = np.random.default_rng(5).random((8, 3))
+    calls = ([], [])
+    _run_windows(_RULES["box"](g, 1e-3, 2.0), W, x0, None, 500, history=history,
+                 sinks=tuple(lambda k, row, halt, c=c: c.append((k, row, halt)) for c in calls))
+    first, second = calls
+    assert first and len(first) == len(second)
+    for (k, row, halt), (k2, row2, halt2) in zip(first, second):
+        assert (k, halt) == (k2, halt2) and row is row2
 
 
 @pytest.mark.parametrize("run", [run_radius_stopping, run_box_stopping], ids=["radius", "box"])
